@@ -83,7 +83,7 @@ fn bench_event_queue(c: &mut Criterion) {
         ("heap", netsim::EngineConfig::baseline()),
         ("wheel", netsim::EngineConfig::default()),
     ] {
-        g.bench_function(format!("timer_churn_4k_{label}"), |b| {
+        g.bench_function(&format!("timer_churn_4k_{label}"), |b| {
             b.iter(|| suss_bench::timer_churn(engine, 4_096, 50_000))
         });
     }
@@ -102,7 +102,7 @@ fn bench_engine_end_to_end(c: &mut Criterion) {
         ("heap", netsim::EngineConfig::baseline()),
         ("wheel", netsim::EngineConfig::default()),
     ] {
-        g.bench_function(format!("tokyo_wired_2mb_{label}"), |b| {
+        g.bench_function(&format!("tokyo_wired_2mb_{label}"), |b| {
             b.iter(|| {
                 experiments::run_flow_engine(
                     &scn,

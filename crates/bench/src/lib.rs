@@ -8,10 +8,10 @@
 //! `--csv` to emit machine-readable output after the human-readable
 //! table. All experiments run as simrunner campaigns, so every binary
 //! also accepts the parallel-execution flags (`--workers`, `--no-cache`,
-//! `--cold`, `--no-progress`), the executor flags (`--executor
-//! pool|steal`, `--shards N` to coordinate N shard child processes,
-//! `--shard K/N` to run one shard, `--merge-shards N` to merge
-//! already-written shard manifests, `--shard-lease-ms N` /
+//! `--cold`, `--no-progress`), runs on the worker pool unless a shard
+//! flag says otherwise (`--shards N` to coordinate N shard child
+//! processes, `--shard K/N` to run one shard, `--merge-shards N` to
+//! merge already-written shard manifests, `--shard-lease-ms N` /
 //! `--shard-restarts N` to tune the coordinator's heartbeat lease and
 //! dead-shard restart budget), caches results under `results/cache/`,
 //! and writes a run manifest to `results/<name>.manifest.json`.
@@ -106,8 +106,6 @@ pub struct BenchCli {
     /// `results/<name>.trace.jsonl`" — resolve it with
     /// [`BenchCli::trace_path`].
     pub trace: Option<PathBuf>,
-    /// Local executor from `--executor pool|steal` (pool when absent).
-    pub steal: bool,
     /// Coordinate N shard child processes (`--shards N`).
     pub shards: Option<usize>,
     /// Run as one shard of a split campaign (`--shard K/N`).
@@ -138,7 +136,6 @@ impl BenchCli {
             cold: false,
             no_progress: false,
             trace: None,
-            steal: false,
             shards: None,
             shard: None,
             merge_shards: None,
@@ -181,14 +178,6 @@ impl BenchCli {
                     keep(&mut o, "--cold");
                 }
                 "--no-progress" => o.no_progress = true,
-                "--executor" => match args.next().as_deref() {
-                    Some("pool") => o.steal = false,
-                    Some("steal") => o.steal = true,
-                    other => {
-                        eprintln!("--executor needs pool|steal, got {other:?}");
-                        std::process::exit(2);
-                    }
-                },
                 "--shards" => {
                     o.shards = match args.next().and_then(|v| v.parse().ok()) {
                         Some(0) | None => {
@@ -253,8 +242,8 @@ impl BenchCli {
                     eprintln!(
                         "usage: {name} [--quick] [--csv] [--workers N] [--no-cache] \
                          [--cold] [--no-progress] [--trace [PATH]] \
-                         [--executor pool|steal] [--shards N] [--shard K/N] \
-                         [--merge-shards N] [--shard-lease-ms N] [--shard-restarts N]"
+                         [--shards N] [--shard K/N] [--merge-shards N] \
+                         [--shard-lease-ms N] [--shard-restarts N]"
                     );
                     std::process::exit(0);
                 }
@@ -329,9 +318,9 @@ impl BenchCli {
     /// stderr (human output goes to stdout, so redirects stay clean),
     /// flight-recorder dumps under `results/flightrec/` for cells that
     /// terminally panic or time out, the executor selected by the
-    /// `--executor`/`--shards`/`--shard`/`--merge-shards` flags, and
-    /// `SUSS_*` environment overrides applied last (so a coordinator's
-    /// `SUSS_SHARD=k/N` wins inside shard children;
+    /// `--shards`/`--shard`/`--merge-shards` flags (the pool when none
+    /// is given), and `SUSS_*` environment overrides applied last (so a
+    /// coordinator's `SUSS_SHARD=k/N` wins inside shard children;
     /// `SUSS_FLIGHTREC_DIR=` disables the recorder, `SUSS_PROF=1`
     /// enables per-cell span profiling).
     pub fn runner(&self) -> RunnerOpts {
@@ -356,8 +345,6 @@ impl BenchCli {
             };
         } else if let Some(shards) = self.merge_shards {
             r.executor = ExecSpec::MergeShards { shards };
-        } else if self.steal {
-            r.executor = ExecSpec::WorkStealing;
         }
         if let Some(ms) = self.shard_lease_ms {
             r.shard_lease = (ms > 0).then(|| Duration::from_millis(ms));

@@ -159,9 +159,8 @@ impl FlowGrid {
     }
 
     /// Execute every queued cell on the executor selected by `opts`
-    /// (pool by default; work-stealing, shard, or coordinator via
-    /// [`simrunner::ExecSpec`] / the `SUSS_EXECUTOR` and `SUSS_SHARD`
-    /// environment knobs).
+    /// (the pool by default; shard, coordinator or merge via
+    /// [`simrunner::ExecSpec`] / the `SUSS_SHARD` environment knob).
     ///
     /// Failure handling follows `opts.on_failure`: under the default
     /// raise policy any terminal cell failure panics with the cell's

@@ -5,7 +5,7 @@
 
 use netsim::{
     Agent, Bandwidth, Ctx, EngineConfig, FaultPlan, FlapWindow, FlowId, GilbertElliott, LinkId,
-    LinkSpec, Packet, SchedulerKind, Sim, SimTime,
+    LinkSpec, Packet, Sim, SimTime,
 };
 use std::any::Any;
 use std::time::Duration;

@@ -116,12 +116,13 @@ impl Json {
         }
     }
 
-    /// Parse a JSON string. Returns `None` on any syntax error or
-    /// trailing garbage.
+    /// Parse a JSON string. Returns `None` on any syntax error, on
+    /// trailing garbage, or on arrays/objects nested deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Option<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos == bytes.len() {
             Some(v)
@@ -176,7 +177,13 @@ fn eat(b: &[u8], pos: &mut usize, lit: &str) -> Option<()> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a hostile file of `[[[[…`
+/// overflows the stack and aborts the process instead of failing to
+/// parse. Real documents (manifests, cache entries) nest a handful deep.
+pub const MAX_DEPTH: usize = 128;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     skip_ws(b, pos);
     match *b.get(*pos)? {
         b'n' => {
@@ -192,6 +199,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
             Some(Json::Bool(false))
         }
         b'"' => parse_string(b, pos).map(Json::Str),
+        b'[' if depth >= MAX_DEPTH => None,
         b'[' => {
             *pos += 1;
             let mut items = Vec::new();
@@ -201,7 +209,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
                 return Some(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos)? {
                     b',' => *pos += 1,
@@ -213,6 +221,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
                 }
             }
         }
+        b'{' if depth >= MAX_DEPTH => None,
         b'{' => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -229,7 +238,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
                     return None;
                 }
                 *pos += 1;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos)? {

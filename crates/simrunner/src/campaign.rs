@@ -2,11 +2,11 @@
 //! surface ([`RunnerOpts`]) that selects and configures an executor.
 //!
 //! Execution itself lives in [`crate::exec`]: a [`Campaign`] is pure
-//! data, and [`Campaign::run`] hands it to any [`Executor`] — the
-//! deterministic thread pool, the work-stealing local executor, or the
-//! multi-process shard coordinator. All executors commit results by cell
-//! index, so the output is byte-identical regardless of worker count,
-//! scheduling, cache state, or sharding.
+//! data, and [`Campaign::run`] hands it to the [`Executor`] its options
+//! select — the deterministic thread pool, one shard of a split
+//! campaign, or the multi-process shard coordinator. All engines commit
+//! results by cell index, so the output is byte-identical regardless of
+//! worker count, scheduling, cache state, or sharding.
 
 use crate::cache::{Cache, CellIdentity};
 use crate::exec::Executor;
@@ -50,13 +50,11 @@ pub enum FailurePolicy {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum ExecSpec {
     /// The deterministic token-tracked thread pool with panic isolation,
-    /// bounded retries and watchdogs (the default).
+    /// bounded retries, watchdogs and flight-recorder dumps (the
+    /// default, and the only local executor: cells are coarse, so its
+    /// shared queue already balances them).
     #[default]
     Pool,
-    /// The work-stealing local executor: workers pull cells from
-    /// per-worker deques and steal from the back of their neighbours'.
-    /// Results still commit in canonical cell order. No watchdog support.
-    WorkStealing,
     /// Run only the cells owned by shard `index` of `total` (round-robin
     /// by cell index) and write a shard manifest next to the campaign's
     /// manifest stem. Set by `SUSS_SHARD=k/N` in shard child processes.
@@ -109,7 +107,6 @@ pub enum ExecSpec {
 /// | `SUSS_CELL_RETRIES` | panic retry budget per cell |
 /// | `SUSS_PROF` | `0` disables, anything else enables the span profiler |
 /// | `SUSS_FLIGHTREC_DIR` | crash-dump directory (empty disables) |
-/// | `SUSS_EXECUTOR` | `pool` or `steal` |
 /// | `SUSS_SHARD` | `k/N`: run as shard `k` of `N` and exit afterwards |
 /// | `SUSS_SHARD_LEASE_MS` | heartbeat lease on shard children (`0` disables) |
 /// | `SUSS_SHARD_RESTARTS` | dead-shard restart budget before inline reassignment |
@@ -166,7 +163,7 @@ pub struct RunnerOpts {
     /// its shard manifest (exit code 0, or 3 when cells failed). Set when
     /// sharding comes from `SUSS_SHARD` — a shard child must not fall
     /// through into the bin's figure rendering on partial results.
-    /// In-process shard executors (tests, the in-process coordinator)
+    /// In-process shard runs (tests, the in-process coordinator)
     /// leave this `false`.
     pub shard_exit: bool,
     /// Heartbeat lease for shard children (coordinator): a shard whose
@@ -392,13 +389,6 @@ impl RunnerOpts {
         if let Some(d) = get("SUSS_FLIGHTREC_DIR") {
             self.flightrec_dir = (!d.is_empty()).then(|| PathBuf::from(d));
         }
-        if let Some(e) = get("SUSS_EXECUTOR") {
-            match e.as_str() {
-                "pool" => self.executor = ExecSpec::Pool,
-                "steal" => self.executor = ExecSpec::WorkStealing,
-                _ => warn("SUSS_EXECUTOR", &e, "`pool` or `steal`"),
-            }
-        }
         if let Some(s) = get("SUSS_SHARD") {
             match parse_shard(&s) {
                 Some((index, total)) => {
@@ -558,24 +548,24 @@ impl Campaign {
         self.cells.is_empty()
     }
 
-    /// Execute every cell on `exec` and return results in campaign order.
+    /// Execute every cell on `exec` (from [`RunnerOpts::executor`]) and
+    /// return results in campaign order.
     ///
     /// Each cell is computed solely from its own [`Cell`] (independent
     /// seeding) and results commit by cell index, so the output — and
     /// anything aggregated from it in order — is byte-identical whether
-    /// this runs on 1 worker or 64, work-stealing or statically sharded,
-    /// cold or fully cached, in one process or merged from N shards.
+    /// this runs on 1 worker or 64, cold or fully cached, in one process
+    /// or merged from N shards.
     ///
     /// # Panics
     /// Under [`FailurePolicy::Raise`] (the default), re-raises the first
     /// cell failure (with the cell's label) after the campaign drains —
     /// successful cells are cached by then, so a re-run resumes from the
     /// failure.
-    pub fn run<T, F, E>(&self, exec: &E, f: F) -> CampaignReport<T>
+    pub fn run<T, F>(&self, exec: &Executor<'_>, f: F) -> CampaignReport<T>
     where
         T: Serialize + Deserialize + Send + 'static,
         F: Fn(&Cell) -> T + Send + Sync + 'static,
-        E: Executor,
     {
         exec.execute(self, f)
     }
@@ -861,7 +851,6 @@ mod tests {
             ("SUSS_CELL_RETRIES", "2"),
             ("SUSS_PROF", "1"),
             ("SUSS_FLIGHTREC_DIR", "/tmp/frec"),
-            ("SUSS_EXECUTOR", "steal"),
             ("SUSS_SHARD_LEASE_MS", "2000"),
             ("SUSS_SHARD_RESTARTS", "3"),
             ("SUSS_CHAOS_KILL_SHARD", "1:5"),
@@ -877,7 +866,6 @@ mod tests {
         assert_eq!(opts.cell_retries, 2);
         assert!(opts.profile);
         assert_eq!(opts.flightrec_dir.as_deref(), Some(Path::new("/tmp/frec")));
-        assert_eq!(opts.executor, ExecSpec::WorkStealing);
         assert!(!opts.shard_exit);
         assert_eq!(opts.shard_lease, Some(Duration::from_millis(2000)));
         assert_eq!(opts.shard_restarts, 3);
@@ -915,13 +903,12 @@ mod tests {
             ("SUSS_CELL_TIMEOUT_MS", "soon"),
             ("SUSS_STALL_TIMEOUT_MS", "1e3"),
             ("SUSS_CELL_RETRIES", "2.5"),
-            ("SUSS_EXECUTOR", "quantum"),
             ("SUSS_SHARD", "4/4"),
             ("SUSS_SHARD_LEASE_MS", "soonish"),
             ("SUSS_SHARD_RESTARTS", "-1"),
             ("SUSS_CHAOS_KILL_SHARD", "whenever"),
         ]));
-        assert_eq!(warnings.len(), 10, "{warnings:?}");
+        assert_eq!(warnings.len(), 9, "{warnings:?}");
         for w in &warnings {
             assert!(w.starts_with("ignoring SUSS_"), "{w}");
         }

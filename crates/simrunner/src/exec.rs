@@ -1,23 +1,25 @@
-//! Executors: the pluggable engines behind [`Campaign::run`].
+//! The execution engines behind [`Campaign::run`].
 //!
-//! A [`Campaign`] is pure data; an [`Executor`] decides *how* its cells
-//! get computed. Three engines ship here, all committing results by cell
-//! index so the output is byte-identical across engines:
+//! A [`Campaign`] is pure data; the [`ExecSpec`] in its [`RunnerOpts`]
+//! decides *how* its cells get computed. [`RunnerOpts::executor`] hands
+//! back an [`Executor`] that dispatches once on that spec to one of four
+//! plain functions, all committing results by cell index so the output
+//! is byte-identical across engines:
 //!
-//! * [`PoolExecutor`] — the deterministic token-tracked thread pool with
-//!   panic isolation, bounded retries, wall-clock and progress-stall
-//!   watchdogs, and flight-recorder crash dumps (the default);
-//! * [`WorkStealingExecutor`] — workers pull cells from per-worker
-//!   deques and steal from idle neighbours' backs; retries run inline on
-//!   the worker, under the same wall-clock/stall watchdog as the pool;
-//! * [`ShardWorker`] / [`ShardCoordinator`] / [`ShardMerge`] — the
-//!   distributed path. A worker computes only the cells its shard owns
-//!   (round-robin by index, see [`ShardInfo::owns`]) against the shared
-//!   cache and writes a shard manifest; the coordinator runs N shards
+//! * `pool` ([`ExecSpec::Pool`], the default) — the deterministic
+//!   token-tracked thread pool with panic isolation, bounded retries,
+//!   wall-clock and progress-stall watchdogs, and flight-recorder crash
+//!   dumps;
+//! * `shard k/N` ([`ExecSpec::Shard`]) — the pool over only the cells
+//!   shard `k` owns (round-robin by index, see [`ShardInfo::owns`])
+//!   against the shared cache, writing a shard manifest;
+//! * `coordinator(N shards)` ([`ExecSpec::Coordinator`]) — runs N shards
 //!   (child processes or in-process), merges their manifests with
 //!   [`RunManifest::merge_shards`], reloads the results from the shared
 //!   cache, and returns a report indistinguishable from a single-process
-//!   run — same results, same manifest fingerprint.
+//!   run — same results, same manifest fingerprint;
+//! * `merged(N shards)` ([`ExecSpec::MergeShards`]) — the coordinator's
+//!   merge alone, over shard manifests written elsewhere.
 //!
 //! The coordinator is self-healing: each shard child writes a heartbeat
 //! file ticked from its progress epoch, a stall-aware [`LeaseClock`]
@@ -26,10 +28,6 @@
 //! has no usable shard manifest at merge time has its remaining cells
 //! reassigned inline — so a SIGKILLed shard costs only its unfinished
 //! cells, never the campaign.
-//!
-//! [`RunnerOpts::executor`](crate::RunnerOpts::executor) builds the
-//! engine selected by [`ExecSpec`](crate::ExecSpec), so call sites
-//! uniformly write `campaign.run(&opts.executor(), f)`.
 
 use crate::campaign::{
     dump_flightrec, panic_message, run_bracketed, Campaign, CampaignReport, Cell, CellTelemetry,
@@ -38,10 +36,10 @@ use crate::campaign::{
 use crate::manifest::{
     shard_heartbeat_path, shard_manifest_path, CellRecord, CellStatus, RunManifest, ShardInfo,
 };
-use crate::pool::{BoundedQueue, StealQueues};
+use crate::pool::BoundedQueue;
 use crate::progress::{read_heartbeat, Heartbeat, Progress};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -60,18 +58,46 @@ const SHARD_RESTART_BACKOFF: Duration = Duration::from_millis(200);
 /// Exit code of a shard child whose cells failed (manifest still written).
 pub const SHARD_FAILED_EXIT: i32 = 3;
 
-/// An execution engine for campaigns. Implementations must commit
-/// results in campaign (cell-index) order and fill a [`RunManifest`]
-/// describing the run.
-pub trait Executor {
-    /// Short engine name for manifests (`pool`, `steal`, `shard 0/2`, …).
-    fn label(&self) -> String;
+/// The executor selected by [`RunnerOpts::executor`]: the options a
+/// campaign runs under, dispatched once on their [`ExecSpec`].
+#[derive(Debug, Clone, Copy)]
+pub struct Executor<'a> {
+    opts: &'a RunnerOpts,
+}
 
-    /// Execute `campaign`, computing each cell with `f`.
-    fn execute<T, F>(&self, campaign: &Campaign, f: F) -> CampaignReport<T>
+impl RunnerOpts {
+    /// The executor selected by the `executor` field ([`ExecSpec`]):
+    /// call sites uniformly write `campaign.run(&opts.executor(), f)`.
+    pub fn executor(&self) -> Executor<'_> {
+        Executor { opts: self }
+    }
+}
+
+impl Executor<'_> {
+    /// Execute `campaign`, computing each cell with `f`, on the engine
+    /// the options select. Every engine commits results in campaign
+    /// (cell-index) order and fills a [`RunManifest`] describing the run.
+    pub(crate) fn execute<T, F>(&self, campaign: &Campaign, f: F) -> CampaignReport<T>
     where
         T: Serialize + Deserialize + Send + 'static,
-        F: Fn(&Cell) -> T + Send + Sync + 'static;
+        F: Fn(&Cell) -> T + Send + Sync + 'static,
+    {
+        let opts = self.opts;
+        match &opts.executor {
+            ExecSpec::Pool => run_pool(campaign, opts, f),
+            ExecSpec::Shard { index, total } => {
+                let shard = ShardInfo {
+                    index: *index,
+                    total: *total,
+                };
+                run_shard(campaign, opts, shard, opts.shard_exit, f)
+            }
+            ExecSpec::Coordinator { shards, argv } => {
+                run_coordinator(campaign, opts, *shards, argv.as_deref(), f)
+            }
+            ExecSpec::MergeShards { shards } => run_merge(campaign, opts, *shards, f),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -93,7 +119,7 @@ struct Prepared<T> {
     /// The shard this run covers, when any.
     shard: Option<ShardInfo>,
     /// Liveness publisher for shard runs (see [`Heartbeat`]); `None` for
-    /// unsharded executors.
+    /// unsharded runs.
     heartbeat: Option<Heartbeat>,
 }
 
@@ -107,8 +133,8 @@ struct Tallies {
     scopes: Vec<simtrace::ScopeAnnotation>,
 }
 
-/// Phase 1, common to all local executors: mark unowned cells skipped and
-/// serve owned cells from the cache (main thread: cheap).
+/// Phase 1, common to the pool and the shard worker: mark unowned cells
+/// skipped and serve owned cells from the cache (main thread: cheap).
 fn prepare<T: Deserialize>(
     campaign: &Campaign,
     opts: &RunnerOpts,
@@ -175,9 +201,9 @@ fn prepare<T: Deserialize>(
     }
 }
 
-/// Final phase, common to all local executors: sweep the cache, assemble
-/// the manifest (with results digest and fingerprint), print the summary,
-/// and apply the failure policy.
+/// Final phase, common to the pool and the shard worker: sweep the
+/// cache, assemble the manifest (with results digest and fingerprint),
+/// print the summary, and apply the failure policy.
 fn finish<T: Serialize>(
     campaign: &Campaign,
     opts: &RunnerOpts,
@@ -269,45 +295,25 @@ fn results_digest_of<T: Serialize>(results: &[Option<T>], records: &[CellRecord]
 // Pool executor (and the shard worker's compute core)
 // ---------------------------------------------------------------------------
 
-/// The deterministic token-tracked thread pool: detached workers under a
-/// watchdog, per-cell panic isolation with bounded retries (linear
-/// backoff), wall-clock and progress-stall abandonment, flight-recorder
-/// dumps on terminal failure. Results commit by cell index on the main
-/// thread.
+/// The deterministic token-tracked thread pool (`pool`): detached
+/// workers under a watchdog, per-cell panic isolation with bounded
+/// retries (linear backoff), wall-clock and progress-stall abandonment,
+/// flight-recorder dumps on terminal failure. Results commit by cell
+/// index on the main thread.
 ///
 /// Detached (non-scoped) threads are what make abandonment possible: a
 /// hung cell's thread is left behind (it dies with the process) while a
 /// replacement worker keeps the pool at full strength — hence the
-/// `'static` bounds on [`Executor::execute`].
-#[derive(Debug, Clone)]
-pub struct PoolExecutor {
-    /// Execution options.
-    pub opts: RunnerOpts,
-}
-
-impl Executor for PoolExecutor {
-    fn label(&self) -> String {
-        "pool".into()
-    }
-
-    fn execute<T, F>(&self, campaign: &Campaign, f: F) -> CampaignReport<T>
-    where
-        T: Serialize + Deserialize + Send + 'static,
-        F: Fn(&Cell) -> T + Send + Sync + 'static,
-    {
-        let mut prep = prepare::<T>(campaign, &self.opts, None);
-        let tallies = run_pool_phase(campaign, &self.opts, &mut prep, f);
-        let raise = self.opts.on_failure == FailurePolicy::Raise;
-        finish(
-            campaign,
-            &self.opts,
-            self.label(),
-            None,
-            prep,
-            tallies,
-            raise,
-        )
-    }
+/// `'static` bounds on [`Campaign::run`].
+fn run_pool<T, F>(campaign: &Campaign, opts: &RunnerOpts, f: F) -> CampaignReport<T>
+where
+    T: Serialize + Deserialize + Send + 'static,
+    F: Fn(&Cell) -> T + Send + Sync + 'static,
+{
+    let mut prep = prepare::<T>(campaign, opts, None);
+    let tallies = run_pool_phase(campaign, opts, &mut prep, f);
+    let raise = opts.on_failure == FailurePolicy::Raise;
+    finish(campaign, opts, "pool".into(), None, prep, tallies, raise)
 }
 
 /// Phase 2 of the pool executor and shard worker: compute `prep.pending`
@@ -652,311 +658,10 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Work-stealing executor
-// ---------------------------------------------------------------------------
-
-/// The work-stealing local executor: cells are preloaded round-robin
-/// into per-worker deques ([`StealQueues`]); a worker drains its own
-/// deque front-first and steals from the back of idle neighbours', so no
-/// worker idles while cells remain. Panics retry inline on the worker
-/// with the same linear backoff as the pool. Results still commit by
-/// cell index on the main thread, so output is byte-identical to the
-/// pool executor.
-///
-/// Workers are detached threads under the same wall-clock/stall watchdog
-/// as the pool: a cell over budget is recorded
-/// [`TimedOut`](CellStatus::TimedOut), its thread abandoned (a detached
-/// sentinel that dies with the process), and a replacement worker takes
-/// over the deque. Flight-recorder dumps are still pool-only.
-#[derive(Debug, Clone)]
-pub struct WorkStealingExecutor {
-    /// Execution options.
-    pub opts: RunnerOpts,
-}
-
-impl Executor for WorkStealingExecutor {
-    fn label(&self) -> String {
-        "steal".into()
-    }
-
-    fn execute<T, F>(&self, campaign: &Campaign, f: F) -> CampaignReport<T>
-    where
-        T: Serialize + Deserialize + Send + 'static,
-        F: Fn(&Cell) -> T + Send + Sync + 'static,
-    {
-        let mut prep = prepare::<T>(campaign, &self.opts, None);
-        let tallies = run_steal_phase(campaign, &self.opts, &mut prep, f);
-        let raise = self.opts.on_failure == FailurePolicy::Raise;
-        finish(
-            campaign,
-            &self.opts,
-            self.label(),
-            None,
-            prep,
-            tallies,
-            raise,
-        )
-    }
-}
-
-/// Phase 2 of the work-stealing executor: detached workers over
-/// [`StealQueues`], inline retries on the worker, in-order commit on the
-/// main thread — under the same wall-clock/stall watchdog as the pool.
-/// Abandoning a hung cell leaves its thread behind as a detached
-/// sentinel (it dies with the process) and spawns a replacement worker
-/// on the same deque, so the remaining cells keep flowing.
-fn run_steal_phase<T, F>(
-    campaign: &Campaign,
-    opts: &RunnerOpts,
-    prep: &mut Prepared<T>,
-    f: F,
-) -> Tallies
-where
-    T: Serialize + Deserialize + Send + 'static,
-    F: Fn(&Cell) -> T + Send + Sync + 'static,
-{
-    let mut tallies = Tallies::default();
-    if prep.pending.is_empty() {
-        return tallies;
-    }
-    if opts.flightrec_dir.is_some() {
-        eprintln!(
-            "warning: the work-stealing executor does not dump flight \
-             records (use the pool executor)"
-        );
-    }
-    let workers = prep.workers.min(prep.pending.len());
-    let queues = Arc::new(StealQueues::new(workers, prep.pending.iter().copied()));
-    let cells = Arc::new(campaign.cells.clone());
-    let f = Arc::new(f);
-
-    enum Msg<T> {
-        Started {
-            token: u64,
-            worker: usize,
-            index: usize,
-            attempt: u32,
-            sink: Arc<AtomicU64>,
-        },
-        Done {
-            token: u64,
-            outcome: Result<(T, CellTelemetry), String>,
-            attempts: u32,
-        },
-    }
-    struct InFlight {
-        worker: usize,
-        index: usize,
-        sink: Arc<AtomicU64>,
-        started: Instant,
-        progress_seen: u64,
-        progress_at: Instant,
-    }
-
-    let (tx, rx) = mpsc::channel::<Msg<T>>();
-    // One token per cell claim: lets the main thread drop messages from
-    // attempts the watchdog already abandoned.
-    let tokens = Arc::new(AtomicU64::new(0));
-    let spawn_worker = {
-        let queues = Arc::clone(&queues);
-        let cells = Arc::clone(&cells);
-        let f = Arc::clone(&f);
-        let tx = tx.clone();
-        let tokens = Arc::clone(&tokens);
-        let profile = opts.profile;
-        let retries = opts.cell_retries;
-        move |w: usize| {
-            let queues = Arc::clone(&queues);
-            let cells = Arc::clone(&cells);
-            let f = Arc::clone(&f);
-            let tx = tx.clone();
-            let tokens = Arc::clone(&tokens);
-            thread::spawn(move || {
-                while let Some(idx) = queues.take(w) {
-                    let token = tokens.fetch_add(1, Ordering::Relaxed);
-                    let mut attempt = 0u32;
-                    loop {
-                        attempt += 1;
-                        let sink = Arc::new(AtomicU64::new(0));
-                        simtrace::runtime::set_progress_sink(Some(Arc::clone(&sink)));
-                        if tx
-                            .send(Msg::Started {
-                                token,
-                                worker: w,
-                                index: idx,
-                                attempt,
-                                sink,
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                        let (out, tel) = run_bracketed(profile, || f(&cells[idx]));
-                        simtrace::runtime::set_progress_sink(None);
-                        match out {
-                            Ok(v) => {
-                                let _ = tx.send(Msg::Done {
-                                    token,
-                                    outcome: Ok((v, tel)),
-                                    attempts: attempt,
-                                });
-                                break;
-                            }
-                            Err(p) => {
-                                let msg = panic_message(&*p);
-                                if attempt > retries {
-                                    let _ = tx.send(Msg::Done {
-                                        token,
-                                        outcome: Err(msg),
-                                        attempts: attempt,
-                                    });
-                                    break;
-                                }
-                            }
-                        }
-                        thread::sleep(RETRY_BACKOFF * attempt);
-                    }
-                }
-            });
-        }
-    };
-    for w in 0..workers {
-        spawn_worker(w);
-    }
-
-    let results = &mut prep.results;
-    let records = &mut prep.records;
-    let cache = &prep.cache;
-    let progress = &mut prep.progress;
-    let mut inflight: HashMap<u64, InFlight> = HashMap::new();
-    let mut abandoned: HashSet<u64> = HashSet::new();
-    let mut outstanding = prep.pending.len();
-    while outstanding > 0 {
-        match rx.recv_timeout(TICK) {
-            Ok(Msg::Started {
-                token,
-                worker,
-                index,
-                attempt,
-                sink,
-            }) => {
-                // A Started from an expired token is a retry of an
-                // abandoned attempt: the cell's fate is already sealed.
-                if abandoned.contains(&token) {
-                    continue;
-                }
-                records[index].attempts = attempt;
-                if attempt > 1 {
-                    tallies.retries += 1;
-                }
-                let now = Instant::now();
-                inflight.insert(
-                    token,
-                    InFlight {
-                        worker,
-                        index,
-                        sink,
-                        started: now,
-                        progress_seen: 0,
-                        progress_at: now,
-                    },
-                );
-            }
-            Ok(Msg::Done {
-                token,
-                outcome,
-                attempts,
-            }) => {
-                // An unknown token is a late result from an abandoned
-                // attempt: drop it (and never cache it).
-                let Some(fl) = inflight.remove(&token) else {
-                    continue;
-                };
-                let idx = fl.index;
-                match outcome {
-                    Ok((v, tel)) => {
-                        if let Some(c) = cache {
-                            let _ = c.store(&campaign.identity(&campaign.cells[idx]), &v);
-                        }
-                        records[idx].wall_ms = tel.wall_ms;
-                        records[idx].events = tel.events;
-                        records[idx].status = if attempts > 1 {
-                            CellStatus::Retried
-                        } else {
-                            CellStatus::Ok
-                        };
-                        tallies.prof.merge(&tel.prof);
-                        tallies.scopes.extend(tel.scopes);
-                        results[idx] = Some(v);
-                    }
-                    Err(msg) => {
-                        records[idx].status = CellStatus::Panicked;
-                        records[idx].error = msg;
-                        tallies.failed += 1;
-                    }
-                }
-                outstanding -= 1;
-                progress.tick(false);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-
-        // Watchdog: identical policy to the pool executor.
-        let now = Instant::now();
-        let mut expired: Vec<(u64, String)> = Vec::new();
-        for (&token, fl) in inflight.iter_mut() {
-            if let Some(limit) = opts.cell_timeout {
-                if now.duration_since(fl.started) > limit {
-                    expired.push((token, format!("wall-clock budget exceeded ({limit:?})")));
-                    continue;
-                }
-            }
-            if let Some(stall) = opts.stall_timeout {
-                let cur = fl.sink.load(Ordering::Relaxed);
-                if cur != fl.progress_seen {
-                    fl.progress_seen = cur;
-                    fl.progress_at = now;
-                } else if now.duration_since(fl.progress_at) > stall {
-                    expired.push((token, format!("no simulator progress for {stall:?}")));
-                }
-            }
-        }
-        for (token, msg) in expired {
-            let Some(fl) = inflight.remove(&token) else {
-                continue;
-            };
-            abandoned.insert(token);
-            records[fl.index].status = CellStatus::TimedOut;
-            records[fl.index].error = msg;
-            tallies.timeouts += 1;
-            tallies.failed += 1;
-            outstanding -= 1;
-            progress.tick(false);
-            // The hung thread keeps its cell; a replacement takes over
-            // the abandoned worker's deque (and keeps stealing).
-            spawn_worker(fl.worker);
-        }
-    }
-    drop(tx);
-
-    // Defensive: if the channel disconnected early (no live workers),
-    // account for whatever never resolved.
-    for &idx in &prep.pending {
-        if results[idx].is_none() && records[idx].status.succeeded() {
-            records[idx].status = CellStatus::Panicked;
-            records[idx].error = "steal pool disconnected".to_string();
-            tallies.failed += 1;
-        }
-    }
-    tallies
-}
-
-// ---------------------------------------------------------------------------
 // Sharded execution: worker, coordinator, merge
 // ---------------------------------------------------------------------------
 
-/// Executes one shard of a campaign: the cells with
+/// Executes one shard of a campaign (`shard k/N`): the cells with
 /// `index % shard.total == shard.index` run on the pool core against the
 /// shared cache, every other cell is recorded as
 /// [`Skipped`](CellStatus::Skipped), and the resulting shard manifest is
@@ -967,62 +672,46 @@ where
 /// deliver its manifest even when cells fail. With `exit: true` (set via
 /// `SUSS_SHARD` in child processes) the process exits after the manifest
 /// is written: 0 when clean, [`SHARD_FAILED_EXIT`] when cells failed.
-#[derive(Debug, Clone)]
-pub struct ShardWorker {
-    /// Execution options.
-    pub opts: RunnerOpts,
-    /// Which slice of the campaign this worker owns.
-    pub shard: ShardInfo,
-    /// Exit the process after writing the shard manifest.
-    pub exit: bool,
+fn run_shard<T, F>(
+    campaign: &Campaign,
+    opts: &RunnerOpts,
+    shard: ShardInfo,
+    exit: bool,
+    f: F,
+) -> CampaignReport<T>
+where
+    T: Serialize + Deserialize + Send + 'static,
+    F: Fn(&Cell) -> T + Send + Sync + 'static,
+{
+    let mut prep = prepare::<T>(campaign, opts, Some(shard));
+    let tallies = run_pool_phase(campaign, opts, &mut prep, f);
+    let label = format!("shard {}/{}", shard.index, shard.total);
+    let report = finish(campaign, opts, label, Some(shard), prep, tallies, false);
+    let stem = opts.stem_for(&campaign.experiment);
+    let path = shard_manifest_path(&stem, shard.index, shard.total);
+    if let Err(e) = report.manifest.write(&path) {
+        eprintln!("error: cannot write shard manifest {}: {e}", path.display());
+        if exit {
+            std::process::exit(4);
+        }
+    }
+    if exit {
+        std::process::exit(if report.manifest.cells_failed > 0 {
+            SHARD_FAILED_EXIT
+        } else {
+            0
+        });
+    }
+    report
 }
 
-impl Executor for ShardWorker {
-    fn label(&self) -> String {
-        format!("shard {}/{}", self.shard.index, self.shard.total)
-    }
-
-    fn execute<T, F>(&self, campaign: &Campaign, f: F) -> CampaignReport<T>
-    where
-        T: Serialize + Deserialize + Send + 'static,
-        F: Fn(&Cell) -> T + Send + Sync + 'static,
-    {
-        let mut prep = prepare::<T>(campaign, &self.opts, Some(self.shard));
-        let tallies = run_pool_phase(campaign, &self.opts, &mut prep, f);
-        let report = finish(
-            campaign,
-            &self.opts,
-            self.label(),
-            Some(self.shard),
-            prep,
-            tallies,
-            false,
-        );
-        let stem = self.opts.stem_for(&campaign.experiment);
-        let path = shard_manifest_path(&stem, self.shard.index, self.shard.total);
-        if let Err(e) = report.manifest.write(&path) {
-            eprintln!("error: cannot write shard manifest {}: {e}", path.display());
-            if self.exit {
-                std::process::exit(4);
-            }
-        }
-        if self.exit {
-            std::process::exit(if report.manifest.cells_failed > 0 {
-                SHARD_FAILED_EXIT
-            } else {
-                0
-            });
-        }
-        report
-    }
-}
-
-/// Splits a campaign into N shards against the shared cache, runs them
-/// (as child processes re-executing the current binary with
-/// `SUSS_SHARD=k/N`, or in-process when `argv` is `None`), merges the
-/// shard manifests, and reloads the full result set from the cache —
-/// returning a report whose results and manifest fingerprint are
-/// identical to a single-process run.
+/// Splits a campaign into N shards against the shared cache
+/// (`coordinator(N shards)`), runs them (as child processes re-executing
+/// the current binary with `argv` and `SUSS_SHARD=k/N`, or in-process
+/// when `argv` is `None`), merges the shard manifests, and reloads the
+/// full result set from the cache — returning a report whose results and
+/// manifest fingerprint are identical to a single-process run. Without a
+/// `cache_dir` it degrades to the pool with a warning.
 ///
 /// The coordinator is self-healing. Child shards are supervised through
 /// their heartbeat files: a shard whose progress epoch freezes past the
@@ -1034,125 +723,77 @@ impl Executor for ShardWorker {
 /// merged manifest gets exactly-one-owner coverage and the fingerprint
 /// stays byte-identical to a single-shard run. Recovery is visible as
 /// `shard_restarts` / `lease_expiries` / `cells_reassigned`.
-#[derive(Debug, Clone)]
-pub struct ShardCoordinator {
-    /// Execution options (must carry a `cache_dir`; without one the
-    /// coordinator degrades to the pool executor with a warning).
-    pub opts: RunnerOpts,
-    /// How many shards to split into.
-    pub shards: usize,
-    /// Child-process arguments (the current executable is re-invoked
-    /// with these), or `None` to run shards in-process sequentially.
-    pub argv: Option<Vec<String>>,
-}
-
-impl Executor for ShardCoordinator {
-    fn label(&self) -> String {
-        format!("coordinator({} shards)", self.shards.max(1))
-    }
-
-    fn execute<T, F>(&self, campaign: &Campaign, f: F) -> CampaignReport<T>
-    where
-        T: Serialize + Deserialize + Send + 'static,
-        F: Fn(&Cell) -> T + Send + Sync + 'static,
-    {
-        let started = Instant::now();
-        if self.opts.cache_dir.is_none() {
-            eprintln!(
-                "warning: the shard coordinator needs a shared cache dir \
-                 (results are exchanged through it); running on the pool executor instead"
-            );
-            return PoolExecutor {
-                opts: self.opts.clone(),
-            }
-            .execute(campaign, f);
-        }
-        let total = self.shards.max(1);
-        let stem = self.opts.stem_for(&campaign.experiment);
-        write_shard_plan(&stem, campaign, total, &self.opts);
-        // Remove leftover shard manifests and heartbeats first: a stale
-        // one would masquerade as this run's output (or liveness) if its
-        // shard died.
-        for k in 0..total {
-            let _ = std::fs::remove_file(shard_manifest_path(&stem, k, total));
-            let _ = std::fs::remove_file(shard_heartbeat_path(&stem, k, total));
-        }
-        let f = Arc::new(f);
-        let sup = match &self.argv {
-            Some(argv) => run_shard_children(total, argv, &self.opts, &stem),
-            None => {
-                for k in 0..total {
-                    let worker = ShardWorker {
-                        opts: self.opts.clone(),
-                        shard: ShardInfo { index: k, total },
-                        exit: false,
-                    };
-                    let fk = Arc::clone(&f);
-                    let _ = worker.execute(campaign, move |cell: &Cell| fk(cell));
-                }
-                ShardSupervision::default()
-            }
-        };
-        let report = merge_and_load(
-            campaign,
-            &self.opts,
-            started,
-            &stem,
-            total,
-            self.label(),
-            Arc::clone(&f),
-            sup,
+fn run_coordinator<T, F>(
+    campaign: &Campaign,
+    opts: &RunnerOpts,
+    shards: usize,
+    argv: Option<&[String]>,
+    f: F,
+) -> CampaignReport<T>
+where
+    T: Serialize + Deserialize + Send + 'static,
+    F: Fn(&Cell) -> T + Send + Sync + 'static,
+{
+    let started = Instant::now();
+    if opts.cache_dir.is_none() {
+        eprintln!(
+            "warning: the shard coordinator needs a shared cache dir \
+             (results are exchanged through it); running on the pool executor instead"
         );
-        if report.manifest.all_ok() {
-            cleanup_shard_scratch(&stem, total);
-        }
-        report
+        return run_pool(campaign, opts, f);
     }
+    let total = shards.max(1);
+    let stem = opts.stem_for(&campaign.experiment);
+    write_shard_plan(&stem, campaign, total, opts);
+    // Remove leftover shard manifests and heartbeats first: a stale
+    // one would masquerade as this run's output (or liveness) if its
+    // shard died.
+    for k in 0..total {
+        let _ = std::fs::remove_file(shard_manifest_path(&stem, k, total));
+        let _ = std::fs::remove_file(shard_heartbeat_path(&stem, k, total));
+    }
+    let f = Arc::new(f);
+    let sup = match argv {
+        Some(argv) => run_shard_children(total, argv, opts, &stem),
+        None => {
+            for k in 0..total {
+                let fk = Arc::clone(&f);
+                let shard = ShardInfo { index: k, total };
+                let _ = run_shard(campaign, opts, shard, false, move |cell: &Cell| fk(cell));
+            }
+            ShardSupervision::default()
+        }
+    };
+    let label = format!("coordinator({total} shards)");
+    let report = merge_and_load(campaign, opts, started, &stem, total, label, f, sup);
+    if report.manifest.all_ok() {
+        cleanup_shard_scratch(&stem, total);
+    }
+    report
 }
 
-/// Merges already-written shard manifests (e.g. from shard runs driven
-/// by `scripts/shard_run.sh` or on other machines sharing the cache).
-/// A shard whose manifest is missing, corrupt, or from a different
-/// campaign has its cells reassigned: they run inline against the warm
-/// shared cache (so a dead shard's *completed* cells are cache hits and
-/// only its orphans recompute), exactly like a coordinator whose child
-/// died.
-#[derive(Debug, Clone)]
-pub struct ShardMerge {
-    /// Execution options (cache dir locates the shard results).
-    pub opts: RunnerOpts,
-    /// How many shard manifests to expect.
-    pub shards: usize,
-}
-
-impl Executor for ShardMerge {
-    fn label(&self) -> String {
-        format!("merged({} shards)", self.shards.max(1))
+/// Merges already-written shard manifests (`merged(N shards)`), e.g.
+/// from shard runs driven by `scripts/shard_run.sh` or on other machines
+/// sharing the cache. A shard whose manifest is missing, corrupt, or
+/// from a different campaign has its cells reassigned: they run inline
+/// against the warm shared cache (so a dead shard's *completed* cells
+/// are cache hits and only its orphans recompute), exactly like a
+/// coordinator whose child died.
+fn run_merge<T, F>(campaign: &Campaign, opts: &RunnerOpts, shards: usize, f: F) -> CampaignReport<T>
+where
+    T: Serialize + Deserialize + Send + 'static,
+    F: Fn(&Cell) -> T + Send + Sync + 'static,
+{
+    let started = Instant::now();
+    let total = shards.max(1);
+    let stem = opts.stem_for(&campaign.experiment);
+    let label = format!("merged({total} shards)");
+    let (f, sup) = (Arc::new(f), ShardSupervision::default());
+    let report = merge_and_load(campaign, opts, started, &stem, total, label, f, sup);
+    if report.manifest.all_ok() {
+        cleanup_shard_scratch(&stem, total);
     }
-
-    fn execute<T, F>(&self, campaign: &Campaign, f: F) -> CampaignReport<T>
-    where
-        T: Serialize + Deserialize + Send + 'static,
-        F: Fn(&Cell) -> T + Send + Sync + 'static,
-    {
-        let started = Instant::now();
-        let total = self.shards.max(1);
-        let stem = self.opts.stem_for(&campaign.experiment);
-        let report = merge_and_load(
-            campaign,
-            &self.opts,
-            started,
-            &stem,
-            total,
-            self.label(),
-            Arc::new(f),
-            ShardSupervision::default(),
-        );
-        if report.manifest.all_ok() {
-            cleanup_shard_scratch(&stem, total);
-        }
-        report
-    }
+    report
 }
 
 /// SIGKILL the current process — the chaos hook behind
@@ -1569,15 +1210,12 @@ where
     T: Serialize + Deserialize + Send + 'static,
     F: Fn(&Cell) -> T + Send + Sync + 'static,
 {
-    let worker = ShardWorker {
-        opts: opts.clone(),
-        shard: ShardInfo { index, total },
-        // In-process: the chaos kill hook is armed only for `SUSS_SHARD`
-        // child processes, so recovery cannot chaos-kill the
-        // coordinator even with the env var still set.
-        exit: false,
-    };
-    let report: CampaignReport<T> = worker.execute(campaign, move |cell: &Cell| f(cell));
+    // In-process (no exit): the chaos kill hook is armed only for
+    // `SUSS_SHARD` child processes, so recovery cannot chaos-kill the
+    // coordinator even with the env var still set.
+    let shard = ShardInfo { index, total };
+    let report: CampaignReport<T> =
+        run_shard(campaign, opts, shard, false, move |cell: &Cell| f(cell));
     report.manifest
 }
 
@@ -1648,86 +1286,6 @@ fn write_shard_plan(stem: &Path, campaign: &Campaign, total: usize, opts: &Runne
     }
 }
 
-// ---------------------------------------------------------------------------
-// ExecSpec → executor
-// ---------------------------------------------------------------------------
-
-/// The executor built from an [`ExecSpec`] — a closed enum delegating
-/// [`Executor`] to the selected engine (the trait's generic method rules
-/// out `dyn Executor`).
-#[derive(Debug, Clone)]
-pub enum BuiltExecutor {
-    /// See [`PoolExecutor`].
-    Pool(PoolExecutor),
-    /// See [`WorkStealingExecutor`].
-    Steal(WorkStealingExecutor),
-    /// See [`ShardWorker`].
-    Shard(ShardWorker),
-    /// See [`ShardCoordinator`].
-    Coordinator(ShardCoordinator),
-    /// See [`ShardMerge`].
-    Merge(ShardMerge),
-}
-
-impl Executor for BuiltExecutor {
-    fn label(&self) -> String {
-        match self {
-            BuiltExecutor::Pool(e) => e.label(),
-            BuiltExecutor::Steal(e) => e.label(),
-            BuiltExecutor::Shard(e) => e.label(),
-            BuiltExecutor::Coordinator(e) => e.label(),
-            BuiltExecutor::Merge(e) => e.label(),
-        }
-    }
-
-    fn execute<T, F>(&self, campaign: &Campaign, f: F) -> CampaignReport<T>
-    where
-        T: Serialize + Deserialize + Send + 'static,
-        F: Fn(&Cell) -> T + Send + Sync + 'static,
-    {
-        match self {
-            BuiltExecutor::Pool(e) => e.execute(campaign, f),
-            BuiltExecutor::Steal(e) => e.execute(campaign, f),
-            BuiltExecutor::Shard(e) => e.execute(campaign, f),
-            BuiltExecutor::Coordinator(e) => e.execute(campaign, f),
-            BuiltExecutor::Merge(e) => e.execute(campaign, f),
-        }
-    }
-}
-
-impl RunnerOpts {
-    /// Build the executor selected by [`RunnerOpts::executor`](RunnerOpts)
-    /// (the `executor` field): call sites uniformly write
-    /// `campaign.run(&opts.executor(), f)`.
-    pub fn executor(&self) -> BuiltExecutor {
-        match &self.executor {
-            ExecSpec::Pool => BuiltExecutor::Pool(PoolExecutor { opts: self.clone() }),
-            ExecSpec::WorkStealing => {
-                BuiltExecutor::Steal(WorkStealingExecutor { opts: self.clone() })
-            }
-            ExecSpec::Shard { index, total } => BuiltExecutor::Shard(ShardWorker {
-                opts: self.clone(),
-                shard: ShardInfo {
-                    index: *index,
-                    total: *total,
-                },
-                exit: self.shard_exit,
-            }),
-            ExecSpec::Coordinator { shards, argv } => {
-                BuiltExecutor::Coordinator(ShardCoordinator {
-                    opts: self.clone(),
-                    shards: *shards,
-                    argv: argv.clone(),
-                })
-            }
-            ExecSpec::MergeShards { shards } => BuiltExecutor::Merge(ShardMerge {
-                opts: self.clone(),
-                shards: *shards,
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1750,7 +1308,8 @@ mod tests {
             for i in 0..spin {
                 acc = acc.wrapping_add(i * i);
             }
-            cell.seed as f64 + (acc % 1) as f64
+            std::hint::black_box(acc);
+            cell.seed as f64
         });
         let expect: Vec<f64> = (0..32).map(|s| s as f64).collect();
         assert_eq!(out.manifest.total_cells, 32);
@@ -2144,150 +1703,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // ---- work-stealing executor ----
-
-    fn steal_opts() -> RunnerOpts {
-        RunnerOpts::default()
-            .with_workers(4)
-            .with_executor(ExecSpec::WorkStealing)
-    }
-
-    #[test]
-    fn steal_executor_matches_the_pool_byte_for_byte() {
-        let c = demo_campaign(24);
-        let work = |cell: &Cell| {
-            let spin = (cell.seed % 5) * 400;
-            let mut acc = 0u64;
-            for i in 0..spin {
-                acc = acc.wrapping_add(std::hint::black_box(i * i));
-            }
-            simtrace::runtime::add_cell_events(cell.seed + acc % 1);
-            cell.seed as f64 * 1.5
-        };
-        let pool = c.run(&RunnerOpts::default().with_workers(4).executor(), work);
-        let steal = c.run(&steal_opts().executor(), work);
-        assert_eq!(steal.manifest.executor, "steal");
-        assert_eq!(steal.results, pool.results);
-        assert_eq!(
-            steal.manifest.results_digest, pool.manifest.results_digest,
-            "the digest is the value-level identity and must not see the engine"
-        );
-        assert_eq!(
-            steal.manifest.compute_fingerprint(),
-            pool.manifest.compute_fingerprint(),
-            "manifest fingerprints must match across executors"
-        );
-    }
-
-    #[test]
-    fn steal_executor_retries_and_records_failures() {
-        use std::sync::atomic::AtomicU32;
-        let c = demo_campaign(6);
-        let tries = Arc::new(AtomicU32::new(0));
-        let t = Arc::clone(&tries);
-        let out = c.run(&steal_opts().with_cell_retries(2).executor(), move |cell| {
-            if cell.seed == 2 && t.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient");
-            }
-            cell.seed
-        });
-        assert!(out.all_ok());
-        assert_eq!(out.manifest.cell_retries, 1);
-        assert_eq!(out.manifest.cells[2].status, CellStatus::Retried);
-
-        let hurt = c.run(&steal_opts().record_failures().executor(), |cell| {
-            if cell.seed == 5 {
-                panic!("hard");
-            }
-            cell.seed
-        });
-        assert_eq!(hurt.manifest.cells_failed, 1);
-        assert_eq!(hurt.manifest.cells[5].status, CellStatus::Panicked);
-        assert_eq!(hurt.results[5], None);
-    }
-
-    #[test]
-    #[should_panic(expected = "cell 'cell-1' panicked: boom")]
-    fn steal_executor_raises_under_the_default_policy() {
-        let c = demo_campaign(3);
-        let _ = c.run(&steal_opts().executor(), |cell| {
-            if cell.seed == 1 {
-                panic!("boom");
-            }
-            cell.seed
-        });
-    }
-
-    #[test]
-    fn steal_watchdog_abandons_a_hung_cell() {
-        let c = demo_campaign(5);
-        let started = Instant::now();
-        let out = c.run(
-            &steal_opts()
-                .with_workers(2)
-                .with_cell_timeout(Duration::from_millis(150))
-                .record_failures()
-                .executor(),
-            |cell| {
-                if cell.seed == 1 {
-                    // Outlives the watchdog by far; the abandoned thread
-                    // becomes a detached sentinel and dies on its own.
-                    std::thread::sleep(Duration::from_secs(4));
-                }
-                cell.seed
-            },
-        );
-        assert!(
-            started.elapsed() < Duration::from_secs(3),
-            "campaign must not wait out the hang"
-        );
-        assert_eq!(out.manifest.cells_failed, 1);
-        assert_eq!(out.manifest.cell_timeouts, 1);
-        assert_eq!(out.manifest.cells[1].status, CellStatus::TimedOut);
-        assert!(out.manifest.cells[1].error.contains("wall-clock"));
-        assert_eq!(out.results[1], None);
-        for i in [0usize, 2, 3, 4] {
-            assert_eq!(out.results[i], Some(i as u64), "cell {i}");
-        }
-    }
-
-    #[test]
-    fn steal_stall_watchdog_spares_slow_but_advancing_cells() {
-        let c = demo_campaign(4);
-        let out = c.run(
-            &steal_opts()
-                .with_workers(2)
-                .with_stall_timeout(Duration::from_millis(200))
-                .record_failures()
-                .executor(),
-            |cell| {
-                if cell.seed == 0 {
-                    // Slower than the stall window end to end, but
-                    // progressing the whole time: must survive.
-                    for _ in 0..8 {
-                        std::thread::sleep(Duration::from_millis(60));
-                        simtrace::runtime::tick_progress();
-                    }
-                } else if cell.seed == 1 {
-                    // Livelocked: wall clock advances, simulator doesn't.
-                    std::thread::sleep(Duration::from_secs(4));
-                }
-                cell.seed
-            },
-        );
-        assert_eq!(out.results[0], Some(0), "advancing cell must survive");
-        assert_eq!(out.manifest.cells[0].status, CellStatus::Ok);
-        assert_eq!(out.results[1], None);
-        assert_eq!(out.manifest.cells[1].status, CellStatus::TimedOut);
-        assert!(
-            out.manifest.cells[1]
-                .error
-                .contains("no simulator progress"),
-            "error: {}",
-            out.manifest.cells[1].error
-        );
-    }
-
     // ---- shard supervision ----
 
     #[test]
@@ -2330,12 +1745,8 @@ mod tests {
         let opts = RunnerOpts::serial()
             .with_cache(dir.join("cache"))
             .with_manifest_stem(dir.join("unit"));
-        let worker = ShardWorker {
-            opts: opts.clone(),
-            shard: ShardInfo { index: 0, total: 2 },
-            exit: false,
-        };
-        let m = worker.execute(&c, |cell: &Cell| cell.seed).manifest;
+        let shard = ShardInfo { index: 0, total: 2 };
+        let m = run_shard(&c, &opts, shard, false, |cell: &Cell| cell.seed).manifest;
         assert!(validate_shard_manifest(&m, &c, 0, 2).is_ok());
         // Wrong slot: a shard-0 manifest cannot stand in for shard 1.
         assert!(validate_shard_manifest(&m, &c, 1, 2).is_err_and(|e| e.contains("slot")));
@@ -2364,12 +1775,8 @@ mod tests {
         let opts = RunnerOpts::serial()
             .with_cache(dir.join("cache"))
             .with_manifest_stem(dir.join("unit"));
-        let worker = ShardWorker {
-            opts: opts.clone(),
-            shard: ShardInfo { index: 1, total: 3 },
-            exit: false,
-        };
-        let out = worker.execute(&c, |cell: &Cell| cell.seed * 2);
+        let shard = ShardInfo { index: 1, total: 3 };
+        let out = run_shard(&c, &opts, shard, false, |cell: &Cell| cell.seed * 2);
         assert_eq!(out.manifest.executor, "shard 1/3");
         assert_eq!(out.manifest.shard, Some(ShardInfo { index: 1, total: 3 }));
         // Owns 1 and 4 (7 cells, stride 3).

@@ -8,16 +8,14 @@
 //! * [`Campaign`] expands an experiment into [`Cell`]s — one simulation
 //!   each, identified by a label, a canonical parameter string, and a
 //!   seed;
-//! * [`Campaign::run`] hands the campaign to a pluggable [`Executor`]
-//!   ([`exec`]). Three engines ship: the deterministic token-tracked
-//!   thread pool ([`PoolExecutor`], the default — panic isolation,
-//!   bounded retries, wall-clock and progress-stall watchdogs,
-//!   flight-recorder crash dumps), a work-stealing local executor
-//!   ([`WorkStealingExecutor`], same watchdogs, detached workers), and
-//!   the sharded path
-//!   ([`ShardWorker`] / [`ShardCoordinator`] / [`ShardMerge`]) that
-//!   splits a campaign across processes sharing one cache and merges
-//!   the shard manifests back into a single [`RunManifest`]. The
+//! * [`Campaign::run`] hands the campaign to the [`Executor`] its
+//!   [`RunnerOpts`] select ([`exec`]), which dispatches once on the
+//!   [`ExecSpec`]: the deterministic token-tracked thread pool (the
+//!   default — panic isolation, bounded retries, wall-clock and
+//!   progress-stall watchdogs, flight-recorder crash dumps), one shard
+//!   of a split campaign, the shard coordinator that splits a campaign
+//!   across processes sharing one cache, or the merge that folds the
+//!   shard manifests back into a single [`RunManifest`]. The
 //!   coordinator is self-healing: shard children write heartbeat files
 //!   ([`Heartbeat`]) monitored under a stall-aware lease
 //!   ([`LeaseClock`]), a dead shard is restarted with bounded backoff,
@@ -92,10 +90,7 @@ pub use cache::{sweep_lru, Cache, CellIdentity, SweepStats};
 pub use campaign::{
     parse_bytes, Campaign, CampaignReport, Cell, ExecSpec, FailurePolicy, RunnerOpts,
 };
-pub use exec::{
-    BuiltExecutor, Executor, LeaseClock, PoolExecutor, ShardCoordinator, ShardMerge, ShardWorker,
-    WorkStealingExecutor, SHARD_FAILED_EXIT,
-};
+pub use exec::{Executor, LeaseClock, SHARD_FAILED_EXIT};
 pub use manifest::{
     shard_heartbeat_path, shard_manifest_path, CellRecord, CellStatus, FctAnnotation, RunManifest,
     ShardInfo,

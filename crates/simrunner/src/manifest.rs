@@ -151,8 +151,8 @@ pub struct RunManifest {
     pub experiment: String,
     /// Version tag in effect.
     pub version: String,
-    /// Which executor produced this manifest (`pool`, `steal`,
-    /// `shard 0/2`, `merged(2 shards)`, …).
+    /// Which executor produced this manifest (`pool`, `shard 0/2`,
+    /// `coordinator(2 shards)` or `merged(2 shards)`).
     pub executor: String,
     /// The shard slice this manifest covers; `None` for unsharded runs
     /// and for merged manifests.
@@ -720,7 +720,7 @@ mod tests {
         let mut noisy = m.clone();
         noisy.wall_secs = 99.0;
         noisy.workers = 1;
-        noisy.executor = "steal".into();
+        noisy.executor = "coordinator(2 shards)".into();
         noisy.cells[1].wall_ms = 1.0;
         noisy.cells[1].cached = true;
         noisy.cells[1].attempts = 0;

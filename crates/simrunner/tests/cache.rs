@@ -72,6 +72,17 @@ fn corrupt_entry_is_a_miss_and_recoverable() {
     fs::write(&entry, b"\x00\xff not json at all").unwrap();
     assert_eq!(cache.load::<f64>(&id), None, "garbage entry must miss");
 
+    // Nesting deep enough to overflow a recursive parser: a miss, and the
+    // entry is moved aside rather than read again.
+    fs::write(&entry, "[".repeat(100_000)).unwrap();
+    assert_eq!(
+        cache.load::<f64>(&id),
+        None,
+        "deeply nested entry must miss"
+    );
+    assert!(!entry.exists());
+    assert!(entry.with_extension("quarantine").exists());
+
     // A store over the damaged entry heals it.
     cache.store(&id, &2.5f64).unwrap();
     assert_eq!(cache.load::<f64>(&id), Some(2.5));

@@ -7,9 +7,9 @@
 
 use simrunner::{
     read_heartbeat, shard_heartbeat_path, shard_manifest_path, Campaign, CampaignReport, ExecSpec,
-    Executor, Heartbeat, LeaseClock, RunManifest, RunnerOpts, ShardInfo, ShardWorker,
+    Heartbeat, LeaseClock, RunManifest, RunnerOpts, ShardInfo,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// A seed- and parameter-sensitive stand-in simulation with uneven cost.
@@ -58,14 +58,14 @@ fn render(results: &[Option<f64>]) -> String {
         .collect()
 }
 
-fn coordinator_opts(dir: &PathBuf, shards: usize) -> RunnerOpts {
+fn coordinator_opts(dir: &Path, shards: usize) -> RunnerOpts {
     RunnerOpts::serial()
         .with_cache(dir.join("cache"))
         .with_manifest_stem(dir.join("run"))
         .with_executor(ExecSpec::Coordinator { shards, argv: None })
 }
 
-fn run_sharded(c: &Campaign, dir: &PathBuf, shards: usize) -> CampaignReport<f64> {
+fn run_sharded(c: &Campaign, dir: &Path, shards: usize) -> CampaignReport<f64> {
     c.run(&coordinator_opts(dir, shards).executor(), cell_value)
 }
 
@@ -167,12 +167,10 @@ fn killed_shard_is_reassigned_at_merge_time() {
 
     // Phase 1: only shard 0 runs (the "other machine died" scenario) —
     // its results are in the shared cache, its manifest on disk.
-    let worker = ShardWorker {
-        opts: opts.clone(),
-        shard: ShardInfo { index: 0, total: 2 },
-        exit: false,
-    };
-    let half = worker.execute(&c, cell_value);
+    let shard_opts = opts
+        .clone()
+        .with_executor(ExecSpec::Shard { index: 0, total: 2 });
+    let half = c.run(&shard_opts.executor(), cell_value);
     let owned = c.len() / 2;
     assert_eq!(half.manifest.cache_misses, owned);
 
@@ -221,34 +219,43 @@ fn killed_shard_is_reassigned_at_merge_time() {
 
 #[test]
 fn corrupt_shard_manifest_is_quarantined_and_reassigned() {
-    let dir = tempdir("simrunner-shardeq-corrupt");
-    let c = campaign();
-    let healthy = run_sharded(&c, &dir, 2);
-    let stem = dir.join("run");
+    let hostile = [
+        // Truncated JSON.
+        "{\"experiment\":\"shard-eq-it\",\"cells\":[tru".to_string(),
+        // Nesting deep enough to overflow a recursive parser.
+        "[".repeat(100_000),
+    ];
+    for (case, text) in hostile.iter().enumerate() {
+        let dir = tempdir(&format!("simrunner-shardeq-corrupt-{case}"));
+        let c = campaign();
+        let healthy = run_sharded(&c, &dir, 2);
+        let stem = dir.join("run");
 
-    // Truncated JSON where shard 1's manifest should be.
-    let path = shard_manifest_path(&stem, 1, 2);
-    std::fs::write(&path, "{\"experiment\":\"shard-eq-it\",\"cells\":[tru").unwrap();
+        // Hostile content where shard 1's manifest should be.
+        let path = shard_manifest_path(&stem, 1, 2);
+        std::fs::write(&path, text).unwrap();
 
-    let merge_opts = coordinator_opts(&dir, 2).with_executor(ExecSpec::MergeShards { shards: 2 });
-    let merged = c.run(&merge_opts.executor(), cell_value);
-    assert!(
-        merged.all_ok(),
-        "corrupt shard manifest must not sink the merge"
-    );
-    assert_eq!(merged.manifest.fingerprint, healthy.manifest.fingerprint);
-    // Warm cache: reassignment found every cell cached, so nothing
-    // actually recomputed.
-    assert_eq!(merged.manifest.cells_reassigned, 0);
+        let merge_opts =
+            coordinator_opts(&dir, 2).with_executor(ExecSpec::MergeShards { shards: 2 });
+        let merged = c.run(&merge_opts.executor(), cell_value);
+        assert!(
+            merged.all_ok(),
+            "corrupt shard manifest must not sink the merge (case {case})"
+        );
+        assert_eq!(merged.manifest.fingerprint, healthy.manifest.fingerprint);
+        // Warm cache: reassignment found every cell cached, so nothing
+        // actually recomputed.
+        assert_eq!(merged.manifest.cells_reassigned, 0);
 
-    // The hostile file is preserved for forensics, like cache corruption.
-    let mut q = path.clone().into_os_string();
-    q.push(".quarantine");
-    assert!(
-        PathBuf::from(&q).exists(),
-        "corrupt shard manifest must be quarantined, not deleted"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+        // The hostile file is preserved for forensics, like cache corruption.
+        let mut q = path.clone().into_os_string();
+        q.push(".quarantine");
+        assert!(
+            PathBuf::from(&q).exists(),
+            "corrupt shard manifest must be quarantined, not deleted (case {case})"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

@@ -106,11 +106,15 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_values() {
-        let mut c = SussConfig::default();
-        c.ack_train_divisor = 0;
+        let c = SussConfig {
+            ack_train_divisor: 0,
+            ..SussConfig::default()
+        };
         assert!(c.validate().is_err());
-        let mut c = SussConfig::default();
-        c.delay_factor = 0.5;
+        let c = SussConfig {
+            delay_factor: 0.5,
+            ..SussConfig::default()
+        };
         assert!(c.validate().is_err());
         let c = SussConfig::default().with_k_max(17);
         assert!(c.validate().is_err());

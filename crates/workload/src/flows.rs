@@ -184,7 +184,7 @@ mod tests {
     fn lognormal_median_roughly_holds() {
         let mut rng = SimRng::new(3);
         let d = SizeDistribution::LogNormal {
-            median: 1 * MB,
+            median: MB,
             sigma: 1.0,
         };
         let mut samples: Vec<u64> = (0..10_001).map(|_| d.sample(&mut rng)).collect();

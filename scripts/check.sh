@@ -196,8 +196,8 @@ cargo run --release -q -p simtrace --bin suss-trace -- \
     bench-diff "$SMOKE_DIR/bench_baseline.json" results/BENCH_hotpath.quick.json \
     --max-slowdown 25
 
-echo "== cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --check

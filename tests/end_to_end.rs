@@ -25,7 +25,7 @@ fn headline_claim_small_flows_large_rtt() {
             "premise: RTT > 50 ms for {}",
             path.id()
         );
-        for size in [1 * MB, 2 * MB, 4 * MB] {
+        for size in [MB, 2 * MB, 4 * MB] {
             // The paper's claim is about means over many transfers, and
             // individual seeds legitimately straddle the G-decision
             // boundary (a marginal round measures G=2, the next round's
