@@ -1,7 +1,7 @@
 //! # suss-bench — the benchmark harness
 //!
 //! One binary per table/figure of the paper (DESIGN.md §3 maps each id to
-//! its experiment module), plus Criterion micro/macro benches.
+//! its experiment module), plus Criterion benches of scaled-down experiments.
 //!
 //! Every binary accepts `--quick` to run the scaled-down parameter set
 //! (useful for smoke tests; the default is the full paper-scale run) and
@@ -19,65 +19,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use netsim::{Agent, Ctx, EngineConfig, Packet, Sim, SimTime};
 use simrunner::{ExecSpec, RunManifest, RunnerOpts};
-use std::any::Any;
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// Synthetic scheduler workload for the event-queue microbench: one agent
-/// keeps `pending` timers armed at all times, re-arming each as it fires
-/// with a deterministic pseudo-random delay (1 µs – 300 ms, so the far tail
-/// also exercises the wheel's overflow level). The event queue is the only
-/// non-trivial work, which isolates per-event scheduler cost.
-///
-/// Returns the number of events dispatched (≥ `events`), so callers can
-/// fold it into a benchmark result and keep the optimizer honest.
-pub fn timer_churn(engine: EngineConfig, pending: u64, events: u64) -> u64 {
-    struct Churn {
-        pending: u64,
-        lcg: u64,
-    }
-    impl Churn {
-        fn next_delay(&mut self) -> Duration {
-            // SplitMix64-style step; cheap and deterministic.
-            self.lcg = self
-                .lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            Duration::from_nanos(1_000 + (self.lcg >> 16) % 300_000_000)
-        }
-    }
-    impl Agent for Churn {
-        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
-        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-            let d = self.next_delay();
-            ctx.set_timer(ctx.now() + d, token);
-        }
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            for token in 0..self.pending {
-                let d = self.next_delay();
-                ctx.set_timer(ctx.now() + d, token);
-            }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    let mut sim = Sim::with_engine(7, engine);
-    sim.add_agent(Box::new(Churn {
-        pending,
-        lcg: 0x9E37_79B9_7F4A_7C15,
-    }));
-    sim.run_while(SimTime::from_secs(86_400), |s| {
-        s.events_dispatched() < events
-    });
-    sim.events_dispatched()
-}
 
 /// The shared command line of every figure/table/ablation binary.
 ///

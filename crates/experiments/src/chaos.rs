@@ -101,28 +101,7 @@ pub fn run_flow_faulted(
     seed: u64,
     plan: &FaultPlan,
 ) -> FlowOutcome {
-    run_flow_faulted_engine(
-        scenario,
-        kind,
-        flow_bytes,
-        seed,
-        plan,
-        netsim::EngineConfig::default(),
-    )
-}
-
-/// [`run_flow_faulted`] under an explicit engine configuration — the
-/// hook the determinism tests use to prove fault schedules replay
-/// identically on the wheel and heap schedulers.
-pub fn run_flow_faulted_engine(
-    scenario: &PathScenario,
-    kind: CcKind,
-    flow_bytes: u64,
-    seed: u64,
-    plan: &FaultPlan,
-    engine: netsim::EngineConfig,
-) -> FlowOutcome {
-    let mut sim = Sim::with_engine(seed, engine);
+    let mut sim = Sim::new(seed);
     let cfg = SenderConfig::bulk(flow_bytes);
     let ends = install_flow(
         &mut sim,

@@ -86,26 +86,10 @@ pub fn run_dumbbell(
     seed: u64,
     horizon: SimTime,
 ) -> DumbbellOutcome {
-    run_dumbbell_engine(cfg, flows, seed, horizon, netsim::EngineConfig::default())
+    run_dumbbell_scoped(cfg, flows, seed, horizon, 0)
 }
 
-/// [`run_dumbbell`] with an explicit engine configuration.
-///
-/// Engine choice never changes results (netsim's scheduler-equivalence
-/// contract); this exists so the hotpath benchmark can A/B the timer-wheel
-/// engine against the binary-heap baseline on a many-flow dumbbell, where
-/// the pending-event population is large.
-pub fn run_dumbbell_engine(
-    cfg: &DumbbellConfig,
-    flows: &[DumbbellFlow],
-    seed: u64,
-    horizon: SimTime,
-    engine: netsim::EngineConfig,
-) -> DumbbellOutcome {
-    run_dumbbell_scoped(cfg, flows, seed, horizon, engine, 0)
-}
-
-/// [`run_dumbbell_engine`] with bottleneck scope sampling: every
+/// [`run_dumbbell`] with bottleneck scope sampling: every
 /// `scope_every`-th packet on the congested server→client link feeds the
 /// queue-depth / utilization / sojourn histograms, summarized into
 /// `scope/dumbbell/*` manifest annotations (0 = off). Observation only —
@@ -115,12 +99,11 @@ pub fn run_dumbbell_scoped(
     flows: &[DumbbellFlow],
     seed: u64,
     horizon: SimTime,
-    engine: netsim::EngineConfig,
     scope_every: u64,
 ) -> DumbbellOutcome {
     let _cell_span = simtrace::prof::span("dumbbell/cell");
     assert_eq!(flows.len(), cfg.pairs(), "one flow per dumbbell pair");
-    let mut sim = Sim::with_engine(seed, engine);
+    let mut sim = Sim::new(seed);
 
     // Endpoints: senders (servers) right, receivers (clients) left.
     let mut ends: Vec<FlowEnds> = Vec::with_capacity(flows.len());

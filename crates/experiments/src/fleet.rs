@@ -78,8 +78,8 @@ pub struct FleetConfig {
     /// suppressed (counted under `fleet.traces_suppressed`), keeping
     /// memory bounded in big cells.
     pub trace_flow_cap: usize,
-    /// Simulator engine (never changes results, by netsim's equivalence
-    /// contract — it only exists for A/B benchmarking).
+    /// Fieldless and ignored here. Exists only for the benchmark package
+    /// under `perfbench/`, which passes it to `Sim::with_engine`.
     pub engine: EngineConfig,
     /// Sample the bottleneck's queue depth / utilization / sojourn every
     /// N-th packet into manifest [`simtrace::ScopeAnnotation`]s (0 = off).
@@ -89,8 +89,7 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A fleet cell with the default drain (30 s), tracing off, and the
-    /// default engine.
+    /// A fleet cell with the default drain (30 s) and tracing off.
     pub fn new(scenario: PathScenario, cc: CcKind, workload: FleetWorkload) -> Self {
         FleetConfig {
             scenario,
@@ -99,24 +98,22 @@ impl FleetConfig {
             drain: Duration::from_secs(30),
             trace_sampling: false,
             trace_flow_cap: 64,
-            engine: EngineConfig::default(),
+            engine: EngineConfig,
             scope_sampling: 0,
         }
     }
 
     /// Canonical parameter string for cache identity: everything that can
-    /// influence the cell's [`FleetStats`] — including the engine, whose
-    /// `net.sched_*` diagnostics land in the counter snapshot.
+    /// influence the cell's [`FleetStats`].
     pub fn canonical_params(&self) -> String {
         format!(
-            "{} cc={} {} drain={}s trace={}cap{} engine={:?}",
+            "{} cc={} {} drain={}s trace={}cap{}",
             self.scenario.canonical_params(),
             self.cc.label(),
             self.workload.canonical_params(),
             self.drain.as_secs(),
             self.trace_sampling,
             self.trace_flow_cap,
-            self.engine,
         )
     }
 }
@@ -215,11 +212,10 @@ fn harvest(sim: &mut Sim, slots: &mut [Slot], stats: &mut FleetStats, done: &sim
 /// Run one fleet cell to completion and aggregate its FCT distribution.
 ///
 /// Deterministic: the result is a pure function of `(cfg, seed)` —
-/// identical at any worker count and under any engine (modulo the
-/// engine's own `net.sched_*`/`net.pool_*` diagnostics in `counters`).
+/// identical at any worker count.
 pub fn run_fleet_cell(cfg: &FleetConfig, seed: u64) -> FleetStats {
     let _cell_span = simtrace::prof::span("fleet/cell");
-    let mut sim = Sim::with_engine(seed, cfg.engine);
+    let mut sim = Sim::new(seed);
     let metrics = sim.metrics().clone();
     let ctr_spawned = metrics.counter(names::FLEET_FLOWS_SPAWNED);
     let ctr_completed = metrics.counter(names::FLEET_FLOWS_COMPLETED);

@@ -49,13 +49,13 @@ pub struct QuicPacingConfig {
     pub iters: u64,
     /// Download sizes run per iteration.
     pub sizes: Vec<u64>,
-    /// Simulator engine (never changes results, by netsim's equivalence
-    /// contract).
+    /// Fieldless and ignored here. Exists only for the benchmark package
+    /// under `perfbench/`, which passes it to `Sim::with_engine`.
     pub engine: EngineConfig,
 }
 
 impl QuicPacingConfig {
-    /// A cell with the default engine.
+    /// A cell with the full size grid and six iterations.
     pub fn new(scenario: PathScenario, strategy: PacingStrategy, cc: CcKind) -> Self {
         QuicPacingConfig {
             scenario,
@@ -63,7 +63,7 @@ impl QuicPacingConfig {
             cc,
             iters: 6,
             sizes: QUIC_SIZES_FULL.to_vec(),
-            engine: EngineConfig::default(),
+            engine: EngineConfig,
         }
     }
 
@@ -71,13 +71,12 @@ impl QuicPacingConfig {
     /// influence the cell's [`QuicPacingStats`].
     pub fn canonical_params(&self) -> String {
         format!(
-            "quic {} strategy={} cc={} iters={} sizes={:?} engine={:?}",
+            "quic {} strategy={} cc={} iters={} sizes={:?}",
             self.scenario.canonical_params(),
             self.strategy.label(),
             self.cc.label(),
             self.iters,
             self.sizes,
-            self.engine,
         )
     }
 }
@@ -143,7 +142,7 @@ impl QuicPacingStats {
 /// Run one download of `flow_bytes` over the cell's path and return the
 /// receiver-side FCT in seconds, if it completed.
 fn run_one(cfg: &QuicPacingConfig, flow_bytes: u64, seed: u64) -> (Option<f64>, Sim) {
-    let mut sim = Sim::with_engine(seed, cfg.engine);
+    let mut sim = Sim::new(seed);
     let qcfg = QuicConfig::bulk(flow_bytes).with_strategy(cfg.strategy);
     let ends = install_quic_flow(
         &mut sim,
@@ -168,8 +167,7 @@ fn run_one(cfg: &QuicPacingConfig, flow_bytes: u64, seed: u64) -> (Option<f64>, 
 /// grid, each download its own simulation.
 ///
 /// Deterministic: the result is a pure function of `(cfg, seed)` —
-/// identical at any worker count and under any engine (modulo the
-/// engine's own `net.sched_*`/`net.pool_*` diagnostics in `counters`).
+/// identical at any worker count.
 pub fn run_quic_pacing_cell(cfg: &QuicPacingConfig, seed: u64) -> QuicPacingStats {
     let _cell_span = simtrace::prof::span("quic/cell");
     let mut stats = QuicPacingStats::new();

@@ -126,34 +126,8 @@ pub fn run_flow_with_horizon(
     tracing: bool,
     horizon: SimTime,
 ) -> FlowOutcome {
-    run_flow_engine(
-        scenario,
-        kind,
-        flow_bytes,
-        seed,
-        tracing,
-        horizon,
-        netsim::EngineConfig::default(),
-    )
-}
-
-/// [`run_flow_with_horizon`] with an explicit engine configuration.
-///
-/// Engine choice never changes results (see netsim's scheduler-equivalence
-/// contract); this exists so the hotpath benchmark can A/B the timer-wheel
-/// engine against the binary-heap baseline on identical workloads.
-#[allow(clippy::too_many_arguments)]
-pub fn run_flow_engine(
-    scenario: &PathScenario,
-    kind: CcKind,
-    flow_bytes: u64,
-    seed: u64,
-    tracing: bool,
-    horizon: SimTime,
-    engine: netsim::EngineConfig,
-) -> FlowOutcome {
     let _cell_span = simtrace::prof::span("flow/cell");
-    let mut sim = Sim::with_engine(seed, engine);
+    let mut sim = Sim::new(seed);
     let mut cfg = SenderConfig::bulk(flow_bytes);
     cfg.trace_sampling = tracing;
     let ends = install_flow(

@@ -1,16 +1,17 @@
 //! Engine-determinism acceptance test for the timer-wheel core: a fixed
 //! dumbbell cell has golden flow-completion times and counter totals
-//! recorded from the seed binary-heap engine, and the production wheel +
-//! pool engine must reproduce them bit-for-bit — serially and through a
-//! 4-worker campaign with a fresh result cache.
+//! recorded from the original binary-heap engine, and the one engine
+//! (timer wheel, payload pool, same-tick batching) must reproduce them
+//! bit-for-bit — serially and through a 4-worker campaign with a fresh
+//! result cache.
 //!
 //! If an intentional behavior change moves these numbers, regenerate with
 //! `cargo test -p experiments --test determinism -- --ignored --nocapture`
 //! and paste the printed constants.
 
 use cc_algos::CcKind;
-use experiments::{run_dumbbell_engine, DumbbellFlow, FlowGrid, FlowGridRun};
-use netsim::{EngineConfig, SimTime};
+use experiments::{run_dumbbell, DumbbellFlow, FlowGrid, FlowGridRun};
+use netsim::SimTime;
 use simrunner::RunnerOpts;
 use simtrace::names;
 use std::time::Duration;
@@ -25,8 +26,8 @@ const PAIRS: usize = 4;
 const GOLD_FCT_SECS: [f64; 2] = [0.915681728, 0.915681728];
 
 /// Golden catalogue counter totals merged over both cells. Scheduler- and
-/// pool-internal counters (`net.sched_cascades`, `net.pool_*`) are the
-/// only ones allowed to differ across engines and are deliberately absent.
+/// pool-internal counters (`net.sched_*`, `net.pool_*`) counted
+/// differently on the heap engine and are deliberately absent.
 const GOLD_TOTALS: &[(&str, u64)] = &[
     (names::NET_EVENTS, 75378),
     (names::NET_EVENTS_SCHEDULED, 75820),
@@ -42,32 +43,26 @@ const GOLD_TOTALS: &[(&str, u64)] = &[
 /// The fixed cell: four staggered SUSS downloads through a congested
 /// 50 Mbps / 50 ms / 1-BDP dumbbell — loss, fast recovery, HyStart and
 /// SUSS pacing all exercised, so the goldens pin real protocol behavior.
-fn cell(engine: EngineConfig, seed: u64) -> experiments::FlowOutcome {
-    cell_scoped(engine, seed, 0)
+fn cell(seed: u64) -> experiments::FlowOutcome {
+    cell_scoped(seed, 0)
 }
 
 /// [`cell`] with bottleneck scope sampling every `scope_every` packets
 /// (0 = off) — the observability arm of the determinism contract.
-fn cell_scoped(engine: EngineConfig, seed: u64, scope_every: u64) -> experiments::FlowOutcome {
+fn cell_scoped(seed: u64, scope_every: u64) -> experiments::FlowOutcome {
     let cfg = DumbbellConfig::fairness(Duration::from_millis(50), 1.0, PAIRS);
     let flows: Vec<DumbbellFlow> = (0..PAIRS)
         .map(|i| DumbbellFlow::download(CcKind::CubicSuss, MB, SimTime::from_millis(5 * i as u64)))
         .collect();
-    let out = experiments::run_dumbbell_scoped(
-        &cfg,
-        &flows,
-        seed,
-        SimTime::from_secs(60),
-        engine,
-        scope_every,
-    );
+    let out =
+        experiments::run_dumbbell_scoped(&cfg, &flows, seed, SimTime::from_secs(60), scope_every);
     let drops = out.bottleneck_drops;
     let mut f0 = out.flows.into_iter().next().expect("pairs > 0");
     f0.bottleneck_drops = drops;
     f0
 }
 
-/// The same cells as a FlowGrid campaign under the production engine.
+/// The same cells as a FlowGrid campaign.
 fn wheel_grid() -> FlowGrid {
     let mut grid = FlowGrid::new("determinism-golden");
     grid.batch_fn(
@@ -76,7 +71,7 @@ fn wheel_grid() -> FlowGrid {
          cc=cubic+suss size=1MB stagger=5ms",
         SEEDS.len() as u64,
         SEEDS[0],
-        |seed| cell(EngineConfig::default(), seed),
+        cell,
     );
     grid
 }
@@ -104,34 +99,6 @@ fn assert_matches_golden(run: &FlowGridRun, what: &str) {
     }
 }
 
-/// The goldens really do come from the seed engine: the binary-heap
-/// scheduler without payload pooling reproduces every constant.
-#[test]
-fn heap_baseline_matches_golden() {
-    let mut totals = simtrace::CounterSnapshot::default();
-    for (i, &seed) in SEEDS.iter().enumerate() {
-        let out = cell(EngineConfig::baseline(), seed);
-        assert_eq!(
-            out.fct_secs().to_bits(),
-            GOLD_FCT_SECS[i].to_bits(),
-            "heap: seed {seed} fct {} != golden {}",
-            out.fct_secs(),
-            GOLD_FCT_SECS[i],
-        );
-        totals.merge(&out.counters);
-    }
-    for &(name, want) in GOLD_TOTALS {
-        assert_eq!(
-            totals.get(name),
-            Some(want),
-            "heap: counter {name} diverged from golden"
-        );
-    }
-    // The baseline engine never pools or cascades.
-    assert_eq!(totals.get(names::NET_POOL_HITS).unwrap_or(0), 0);
-    assert_eq!(totals.get(names::NET_SCHED_CASCADES).unwrap_or(0), 0);
-}
-
 /// The wheel engine reproduces the heap goldens exactly, both on the
 /// serial path and sharded across 4 workers with a fresh cache — the
 /// scheduler-equivalence contract, end to end through the campaign layer.
@@ -157,125 +124,143 @@ fn wheel_reproduces_golden_at_1_and_4_workers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Golden flow-0 FCTs of the faulted grid in cell order (each fault
+/// family × both seeds), recorded from the original binary-heap engine.
+const GOLD_FAULTED_FCT_SECS: [f64; 8] = [
+    7.726729479,
+    5.520377433,
+    7.428859259,
+    7.433123828,
+    5.034539299,
+    5.640336573,
+    1.171262928,
+    1.171941115,
+];
+
+/// Golden faulted-grid counter totals from the same heap run, with the
+/// same exclusions as [`GOLD_TOTALS`].
+const GOLD_FAULTED_TOTALS: &[(&str, u64)] = &[
+    (names::CC_HYSTART_EXITS, 2),
+    (names::NET_AQM_DROPS, 0),
+    (names::NET_EVENTS, 29985),
+    (names::NET_EVENTS_SCHEDULED, 30841),
+    (names::NET_FAULTS_INJECTED, 41),
+    (names::NET_LINK_FLAPS, 2),
+    (names::NET_ORPHAN_EVENTS, 0),
+    (names::NET_QUEUE_DEPTH_HWM, 243000),
+    (names::NET_QUEUE_DROPS, 0),
+    (names::SUSS_PACING_ROUNDS, 11),
+    (names::TCP_FAST_RETRANSMITS, 18),
+    (names::TCP_RETRANSMITS, 574),
+    (names::TCP_RTOS, 4),
+    (names::TCP_SEGS_SENT, 6102),
+];
+
+/// One CUBIC+SUSS flow per fault family and seed over the chaos scenario.
+fn faulted_grid() -> FlowGrid {
+    use experiments::chaos::{chaos_scenario, run_flow_faulted, FaultFamily};
+
+    let scn = chaos_scenario();
+    let mut grid = FlowGrid::new("determinism-faulted");
+    for family in FaultFamily::ALL {
+        let plan = family.plan();
+        grid.batch_fn(
+            &format!("faulted/{}", family.key()),
+            &format!(
+                "{} cc=cubic+suss size={MB} {} engine-check",
+                scn.canonical_params(),
+                plan.canonical_params()
+            ),
+            SEEDS.len() as u64,
+            SEEDS[0],
+            move |seed| run_flow_faulted(&scn, CcKind::CubicSuss, MB, seed, &plan),
+        );
+    }
+    grid
+}
+
+/// A run's counter totals outside `net.sched_*`/`net.pool_*`, by name.
+fn non_engine_totals(run: &FlowGridRun) -> Vec<(String, u64)> {
+    run.counters_total()
+        .metrics
+        .into_iter()
+        .filter(|m| !m.name.starts_with("net.sched_") && !m.name.starts_with("net.pool_"))
+        .map(|m| (m.name, m.value))
+        .collect()
+}
+
 /// Fault-injected cells obey the same determinism contract as clean
-/// ones: a faulted grid's FCT bits and counter totals are identical
-/// serially and across 4 workers, and the wheel engine reproduces the
-/// heap engine exactly under every fault family. No goldens here —
-/// the invariant is engine/sharding independence, not pinned values.
+/// ones: a faulted grid reproduces the heap engine's FCT bits and counter
+/// totals under every fault family, serially and across 4 workers.
 #[test]
 fn faulted_cells_are_engine_and_worker_invariant() {
-    use experiments::chaos::{chaos_scenario, run_flow_faulted_engine, FaultFamily};
-
-    let faulted_grid = |engine: EngineConfig| {
-        let scn = chaos_scenario();
-        let mut grid = FlowGrid::new("determinism-faulted");
-        for family in FaultFamily::ALL {
-            let plan = family.plan();
-            grid.batch_fn(
-                &format!("faulted/{}", family.key()),
-                &format!(
-                    "{} cc=cubic+suss size={MB} {} engine-check",
-                    scn.canonical_params(),
-                    plan.canonical_params()
-                ),
-                SEEDS.len() as u64,
-                SEEDS[0],
-                move |seed| {
-                    run_flow_faulted_engine(&scn, CcKind::CubicSuss, MB, seed, &plan, engine)
-                },
-            );
-        }
-        grid
-    };
-    let assert_same = |a: &FlowGridRun, b: &FlowGridRun, what: &str| {
-        assert_eq!(a.stats.len(), b.stats.len());
-        for (i, (x, y)) in a.stats.iter().zip(&b.stats).enumerate() {
-            let (x, y) = (
-                x.as_ref().expect("faulted cell failed"),
-                y.as_ref().expect("faulted cell failed"),
-            );
-            assert_eq!(
-                x.fct_secs.to_bits(),
-                y.fct_secs.to_bits(),
-                "{what}: cell {i} fct {} != {}",
-                x.fct_secs,
-                y.fct_secs
-            );
-        }
-        let (ta, tb) = (a.counters_total(), b.counters_total());
-        for m in &ta.metrics {
-            // Scheduler/pool internals legitimately differ across engines.
-            if m.name.starts_with("net.sched_") || m.name.starts_with("net.pool_") {
-                continue;
-            }
-            assert_eq!(
-                tb.get(&m.name),
-                Some(m.value),
-                "{what}: counter {} diverged",
-                m.name
-            );
-        }
-    };
-
-    let wheel_serial = faulted_grid(EngineConfig::default()).run(&RunnerOpts::serial());
-    // Faults really fired: injected losses and flap transitions counted.
-    let totals = wheel_serial.counters_total();
-    assert!(totals.get(names::NET_FAULTS_INJECTED).unwrap_or(0) > 0);
-    assert!(totals.get(names::NET_LINK_FLAPS).unwrap_or(0) > 0);
-
-    let wheel_parallel =
-        faulted_grid(EngineConfig::default()).run(&RunnerOpts::default().with_workers(4));
-    assert_same(&wheel_serial, &wheel_parallel, "faulted 1-vs-4 workers");
-
-    let heap_serial = faulted_grid(EngineConfig::baseline()).run(&RunnerOpts::serial());
-    assert_same(&wheel_serial, &heap_serial, "faulted wheel-vs-heap");
+    let want_fcts: Vec<u64> = GOLD_FAULTED_FCT_SECS.iter().map(|f| f.to_bits()).collect();
+    let want_totals: Vec<(String, u64)> = GOLD_FAULTED_TOTALS
+        .iter()
+        .map(|&(name, v)| (name.to_string(), v))
+        .collect();
+    for (opts, what) in [
+        (RunnerOpts::serial(), "faulted serial"),
+        (RunnerOpts::default().with_workers(4), "faulted 4 workers"),
+    ] {
+        let run = faulted_grid().run(&opts);
+        let fcts: Vec<u64> = run
+            .stats
+            .iter()
+            .map(|s| s.as_ref().expect("faulted cell failed").fct_secs.to_bits())
+            .collect();
+        assert_eq!(fcts, want_fcts, "{what}: FCT bits diverged from golden");
+        assert_eq!(
+            non_engine_totals(&run),
+            want_totals,
+            "{what}: counter totals diverged from golden"
+        );
+    }
 }
 
 /// Observability is free: running the golden cell with every telemetry
 /// layer on — span profiling, a live flight recorder, and bottleneck
-/// scope sampling — reproduces the bare run bit-for-bit on both engines.
+/// scope sampling — reproduces the bare run bit-for-bit.
 /// The instrumented arm must also actually *observe* something, so a
 /// regression that silently disables telemetry can't fake a pass.
 #[test]
 fn observability_never_changes_results() {
-    for engine in [EngineConfig::default(), EngineConfig::baseline()] {
-        let bare = cell(engine, SEEDS[0]);
-        let _ = simtrace::runtime::take_scope_annotations();
-        let _ = simtrace::prof::take();
+    let bare = cell(SEEDS[0]);
+    let _ = simtrace::runtime::take_scope_annotations();
+    let _ = simtrace::prof::take();
 
-        simtrace::prof::set_enabled(true);
-        let ring = simtrace::FlightRecorder::new(simtrace::flightrec::DEFAULT_CAPACITY);
-        simtrace::flightrec::install(Some(ring.clone()));
-        let instrumented = cell_scoped(engine, SEEDS[0], 4);
-        simtrace::flightrec::install(None);
-        simtrace::prof::set_enabled(false);
-        let prof = simtrace::prof::take();
-        let scopes = simtrace::runtime::take_scope_annotations();
+    simtrace::prof::set_enabled(true);
+    let ring = simtrace::FlightRecorder::new(simtrace::flightrec::DEFAULT_CAPACITY);
+    simtrace::flightrec::install(Some(ring.clone()));
+    let instrumented = cell_scoped(SEEDS[0], 4);
+    simtrace::flightrec::install(None);
+    simtrace::prof::set_enabled(false);
+    let prof = simtrace::prof::take();
+    let scopes = simtrace::runtime::take_scope_annotations();
 
-        // Telemetry really happened...
-        assert!(prof.spans.iter().any(|s| s.path == "dumbbell/cell"));
-        assert!(
-            scopes
-                .iter()
-                .any(|a| a.label == "scope/dumbbell/queue_depth" && a.n > 0),
-            "scope sampling produced nothing: {scopes:?}"
-        );
-        assert!(!ring.to_jsonl().is_empty(), "flight recorder stayed empty");
+    // Telemetry really happened...
+    assert!(prof.spans.iter().any(|s| s.path == "dumbbell/cell"));
+    assert!(
+        scopes
+            .iter()
+            .any(|a| a.label == "scope/dumbbell/queue_depth" && a.n > 0),
+        "scope sampling produced nothing: {scopes:?}"
+    );
+    assert!(!ring.to_jsonl().is_empty(), "flight recorder stayed empty");
 
-        // ...and changed nothing.
-        assert_eq!(
-            instrumented.fct_secs().to_bits(),
-            bare.fct_secs().to_bits(),
-            "telemetry perturbed the FCT"
-        );
-        assert_eq!(instrumented.segs_sent, bare.segs_sent);
-        assert_eq!(instrumented.segs_retransmitted, bare.segs_retransmitted);
-        assert_eq!(instrumented.bottleneck_drops, bare.bottleneck_drops);
-        assert_eq!(
-            instrumented.counters, bare.counters,
-            "telemetry leaked into the metric registry"
-        );
-    }
+    // ...and changed nothing.
+    assert_eq!(
+        instrumented.fct_secs().to_bits(),
+        bare.fct_secs().to_bits(),
+        "telemetry perturbed the FCT"
+    );
+    assert_eq!(instrumented.segs_sent, bare.segs_sent);
+    assert_eq!(instrumented.segs_retransmitted, bare.segs_retransmitted);
+    assert_eq!(instrumented.bottleneck_drops, bare.bottleneck_drops);
+    assert_eq!(
+        instrumented.counters, bare.counters,
+        "telemetry leaked into the metric registry"
+    );
 }
 
 /// CC decision events survive a JSONL round trip: a traced golden-cell
@@ -294,13 +279,7 @@ fn cc_events_roundtrip_through_jsonl() {
                 .traced()
         })
         .collect();
-    let out = run_dumbbell_engine(
-        &cfg,
-        &flows,
-        SEEDS[0],
-        SimTime::from_secs(60),
-        EngineConfig::default(),
-    );
+    let out = run_dumbbell(&cfg, &flows, SEEDS[0], SimTime::from_secs(60));
     // The congested SUSS cell exercises the whole decision catalogue
     // (HyStart exits happen on later-starting flows, so check the union).
     let kinds: Vec<&'static str> = out
@@ -379,12 +358,26 @@ fn print_golden() {
     let mut totals = simtrace::CounterSnapshot::default();
     let mut fcts = Vec::new();
     for &seed in &SEEDS {
-        let out = cell(EngineConfig::baseline(), seed);
+        let out = cell(seed);
         fcts.push(out.fct_secs());
         totals.merge(&out.counters);
     }
     println!("const GOLD_FCT_SECS: [f64; 2] = {fcts:?};");
     for &(name, _) in GOLD_TOTALS {
         println!("({name:?}, {}),", totals.get(name).unwrap_or(0));
+    }
+
+    let run = faulted_grid().run(&RunnerOpts::serial());
+    let fcts: Vec<f64> = run
+        .stats
+        .iter()
+        .map(|s| s.as_ref().expect("faulted cell failed").fct_secs)
+        .collect();
+    println!(
+        "const GOLD_FAULTED_FCT_SECS: [f64; {}] = {fcts:?};",
+        fcts.len()
+    );
+    for (name, v) in non_engine_totals(&run) {
+        println!("({name:?}, {v}),");
     }
 }

@@ -1,12 +1,15 @@
 //! Fleet determinism contracts: results are a pure function of
-//! (config, seed) — independent of worker count, scheduler engine, and
-//! cache state — and trace sampling never leaks into them.
+//! (config, seed) — independent of worker count and cache state, and
+//! equal to what the original binary-heap engine recorded — and trace
+//! sampling never leaks into them.
 
 use cc_algos::CcKind;
 use experiments::fleet::{fleet_table, run_fleet_cell, FleetConfig};
-use netsim::EngineConfig;
 use simrunner::RunnerOpts;
 use workload::{FleetWorkload, LastHop, PathScenario, ServerSite};
+
+mod golden;
+use golden::{counters_digest, hist_digest};
 
 fn small_cfg(cc: CcKind) -> FleetConfig {
     let scn = PathScenario::new(ServerSite::OracleLondon, LastHop::Wired);
@@ -40,31 +43,28 @@ fn worker_count_does_not_change_results() {
 
 #[test]
 fn engine_choice_does_not_change_results() {
-    // Timer-wheel default (batching on) vs binary-heap baseline: FCT
-    // distributions and every non-scheduler counter must be identical.
-    let mut wheel = small_cfg(CcKind::CubicSuss);
-    wheel.engine = EngineConfig::default();
-    let mut heap = small_cfg(CcKind::CubicSuss);
-    heap.engine = EngineConfig::baseline();
-
-    let a = run_fleet_cell(&wheel, 9);
-    let b = run_fleet_cell(&heap, 9);
+    // Recorded from the binary-heap engine (no pooling, no batching) at
+    // seed 9: the one engine must reproduce its FCT distributions and
+    // every counter outside `net.sched_*`/`net.pool_*`.
+    let a = run_fleet_cell(&small_cfg(CcKind::CubicSuss), 9);
     assert_eq!(
         (a.spawned, a.completed, a.expired, a.peak_concurrent),
-        (b.spawned, b.completed, b.expired, b.peak_concurrent)
+        (60, 60, 0, 32)
     );
-    assert_eq!(a.hist_small, b.hist_small);
-    assert_eq!(a.hist_mid, b.hist_mid);
-    assert_eq!(a.hist_large, b.hist_large);
-    for (name, delta) in &a.counters.diff(&b.counters) {
-        if *delta == 0 {
-            continue;
-        }
-        assert!(
-            name.starts_with("net.sched_") || name.starts_with("net.pool_"),
-            "{name} must not differ across engines (delta {delta})"
-        );
-    }
+    assert_eq!(
+        [&a.hist_small, &a.hist_mid, &a.hist_large].map(hist_digest),
+        [
+            0x14fe_0057_56da_9623,
+            0xe902_8818_151e_c0fb,
+            0x3152_febc_9d3f_cdfd
+        ]
+    );
+    assert_eq!(
+        counters_digest(&a.counters),
+        (20, 0x0cca_5e63_5f28_9eac),
+        "{:?}",
+        a.counters
+    );
 }
 
 #[test]

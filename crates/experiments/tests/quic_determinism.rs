@@ -1,16 +1,18 @@
 //! quic-sim campaign determinism gates: the pacing-matrix results are a
-//! pure function of (config, seed) — independent of worker count and of
-//! the scheduler engine (timer wheel vs binary heap), the same contracts
-//! the TCP campaigns are held to.
+//! pure function of (config, seed) — independent of worker count and
+//! equal to what the original binary-heap engine recorded, the same
+//! contracts the TCP campaigns are held to.
 
 use cc_algos::CcKind;
 use experiments::quic_pacing::{
     quic_pacing_table, run_quic_pacing_cell, QuicPacingConfig, QUIC_SIZES_QUICK,
 };
-use netsim::EngineConfig;
 use quic_sim::PacingStrategy;
 use simrunner::RunnerOpts;
 use workload::{LastHop, PathScenario, ServerSite, KB, MB};
+
+mod golden;
+use golden::{counters_digest, hist_digest};
 
 fn small_cfg(cc: CcKind, strategy: PacingStrategy) -> QuicPacingConfig {
     let scn = PathScenario::new(ServerSite::OracleLondon, LastHop::Wired);
@@ -54,33 +56,50 @@ fn worker_count_does_not_change_results() {
 
 #[test]
 fn engine_choice_does_not_change_results() {
-    // Timer-wheel default (batching on) vs binary-heap baseline: FCT
-    // distributions and every non-scheduler counter must be identical.
-    for strategy in PacingStrategy::matrix() {
-        let mut wheel = small_cfg(CcKind::CubicSuss, strategy);
-        wheel.engine = EngineConfig::default();
-        let mut heap = small_cfg(CcKind::CubicSuss, strategy);
-        heap.engine = EngineConfig::baseline();
-
-        let a = run_quic_pacing_cell(&wheel, 9);
-        let b = run_quic_pacing_cell(&heap, 9);
+    // Recorded from the binary-heap engine (no pooling, no batching) at
+    // seed 9, one row per strategy in `PacingStrategy::matrix()` order:
+    // FCT histogram digests (small, mid, large) and counter digest. Every
+    // cell completes all 4 downloads.
+    const GOLDEN: [([u64; 3], (usize, u64)); 3] = [
+        (
+            [
+                0xec5f_375a_a1b8_ba4d,
+                0xf655_16b8_2930_a4cd,
+                0x3152_febc_9d3f_cdfd,
+            ],
+            (16, 0x94d9_6c0f_a04b_26d2),
+        ),
+        (
+            [
+                0x9024_fbb4_ce80_8f8d,
+                0xb20f_954a_35ed_4285,
+                0x3152_febc_9d3f_cdfd,
+            ],
+            (16, 0xab26_8bbf_25d3_3433),
+        ),
+        (
+            [
+                0xec5f_375a_a1b8_ba4d,
+                0xf655_16b8_2930_a4cd,
+                0x3152_febc_9d3f_cdfd,
+            ],
+            (16, 0xc960_8d3c_e477_3b90),
+        ),
+    ];
+    for (strategy, (hists, counters)) in PacingStrategy::matrix().into_iter().zip(GOLDEN) {
+        let a = run_quic_pacing_cell(&small_cfg(CcKind::CubicSuss, strategy), 9);
+        assert_eq!((a.completed, a.incomplete), (4, 0), "{strategy:?}");
         assert_eq!(
-            (a.completed, a.incomplete),
-            (b.completed, b.incomplete),
+            [&a.hist_small, &a.hist_mid, &a.hist_large].map(hist_digest),
+            hists,
             "{strategy:?}"
         );
-        assert_eq!(a.hist_small, b.hist_small, "{strategy:?}");
-        assert_eq!(a.hist_mid, b.hist_mid, "{strategy:?}");
-        assert_eq!(a.hist_large, b.hist_large, "{strategy:?}");
-        for (name, delta) in &a.counters.diff(&b.counters) {
-            if *delta == 0 {
-                continue;
-            }
-            assert!(
-                name.starts_with("net.sched_") || name.starts_with("net.pool_"),
-                "{name} must not differ across engines under {strategy:?} (delta {delta})"
-            );
-        }
+        assert_eq!(
+            counters_digest(&a.counters),
+            counters,
+            "{strategy:?}: {:?}",
+            a.counters
+        );
     }
 }
 

@@ -68,7 +68,7 @@ pub use packet::{FlowId, LinkId, NodeId, Packet, PacketMeta, PayloadHandle, Payl
 pub use queue::{CodelQueue, DropTailQueue, Queue, QueueStats};
 pub use rng::SimRng;
 pub use router::Router;
-pub use sim::{Agent, Ctx, EngineConfig, SchedulerKind, ScopeKind, ScopeSink, Sim};
+pub use sim::{Agent, Ctx, EngineConfig, ScopeKind, ScopeSink, Sim};
 pub use time::SimTime;
 pub use topology::{
     build_dumbbell, build_parking_lot, Dumbbell, DumbbellSpec, ParkingLot, ParkingLotSpec,

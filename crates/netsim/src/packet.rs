@@ -260,37 +260,26 @@ impl Packet {
 /// Reuse is value-transparent — a pooled box is overwritten with the new
 /// payload before it is handed out — so pooling cannot affect simulation
 /// results, only allocator traffic.
+#[derive(Default)]
 pub struct PayloadPool {
     /// `(payload type, recycled boxes)`; linear scan — real workloads carry
     /// two payload types (data + ACK).
     shelves: Vec<(TypeId, Vec<Box<dyn Any>>)>,
-    enabled: bool,
 }
 
 /// Recycled boxes kept per payload type; beyond this, recycle frees.
 const SHELF_CAP: usize = 1024;
 
 impl PayloadPool {
-    /// Create a pool; a disabled pool always allocates and never retains
-    /// (the seed-baseline configuration for benchmarking).
-    pub fn new(enabled: bool) -> Self {
-        PayloadPool {
-            shelves: Vec::new(),
-            enabled,
-        }
-    }
-
     /// Box `value`, reusing a recycled allocation when one is shelved.
     /// Returns the box and whether it was a pool hit.
     pub fn boxed<T: Any>(&mut self, value: T) -> (Box<dyn Any>, bool) {
-        if self.enabled {
-            let key = TypeId::of::<T>();
-            if let Some((_, shelf)) = self.shelves.iter_mut().find(|(t, _)| *t == key) {
-                if let Some(b) = shelf.pop() {
-                    let mut bt = b.downcast::<T>().expect("shelf keyed by TypeId");
-                    *bt = value;
-                    return (bt, true);
-                }
+        let key = TypeId::of::<T>();
+        if let Some((_, shelf)) = self.shelves.iter_mut().find(|(t, _)| *t == key) {
+            if let Some(b) = shelf.pop() {
+                let mut bt = b.downcast::<T>().expect("shelf keyed by TypeId");
+                *bt = value;
+                return (bt, true);
             }
         }
         (Box::new(value), false)
@@ -298,9 +287,6 @@ impl PayloadPool {
 
     /// Return a consumed payload box to its type's shelf.
     pub fn recycle(&mut self, b: Box<dyn Any>) {
-        if !self.enabled {
-            return;
-        }
         let key = (*b).type_id();
         match self.shelves.iter_mut().find(|(t, _)| *t == key) {
             Some((_, shelf)) => {
@@ -387,7 +373,7 @@ mod tests {
     #[test]
     fn pool_reuses_recycled_box() {
         let (a, b) = nodes();
-        let mut pool = PayloadPool::new(true);
+        let mut pool = PayloadPool::default();
         let (boxed, hit) = pool.boxed(7u64);
         assert!(!hit, "empty pool must miss");
         let first = boxed.downcast_ref::<u64>().unwrap() as *const u64 as usize;
@@ -404,7 +390,7 @@ mod tests {
 
     #[test]
     fn pool_shelves_are_per_type() {
-        let mut pool = PayloadPool::new(true);
+        let mut pool = PayloadPool::default();
         let (b1, _) = pool.boxed(1u64);
         pool.recycle(b1);
         // A different payload type cannot hit the u64 shelf.
@@ -413,16 +399,6 @@ mod tests {
         let (b2, hit) = pool.boxed(2u64);
         assert!(hit);
         assert_eq!(b2.downcast_ref::<u64>(), Some(&2));
-    }
-
-    #[test]
-    fn disabled_pool_never_hits() {
-        let mut pool = PayloadPool::new(false);
-        let (b, hit) = pool.boxed(1u64);
-        assert!(!hit);
-        pool.recycle(b);
-        let (_, hit) = pool.boxed(2u64);
-        assert!(!hit, "disabled pool must not retain boxes");
     }
 
     #[test]
@@ -445,7 +421,7 @@ mod tests {
     #[test]
     fn take_payload_with_wrong_type_keeps_packet() {
         let (a, b) = nodes();
-        let mut pool = PayloadPool::new(true);
+        let mut pool = PayloadPool::default();
         let p = Packet::with_payload(FlowId(1), a, b, 100, 42u64);
         let p = p.take_payload_with::<String>(&mut pool).unwrap_err();
         assert_eq!(p.payload_ref::<u64>(), Some(&42));

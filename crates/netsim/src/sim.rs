@@ -1,9 +1,10 @@
 //! The discrete-event engine.
 //!
 //! The engine owns a set of [`Agent`]s (endpoints, routers) connected by
-//! half-links, plus a single time-ordered event queue. It is fully
-//! deterministic: events at equal times are dispatched in insertion order,
-//! and all randomness flows from the seed given at construction.
+//! half-links, plus a single time-ordered event queue (the timer wheel in
+//! `wheel.rs`). It is fully deterministic: events at equal times are
+//! dispatched in insertion order, and all randomness flows from the seed
+//! given at construction.
 //!
 //! The design follows the poll/event-driven idiom of smoltcp rather than an
 //! async runtime: virtual time must be decoupled from wall-clock time for
@@ -19,8 +20,6 @@ use crate::wheel::TimerWheel;
 use simtrace::{Counter, Gauge, Registry};
 use std::any::Any;
 use std::cell::RefCell;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 /// A simulation participant: a traffic endpoint, a router, or any other
@@ -71,89 +70,11 @@ enum EventKind {
     LinkRestore { link: LinkId },
 }
 
-struct EventEntry {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for EventEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for EventEntry {}
-impl PartialOrd for EventEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EventEntry {
-    // Reversed so BinaryHeap (a max-heap) pops the earliest event first;
-    // ties broken by insertion order for determinism.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Which event-queue implementation backs the scheduler.
-///
-/// Both dispatch in exactly the same `(time, insertion-seq)` order, so
-/// simulation results are identical; they differ only in per-event cost.
-/// The heap is retained as the measurement baseline and for in-process
-/// equivalence tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// `BinaryHeap<EventEntry>` — `O(log n)` per op, the original engine.
-    BinaryHeap,
-    /// Calendar-queue timer wheel — amortized `O(1)` for near-future events.
-    TimerWheel,
-}
-
-/// Engine tuning knobs, orthogonal to simulation semantics.
-///
-/// The default is the fast path (timer wheel + payload pooling);
-/// [`EngineConfig::baseline`] reproduces the pre-wheel engine for A/B
-/// benchmarking. Any combination produces byte-identical results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Event-queue implementation.
-    pub scheduler: SchedulerKind,
-    /// Recycle payload boxes through a free-list pool.
-    pub payload_pooling: bool,
-    /// Coalesce consecutive same-instant arrivals on one link into a
-    /// single dispatch pass (one agent take/put-back for the whole tick
-    /// group). Events still dispatch in exactly the global `(time, seq)`
-    /// order, so results are byte-identical; the group merely shares one
-    /// [`Sim::step`] call, which [`Sim::run_while`] predicates observe as
-    /// one unit.
-    pub batched_delivery: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            scheduler: SchedulerKind::TimerWheel,
-            payload_pooling: true,
-            batched_delivery: true,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// The original engine: binary-heap scheduler, no pooling, no
-    /// delivery batching.
-    pub fn baseline() -> Self {
-        EngineConfig {
-            scheduler: SchedulerKind::BinaryHeap,
-            payload_pooling: false,
-            batched_delivery: false,
-        }
-    }
-}
+/// Engine configuration, kept as a fieldless type: the engine has one
+/// configuration. Exists only for the benchmark package under
+/// `perfbench/`, which still calls [`Sim::with_engine`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineConfig;
 
 /// What one link-scope sample measures (see [`Sim::enable_link_scope`]).
 ///
@@ -194,57 +115,11 @@ struct LinkScopeState {
     sink: ScopeSink,
 }
 
-/// The scheduler behind [`NetCore`]: either implementation dispatches the
-/// same global `(at, seq)` order.
-enum EventQueue {
-    Heap(BinaryHeap<EventEntry>),
-    Wheel(Box<TimerWheel<EventKind>>),
-}
-
-impl EventQueue {
-    fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::BinaryHeap => EventQueue::Heap(BinaryHeap::new()),
-            SchedulerKind::TimerWheel => EventQueue::Wheel(Box::new(TimerWheel::new())),
-        }
-    }
-
-    fn push(&mut self, at: SimTime, seq: u64, kind: EventKind) {
-        match self {
-            EventQueue::Heap(h) => h.push(EventEntry { at, seq, kind }),
-            EventQueue::Wheel(w) => w.push(at, seq, kind),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        match self {
-            EventQueue::Heap(h) => h.pop().map(|e| (e.at, e.kind)),
-            EventQueue::Wheel(w) => w.pop().map(|e| (e.at, e.item)),
-        }
-    }
-
-    /// Earliest pending event time (`&mut`: the wheel may advance its
-    /// cursor to find it, which never changes dispatch order).
-    fn next_at(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Heap(h) => h.peek().map(|e| e.at),
-            EventQueue::Wheel(w) => w.next_at(),
-        }
-    }
-
-    fn cascades(&self) -> u64 {
-        match self {
-            EventQueue::Heap(_) => 0,
-            EventQueue::Wheel(w) => w.cascades(),
-        }
-    }
-}
-
 /// Engine internals shared between the dispatcher and agent callbacks.
 struct NetCore {
     now: SimTime,
     seq: u64,
-    events: EventQueue,
+    events: Box<TimerWheel<EventKind>>,
     /// One event popped ahead of its dispatch by the batching lookahead:
     /// always the globally next event, replayed before touching the queue.
     stash: Option<(SimTime, EventKind)>,
@@ -252,7 +127,6 @@ struct NetCore {
     /// Per-slot reuse epoch, bumped by [`Sim::retire_agent`]; lives here
     /// (not in [`Sim`]) so [`Ctx::set_timer`] can stamp timers with it.
     agent_epochs: Vec<u32>,
-    batched_delivery: bool,
     next_packet_id: u64,
     capture: Option<Capture>,
     /// Links with time-series scope sampling enabled (usually 0–2 entries;
@@ -297,12 +171,11 @@ impl NetCore {
     /// stash wins ties: it was popped — and tie-broken — first.
     fn pop_event(&mut self) -> Option<(SimTime, EventKind)> {
         if let Some((at, _)) = &self.stash {
-            return match self.events.next_at() {
-                Some(q) if q < *at => self.events.pop(),
-                _ => self.stash.take(),
-            };
+            if !matches!(self.events.next_at(), Some(q) if q < *at) {
+                return self.stash.take();
+            }
         }
-        self.events.pop()
+        self.events.pop().map(|e| (e.at, e.item))
     }
 
     /// Earliest pending event time, honoring the batching stash.
@@ -632,17 +505,8 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// Create an empty simulation with the given experiment seed, using
-    /// the default (fast) engine configuration.
+    /// Create an empty simulation with the given experiment seed.
     pub fn new(seed: u64) -> Self {
-        Self::with_engine(seed, EngineConfig::default())
-    }
-
-    /// Create an empty simulation with an explicit engine configuration.
-    ///
-    /// Every configuration produces identical results; non-default ones
-    /// exist for benchmarking and scheduler-equivalence tests.
-    pub fn with_engine(seed: u64, engine: EngineConfig) -> Self {
         let metrics = Registry::new();
         let ctr_events = metrics.counter(simtrace::names::NET_EVENTS);
         let ctr_cascades = metrics.counter(simtrace::names::NET_SCHED_CASCADES);
@@ -660,15 +524,14 @@ impl Sim {
             core: NetCore {
                 now: SimTime::ZERO,
                 seq: 0,
-                events: EventQueue::new(engine.scheduler),
+                events: Box::new(TimerWheel::new()),
                 stash: None,
                 links: Vec::new(),
                 agent_epochs: Vec::new(),
-                batched_delivery: engine.batched_delivery,
                 next_packet_id: 1,
                 capture: None,
                 scopes: Vec::new(),
-                pool: PayloadPool::new(engine.payload_pooling),
+                pool: PayloadPool::default(),
                 ctr_orphan_events,
                 ctr_batched,
                 ctr_queue_drops,
@@ -689,6 +552,12 @@ impl Sim {
             ctr_cascades,
             cascades_reported: 0,
         }
+    }
+
+    /// [`Sim::new`] under another name. Exists only for the benchmark
+    /// package under `perfbench/`; the engine has one configuration.
+    pub fn with_engine(seed: u64, _engine: EngineConfig) -> Self {
+        Self::new(seed)
     }
 
     /// The simulation's metric registry. Endpoints wired into this sim
@@ -957,13 +826,13 @@ impl Sim {
         }
     }
 
-    /// Deliver an arrival, then — with batching enabled — keep delivering
-    /// as long as the *globally next* event is another arrival for the
-    /// same node over the same link at the same instant. The whole tick
-    /// group shares one agent take/put-back; because members are popped
-    /// in `(time, seq)` order and the first non-member is stashed for the
-    /// next [`Sim::step`], dispatch order (and therefore every result)
-    /// is byte-identical to unbatched execution.
+    /// Deliver an arrival, then keep delivering as long as the *globally
+    /// next* event is another arrival for the same node over the same link
+    /// at the same instant. The whole tick group shares one agent
+    /// take/put-back; because members are popped in `(time, seq)` order
+    /// and the first non-member is stashed for the next [`Sim::step`],
+    /// dispatch order (and therefore every result) is the global
+    /// `(time, seq)` order. Only the `net.sched_batched` counter sees it.
     fn dispatch_arrive(&mut self, at: SimTime, node: NodeId, link: LinkId, pkt: Packet) {
         self.core.capture_event(link, CaptureKind::Delivered, &pkt);
         let Some(mut agent) = self.agents[node.index()].take() else {
@@ -984,7 +853,7 @@ impl Sim {
         // second non-member would overwrite — and silently drop — the
         // first. Skipping coalescing never changes dispatch order, so
         // results stay byte-identical either way.
-        while self.core.batched_delivery && self.core.stash.is_none() {
+        while self.core.stash.is_none() {
             match self.core.pop_event() {
                 Some((
                     t,
@@ -1013,7 +882,9 @@ impl Sim {
         self.agents[node.index()] = Some(agent);
     }
 
-    /// Dispatch the next event. Returns `false` if the queue is empty.
+    /// Dispatch the next event, together with the same-instant arrivals
+    /// for the same node over the same link that follow it (one step).
+    /// Returns `false` if the queue is empty.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
         let Some((at, kind)) = self.core.pop_event() else {
@@ -1081,8 +952,10 @@ impl Sim {
 
     /// Run while `pred` holds and events remain, up to `deadline`.
     ///
-    /// `pred` is evaluated between events; use it to stop when e.g. all
-    /// flows have completed.
+    /// `pred` is evaluated between steps, not between events: a group of
+    /// same-instant arrivals for one node over one link is dispatched as
+    /// one step (see [`Sim::step`]), so `pred` sees the whole group or none
+    /// of it. Use it to stop when e.g. all flows have completed.
     pub fn run_while(&mut self, deadline: SimTime, mut pred: impl FnMut(&Sim) -> bool) {
         self.ensure_started();
         while pred(self) {
@@ -1510,7 +1383,7 @@ mod tests {
         // overwrite the occupied stash, or the stashed event is silently
         // lost.
         use crate::faults::FaultPlan;
-        let mut sim = Sim::new(3); // default engine: batching on
+        let mut sim = Sim::new(3);
         let c = sim.add_agent(Box::new(Echo::new()));
         let d = sim.add_agent(Box::new(Echo::new()));
         // Duplication twins arrive at the same instant over one link, so

@@ -13,10 +13,13 @@
 //! common path never touches the overflow heap). A bucket collects every
 //! event whose tick lands on it; when the wheel advances to that tick the
 //! bucket is sorted by `(at, seq)` and drained into a FIFO dispatch buffer.
-//! Because `seq` values are unique and monotone, this reproduces the heap's
-//! global dispatch order *exactly* — same-tick FIFO included — which is
-//! what keeps `FlowStats`, counter totals, and cache keys byte-identical
-//! across the two schedulers (see `tests/wheel_equivalence.rs`).
+//! Because `seq` values are unique and monotone, this reproduces a binary
+//! heap's global dispatch order *exactly* — same-tick FIFO included —
+//! which is what kept `FlowStats`, counter totals, and cache keys
+//! byte-identical when the wheel replaced the heap. The heap survives as
+//! the oracle of this module's random-schedule property test, and the
+//! goldens it recorded pin whole simulations in
+//! `tests/wheel_equivalence.rs`.
 //!
 //! Buckets are drained with `Vec::drain`, so their allocations are
 //! recycled: after warm-up the push/pop path allocates nothing.
@@ -225,6 +228,8 @@ impl<T> TimerWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
 
     fn drain(w: &mut TimerWheel<u64>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
@@ -318,5 +323,90 @@ mod tests {
         assert!(w.pop().is_none());
         assert_eq!(w.next_at(), None);
         assert_eq!(w.len(), 0);
+    }
+
+    /// One step of a random schedule, as the engine drives the wheel.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Schedule at `now + δ` nanoseconds.
+        Push(u64),
+        /// Dispatch the earliest event; `now` moves to its time.
+        Pop,
+        /// Peek the earliest event time.
+        NextAt,
+        /// `run_until(now + δ)`: dispatch everything due by the deadline,
+        /// then jump `now` to it, leaving the cursor behind over an idle
+        /// stretch.
+        Idle(u64),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let window = NUM_BUCKETS * TICK_NANOS;
+        prop_oneof![
+            // Same instant as `now`, or nearly: FIFO ties.
+            (0u64..4).prop_map(Op::Push),
+            // Same tick as `now`.
+            (0..TICK_NANOS).prop_map(Op::Push),
+            // Inside the ring's window.
+            (TICK_NANOS..window).prop_map(Op::Push),
+            (TICK_NANOS..window).prop_map(Op::Push),
+            // Beyond it: the overflow heap and the cascade path.
+            (window..4 * window).prop_map(Op::Push),
+            (0u64..1).prop_map(|_| Op::Pop),
+            (0u64..1).prop_map(|_| Op::Pop),
+            (0u64..1).prop_map(|_| Op::NextAt),
+            (0..2 * window).prop_map(Op::Idle),
+        ]
+    }
+
+    /// Pop from both queues; they must hand out the same `(at, seq)`.
+    fn pop_both(
+        wheel: &mut TimerWheel<u64>,
+        heap: &mut BinaryHeap<Reverse<(u64, u64)>>,
+    ) -> Result<Option<(u64, u64)>, TestCaseError> {
+        let w = wheel.pop().map(|e| (e.at.as_nanos(), e.item));
+        let h = heap.pop().map(|Reverse(x)| x);
+        prop_assert_eq!(w, h);
+        Ok(w)
+    }
+
+    // The wheel against the binary heap it replaced, on random schedules:
+    // both must agree on every `(at, seq)` they hand out, and on their
+    // length after every step.
+    proptest! {
+        #[test]
+        fn random_schedules_match_binary_heap(ops in prop::collection::vec(op(), 1..600)) {
+            let mut wheel = TimerWheel::new();
+            let mut heap = BinaryHeap::new();
+            let (mut now, mut seq) = (0u64, 0u64);
+            for op in ops {
+                match op {
+                    Op::Push(d) => {
+                        seq += 1;
+                        wheel.push(SimTime::from_nanos(now + d), seq, seq);
+                        heap.push(Reverse((now + d, seq)));
+                    }
+                    Op::Pop => {
+                        if let Some((at, _)) = pop_both(&mut wheel, &mut heap)? {
+                            now = at;
+                        }
+                    }
+                    Op::NextAt => {
+                        let w = wheel.next_at().map(SimTime::as_nanos);
+                        prop_assert_eq!(w, heap.peek().map(|Reverse((at, _))| *at));
+                    }
+                    Op::Idle(d) => {
+                        let deadline = now + d;
+                        while wheel.next_at().is_some_and(|at| at.as_nanos() <= deadline) {
+                            pop_both(&mut wheel, &mut heap)?;
+                        }
+                        prop_assert!(heap.peek().is_none_or(|Reverse((at, _))| *at > deadline));
+                        now = deadline;
+                    }
+                }
+                prop_assert_eq!(wheel.len(), heap.len());
+            }
+            while pop_both(&mut wheel, &mut heap)?.is_some() {}
+        }
     }
 }

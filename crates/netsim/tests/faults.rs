@@ -1,14 +1,18 @@
 //! Behavioral contract for link fault injection: flaps cut the wire but
 //! preserve the queue, Gilbert–Elliott losses are bursty, reordering and
 //! duplication really happen, delay steps shift arrivals — and all of it
-//! is deterministic and byte-identical across scheduler engines.
+//! is deterministic and replays exactly what the original binary-heap
+//! engine recorded.
 
 use netsim::{
-    Agent, Bandwidth, Ctx, EngineConfig, FaultPlan, FlapWindow, FlowId, GilbertElliott, LinkId,
-    LinkSpec, Packet, Sim, SimTime,
+    Agent, Bandwidth, Ctx, FaultPlan, FlapWindow, FlowId, GilbertElliott, LinkId, LinkSpec, Packet,
+    Sim, SimTime,
 };
 use std::any::Any;
 use std::time::Duration;
+
+mod golden;
+use golden::{digest, non_engine_counters};
 
 /// Records every delivery; optionally echoes typed payloads back.
 struct Probe {
@@ -225,48 +229,56 @@ fn delay_steps_shift_arrivals() {
     );
 }
 
-/// The full fault cocktail must dispatch byte-identically on the heap and
-/// wheel engines — the scheduler-equivalence contract extends to faults.
+/// The full fault cocktail replays exactly what the original binary-heap
+/// engine (no pooling, no batching) recorded.
 #[test]
 fn faulted_link_is_engine_equivalent() {
-    let run = |engine: EngineConfig| {
-        let plan = FaultPlan::new()
-            .with_ge(GilbertElliott::gilbert(0.01, 0.1, 0.9))
-            .with_flaps(vec![FlapWindow {
-                down: SimTime::from_millis(40),
-                up: SimTime::from_millis(60),
-            }])
-            .with_reorder(0.03, Duration::from_millis(2))
-            .with_duplicate(0.02)
-            .with_delay_steps(vec![(SimTime::from_millis(80), Duration::from_millis(7))]);
-        let spec = LinkSpec::clean(Bandwidth::from_mbps(20), Duration::from_millis(5))
-            .with_jitter(netsim::JitterModel::correlated(
-                Duration::from_millis(1),
-                0.4,
-            ))
-            .with_loss(0.01)
-            .with_queue_bytes(30_000)
-            .with_faults(plan);
-        let mut sim = Sim::with_engine(11, engine);
-        let a = sim.add_agent(Box::new(Probe::new()));
-        let b = sim.add_agent(Box::new(Probe::new()));
-        let ab = sim.add_half_link(a, b, spec);
-        sim.with_agent_ctx::<Probe, _>(a, |_, ctx| {
-            for i in 0..800u64 {
-                let boxed = ctx.alloc_payload(i);
-                ctx.send(ab, Packet::with_boxed_payload(FlowId(1), a, b, 1200, boxed));
-            }
-        });
-        sim.run_to_completion();
-        (sim.agent::<Probe>(b).got.clone(), sim.metrics().snapshot())
-    };
-    let heap = run(EngineConfig::baseline());
-    let wheel = run(EngineConfig::default());
-    assert_eq!(heap.0, wheel.0, "fault delivery traces must match");
-    for (name, delta) in wheel.1.diff(&heap.1) {
-        if name.starts_with("net.sched_") || name.starts_with("net.pool_") {
-            continue;
+    let plan = FaultPlan::new()
+        .with_ge(GilbertElliott::gilbert(0.01, 0.1, 0.9))
+        .with_flaps(vec![FlapWindow {
+            down: SimTime::from_millis(40),
+            up: SimTime::from_millis(60),
+        }])
+        .with_reorder(0.03, Duration::from_millis(2))
+        .with_duplicate(0.02)
+        .with_delay_steps(vec![(SimTime::from_millis(80), Duration::from_millis(7))]);
+    let spec = LinkSpec::clean(Bandwidth::from_mbps(20), Duration::from_millis(5))
+        .with_jitter(netsim::JitterModel::correlated(
+            Duration::from_millis(1),
+            0.4,
+        ))
+        .with_loss(0.01)
+        .with_queue_bytes(30_000)
+        .with_faults(plan);
+    let mut sim = Sim::new(11);
+    let a = sim.add_agent(Box::new(Probe::new()));
+    let b = sim.add_agent(Box::new(Probe::new()));
+    let ab = sim.add_half_link(a, b, spec);
+    sim.with_agent_ctx::<Probe, _>(a, |_, ctx| {
+        for i in 0..800u64 {
+            let boxed = ctx.alloc_payload(i);
+            ctx.send(ab, Packet::with_boxed_payload(FlowId(1), a, b, 1200, boxed));
         }
-        assert_eq!(delta, 0, "counter {name} differs between engines");
-    }
+    });
+    sim.run_to_completion();
+
+    assert_eq!(
+        digest(&sim.agent::<Probe>(b).got),
+        (27, 0x5647_e246_9c98_bbfe),
+        "delivery trace"
+    );
+    assert_eq!(
+        non_engine_counters(&sim.metrics().snapshot()),
+        [
+            ("net.aqm_drops", 0),
+            ("net.events_processed", 54),
+            ("net.events_scheduled", 54),
+            ("net.faults_injected", 2),
+            ("net.link_flaps", 1),
+            ("net.orphan_events", 0),
+            ("net.queue_depth_hwm_bytes", 30000),
+            ("net.queue_drops", 774),
+        ],
+        "counter totals diverged from the heap golden"
+    );
 }

@@ -4,7 +4,7 @@
 //! recovery, SUSS acceleration, and deterministic results.
 
 use cc_algos::{make_quic_controller, CcKind};
-use netsim::{Bandwidth, EngineConfig, FlowId, LinkSpec, Sim, SimTime};
+use netsim::{Bandwidth, FlowId, LinkSpec, Sim, SimTime};
 use quic_sim::{
     install_quic_flow, wire_quic_flow, PacingStrategy, QuicConfig, QuicReceiver, QuicSender,
 };
@@ -24,7 +24,6 @@ struct RunResult {
 }
 
 /// One QUIC download over a symmetric clean-ish path.
-#[allow(clippy::too_many_arguments)]
 fn run_quic(
     kind: CcKind,
     flow_bytes: u64,
@@ -32,10 +31,9 @@ fn run_quic(
     strategy: PacingStrategy,
     loss: f64,
     queue_bytes: u64,
-    engine: EngineConfig,
     tracing: bool,
 ) -> RunResult {
-    let mut sim = Sim::with_engine(seed, engine);
+    let mut sim = Sim::new(seed);
     let mut cfg = QuicConfig::bulk(flow_bytes).with_strategy(strategy);
     cfg.trace_sampling = tracing;
     let ends = install_quic_flow(
@@ -98,7 +96,6 @@ fn every_controller_completes_a_clean_flow() {
             PacingStrategy::PerPacket,
             0.0,
             u64::MAX,
-            EngineConfig::default(),
             false,
         );
         let fct = out
@@ -121,7 +118,6 @@ fn loss_recovery_completes_under_random_loss() {
         PacingStrategy::PerPacket,
         0.01,
         u64::MAX,
-        EngineConfig::default(),
         false,
     );
     let fct = out.fct.expect("lossy flow must still complete");
@@ -144,7 +140,6 @@ fn all_strategies_complete_and_counters_flow() {
             strategy,
             0.0,
             u64::MAX,
-            EngineConfig::default(),
             false,
         );
         assert!(out.fct.is_some(), "{strategy:?}");
@@ -171,7 +166,6 @@ fn suss_schedules_pacing_and_beats_cubic_on_clean_path() {
         PacingStrategy::PerPacket,
         0.0,
         u64::MAX,
-        EngineConfig::default(),
         true,
     );
     let cubic = run_quic(
@@ -181,7 +175,6 @@ fn suss_schedules_pacing_and_beats_cubic_on_clean_path() {
         PacingStrategy::PerPacket,
         0.0,
         u64::MAX,
-        EngineConfig::default(),
         true,
     );
     assert!(suss.suss_pacings > 0, "SUSS pacing must engage over QUIC");
@@ -198,9 +191,9 @@ fn suss_schedules_pacing_and_beats_cubic_on_clean_path() {
 
 #[test]
 fn runs_are_deterministic_across_engines() {
-    // Same seed ⇒ identical outcomes, and the timer-wheel engine must
-    // agree with the binary-heap baseline byte for byte.
-    let mk = |engine: EngineConfig| {
+    // Same seed ⇒ identical outcomes, equal to what the original
+    // binary-heap engine (no pooling, no batching) recorded.
+    let mk = || {
         run_quic(
             CcKind::CubicSuss,
             1_500_000,
@@ -208,19 +201,16 @@ fn runs_are_deterministic_across_engines() {
             PacingStrategy::Burst(8),
             0.005,
             64 * 1024,
-            engine,
             false,
         )
     };
-    let a = mk(EngineConfig::default());
-    let b = mk(EngineConfig::default());
-    let c = mk(EngineConfig::baseline());
-    for (x, name) in [(&b, "repeat"), (&c, "baseline engine")] {
-        assert_eq!(a.fct, x.fct, "{name}");
-        assert_eq!(a.pkts_sent, x.pkts_sent, "{name}");
-        assert_eq!(a.pkts_retransmitted, x.pkts_retransmitted, "{name}");
-        assert_eq!(a.pkts_lost, x.pkts_lost, "{name}");
-        assert_eq!(a.ptos, x.ptos, "{name}");
+    let (a, b) = (mk(), mk());
+    for (x, name) in [(&a, "first run"), (&b, "repeat")] {
+        assert_eq!(x.fct, Some(Duration::from_nanos(806_246_097)), "{name}");
+        assert_eq!(x.pkts_sent, 1045, "{name}");
+        assert_eq!(x.pkts_retransmitted, 9, "{name}");
+        assert_eq!(x.pkts_lost, 9, "{name}");
+        assert_eq!(x.ptos, 0, "{name}");
     }
 }
 
@@ -236,7 +226,6 @@ fn chunked_pacing_defers_more_sends_than_per_packet() {
         PacingStrategy::Chunked(Duration::from_millis(5)),
         0.0,
         u64::MAX,
-        EngineConfig::default(),
         false,
     );
     let per_pkt = run_quic(
@@ -246,7 +235,6 @@ fn chunked_pacing_defers_more_sends_than_per_packet() {
         PacingStrategy::PerPacket,
         0.0,
         u64::MAX,
-        EngineConfig::default(),
         false,
     );
     assert!(chunked.counters.get("quic.pace_delays").unwrap_or(0) > 0);

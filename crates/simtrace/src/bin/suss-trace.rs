@@ -7,7 +7,6 @@
 //! suss-trace diff <a.jsonl> <b.jsonl>
 //! suss-trace verify <trace.jsonl>
 //! suss-trace profile <manifest.json> [--collapse] [--min-coverage PCT]
-//! suss-trace bench-diff <baseline.json> <fresh.json> [--max-slowdown PCT]
 //! suss-trace cache-stats [--dir results/cache]
 //! ```
 //!
@@ -19,9 +18,7 @@
 //! smoke check); `profile` renders the span profile embedded in a run
 //! manifest (`--collapse` emits collapsed-stack lines for flamegraph
 //! tools, `--min-coverage` turns the named-span coverage into a CI
-//! gate); `bench-diff` compares the `events_per_sec` groups of two
-//! `BENCH_hotpath` snapshots and exits non-zero on a slowdown beyond
-//! the budget; `cache-stats` reports size/age of the simrunner result
+//! gate); `cache-stats` reports size/age of the simrunner result
 //! cache.
 
 use std::io::Write as _;
@@ -38,7 +35,6 @@ fn usage() -> ExitCode {
          \x20      suss-trace diff <a.jsonl> <b.jsonl>\n\
          \x20      suss-trace verify <trace.jsonl>\n\
          \x20      suss-trace profile <manifest.json> [--collapse] [--min-coverage PCT]\n\
-         \x20      suss-trace bench-diff <baseline.json> <fresh.json> [--max-slowdown PCT]\n\
          \x20      suss-trace cache-stats [--dir results/cache]"
     );
     ExitCode::from(2)
@@ -54,7 +50,6 @@ struct Opts {
     dir: PathBuf,
     collapse: bool,
     min_coverage: Option<f64>,
-    max_slowdown: f64,
 }
 
 fn parse_opts(args: &[String]) -> Option<Opts> {
@@ -68,7 +63,6 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
         dir: PathBuf::from("results/cache"),
         collapse: false,
         min_coverage: None,
-        max_slowdown: 25.0,
     };
     let mut i = 0;
     while i < args.len() {
@@ -98,10 +92,6 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
             "--collapse" => o.collapse = true,
             "--min-coverage" => {
                 o.min_coverage = Some(need(i)?.parse().ok()?);
-                i += 1;
-            }
-            "--max-slowdown" => {
-                o.max_slowdown = need(i)?.parse().ok()?;
                 i += 1;
             }
             a if a.starts_with("--") => return None,
@@ -369,85 +359,6 @@ fn cmd_profile(o: &Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Collect every numeric field whose key ends in `events_per_sec`,
-/// keyed by its dotted path — the throughput groups of a
-/// `BENCH_hotpath` snapshot, without hard-coding its layout.
-fn collect_rates(json: &serde::Json, prefix: &str, out: &mut Vec<(String, f64)>) {
-    if let Some(obj) = json.as_obj() {
-        for (k, v) in obj {
-            let path = if prefix.is_empty() {
-                k.clone()
-            } else {
-                format!("{prefix}.{k}")
-            };
-            if k.ends_with("events_per_sec") {
-                if let Some(x) = v.as_f64() {
-                    out.push((path, x));
-                    continue;
-                }
-            }
-            collect_rates(v, &path, out);
-        }
-    }
-}
-
-fn cmd_bench_diff(o: &Opts) -> ExitCode {
-    let [base_path, fresh_path] = o.files.as_slice() else {
-        return usage();
-    };
-    let load_rates = |p: &Path| -> Result<Vec<(String, f64)>, ExitCode> {
-        let text = std::fs::read_to_string(p).map_err(|e| {
-            eprintln!("suss-trace: {}: {e}", p.display());
-            ExitCode::FAILURE
-        })?;
-        let json = serde::Json::parse(text.trim()).ok_or_else(|| {
-            eprintln!("suss-trace: {} is not valid JSON", p.display());
-            ExitCode::FAILURE
-        })?;
-        let mut rates = Vec::new();
-        collect_rates(&json, "", &mut rates);
-        if rates.is_empty() {
-            eprintln!("suss-trace: {} has no events_per_sec groups", p.display());
-            return Err(ExitCode::FAILURE);
-        }
-        Ok(rates)
-    };
-    let (base, fresh) = match (load_rates(base_path), load_rates(fresh_path)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(c), _) | (_, Err(c)) => return c,
-    };
-    println!(
-        "{:<44} {:>14} {:>14} {:>8}",
-        "criterion group", "baseline/s", "fresh/s", "change"
-    );
-    let mut worst: Option<(String, f64)> = None;
-    for (name, b) in &base {
-        let Some((_, f)) = fresh.iter().find(|(n, _)| n == name) else {
-            eprintln!(
-                "suss-trace: group '{name}' missing from {}",
-                fresh_path.display()
-            );
-            return ExitCode::FAILURE;
-        };
-        let change = 100.0 * (f - b) / b.max(1e-9);
-        println!("{:<44} {:>14.1} {:>14.1} {:>+7.1}%", name, b, f, change);
-        if worst.as_ref().is_none_or(|(_, w)| change < *w) {
-            worst = Some((name.clone(), change));
-        }
-    }
-    if let Some((name, change)) = worst {
-        if -change > o.max_slowdown {
-            eprintln!(
-                "suss-trace: FAIL: '{name}' slowed down {:.1}% (budget {:.0}%)",
-                -change, o.max_slowdown
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    println!("ok: no group slowed down more than {:.0}%", o.max_slowdown);
-    ExitCode::SUCCESS
-}
-
 struct CacheFile {
     len: u64,
     modified: std::time::SystemTime,
@@ -536,7 +447,6 @@ fn main() -> ExitCode {
         "diff" => cmd_diff(&opts),
         "verify" => cmd_verify(&opts),
         "profile" => cmd_profile(&opts),
-        "bench-diff" => cmd_bench_diff(&opts),
         "cache-stats" => cmd_cache_stats(&opts),
         _ => usage(),
     }

@@ -58,10 +58,11 @@ pub mod names {
     /// Simulator events scheduled (pushes into the event queue).
     pub const NET_EVENTS_SCHEDULED: &str = "net.events_scheduled";
     /// Far timers cascaded from the scheduler's overflow heap into the
-    /// timer wheel (0 under the binary-heap scheduler).
+    /// timer wheel.
     pub const NET_SCHED_CASCADES: &str = "net.sched_cascades";
     /// Same-tick same-link arrivals coalesced into an earlier dispatch's
-    /// batch (0 under `EngineConfig::baseline()`).
+    /// batch. Stored in every cached `FlowStats`, so it is part of each
+    /// campaign fingerprint.
     pub const NET_SCHED_BATCHED: &str = "net.sched_batched";
     /// Events addressed to a retired agent slot (stale timers from a
     /// torn-down flow, packets in flight at teardown). Dropped on arrival.

@@ -1,14 +1,14 @@
 //! Span-based wall-time profiler for campaign cells.
 //!
-//! `results/BENCH_hotpath.json` can say the scheduler got faster, but not
-//! where the remaining end-to-end time lives. This module attributes
-//! wall-time to named code regions ("spans") with flamegraph-compatible
-//! semantics: every nanosecond of an enabled window is credited to exactly
-//! one *stack path* (`"cell;sim/arrive;cc/on_ack"`), the join of the spans
-//! active when it elapsed. Time inside a span but outside its children is
-//! that path's *self time*, so the per-path self times tile the window —
-//! summing them reproduces total measured wall time, and the fraction
-//! under named spans is a direct coverage metric.
+//! A campaign's wall time says how long a cell took, but not where that
+//! time lives. This module attributes wall-time to named code regions
+//! ("spans") with flamegraph-compatible semantics: every nanosecond of an
+//! enabled window is credited to exactly one *stack path*
+//! (`"cell;sim/arrive;cc/on_ack"`), the join of the spans active when it
+//! elapsed. Time inside a span but outside its children is that path's
+//! *self time*, so the per-path self times tile the window — summing them
+//! reproduces total measured wall time, and the fraction under named spans
+//! is a direct coverage metric.
 //!
 //! Design constraints, in priority order:
 //!

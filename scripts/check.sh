@@ -26,8 +26,9 @@ if [ "$rows" -lt 2 ]; then
 fi
 
 echo "== engine determinism gate =="
-# The scheduler-equivalence contract, release-compiled: the timer wheel
-# must reproduce the binary-heap goldens exactly, serial and 4-worker.
+# The scheduler contract, release-compiled: the one engine must reproduce
+# the goldens recorded from the original binary-heap engine exactly,
+# serial and 4-worker.
 cargo test --release -q -p netsim --test wheel_equivalence
 cargo test --release -q -p experiments --test determinism
 
@@ -91,13 +92,15 @@ grep -q '"label":"scope/' results/ext_fleet.manifest.json \
 cargo run --release -q -p simtrace --bin suss-trace -- \
     profile results/ext_fleet.manifest.json --min-coverage 95 >/dev/null
 
-echo "== quic smoke (pacing-strategy matrix, quick, determinism re-run) =="
+echo "== quic smoke (pacing-strategy matrix, quick, profiled, determinism re-run) =="
 # The quick QUIC pacing matrix (2 scenarios × 3 strategies × 2 CCs) must
 # complete every download and publish FCT-percentile annotations; the bin
-# exits non-zero if any cell fails. A cold 2-worker re-run must reproduce
-# the annotations byte for byte — the campaign-level determinism gate for
-# the second transport.
-SUSS_CACHE_DIR="$SMOKE_DIR/quic-cache" \
+# exits non-zero if any cell fails. The first run is profiled and must
+# attribute ≥ 95% of wall time to named spans. A cold unprofiled 2-worker
+# re-run must reproduce the annotations byte for byte — the
+# campaign-level determinism gate for the second transport, which also
+# shows that profiling changes no result.
+SUSS_PROF=1 SUSS_CACHE_DIR="$SMOKE_DIR/quic-cache" \
     cargo run --release -q -p suss-bench --bin ext_quic_pacing -- --quick --no-progress \
     >"$SMOKE_DIR/quic.out"
 grep -Eq 'quic pacing: completed=[1-9][0-9]* incomplete=0' "$SMOKE_DIR/quic.out" \
@@ -106,6 +109,8 @@ grep -q '"p99"' results/ext_quic_pacing.manifest.json \
     || { echo "quic manifest missing FCT annotations" >&2; exit 1; }
 grep -q '"status":"Ok"' results/ext_quic_pacing.manifest.json \
     || { echo "quic manifest missing Ok cells" >&2; exit 1; }
+cargo run --release -q -p simtrace --bin suss-trace -- \
+    profile results/ext_quic_pacing.manifest.json --min-coverage 95 >/dev/null
 grep -o '"annotations":\[[^]]*\]' results/ext_quic_pacing.manifest.json \
     >"$SMOKE_DIR/quic-ann.1"
 SUSS_CACHE_DIR="$SMOKE_DIR/quic-cache" \
@@ -182,19 +187,19 @@ ls results/fig17.shard*.heartbeat.json >/dev/null 2>&1 \
 [ -f results/fig17.shardplan.json ] \
     && { echo "shard plan not cleaned up after success" >&2; exit 1; }
 
-echo "== perf-regression gate (quick bench vs committed baseline) =="
-# Diff a fresh quick A/B snapshot against the committed baseline; any
-# criterion group more than 25% slower fails the gate.
-cp results/BENCH_hotpath.quick.json "$SMOKE_DIR/bench_baseline.json"
+echo "== perfbench tests (the benchmark package builds against the workspace API) =="
+# perfbench/ is a package of its own outside the workspace, so nothing
+# else compiles it; its tests include a traced-vs-untraced fingerprint
+# check on real campaign cells.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
-# Short-iteration hotpath run: proves the A/B harness runs end to end and
-# that both engines still produce byte-identical results (the bin exits
-# non-zero on divergence), then feeds the regression diff. Full-mode
-# timings are recorded separately; see scripts/bench_snapshot.sh.
-scripts/bench_snapshot.sh --quick >/dev/null
-cargo run --release -q -p simtrace --bin suss-trace -- \
-    bench-diff "$SMOKE_DIR/bench_baseline.json" results/BENCH_hotpath.quick.json \
-    --max-slowdown 25
+echo "== shim crate tests =="
+# The in-repo stand-ins for serde/proptest/criterion sit outside the
+# workspace's default members; run their own unit tests here.
+for shim in serde proptest criterion; do
+    cargo test --offline -q --manifest-path "crates/shims/$shim/Cargo.toml" \
+        --target-dir target/shims
+done
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
