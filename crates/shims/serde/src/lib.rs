@@ -15,6 +15,10 @@
 //! * `f64` values render via Rust's shortest-roundtrip `Display`, so
 //!   parse(render(x)) == x bit-for-bit for finite values;
 //! * non-finite floats render as `null` and parse back as NaN.
+//!
+//! [`Json::parse`] runs in time linear in its input's length: each byte
+//! is scanned once, and each run of unescaped string bytes is validated
+//! and copied once.
 
 #![forbid(unsafe_code)]
 
@@ -279,8 +283,11 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
                     b'b' => s.push('\u{8}'),
                     b'f' => s.push('\u{c}'),
                     b'u' => {
-                        let hex = std::str::from_utf8(b.get(*pos + 1..*pos + 5)?).ok()?;
-                        let cp = u32::from_str_radix(hex, 16).ok()?;
+                        // Exactly four hex digits, no sign.
+                        let cp = b
+                            .get(*pos + 1..*pos + 5)?
+                            .iter()
+                            .try_fold(0, |cp, &h| Some(cp * 16 + (h as char).to_digit(16)?))?;
                         s.push(char::from_u32(cp)?);
                         *pos += 4;
                     }
@@ -289,11 +296,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
                 *pos += 1;
             }
             _ => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..]).ok()?;
-                let c = rest.chars().next()?;
-                s.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next `"` or `\`. Both are
+                // ASCII, so the run ends on a char boundary and each byte
+                // is validated once: parsing stays linear in the input.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                s.push_str(std::str::from_utf8(&b[start..*pos]).ok()?);
             }
         }
     }
@@ -549,6 +559,43 @@ mod tests {
         let s = "a\"b\\c\nd\u{1}".to_string();
         let rendered = to_string(&s);
         assert_eq!(from_str::<String>(&rendered), Some(s));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u0041""#), Some(Json::Str("A".into())));
+        assert_eq!(Json::parse(r#""\u00E9x""#), Some(Json::Str("éx".into())));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u00g1""#,
+            r#""\u004""#,
+            r#""\u00"#,
+            r#""\u"#,
+        ] {
+            assert_eq!(Json::parse(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn string_runs_split_at_escapes() {
+        let cases = [
+            (r#""""#, ""),
+            (r#""\nab""#, "\nab"),
+            (r#""ab\n""#, "ab\n"),
+            (r#""\n""#, "\n"),
+            (r#""\"\\\/\t\u0001""#, "\"\\/\t\u{1}"),
+            (r#""a\\b\"c""#, "a\\b\"c"),
+            (r#""é\n😀\té""#, "é\n😀\té"),
+            (r#""é日日""#, "é日日"),
+        ];
+        for (text, want) in cases {
+            assert_eq!(Json::parse(text), Some(Json::Str(want.into())), "{text}");
+        }
+        // Unterminated runs, with and without a trailing escape.
+        for bad in [r#""abc"#, r#""é"#, r#""a\"#, r#""\""#] {
+            assert_eq!(Json::parse(bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -144,6 +144,7 @@ impl LogHistogram {
 mod tests {
     use super::*;
     use crate::summary::percentile as exact_percentile;
+    use proptest::prelude::*;
 
     /// Worst-case relative error of a geometric-center report: half a bin
     /// in log space, i.e. a factor of 10^(1/64) ≈ 1.0366.
@@ -222,6 +223,40 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert_eq!(h.percentile(1.0), 1e-4, "underflow reports the floor");
         assert_eq!(h.percentile(100.0), 1e4, "overflow reports the ceiling");
+    }
+
+    fn filled(vals: &[f64]) -> LogHistogram {
+        let mut h = LogHistogram::new();
+        for &v in vals {
+            h.observe(v);
+        }
+        h
+    }
+
+    proptest! {
+        #[test]
+        fn merge_laws_hold_for_any_values_and_splits(
+            vals in prop::collection::vec(
+                prop_oneof![
+                    (-4.0f64..4.0).prop_map(|e| 10f64.powf(e)),
+                    (0..BINS).prop_map(|i| LO * 10f64.powf(i as f64 / BINS_PER_DECADE as f64)),
+                    (0usize..5).prop_map(|i| [f64::NAN, 0.0, -0.0, f64::INFINITY, HI][i]),
+                    -1e4f64..0.0,
+                    HI..1e12,
+                ],
+                0..300,
+            ),
+            cuts in (0.0f64..1.0, 0.0f64..1.0),
+        ) {
+            let at = |f: f64| (f * vals.len() as f64) as usize;
+            let (i, j) = (at(cuts.0.min(cuts.1)), at(cuts.0.max(cuts.1)));
+            let (a, b, c) = (filled(&vals[..i]), filled(&vals[i..j]), filled(&vals[j..]));
+            let serial = filled(&vals);
+            prop_assert_eq!(a.merged(&b), b.merged(&a));
+            prop_assert_eq!(a.merged(&b).merged(&c), a.merged(&b.merged(&c)));
+            prop_assert_eq!(a.merged(&b).merged(&c), serial);
+            prop_assert_eq!(serial.count(), vals.len() as u64);
+        }
     }
 
     #[test]

@@ -193,6 +193,14 @@ echo "== perfbench tests (the benchmark package builds against the workspace API
 # check on real campaign cells.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "== rerun smoke (warm fig18 cache hits through Cache::load) =="
+# One short timed rerun pass: fig18's 10,920 cell identities against a
+# warm cache, every hit read back through the JSON parser and checked
+# intact. perfbench exits non-zero if any entry is not served intact or
+# the campaign fingerprint disagrees.
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload rerun --seed 1 --seconds 1 --trace 0 >/dev/null
+
 echo "== shim crate tests =="
 # The in-repo stand-ins for serde/proptest/criterion sit outside the
 # workspace's default members; run their own unit tests here.
