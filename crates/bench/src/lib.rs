@@ -9,19 +9,17 @@
 //! table. All experiments run as simrunner campaigns, so every binary
 //! also accepts the parallel-execution flags (`--workers`, `--no-cache`,
 //! `--cold`, `--no-progress`), runs on the worker pool unless a shard
-//! flag says otherwise (`--shards N` to coordinate N shard child
-//! processes, `--shard K/N` to run one shard, `--merge-shards N` to
-//! merge already-written shard manifests, `--shard-lease-ms N` /
-//! `--shard-restarts N` to tune the coordinator's heartbeat lease and
-//! dead-shard restart budget), caches results under `results/cache/`,
-//! and writes a run manifest to `results/<name>.manifest.json`.
+//! flag says otherwise (`--shard K/N` to run one shard and exit,
+//! `--merge-shards N` to merge already-written shard manifests;
+//! `scripts/shard_run.sh` drives both), caches results under
+//! `results/cache/`, and writes a run manifest to
+//! `results/<name>.manifest.json`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use simrunner::{ExecSpec, RunManifest, RunnerOpts};
+use simrunner::{parse_shard, ExecSpec, RunManifest, RunnerOpts};
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// The shared command line of every figure/table/ablation binary.
 ///
@@ -50,21 +48,10 @@ pub struct BenchCli {
     /// `results/<name>.trace.jsonl`" — resolve it with
     /// [`BenchCli::trace_path`].
     pub trace: Option<PathBuf>,
-    /// Coordinate N shard child processes (`--shards N`).
-    pub shards: Option<usize>,
     /// Run as one shard of a split campaign (`--shard K/N`).
     pub shard: Option<(usize, usize)>,
     /// Merge already-written shard manifests (`--merge-shards N`).
     pub merge_shards: Option<usize>,
-    /// Coordinator heartbeat lease in milliseconds (`--shard-lease-ms N`;
-    /// 0 disables lease monitoring).
-    pub shard_lease_ms: Option<u64>,
-    /// Per-shard restart budget for dead shard children
-    /// (`--shard-restarts N`).
-    pub shard_restarts: Option<u32>,
-    /// The arguments a shard child should re-run with: this invocation's
-    /// argv minus the shard-orchestration flags.
-    child_args: Vec<String>,
 }
 
 impl BenchCli {
@@ -80,27 +67,14 @@ impl BenchCli {
             cold: false,
             no_progress: false,
             trace: None,
-            shards: None,
             shard: None,
             merge_shards: None,
-            shard_lease_ms: None,
-            shard_restarts: None,
-            child_args: Vec::new(),
         };
         let mut args = std::env::args().skip(1).peekable();
-        // Keep every argument a shard child should inherit; the
-        // orchestration flags themselves must not recurse into children.
-        let keep = |o: &mut BenchCli, a: &str| o.child_args.push(a.to_string());
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--quick" => {
-                    o.quick = true;
-                    keep(&mut o, "--quick");
-                }
-                "--csv" => {
-                    o.csv = true;
-                    keep(&mut o, "--csv");
-                }
+                "--quick" => o.quick = true,
+                "--csv" => o.csv = true,
                 "--workers" => {
                     o.workers = match args.next().and_then(|v| v.parse().ok()) {
                         Some(w) => w,
@@ -109,34 +83,13 @@ impl BenchCli {
                             std::process::exit(2);
                         }
                     };
-                    keep(&mut o, "--workers");
-                    let w = o.workers.to_string();
-                    keep(&mut o, &w);
                 }
-                "--no-cache" => {
-                    o.no_cache = true;
-                    keep(&mut o, "--no-cache");
-                }
-                "--cold" => {
-                    o.cold = true;
-                    keep(&mut o, "--cold");
-                }
+                "--no-cache" => o.no_cache = true,
+                "--cold" => o.cold = true,
                 "--no-progress" => o.no_progress = true,
-                "--shards" => {
-                    o.shards = match args.next().and_then(|v| v.parse().ok()) {
-                        Some(0) | None => {
-                            eprintln!("--shards needs a shard count >= 1");
-                            std::process::exit(2);
-                        }
-                        n => n,
-                    }
-                }
                 "--shard" => {
                     let spec = args.next().unwrap_or_default();
-                    o.shard = match spec.split_once('/').and_then(|(k, n)| {
-                        Some((k.parse().ok()?, n.parse().ok()?))
-                            .filter(|&(k, n): &(usize, usize)| n >= 1 && k < n)
-                    }) {
+                    o.shard = match parse_shard(&spec) {
                         Some(kn) => Some(kn),
                         None => {
                             eprintln!("--shard needs K/N with K < N, got {spec:?}");
@@ -153,26 +106,6 @@ impl BenchCli {
                         n => n,
                     }
                 }
-                // Coordinator-side supervision knobs: children inherit
-                // neither (the coordinator watches them, not vice versa).
-                "--shard-lease-ms" => {
-                    o.shard_lease_ms = match args.next().and_then(|v| v.parse().ok()) {
-                        Some(ms) => Some(ms),
-                        None => {
-                            eprintln!("--shard-lease-ms needs milliseconds (0 disables)");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                "--shard-restarts" => {
-                    o.shard_restarts = match args.next().and_then(|v| v.parse().ok()) {
-                        Some(n) => Some(n),
-                        None => {
-                            eprintln!("--shard-restarts needs a restart budget");
-                            std::process::exit(2);
-                        }
-                    }
-                }
                 "--trace" => {
                     // Optional operand: `--trace out.jsonl` or bare
                     // `--trace` for the binary's default path.
@@ -186,8 +119,7 @@ impl BenchCli {
                     eprintln!(
                         "usage: {name} [--quick] [--csv] [--workers N] [--no-cache] \
                          [--cold] [--no-progress] [--trace [PATH]] \
-                         [--shards N] [--shard K/N] [--merge-shards N] \
-                         [--shard-lease-ms N] [--shard-restarts N]"
+                         [--shard K/N | --merge-shards N]"
                     );
                     std::process::exit(0);
                 }
@@ -197,15 +129,6 @@ impl BenchCli {
                 }
             }
         }
-        // Shard children exchange results through the shared cache; a
-        // cacheless split could never be merged back together.
-        if (o.shards.is_some() || o.shard.is_some() || o.merge_shards.is_some()) && o.no_cache {
-            eprintln!("sharded execution requires the result cache (drop --no-cache)");
-            std::process::exit(2);
-        }
-        // Child shard processes write no terminal; their progress
-        // streams would interleave illegibly.
-        o.child_args.push("--no-progress".to_string());
         if o.trace.is_none() {
             if let Ok(p) = std::env::var("SUSS_TRACE") {
                 if !p.is_empty() {
@@ -262,11 +185,12 @@ impl BenchCli {
     /// stderr (human output goes to stdout, so redirects stay clean),
     /// flight-recorder dumps under `results/flightrec/` for cells that
     /// terminally panic or time out, the executor selected by the
-    /// `--shards`/`--shard`/`--merge-shards` flags (the pool when none
-    /// is given), and `SUSS_*` environment overrides applied last (so a
-    /// coordinator's `SUSS_SHARD=k/N` wins inside shard children;
-    /// `SUSS_FLIGHTREC_DIR=` disables the recorder, `SUSS_PROF=1`
-    /// enables per-cell span profiling).
+    /// `--shard`/`--merge-shards` flags (the pool when neither is
+    /// given), and `SUSS_*` environment overrides applied last
+    /// (`SUSS_FLIGHTREC_DIR=` disables the recorder, `SUSS_PROF=1`
+    /// enables per-cell span profiling). Exits with status 2 when the
+    /// final options shard without a cache (`--no-cache` or
+    /// `SUSS_NO_CACHE=1`): shards exchange results only through it.
     pub fn runner(&self) -> RunnerOpts {
         let mut r = RunnerOpts::default().with_workers(self.workers);
         if !self.no_cache {
@@ -282,21 +206,15 @@ impl BenchCli {
             // not run on a partial result set.
             r.executor = ExecSpec::Shard { index, total };
             r.shard_exit = true;
-        } else if let Some(shards) = self.shards {
-            r.executor = ExecSpec::Coordinator {
-                shards,
-                argv: Some(self.child_args.clone()),
-            };
         } else if let Some(shards) = self.merge_shards {
             r.executor = ExecSpec::MergeShards { shards };
         }
-        if let Some(ms) = self.shard_lease_ms {
-            r.shard_lease = (ms > 0).then(|| Duration::from_millis(ms));
+        let r = r.env_overrides();
+        if let Err(e) = r.check_sharding() {
+            eprintln!("{e}");
+            std::process::exit(2);
         }
-        if let Some(n) = self.shard_restarts {
-            r.shard_restarts = n;
-        }
-        r.env_overrides()
+        r
     }
 
     /// Write a campaign manifest to `results/<name>.manifest.json`.

@@ -159,8 +159,9 @@ impl FlowGrid {
     }
 
     /// Execute every queued cell on the executor selected by `opts`
-    /// (the pool by default; shard, coordinator or merge via
-    /// [`simrunner::ExecSpec`] / the `SUSS_SHARD` environment knob).
+    /// (the pool by default; one shard or the merge of a split campaign
+    /// via [`simrunner::ExecSpec`], which a bench binary's `--shard K/N`
+    /// and `--merge-shards N` select).
     ///
     /// Failure handling follows `opts.on_failure`: under the default
     /// raise policy any terminal cell failure panics with the cell's

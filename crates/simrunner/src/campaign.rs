@@ -4,7 +4,7 @@
 //! Execution itself lives in [`crate::exec`]: a [`Campaign`] is pure
 //! data, and [`Campaign::run`] hands it to the [`Executor`] its options
 //! select — the deterministic thread pool, one shard of a split
-//! campaign, or the multi-process shard coordinator. All engines commit
+//! campaign, or the merge of a split campaign's shards. All engines commit
 //! results by cell index, so the output is byte-identical regardless of
 //! worker count, scheduling, cache state, or sharding.
 
@@ -57,27 +57,17 @@ pub enum ExecSpec {
     Pool,
     /// Run only the cells owned by shard `index` of `total` (round-robin
     /// by cell index) and write a shard manifest next to the campaign's
-    /// manifest stem. Set by `SUSS_SHARD=k/N` in shard child processes.
+    /// manifest stem. A bench binary's `--shard K/N` selects it.
     Shard {
         /// This process's shard index, in `0..total`.
         index: usize,
         /// Number of shards the campaign is split into.
         total: usize,
     },
-    /// Split the campaign into `shards` shard runs against the shared
-    /// cache, then merge the shard manifests and reload the results —
-    /// indistinguishable from a single-process run. With `argv: Some`,
-    /// shards run as child processes of the current executable with those
-    /// arguments (plus `SUSS_SHARD=k/N` in the environment); with
-    /// `argv: None` they run in-process, one after another.
-    Coordinator {
-        /// How many shards to split into.
-        shards: usize,
-        /// Child-process arguments, or `None` for in-process shards.
-        argv: Option<Vec<String>>,
-    },
     /// Merge already-written shard manifests (e.g. from runs on other
-    /// machines against the shared cache) without executing anything.
+    /// machines against the shared cache) and reload the results — a
+    /// report indistinguishable from a single-process run. Only cells of
+    /// a shard with no usable manifest execute, inline.
     MergeShards {
         /// How many shard manifests to expect.
         shards: usize,
@@ -107,15 +97,16 @@ pub enum ExecSpec {
 /// | `SUSS_CELL_RETRIES` | panic retry budget per cell |
 /// | `SUSS_PROF` | `0` disables, anything else enables the span profiler |
 /// | `SUSS_FLIGHTREC_DIR` | crash-dump directory (empty disables) |
-/// | `SUSS_SHARD` | `k/N`: run as shard `k` of `N` and exit afterwards |
-/// | `SUSS_SHARD_LEASE_MS` | heartbeat lease on shard children (`0` disables) |
-/// | `SUSS_SHARD_RESTARTS` | dead-shard restart budget before inline reassignment |
-/// | `SUSS_CHAOS_KILL_SHARD` | `k:after_cells` — shard `k` SIGKILLs itself mid-run |
+///
+/// The executor is never set from the environment: shard runs and
+/// merges come from explicit options (a bench binary's `--shard K/N` and
+/// `--merge-shards N`). [`check_sharding`](Self::check_sharding) vets the
+/// final options, after these overrides.
 ///
 /// (`SUSS_TRACE` — the event-trace output path — is consumed by the
 /// bench CLI and `suss-sim`, not by the runner; it selects where traces
 /// go, not how cells execute.)
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunnerOpts {
     /// Worker threads; `0` means `std::thread::available_parallelism()`.
     pub workers: usize,
@@ -155,60 +146,16 @@ pub struct RunnerOpts {
     /// Which executor [`RunnerOpts::executor`] builds.
     pub executor: ExecSpec,
     /// Path stem for campaign manifests (shard manifests land at
-    /// `<stem>.shard<k>of<N>.manifest.json`, the shard plan at
-    /// `<stem>.shardplan.json`). `None` defaults to
+    /// `<stem>.shard<k>of<N>.manifest.json`). `None` defaults to
     /// `results/<experiment>`.
     pub manifest_stem: Option<PathBuf>,
     /// Whether a [`ExecSpec::Shard`] run exits the process after writing
-    /// its shard manifest (exit code 0, or 3 when cells failed). Set when
-    /// sharding comes from `SUSS_SHARD` — a shard child must not fall
+    /// its shard manifest (exit code 0, or 3 when cells failed). Set by a
+    /// bench binary's `--shard K/N` — a shard process must not fall
     /// through into the bin's figure rendering on partial results.
-    /// In-process shard runs (tests, the in-process coordinator)
+    /// In-process shard runs (tests, the merge's inline reassignment)
     /// leave this `false`.
     pub shard_exit: bool,
-    /// Heartbeat lease for shard children (coordinator): a shard whose
-    /// progress epoch has not advanced for this long is declared dead —
-    /// killed, then restarted or reassigned. Stall-aware like the
-    /// per-cell watchdog: a slow shard that keeps advancing its epoch is
-    /// never expired. `None` disables the lease (abnormal exits are
-    /// still detected via the child's exit status).
-    pub shard_lease: Option<Duration>,
-    /// How many times the coordinator restarts a dead shard child (with
-    /// linear backoff) before giving up and reassigning its remaining
-    /// cells inline. `0` skips straight to reassignment.
-    pub shard_restarts: u32,
-    /// Chaos injection `(shard_index, after_cells)`: the matching shard
-    /// child SIGKILLs itself after computing that many cache-miss cells.
-    /// Armed only in processes whose shard came from `SUSS_SHARD`
-    /// ([`shard_exit`](Self::shard_exit)), so a coordinator or inline
-    /// recovery pass sharing the environment never kills itself.
-    pub chaos_kill_shard: Option<(usize, u64)>,
-}
-
-impl Default for RunnerOpts {
-    fn default() -> Self {
-        RunnerOpts {
-            workers: 0,
-            cache_dir: None,
-            force_cold: false,
-            progress: false,
-            cache_max_bytes: None,
-            cell_timeout: None,
-            stall_timeout: None,
-            cell_retries: 0,
-            profile: false,
-            flightrec_dir: None,
-            on_failure: FailurePolicy::default(),
-            executor: ExecSpec::default(),
-            manifest_stem: None,
-            shard_exit: false,
-            shard_lease: None,
-            // One free restart by default: a transient death (OOM kill,
-            // operator mistake) recovers without any knob-turning.
-            shard_restarts: 1,
-            chaos_kill_shard: None,
-        }
-    }
 }
 
 impl RunnerOpts {
@@ -301,19 +248,6 @@ impl RunnerOpts {
         self
     }
 
-    /// Set the shard heartbeat lease (see [`RunnerOpts::shard_lease`]).
-    pub fn with_shard_lease(mut self, lease: Duration) -> Self {
-        self.shard_lease = Some(lease);
-        self
-    }
-
-    /// Set the dead-shard restart budget
-    /// (see [`RunnerOpts::shard_restarts`]).
-    pub fn with_shard_restarts(mut self, restarts: u32) -> Self {
-        self.shard_restarts = restarts;
-        self
-    }
-
     /// Apply the `SUSS_*` environment overrides on top of these options
     /// (see the [type docs](RunnerOpts) for the variable table), warning
     /// on stderr about malformed values.
@@ -389,38 +323,24 @@ impl RunnerOpts {
         if let Some(d) = get("SUSS_FLIGHTREC_DIR") {
             self.flightrec_dir = (!d.is_empty()).then(|| PathBuf::from(d));
         }
-        if let Some(s) = get("SUSS_SHARD") {
-            match parse_shard(&s) {
-                Some((index, total)) => {
-                    self.executor = ExecSpec::Shard { index, total };
-                    // Env-driven sharding means "this process is shard
-                    // k/N of a coordinated run": write the shard manifest
-                    // and exit rather than rendering figures from a
-                    // partial result set.
-                    self.shard_exit = true;
-                }
-                None => warn("SUSS_SHARD", &s, "`k/N` with k < N"),
-            }
-        }
-        if let Some(ms) = get("SUSS_SHARD_LEASE_MS") {
-            match ms.parse::<u64>() {
-                Ok(ms) => self.shard_lease = (ms > 0).then(|| Duration::from_millis(ms)),
-                Err(_) => warn("SUSS_SHARD_LEASE_MS", &ms, "milliseconds (0 disables)"),
-            }
-        }
-        if let Some(r) = get("SUSS_SHARD_RESTARTS") {
-            match r.parse() {
-                Ok(r) => self.shard_restarts = r,
-                Err(_) => warn("SUSS_SHARD_RESTARTS", &r, "a restart budget"),
-            }
-        }
-        if let Some(spec) = get("SUSS_CHAOS_KILL_SHARD") {
-            match parse_kill_shard(&spec) {
-                Some(v) => self.chaos_kill_shard = Some(v),
-                None => warn("SUSS_CHAOS_KILL_SHARD", &spec, "`k:after_cells`"),
-            }
-        }
         (self, warnings)
+    }
+
+    /// Reject option sets that cannot work: shards exchange results only
+    /// through the shared cache, so a shard run or a merge without a
+    /// `cache_dir` would cache nothing and leave the merge to recompute
+    /// every cell serially. Call on the final options, after
+    /// [`env_overrides`](Self::env_overrides) (`SUSS_NO_CACHE=1` clears
+    /// the cache there).
+    pub fn check_sharding(&self) -> Result<(), String> {
+        match self.executor {
+            ExecSpec::Shard { .. } | ExecSpec::MergeShards { .. } if self.cache_dir.is_none() => {
+                Err("sharded execution requires the result cache \
+                     (drop --no-cache / SUSS_NO_CACHE)"
+                    .to_string())
+            }
+            _ => Ok(()),
+        }
     }
 
     pub(crate) fn resolved_workers(&self) -> usize {
@@ -443,14 +363,9 @@ impl RunnerOpts {
     }
 }
 
-/// Parse `SUSS_CHAOS_KILL_SHARD`-style `k:after_cells` chaos specs.
-fn parse_kill_shard(s: &str) -> Option<(usize, u64)> {
-    let (k, after) = s.split_once(':')?;
-    Some((k.trim().parse().ok()?, after.trim().parse().ok()?))
-}
-
-/// Parse `SUSS_SHARD`-style `k/N` shard coordinates.
-fn parse_shard(s: &str) -> Option<(usize, usize)> {
+/// Parse `K/N` shard coordinates (`--shard K/N`): `None` unless
+/// `K < N`.
+pub fn parse_shard(s: &str) -> Option<(usize, usize)> {
     let (k, n) = s.split_once('/')?;
     let (k, n) = (
         k.trim().parse::<usize>().ok()?,
@@ -671,11 +586,8 @@ impl Campaign {
             cell_retries: parts.cell_retries,
             cell_timeouts: parts.cell_timeouts,
             cache_quarantined: parts.cache_quarantined,
-            // Recovery counters are stamped by the coordinator after the
-            // merge; a freshly assembled single-process manifest has none.
-            shard_restarts: 0,
+            // Stamped by the merge; a freshly assembled manifest has none.
             cells_reassigned: 0,
-            lease_expiries: 0,
             results_digest: parts.results_digest,
             fingerprint: String::new(),
             annotations: Vec::new(),
@@ -851,9 +763,6 @@ mod tests {
             ("SUSS_CELL_RETRIES", "2"),
             ("SUSS_PROF", "1"),
             ("SUSS_FLIGHTREC_DIR", "/tmp/frec"),
-            ("SUSS_SHARD_LEASE_MS", "2000"),
-            ("SUSS_SHARD_RESTARTS", "3"),
-            ("SUSS_CHAOS_KILL_SHARD", "1:5"),
         ]));
         assert!(warnings.is_empty(), "{warnings:?}");
         assert_eq!(opts.workers, 3);
@@ -866,29 +775,32 @@ mod tests {
         assert_eq!(opts.cell_retries, 2);
         assert!(opts.profile);
         assert_eq!(opts.flightrec_dir.as_deref(), Some(Path::new("/tmp/frec")));
+        assert_eq!(opts.executor, ExecSpec::Pool);
         assert!(!opts.shard_exit);
-        assert_eq!(opts.shard_lease, Some(Duration::from_millis(2000)));
-        assert_eq!(opts.shard_restarts, 3);
-        assert_eq!(opts.chaos_kill_shard, Some((1, 5)));
     }
 
     #[test]
-    fn apply_env_lease_zero_disables() {
-        let base = RunnerOpts::default().with_shard_lease(Duration::from_secs(5));
-        let (opts, warnings) = base.apply_env(env_of(&[("SUSS_SHARD_LEASE_MS", "0")]));
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert_eq!(opts.shard_lease, None, "0 must disable the lease");
-    }
-
-    #[test]
-    fn apply_env_shard_coordinates_imply_process_exit() {
-        let (opts, warnings) = RunnerOpts::default().apply_env(env_of(&[("SUSS_SHARD", "1/4")]));
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert_eq!(opts.executor, ExecSpec::Shard { index: 1, total: 4 });
-        assert!(
-            opts.shard_exit,
-            "env-driven shards must exit after the shard manifest"
-        );
+    fn sharding_without_cache_is_rejected_after_env_overrides() {
+        let cached = RunnerOpts::default().with_cache("/tmp/cache");
+        for spec in [
+            ExecSpec::Shard { index: 0, total: 2 },
+            ExecSpec::MergeShards { shards: 2 },
+        ] {
+            let opts = cached.clone().with_executor(spec.clone());
+            assert_eq!(opts.check_sharding(), Ok(()), "{spec:?} with a cache");
+            // The flags asked for a cache; the environment took it away.
+            let (opts, warnings) = opts.apply_env(env_of(&[("SUSS_NO_CACHE", "1")]));
+            assert!(warnings.is_empty(), "{warnings:?}");
+            assert_eq!(opts.cache_dir, None);
+            assert!(
+                opts.check_sharding()
+                    .is_err_and(|e| e.contains("requires the result cache")),
+                "{spec:?} without a cache must be rejected"
+            );
+        }
+        // The pool runs fine uncached.
+        let (pool, _) = cached.apply_env(env_of(&[("SUSS_NO_CACHE", "1")]));
+        assert_eq!(pool.check_sharding(), Ok(()));
     }
 
     #[test]
@@ -903,12 +815,8 @@ mod tests {
             ("SUSS_CELL_TIMEOUT_MS", "soon"),
             ("SUSS_STALL_TIMEOUT_MS", "1e3"),
             ("SUSS_CELL_RETRIES", "2.5"),
-            ("SUSS_SHARD", "4/4"),
-            ("SUSS_SHARD_LEASE_MS", "soonish"),
-            ("SUSS_SHARD_RESTARTS", "-1"),
-            ("SUSS_CHAOS_KILL_SHARD", "whenever"),
         ]));
-        assert_eq!(warnings.len(), 9, "{warnings:?}");
+        assert_eq!(warnings.len(), 5, "{warnings:?}");
         for w in &warnings {
             assert!(w.starts_with("ignoring SUSS_"), "{w}");
         }
@@ -917,10 +825,6 @@ mod tests {
         assert_eq!(opts.cache_max_bytes, Some(1024));
         assert_eq!(opts.cell_timeout, None);
         assert_eq!(opts.executor, ExecSpec::Pool);
-        assert!(!opts.shard_exit);
-        assert_eq!(opts.shard_lease, None);
-        assert_eq!(opts.shard_restarts, 1, "default restart budget survives");
-        assert_eq!(opts.chaos_kill_shard, None);
     }
 
     #[test]
@@ -932,15 +836,6 @@ mod tests {
         assert_eq!(parse_shard("2"), None);
         assert_eq!(parse_shard("a/b"), None);
         assert_eq!(parse_shard("1/0"), None);
-    }
-
-    #[test]
-    fn chaos_kill_spec_parses_index_and_cell_count() {
-        assert_eq!(parse_kill_shard("1:3"), Some((1, 3)));
-        assert_eq!(parse_kill_shard(" 0 : 12 "), Some((0, 12)));
-        assert_eq!(parse_kill_shard("1"), None);
-        assert_eq!(parse_kill_shard("a:3"), None);
-        assert_eq!(parse_kill_shard("1:soon"), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A [`Campaign`] is pure data; the [`ExecSpec`] in its [`RunnerOpts`]
 //! decides *how* its cells get computed. [`RunnerOpts::executor`] hands
-//! back an [`Executor`] that dispatches once on that spec to one of four
+//! back an [`Executor`] that dispatches once on that spec to one of three
 //! plain functions, all committing results by cell index so the output
 //! is byte-identical across engines:
 //!
@@ -13,31 +13,23 @@
 //! * `shard k/N` ([`ExecSpec::Shard`]) — the pool over only the cells
 //!   shard `k` owns (round-robin by index, see [`ShardInfo::owns`])
 //!   against the shared cache, writing a shard manifest;
-//! * `coordinator(N shards)` ([`ExecSpec::Coordinator`]) — runs N shards
-//!   (child processes or in-process), merges their manifests with
-//!   [`RunManifest::merge_shards`], reloads the results from the shared
-//!   cache, and returns a report indistinguishable from a single-process
-//!   run — same results, same manifest fingerprint;
-//! * `merged(N shards)` ([`ExecSpec::MergeShards`]) — the coordinator's
-//!   merge alone, over shard manifests written elsewhere.
+//! * `merged(N shards)` ([`ExecSpec::MergeShards`]) — merges the N shard
+//!   manifests with [`RunManifest::merge_shards`], reloads the results
+//!   from the shared cache, and returns a report indistinguishable from a
+//!   single-process run — same results, same manifest fingerprint.
 //!
-//! The coordinator is self-healing: each shard child writes a heartbeat
-//! file ticked from its progress epoch, a stall-aware [`LeaseClock`]
-//! declares shards dead (lease expiry or abnormal exit), dead shards are
-//! restarted on a bounded budget with linear backoff, and whatever still
-//! has no usable shard manifest at merge time has its remaining cells
-//! reassigned inline — so a SIGKILLed shard costs only its unfinished
-//! cells, never the campaign.
+//! The merge validates every shard manifest it reads. One that is
+//! missing, corrupt, or from another campaign is quarantined and its
+//! cells are reassigned inline against the warm shared cache, so a
+//! killed shard costs only its unfinished cells, never the campaign.
 
 use crate::campaign::{
     dump_flightrec, panic_message, run_bracketed, Campaign, CampaignReport, Cell, CellTelemetry,
     ExecSpec, FailurePolicy, ManifestParts, RunnerOpts,
 };
-use crate::manifest::{
-    shard_heartbeat_path, shard_manifest_path, CellRecord, CellStatus, RunManifest, ShardInfo,
-};
+use crate::manifest::{shard_manifest_path, CellRecord, CellStatus, RunManifest, ShardInfo};
 use crate::pool::BoundedQueue;
-use crate::progress::{read_heartbeat, Heartbeat, Progress};
+use crate::progress::Progress;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
@@ -50,12 +42,7 @@ use std::time::{Duration, Instant};
 const TICK: Duration = Duration::from_millis(20);
 /// Backoff unit: attempt `k` waits `k × RETRY_BACKOFF` before re-running.
 const RETRY_BACKOFF: Duration = Duration::from_millis(25);
-/// Poll interval of the coordinator's shard-child monitor.
-const SHARD_POLL: Duration = Duration::from_millis(40);
-/// Backoff unit for dead-shard restarts: restart `r` of a shard waits
-/// `r × SHARD_RESTART_BACKOFF` before respawning.
-const SHARD_RESTART_BACKOFF: Duration = Duration::from_millis(200);
-/// Exit code of a shard child whose cells failed (manifest still written).
+/// Exit code of a shard process whose cells failed (manifest still written).
 pub const SHARD_FAILED_EXIT: i32 = 3;
 
 /// The executor selected by [`RunnerOpts::executor`]: the options a
@@ -92,9 +79,6 @@ impl Executor<'_> {
                 };
                 run_shard(campaign, opts, shard, opts.shard_exit, f)
             }
-            ExecSpec::Coordinator { shards, argv } => {
-                run_coordinator(campaign, opts, *shards, argv.as_deref(), f)
-            }
             ExecSpec::MergeShards { shards } => run_merge(campaign, opts, *shards, f),
         }
     }
@@ -116,11 +100,6 @@ struct Prepared<T> {
     cache_hits: usize,
     skipped: usize,
     progress: Progress,
-    /// The shard this run covers, when any.
-    shard: Option<ShardInfo>,
-    /// Liveness publisher for shard runs (see [`Heartbeat`]); `None` for
-    /// unsharded runs.
-    heartbeat: Option<Heartbeat>,
 }
 
 /// Failure/observability tallies from an executor's compute phase.
@@ -149,15 +128,6 @@ fn prepare<T: Deserialize>(
     let owns = |i: usize| shard.is_none_or(|s| s.owns(i));
     let owned_total = (0..n).filter(|&i| owns(i)).count();
     let mut progress = Progress::new(&campaign.experiment, owned_total, opts.progress);
-    // Publish liveness as early as possible: the coordinator's lease
-    // starts counting at spawn time.
-    let mut heartbeat = shard.map(|s| {
-        Heartbeat::new(shard_heartbeat_path(
-            &opts.stem_for(&campaign.experiment),
-            s.index,
-            s.total,
-        ))
-    });
     let mut pending: Vec<usize> = Vec::new();
     let mut skipped = 0usize;
     for cell in &campaign.cells {
@@ -183,9 +153,6 @@ fn prepare<T: Deserialize>(
         }
     }
     let cache_hits = owned_total - pending.len();
-    if let Some(hb) = heartbeat.as_mut() {
-        hb.beat(progress.done() as u64);
-    }
     Prepared {
         started,
         workers,
@@ -196,8 +163,6 @@ fn prepare<T: Deserialize>(
         cache_hits,
         skipped,
         progress,
-        shard,
-        heartbeat,
     }
 }
 
@@ -333,26 +298,10 @@ where
         return tallies;
     }
     let n = campaign.cells.len();
-    // `SUSS_CHAOS_KILL_SHARD` propagates to every process in the tree
-    // (children inherit the environment); arm it only in a real shard
-    // child (`shard_exit`) whose index matches, so the coordinator and
-    // the inline recovery pass never kill themselves.
-    let chaos_kill_after = match (opts.chaos_kill_shard, prep.shard) {
-        (Some((k, after)), Some(s)) if opts.shard_exit && s.index == k => Some(after),
-        _ => None,
-    };
-    let shard = prep.shard;
     let results = &mut prep.results;
     let records = &mut prep.records;
     let cache = &prep.cache;
     let progress = &mut prep.progress;
-    let heartbeat = &mut prep.heartbeat;
-    // The heartbeat epoch is `cells done + hb_base + Σ live in-flight
-    // sinks`: hb_base folds in each attempt's final sink reading when it
-    // leaves the in-flight map, keeping the epoch monotone as sinks come
-    // and go.
-    let mut hb_base = 0u64;
-    let mut computed = 0u64;
 
     struct Dispatch {
         token: u64,
@@ -534,7 +483,6 @@ where
                 let Some(fl) = inflight.remove(&token) else {
                     continue;
                 };
-                hb_base += fl.sink.load(Ordering::Relaxed);
                 let idx = fl.index;
                 match outcome {
                     Ok((v, tel)) => {
@@ -554,10 +502,6 @@ where
                         results[idx] = Some(v);
                         outstanding -= 1;
                         progress.tick(false);
-                        computed += 1;
-                        if chaos_kill_after.is_some_and(|after| computed >= after) {
-                            chaos_sigkill_self(shard, computed);
-                        }
                     }
                     Err(msg) => {
                         if attempts[idx] <= opts.cell_retries {
@@ -615,7 +559,6 @@ where
             let Some(fl) = inflight.remove(&token) else {
                 continue;
             };
-            hb_base += fl.sink.load(Ordering::Relaxed);
             records[fl.index].status = CellStatus::TimedOut;
             records[fl.index].error = msg;
             // The hung worker can never drain its own ring; the
@@ -632,14 +575,6 @@ where
             // The abandoned worker thread is stuck in the cell; restore
             // pool capacity with a fresh thread.
             spawn_worker();
-        }
-
-        if let Some(hb) = heartbeat.as_mut() {
-            let live: u64 = inflight
-                .values()
-                .map(|fl| fl.sink.load(Ordering::Relaxed))
-                .sum();
-            hb.beat(progress.done() as u64 + hb_base + live);
         }
     }
     work.close();
@@ -658,7 +593,7 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Sharded execution: worker, coordinator, merge
+// Sharded execution: worker and merge
 // ---------------------------------------------------------------------------
 
 /// Executes one shard of a campaign (`shard k/N`): the cells with
@@ -667,11 +602,11 @@ where
 /// [`Skipped`](CellStatus::Skipped), and the resulting shard manifest is
 /// written to `<stem>.shard<k>of<N>.manifest.json`.
 ///
-/// The failure policy is always record-style here — the coordinator
-/// applies [`FailurePolicy`] after the merge, and a shard child must
-/// deliver its manifest even when cells fail. With `exit: true` (set via
-/// `SUSS_SHARD` in child processes) the process exits after the manifest
-/// is written: 0 when clean, [`SHARD_FAILED_EXIT`] when cells failed.
+/// The failure policy is always record-style here — the merge applies
+/// [`FailurePolicy`], and a shard must deliver its manifest even when
+/// cells fail. With `exit: true` (a bench binary's `--shard K/N`) the
+/// process exits after the manifest is written: 0 when clean,
+/// [`SHARD_FAILED_EXIT`] when cells failed.
 fn run_shard<T, F>(
     campaign: &Campaign,
     opts: &RunnerOpts,
@@ -705,80 +640,12 @@ where
     report
 }
 
-/// Splits a campaign into N shards against the shared cache
-/// (`coordinator(N shards)`), runs them (as child processes re-executing
-/// the current binary with `argv` and `SUSS_SHARD=k/N`, or in-process
-/// when `argv` is `None`), merges the shard manifests, and reloads the
-/// full result set from the cache — returning a report whose results and
-/// manifest fingerprint are identical to a single-process run. Without a
-/// `cache_dir` it degrades to the pool with a warning.
-///
-/// The coordinator is self-healing. Child shards are supervised through
-/// their heartbeat files: a shard whose progress epoch freezes past the
-/// lease ([`RunnerOpts::with_shard_lease`]) is killed, and a dead shard
-/// (lease expiry or abnormal exit — [`SHARD_FAILED_EXIT`] is *normal*)
-/// is restarted with linear backoff up to its restart budget. Whatever
-/// still has no usable manifest at merge time has its remaining cells
-/// reassigned: they re-run inline against the warm shared cache, so the
-/// merged manifest gets exactly-one-owner coverage and the fingerprint
-/// stays byte-identical to a single-shard run. Recovery is visible as
-/// `shard_restarts` / `lease_expiries` / `cells_reassigned`.
-fn run_coordinator<T, F>(
-    campaign: &Campaign,
-    opts: &RunnerOpts,
-    shards: usize,
-    argv: Option<&[String]>,
-    f: F,
-) -> CampaignReport<T>
-where
-    T: Serialize + Deserialize + Send + 'static,
-    F: Fn(&Cell) -> T + Send + Sync + 'static,
-{
-    let started = Instant::now();
-    if opts.cache_dir.is_none() {
-        eprintln!(
-            "warning: the shard coordinator needs a shared cache dir \
-             (results are exchanged through it); running on the pool executor instead"
-        );
-        return run_pool(campaign, opts, f);
-    }
-    let total = shards.max(1);
-    let stem = opts.stem_for(&campaign.experiment);
-    write_shard_plan(&stem, campaign, total, opts);
-    // Remove leftover shard manifests and heartbeats first: a stale
-    // one would masquerade as this run's output (or liveness) if its
-    // shard died.
-    for k in 0..total {
-        let _ = std::fs::remove_file(shard_manifest_path(&stem, k, total));
-        let _ = std::fs::remove_file(shard_heartbeat_path(&stem, k, total));
-    }
-    let f = Arc::new(f);
-    let sup = match argv {
-        Some(argv) => run_shard_children(total, argv, opts, &stem),
-        None => {
-            for k in 0..total {
-                let fk = Arc::clone(&f);
-                let shard = ShardInfo { index: k, total };
-                let _ = run_shard(campaign, opts, shard, false, move |cell: &Cell| fk(cell));
-            }
-            ShardSupervision::default()
-        }
-    };
-    let label = format!("coordinator({total} shards)");
-    let report = merge_and_load(campaign, opts, started, &stem, total, label, f, sup);
-    if report.manifest.all_ok() {
-        cleanup_shard_scratch(&stem, total);
-    }
-    report
-}
-
 /// Merges already-written shard manifests (`merged(N shards)`), e.g.
 /// from shard runs driven by `scripts/shard_run.sh` or on other machines
 /// sharing the cache. A shard whose manifest is missing, corrupt, or
 /// from a different campaign has its cells reassigned: they run inline
-/// against the warm shared cache (so a dead shard's *completed* cells
-/// are cache hits and only its orphans recompute), exactly like a
-/// coordinator whose child died.
+/// against the warm shared cache, so a dead shard's *completed* cells
+/// are cache hits and only its orphans recompute.
 fn run_merge<T, F>(campaign: &Campaign, opts: &RunnerOpts, shards: usize, f: F) -> CampaignReport<T>
 where
     T: Serialize + Deserialize + Send + 'static,
@@ -788,232 +655,16 @@ where
     let total = shards.max(1);
     let stem = opts.stem_for(&campaign.experiment);
     let label = format!("merged({total} shards)");
-    let (f, sup) = (Arc::new(f), ShardSupervision::default());
-    let report = merge_and_load(campaign, opts, started, &stem, total, label, f, sup);
-    if report.manifest.all_ok() {
-        cleanup_shard_scratch(&stem, total);
-    }
-    report
+    merge_and_load(campaign, opts, started, &stem, total, label, Arc::new(f))
 }
 
-/// SIGKILL the current process — the chaos hook behind
-/// `SUSS_CHAOS_KILL_SHARD=k:after_cells`. Emits a marker line first so
-/// chaos runs are auditable in the coordinator's stderr. SIGKILL (not a
-/// clean exit) is the point: the shard dies without flushing its
-/// manifest, exactly like an OOM kill or a node reboot.
-fn chaos_sigkill_self(shard: Option<ShardInfo>, computed: u64) -> ! {
-    let label = shard
-        .map(|s| format!("{}/{}", s.index, s.total))
-        .unwrap_or_else(|| "?".to_string());
-    eprintln!("chaos: shard {label} SIGKILLing itself after {computed} computed cells");
-    let pid = std::process::id().to_string();
-    let _ = std::process::Command::new("kill")
-        .args(["-9", &pid])
-        .status();
-    // SIGKILL is not catchable; if the spawn itself failed, fall back to
-    // an abort so the chaos run still dies without writing a manifest.
-    std::process::abort();
-}
-
-/// Stall-aware liveness lease over a shard's heartbeat epoch: the lease
-/// window restarts on every epoch *change* (including the first
-/// observation), so a slow-but-advancing shard never expires — only one
-/// whose epoch froze for longer than the lease.
-#[derive(Debug)]
-pub struct LeaseClock {
-    lease: Option<Duration>,
-    last_epoch: Option<u64>,
-    last_advance: Instant,
-}
-
-impl LeaseClock {
-    /// Start the clock at `now`; `None` disables expiry entirely.
-    pub fn new(lease: Option<Duration>, now: Instant) -> Self {
-        LeaseClock {
-            lease,
-            last_epoch: None,
-            last_advance: now,
-        }
-    }
-
-    /// Feed the latest heartbeat observation (`None` = no heartbeat file
-    /// yet); returns `true` when the lease has expired.
-    pub fn observe(&mut self, epoch: Option<u64>, now: Instant) -> bool {
-        if epoch != self.last_epoch {
-            self.last_epoch = epoch;
-            self.last_advance = now;
-        }
-        self.lease
-            .is_some_and(|l| now.duration_since(self.last_advance) > l)
-    }
-}
-
-/// What shard supervision observed: stamped into the merged manifest as
-/// the `runner.shard_restarts` / `runner.lease_expiries` counters.
-#[derive(Debug, Default, Clone, Copy)]
-struct ShardSupervision {
-    restarts: u64,
-    lease_expiries: u64,
-}
-
-/// Per-shard supervision state in [`run_shard_children`]'s poll loop.
-enum Slot {
-    Running {
-        child: std::process::Child,
-        lease: LeaseClock,
-    },
-    Backoff {
-        at: Instant,
-    },
-    Finished,
-    Dead,
-}
-
-/// Spawn one child per shard (the current executable with `argv` plus
-/// `SUSS_SHARD=k/N` and the shared `SUSS_CACHE_DIR` in the environment)
-/// and supervise them: heartbeats are polled against the lease, an
-/// expired or abnormally-exited shard is restarted with linear backoff
-/// up to `opts.shard_restarts`, and a shard that exhausts its budget is
-/// left for the merge phase to reassign. [`SHARD_FAILED_EXIT`] is a
-/// *normal* exit (cells failed but the manifest was written) and is
-/// never restarted. Spawn failures only warn, for the same reason.
-fn run_shard_children(
-    total: usize,
-    argv: &[String],
-    opts: &RunnerOpts,
-    stem: &Path,
-) -> ShardSupervision {
-    let mut sup = ShardSupervision::default();
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("warning: cannot locate current executable for shard children: {e}");
-            return sup;
-        }
-    };
-    let cache = opts
-        .cache_dir
-        .as_ref()
-        .expect("coordinator requires a cache dir");
-    let spawn = |k: usize| -> Slot {
-        // A stale heartbeat from the previous incarnation would feed the
-        // fresh lease a frozen epoch; start from no-signal instead.
-        let _ = std::fs::remove_file(shard_heartbeat_path(stem, k, total));
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.args(argv);
-        cmd.env("SUSS_SHARD", format!("{k}/{total}"));
-        cmd.env("SUSS_CACHE_DIR", cache);
-        // The child writes no figures (it exits after its shard
-        // manifest); its stdout is only table noise.
-        cmd.stdout(std::process::Stdio::null());
-        match cmd.spawn() {
-            Ok(child) => Slot::Running {
-                child,
-                lease: LeaseClock::new(opts.shard_lease, Instant::now()),
-            },
-            Err(e) => {
-                eprintln!("warning: shard {k}/{total} failed to spawn: {e}");
-                Slot::Dead
-            }
-        }
-    };
-    let mut restarts_used = vec![0u32; total];
-    // Grant a restart (with linear backoff) while the budget allows,
-    // else give the shard up to merge-time reassignment.
-    let next_after_death = |k: usize, restarts_used: &mut [u32], sup: &mut ShardSupervision| {
-        if restarts_used[k] < opts.shard_restarts {
-            restarts_used[k] += 1;
-            sup.restarts += 1;
-            let backoff = SHARD_RESTART_BACKOFF * restarts_used[k];
-            eprintln!(
-                "warning: restarting shard {k}/{total} in {backoff:?} \
-                 (restart {} of {})",
-                restarts_used[k], opts.shard_restarts
-            );
-            Slot::Backoff {
-                at: Instant::now() + backoff,
-            }
-        } else {
-            eprintln!(
-                "warning: shard {k}/{total} is out of restarts; \
-                 its remaining cells will be reassigned at merge"
-            );
-            Slot::Dead
-        }
-    };
-    let mut slots: Vec<Slot> = (0..total).map(&spawn).collect();
-    loop {
-        let mut live = 0usize;
-        for (k, slot) in slots.iter_mut().enumerate() {
-            let next: Option<Slot> = match slot {
-                Slot::Running { child, lease } => match child.try_wait() {
-                    Ok(Some(status)) => {
-                        if status.success() {
-                            Some(Slot::Finished)
-                        } else if status.code() == Some(SHARD_FAILED_EXIT) {
-                            eprintln!(
-                                "warning: shard {k}/{total} completed with failed cells \
-                                 (see its shard manifest)"
-                            );
-                            Some(Slot::Finished)
-                        } else {
-                            eprintln!("warning: shard {k}/{total} exited abnormally: {status}");
-                            Some(next_after_death(k, &mut restarts_used, &mut sup))
-                        }
-                    }
-                    Ok(None) => {
-                        let now = Instant::now();
-                        let hb = read_heartbeat(&shard_heartbeat_path(stem, k, total));
-                        if lease.observe(hb.map(|h| h.epoch), now) {
-                            eprintln!(
-                                "warning: shard {k}/{total} heartbeat lease expired \
-                                 (epoch frozen past {:?}); killing it",
-                                opts.shard_lease.unwrap_or_default()
-                            );
-                            sup.lease_expiries += 1;
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            Some(next_after_death(k, &mut restarts_used, &mut sup))
-                        } else {
-                            None
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("warning: waiting for shard {k}/{total} failed: {e}");
-                        Some(Slot::Dead)
-                    }
-                },
-                Slot::Backoff { at } => {
-                    if Instant::now() >= *at {
-                        Some(spawn(k))
-                    } else {
-                        None
-                    }
-                }
-                Slot::Finished | Slot::Dead => None,
-            };
-            if let Some(next) = next {
-                *slot = next;
-            }
-            if matches!(slot, Slot::Running { .. } | Slot::Backoff { .. }) {
-                live += 1;
-            }
-        }
-        if live == 0 {
-            return sup;
-        }
-        thread::sleep(SHARD_POLL);
-    }
-}
-
-/// The coordinator's back half: read the shard manifests (reassigning
-/// any shard whose manifest is missing, corrupt, or from a different
-/// campaign — its cells re-run inline against the warm shared cache),
-/// merge them, reload the full result set from the cache (recomputing
-/// inline on a cache miss — eviction must not corrupt the campaign),
-/// stamp digest, fingerprint, recovery counters, and coordinator wall
-/// time, and apply the failure policy.
-#[allow(clippy::too_many_arguments)]
+/// The merge proper: read the shard manifests (reassigning any shard
+/// whose manifest is missing, corrupt, or from a different campaign —
+/// its cells re-run inline against the warm shared cache), merge them,
+/// reload the full result set from the cache (recomputing inline on a
+/// cache miss — eviction must not corrupt the campaign), stamp digest,
+/// fingerprint, the reassignment counter and the merge's wall time, and
+/// apply the failure policy.
 fn merge_and_load<T, F>(
     campaign: &Campaign,
     opts: &RunnerOpts,
@@ -1022,7 +673,6 @@ fn merge_and_load<T, F>(
     total: usize,
     exec_label: String,
     f: Arc<F>,
-    sup: ShardSupervision,
 ) -> CampaignReport<T>
 where
     T: Serialize + Deserialize + Send + 'static,
@@ -1094,11 +744,8 @@ where
     }
     manifest.executor = exec_label;
     manifest.results_digest = results_digest_of(&results, &manifest.cells);
-    // Recovery counters are additive on top of whatever the shard
-    // manifests carried (in-process recovery stamps nothing there).
-    // None of them enter the fingerprint: recovery must not move it.
-    manifest.shard_restarts += sup.restarts;
-    manifest.lease_expiries += sup.lease_expiries;
+    // Additive on top of whatever the shard manifests carried; it does
+    // not enter the fingerprint, so recovery must not move it.
     manifest.cells_reassigned += cells_reassigned;
     let wall = started.elapsed().as_secs_f64();
     manifest.wall_secs = wall;
@@ -1210,80 +857,10 @@ where
     T: Serialize + Deserialize + Send + 'static,
     F: Fn(&Cell) -> T + Send + Sync + 'static,
 {
-    // In-process (no exit): the chaos kill hook is armed only for
-    // `SUSS_SHARD` child processes, so recovery cannot chaos-kill the
-    // coordinator even with the env var still set.
     let shard = ShardInfo { index, total };
     let report: CampaignReport<T> =
         run_shard(campaign, opts, shard, false, move |cell: &Cell| f(cell));
     report.manifest
-}
-
-/// Remove the coordination scratch files (heartbeats and the shard
-/// plan) after a fully-successful merge. Shard manifests stay — they
-/// are run artifacts, not scratch.
-fn cleanup_shard_scratch(stem: &Path, total: usize) {
-    for k in 0..total {
-        let _ = std::fs::remove_file(shard_heartbeat_path(stem, k, total));
-    }
-    let name = stem
-        .file_name()
-        .map(|s| s.to_string_lossy())
-        .unwrap_or_default();
-    let _ = std::fs::remove_file(stem.with_file_name(format!("{name}.shardplan.json")));
-}
-
-/// The machine-readable shard plan written by the coordinator to
-/// `<stem>.shardplan.json`: what was split, how, and where the shard
-/// manifests will land — so external drivers (other machines sharing the
-/// cache) can run shards themselves and merge later.
-#[derive(Debug, Clone, Serialize)]
-struct ShardPlan {
-    experiment: String,
-    version: String,
-    total_cells: usize,
-    shards: usize,
-    cache_dir: String,
-    cells_per_shard: Vec<usize>,
-    shard_manifests: Vec<String>,
-}
-
-/// Write the shard plan next to the manifests. Failure only warns — the
-/// plan is documentation, not coordination state.
-fn write_shard_plan(stem: &Path, campaign: &Campaign, total: usize, opts: &RunnerOpts) {
-    let plan = ShardPlan {
-        experiment: campaign.experiment.clone(),
-        version: campaign.version.clone(),
-        total_cells: campaign.cells.len(),
-        shards: total,
-        cache_dir: opts
-            .cache_dir
-            .as_deref()
-            .map(|p| p.display().to_string())
-            .unwrap_or_default(),
-        cells_per_shard: (0..total)
-            .map(|k| {
-                let s = ShardInfo { index: k, total };
-                (0..campaign.cells.len()).filter(|&i| s.owns(i)).count()
-            })
-            .collect(),
-        shard_manifests: (0..total)
-            .map(|k| shard_manifest_path(stem, k, total).display().to_string())
-            .collect(),
-    };
-    let name = stem
-        .file_name()
-        .map(|s| s.to_string_lossy())
-        .unwrap_or_default();
-    let path = stem.with_file_name(format!("{name}.shardplan.json"));
-    let write = path
-        .parent()
-        .map(std::fs::create_dir_all)
-        .unwrap_or(Ok(()))
-        .and_then(|_| std::fs::write(&path, serde::to_string(&plan) + "\n"));
-    if let Err(e) = write {
-        eprintln!("warning: cannot write shard plan {}: {e}", path.display());
-    }
 }
 
 #[cfg(test)]
@@ -1701,39 +1278,6 @@ mod tests {
             "dump must parse non-empty"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // ---- shard supervision ----
-
-    #[test]
-    fn lease_clock_expires_only_frozen_epochs() {
-        let t0 = Instant::now();
-        let lease = Duration::from_millis(100);
-        let mut clock = LeaseClock::new(Some(lease), t0);
-        // No heartbeat yet: the window runs from construction...
-        assert!(!clock.observe(None, t0 + Duration::from_millis(90)));
-        // ...and the first observation counts as an advance (slow start).
-        assert!(!clock.observe(Some(0), t0 + Duration::from_millis(150)));
-        // Advancing epochs keep resetting the window indefinitely, even
-        // with every gap longer than half the lease.
-        for i in 1..10u64 {
-            assert!(
-                !clock.observe(Some(i), t0 + Duration::from_millis(150 + i * 90)),
-                "epoch {i} was advancing"
-            );
-        }
-        // Frozen epoch: expires once the lease elapses with no change.
-        let frozen_at = t0 + Duration::from_millis(150 + 9 * 90);
-        assert!(!clock.observe(Some(9), frozen_at + Duration::from_millis(90)));
-        assert!(clock.observe(Some(9), frozen_at + Duration::from_millis(101)));
-
-        // A shard that never writes a heartbeat at all expires too.
-        let mut silent = LeaseClock::new(Some(lease), t0);
-        assert!(silent.observe(None, t0 + Duration::from_millis(101)));
-
-        // No lease configured: never expires, however stale.
-        let mut off = LeaseClock::new(None, t0);
-        assert!(!off.observe(None, t0 + Duration::from_secs(3600)));
     }
 
     #[test]

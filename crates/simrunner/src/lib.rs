@@ -13,14 +13,10 @@
 //!   [`ExecSpec`]: the deterministic token-tracked thread pool (the
 //!   default — panic isolation, bounded retries, wall-clock and
 //!   progress-stall watchdogs, flight-recorder crash dumps), one shard
-//!   of a split campaign, the shard coordinator that splits a campaign
-//!   across processes sharing one cache, or the merge that folds the
-//!   shard manifests back into a single [`RunManifest`]. The
-//!   coordinator is self-healing: shard children write heartbeat files
-//!   ([`Heartbeat`]) monitored under a stall-aware lease
-//!   ([`LeaseClock`]), a dead shard is restarted with bounded backoff,
-//!   and whatever still has no usable manifest at merge time has its
-//!   remaining cells reassigned inline through the warm shared cache.
+//!   of a campaign split across processes sharing one cache, or the
+//!   merge that folds the shard manifests back into a single
+//!   [`RunManifest`]. A shard with no usable manifest at merge time has
+//!   its remaining cells reassigned inline through the warm shared cache.
 //!   All engines commit results by cell index, so the aggregated output is
 //!   **byte-identical regardless of engine, worker count, scheduling
 //!   order, or shard count** — the core invariant, enforced by
@@ -33,8 +29,8 @@
 //! * results are memoized in a content-addressed cache ([`cache`]) keyed
 //!   by a stable hash of (experiment id, version tag, cell params, seed).
 //!   The key is shard-independent, which is what lets N shard processes
-//!   share one cache dir and the coordinator reassemble the full result
-//!   set afterwards;
+//!   share one cache dir and the merge reassemble the full result set
+//!   afterwards;
 //! * every run produces a serde-derived [`RunManifest`] (workers, wall
 //!   time, cache hits/misses, per-cell timings, a results digest and a
 //!   content fingerprint) that the figure binaries write next to their
@@ -66,14 +62,22 @@
 //! for seed in 0..28 {
 //!     c.cell(format!("cell-{seed}"), format!("x={seed}"), seed);
 //! }
-//! // Split into 2 shards against a shared cache; in-process here, or
-//! // pass `argv: Some(...)` to re-exec the current binary per shard
-//! // (`SUSS_SHARD=k/N` in each child selects its slice).
+//! // Each shard may run in its own process or on its own machine; all
+//! // that they share is the cache dir. Shard `k` computes the cells with
+//! // `index % 2 == k` and writes `/tmp/demo.shard<k>of2.manifest.json`.
 //! let opts = RunnerOpts::default()
 //!     .with_cache("/tmp/suss-cache")
-//!     .with_executor(ExecSpec::Coordinator { shards: 2, argv: None });
-//! let out = c.run(&opts.executor(), |cell| cell.seed as f64);
-//! assert_eq!(out.manifest.total_cells, 28);
+//!     .with_manifest_stem("/tmp/demo");
+//! for index in 0..2 {
+//!     let shard = opts.clone().with_executor(ExecSpec::Shard { index, total: 2 });
+//!     c.run(&shard.executor(), |cell| cell.seed as f64);
+//! }
+//! // The merge reads both shard manifests and reloads every result
+//! // from the cache: same results and fingerprint as one pool run.
+//! let merge = opts.with_executor(ExecSpec::MergeShards { shards: 2 });
+//! let out = c.run(&merge.executor(), |cell| cell.seed as f64);
+//! assert_eq!(out.manifest.executor, "merged(2 shards)");
+//! assert_eq!(out.expect_all().len(), 28);
 //! ```
 
 #![warn(missing_docs)]
@@ -88,14 +92,12 @@ pub mod progress;
 
 pub use cache::{sweep_lru, Cache, CellIdentity, SweepStats};
 pub use campaign::{
-    parse_bytes, Campaign, CampaignReport, Cell, ExecSpec, FailurePolicy, RunnerOpts,
+    parse_bytes, parse_shard, Campaign, CampaignReport, Cell, ExecSpec, FailurePolicy, RunnerOpts,
 };
-pub use exec::{Executor, LeaseClock, SHARD_FAILED_EXIT};
+pub use exec::{Executor, SHARD_FAILED_EXIT};
 pub use manifest::{
-    shard_heartbeat_path, shard_manifest_path, CellRecord, CellStatus, FctAnnotation, RunManifest,
-    ShardInfo,
+    shard_manifest_path, CellRecord, CellStatus, FctAnnotation, RunManifest, ShardInfo,
 };
-pub use progress::{read_heartbeat, Heartbeat, HeartbeatRecord};
 
 /// FNV-1a 64-bit hash over a byte string — the stable content hash behind
 /// cache keys. Stable across platforms, processes, and releases (never

@@ -81,18 +81,6 @@ pub fn shard_manifest_path(stem: &Path, index: usize, total: usize) -> PathBuf {
     stem.with_file_name(format!("{name}.shard{index}of{total}.manifest.json"))
 }
 
-/// Canonical path of one shard's heartbeat file (e.g. `results/fig17` →
-/// `results/fig17.shard0of2.heartbeat.json`). The shard worker rewrites
-/// it whenever its progress epoch advances; the coordinator's lease
-/// monitor reads it to tell a slow shard from a dead one.
-pub fn shard_heartbeat_path(stem: &Path, index: usize, total: usize) -> PathBuf {
-    let name = stem
-        .file_name()
-        .map(|s| s.to_string_lossy())
-        .unwrap_or_default();
-    stem.with_file_name(format!("{name}.shard{index}of{total}.heartbeat.json"))
-}
-
 /// Per-cell execution record.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CellRecord {
@@ -151,8 +139,8 @@ pub struct RunManifest {
     pub experiment: String,
     /// Version tag in effect.
     pub version: String,
-    /// Which executor produced this manifest (`pool`, `shard 0/2`,
-    /// `coordinator(2 shards)` or `merged(2 shards)`).
+    /// Which executor produced this manifest (`pool`, `shard 0/2` or
+    /// `merged(2 shards)`).
     pub executor: String,
     /// The shard slice this manifest covers; `None` for unsharded runs
     /// and for merged manifests.
@@ -195,16 +183,10 @@ pub struct RunManifest {
     /// Corrupt cache entries quarantined while loading
     /// (`runner.cache_quarantined`).
     pub cache_quarantined: u64,
-    /// Shard children the coordinator restarted after an abnormal exit or
-    /// lease expiry (`runner.shard_restarts`; 0 for unsharded runs).
-    pub shard_restarts: u64,
-    /// Cells of dead shards recomputed inline by the recovery pass —
-    /// orphans whose owning shard never cached them
-    /// (`runner.cells_reassigned`).
+    /// Cells of dead shards recomputed inline by the merge — orphans
+    /// whose owning shard never cached them (`runner.cells_reassigned`;
+    /// 0 for unsharded runs).
     pub cells_reassigned: u64,
-    /// Shards declared dead by the heartbeat lease monitor
-    /// (`runner.lease_expiries`).
-    pub lease_expiries: u64,
     /// FNV-1a 64 digest over the campaign's results in cell order — the
     /// value-level identity of the run. Two runs that computed the same
     /// science have the same digest regardless of workers, executor,
@@ -261,14 +243,13 @@ impl RunManifest {
                 format!("{}: not JSON", path.display()),
             )
         })?;
-        // Manifests written before the self-healing coordinator lack the
-        // recovery counters; default them to zero so old artifacts stay
-        // readable (the derived deserializer requires every field).
+        // Manifests written before merge-time reassignment lack its
+        // counter; default it to zero so old artifacts stay readable (the
+        // derived deserializer requires every field and ignores unknown
+        // ones, such as the retired shard-supervision counters).
         if let serde::Json::Obj(fields) = &mut json {
-            for key in ["shard_restarts", "cells_reassigned", "lease_expiries"] {
-                if !fields.iter().any(|(k, _)| k == key) {
-                    fields.push((key.to_string(), serde::Json::Num(0.0)));
-                }
+            if !fields.iter().any(|(k, _)| k == "cells_reassigned") {
+                fields.push(("cells_reassigned".to_string(), serde::Json::Num(0.0)));
             }
         }
         RunManifest::from_json(&json).ok_or_else(|| {
@@ -322,8 +303,8 @@ impl RunManifest {
     /// the commutative [`ProfSnapshot::merge`].
     ///
     /// The merged manifest's `results_digest` is left empty — values live
-    /// in the shared cache, not the manifests; the coordinator recomputes
-    /// it after loading the results.
+    /// in the shared cache, not the manifests; the merge executor
+    /// recomputes it after loading the results.
     pub fn merge_shards(mut shards: Vec<RunManifest>) -> Result<RunManifest, String> {
         if shards.is_empty() {
             return Err("no shard manifests to merge".into());
@@ -454,9 +435,7 @@ impl RunManifest {
             cell_retries: shards.iter().map(|m| m.cell_retries).sum(),
             cell_timeouts: shards.iter().map(|m| m.cell_timeouts).sum(),
             cache_quarantined: shards.iter().map(|m| m.cache_quarantined).sum(),
-            shard_restarts: shards.iter().map(|m| m.shard_restarts).sum(),
             cells_reassigned: shards.iter().map(|m| m.cells_reassigned).sum(),
-            lease_expiries: shards.iter().map(|m| m.lease_expiries).sum(),
             results_digest: String::new(),
             fingerprint: String::new(),
             annotations,
@@ -518,10 +497,10 @@ impl RunManifest {
                 s.push_str(&format!("  {:?} {}: {}\n", c.status, c.label, c.error));
             }
         }
-        if self.shard_restarts > 0 || self.cells_reassigned > 0 || self.lease_expiries > 0 {
+        if self.cells_reassigned > 0 {
             s.push_str(&format!(
-                "  recovery: {} shard restarts | {} lease expiries | {} cells reassigned\n",
-                self.shard_restarts, self.lease_expiries, self.cells_reassigned,
+                "  recovery: {} cells reassigned\n",
+                self.cells_reassigned
             ));
         }
         if !self.prof.is_empty() {
@@ -595,9 +574,7 @@ mod tests {
             cell_retries: 0,
             cell_timeouts: 0,
             cache_quarantined: 0,
-            shard_restarts: 0,
             cells_reassigned: 0,
-            lease_expiries: 0,
             results_digest: "00aa00aa00aa00aa".into(),
             fingerprint: String::new(),
             annotations: vec![FctAnnotation {
@@ -720,7 +697,7 @@ mod tests {
         let mut noisy = m.clone();
         noisy.wall_secs = 99.0;
         noisy.workers = 1;
-        noisy.executor = "coordinator(2 shards)".into();
+        noisy.executor = "merged(2 shards)".into();
         noisy.cells[1].wall_ms = 1.0;
         noisy.cells[1].cached = true;
         noisy.cells[1].attempts = 0;
@@ -769,31 +746,54 @@ mod tests {
             shard_manifest_path(Path::new("results/fig17"), 1, 4),
             PathBuf::from("results/fig17.shard1of4.manifest.json")
         );
-        assert_eq!(
-            shard_heartbeat_path(Path::new("results/fig17"), 0, 2),
-            PathBuf::from("results/fig17.shard0of2.heartbeat.json")
-        );
     }
 
     #[test]
     fn read_defaults_missing_recovery_counters() {
-        // A manifest written before the self-healing coordinator has no
-        // recovery fields; read() must default them instead of failing.
+        // A manifest written before merge-time reassignment has no
+        // `cells_reassigned`; read() must default it instead of failing.
         let dir =
             std::env::temp_dir().join(format!("simrunner-manifest-compat-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("old.json");
-        let mut json = sample().to_json_string();
-        for key in ["shard_restarts", "cells_reassigned", "lease_expiries"] {
-            json = json.replace(&format!(",\"{key}\":0"), "");
-        }
-        assert!(!json.contains("shard_restarts"), "strip failed: {json}");
+        let json = sample()
+            .to_json_string()
+            .replace(",\"cells_reassigned\":0", "");
+        assert!(!json.contains("cells_reassigned"), "strip failed: {json}");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(&path, json).unwrap();
         let back = RunManifest::read(&path).expect("pre-recovery manifest must still read");
-        assert_eq!(back.shard_restarts, 0);
         assert_eq!(back.cells_reassigned, 0);
-        assert_eq!(back.lease_expiries, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reads_manifests_with_retired_supervision_counters() {
+        // Manifests written while a same-host shard supervisor existed
+        // carry two more counters around `cells_reassigned`; they must
+        // read back with the fingerprint they were sealed with.
+        let dir =
+            std::env::temp_dir().join(format!("simrunner-manifest-retired-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("supervised.json");
+        let mut m = sample();
+        m.cells_reassigned = 3;
+        m.fingerprint = m.compute_fingerprint();
+        let json = m.to_json_string().replace(
+            "\"cells_reassigned\":3,",
+            "\"shard_restarts\":2,\"cells_reassigned\":3,\"lease_expiries\":1,",
+        );
+        assert!(
+            json.contains("\"cache_quarantined\":0,\"shard_restarts\":2,")
+                && json.contains("\"lease_expiries\":1,\"results_digest\""),
+            "splice failed: {json}"
+        );
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, json).unwrap();
+        let back = RunManifest::read(&path).expect("supervisor-era manifest must still read");
+        assert_eq!(back.cells_reassigned, 3);
+        assert_eq!(back.fingerprint, m.fingerprint);
+        assert_eq!(back.compute_fingerprint(), m.fingerprint);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -802,19 +802,14 @@ mod tests {
         let m = sample();
         let fp = m.compute_fingerprint();
         let mut recovered = m;
-        recovered.shard_restarts = 2;
         recovered.cells_reassigned = 14;
-        recovered.lease_expiries = 1;
         assert_eq!(
             recovered.compute_fingerprint(),
             fp,
             "recovery bookkeeping must not move the fingerprint"
         );
         let s = recovered.summary();
-        assert!(
-            s.contains("recovery: 2 shard restarts | 1 lease expiries | 14 cells reassigned"),
-            "{s}"
-        );
+        assert!(s.contains("recovery: 14 cells reassigned"), "{s}");
     }
 
     fn shard_pair() -> Vec<RunManifest> {
@@ -911,13 +906,9 @@ mod tests {
     #[test]
     fn merge_shards_sums_recovery_counters() {
         let mut shards = shard_pair();
-        shards[0].shard_restarts = 1;
-        shards[0].lease_expiries = 1;
+        shards[0].cells_reassigned = 1;
         shards[1].cells_reassigned = 2;
-        shards[1].shard_restarts = 1;
         let merged = RunManifest::merge_shards(shards).unwrap();
-        assert_eq!(merged.shard_restarts, 2);
-        assert_eq!(merged.cells_reassigned, 2);
-        assert_eq!(merged.lease_expiries, 1);
+        assert_eq!(merged.cells_reassigned, 3);
     }
 }

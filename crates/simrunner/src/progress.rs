@@ -1,19 +1,11 @@
-//! Campaign progress reporting on stderr, plus the shard heartbeat file.
+//! Campaign progress reporting on stderr.
 //!
 //! One carriage-returned status line while the run is in flight, then a
 //! final summary line. Kept on stderr so stdout stays a clean artifact
 //! stream for the figure binaries.
-//!
-//! [`Heartbeat`] is the liveness half: a shard worker rewrites its
-//! heartbeat file whenever its progress epoch advances, and the
-//! coordinator's lease monitor reads it back with [`read_heartbeat`] to
-//! tell a slow shard (epoch still moving) from a dead or livelocked one
-//! (epoch frozen).
 
-use serde::{Deserialize, Serialize};
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::Instant;
 
 /// Streams `done/total`, throughput, and ETA to stderr.
 pub struct Progress {
@@ -36,11 +28,6 @@ impl Progress {
             started: Instant::now(),
             enabled,
         }
-    }
-
-    /// Cells finished so far (the heartbeat epoch's completed-cell term).
-    pub fn done(&self) -> usize {
-        self.done
     }
 
     /// Record one finished cell (`from_cache` marks a hit).
@@ -80,116 +67,6 @@ impl Progress {
     }
 }
 
-/// One shard's liveness record as serialized to its heartbeat file.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HeartbeatRecord {
-    /// Process id of the shard worker that wrote the record.
-    pub pid: u64,
-    /// Monotone progress epoch: completed cells plus in-flight simulator
-    /// progress ticks. Advances whenever the shard does real work, even
-    /// mid-cell, so a slow shard is distinguishable from a stuck one.
-    pub epoch: u64,
-    /// Wall-clock time of the write, milliseconds since the UNIX epoch
-    /// (informational; the lease keys on epoch changes, not wall time).
-    pub at_ms: u64,
-}
-
-/// Read a heartbeat file back. `None` when missing or unparseable — a
-/// heartbeat is advisory, so a torn or absent file reads as "no signal",
-/// never as an error.
-pub fn read_heartbeat(path: &Path) -> Option<HeartbeatRecord> {
-    let text = std::fs::read_to_string(path).ok()?;
-    HeartbeatRecord::from_json(&serde::Json::parse(text.trim())?)
-}
-
-/// Writes a shard's heartbeat file (`<stem>.shard<k>of<N>.heartbeat.json`).
-///
-/// Writes are epoch-gated and throttled: the file is rewritten only when
-/// the epoch *changed* since the last write, at most every
-/// [`MIN_INTERVAL`](Self::MIN_INTERVAL). A shard that stops advancing
-/// therefore stops writing — a deliberately stale file is exactly the
-/// signal the coordinator's lease expires on. Writes go through a temp
-/// file + rename so the monitor never reads a torn record.
-pub struct Heartbeat {
-    path: PathBuf,
-    pid: u64,
-    last_epoch: u64,
-    last_write: Instant,
-    written: bool,
-    warned: bool,
-}
-
-impl Heartbeat {
-    /// Minimum interval between heartbeat writes.
-    pub const MIN_INTERVAL: Duration = Duration::from_millis(100);
-
-    /// Create the writer and immediately publish an epoch-0 record, so
-    /// the monitor sees the shard alive before its first cell completes.
-    pub fn new(path: PathBuf) -> Self {
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        let mut hb = Heartbeat {
-            path,
-            pid: u64::from(std::process::id()),
-            last_epoch: 0,
-            last_write: Instant::now(),
-            written: false,
-            warned: false,
-        };
-        hb.write(0);
-        hb
-    }
-
-    /// Record progress `epoch` (writes only on change, throttled).
-    pub fn beat(&mut self, epoch: u64) {
-        if self.written && epoch == self.last_epoch {
-            return;
-        }
-        if self.written && self.last_write.elapsed() < Self::MIN_INTERVAL {
-            return;
-        }
-        self.write(epoch);
-    }
-
-    /// The heartbeat file path (the coordinator removes it on success).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn write(&mut self, epoch: u64) {
-        let at_ms = SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        let rec = HeartbeatRecord {
-            pid: self.pid,
-            epoch,
-            at_ms,
-        };
-        let tmp = self.path.with_extension("json.tmp");
-        let outcome = std::fs::write(&tmp, serde::to_string(&rec))
-            .and_then(|()| std::fs::rename(&tmp, &self.path));
-        match outcome {
-            Ok(()) => {
-                self.written = true;
-                self.last_epoch = epoch;
-                self.last_write = Instant::now();
-            }
-            Err(e) => {
-                if !self.warned {
-                    eprintln!(
-                        "warning: cannot write heartbeat {}: {e} (the shard \
-                         keeps running; the lease may expire it)",
-                        self.path.display()
-                    );
-                    self.warned = true;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,43 +79,5 @@ mod tests {
         p.finish();
         assert_eq!(p.done, 2);
         assert_eq!(p.cached, 1);
-        assert_eq!(p.done(), 2);
-    }
-
-    #[test]
-    fn heartbeat_roundtrips_and_gates_on_epoch_change() {
-        let dir = std::env::temp_dir().join(format!("simrunner-hb-unit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("nested").join("run.shard0of2.heartbeat.json");
-        let mut hb = Heartbeat::new(path.clone());
-        let first = read_heartbeat(&path).expect("initial record published at creation");
-        assert_eq!(first.epoch, 0);
-        assert_eq!(first.pid, u64::from(std::process::id()));
-
-        // Same epoch: no rewrite, even past the throttle window.
-        std::thread::sleep(Heartbeat::MIN_INTERVAL + Duration::from_millis(20));
-        hb.beat(0);
-        assert_eq!(
-            read_heartbeat(&path),
-            Some(first),
-            "frozen epoch must not refresh the file"
-        );
-
-        // Advanced epoch: rewritten (throttle already elapsed).
-        hb.beat(7);
-        assert_eq!(read_heartbeat(&path).unwrap().epoch, 7);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn heartbeat_reader_tolerates_garbage() {
-        let dir = std::env::temp_dir().join(format!("simrunner-hb-garbage-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("hb.json");
-        assert_eq!(read_heartbeat(&path), None, "missing file is no signal");
-        std::fs::write(&path, "{\"pid\": 12, truncated").unwrap();
-        assert_eq!(read_heartbeat(&path), None, "torn file is no signal");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,16 +1,14 @@
 //! Shard-equivalence regression suite: splitting a campaign into N shard
-//! processes against a shared cache and merging their manifests must
-//! produce results and a manifest fingerprint byte-identical to a
-//! single-process run — cold and warm, for any shard count — and a dead,
-//! corrupt, or mismatched shard must be recovered at merge time by
-//! reassigning its cells through the cache, never by voiding the run.
+//! runs against a shared cache and merging their manifests must produce
+//! results and a manifest fingerprint byte-identical to a single-process
+//! run — cold and warm, for any shard count — and a dead, corrupt, or
+//! mismatched shard must be recovered at merge time by reassigning its
+//! cells through the cache, never by voiding the run.
 
 use simrunner::{
-    read_heartbeat, shard_heartbeat_path, shard_manifest_path, Campaign, CampaignReport, ExecSpec,
-    Heartbeat, LeaseClock, RunManifest, RunnerOpts, ShardInfo,
+    shard_manifest_path, Campaign, CampaignReport, ExecSpec, RunManifest, RunnerOpts, ShardInfo,
 };
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 /// A seed- and parameter-sensitive stand-in simulation with uneven cost.
 fn fake_sim(seed: u64, rounds: u64) -> f64 {
@@ -58,15 +56,27 @@ fn render(results: &[Option<f64>]) -> String {
         .collect()
 }
 
-fn coordinator_opts(dir: &Path, shards: usize) -> RunnerOpts {
+/// Options sharing one cache and manifest stem under `dir`, as every
+/// shard of one split campaign and its merge do.
+fn shared_opts(dir: &Path) -> RunnerOpts {
     RunnerOpts::serial()
         .with_cache(dir.join("cache"))
         .with_manifest_stem(dir.join("run"))
-        .with_executor(ExecSpec::Coordinator { shards, argv: None })
 }
 
+/// Run every shard `k/shards` in turn (in process, as
+/// `scripts/shard_run.sh` does one process per shard), then merge.
 fn run_sharded(c: &Campaign, dir: &Path, shards: usize) -> CampaignReport<f64> {
-    c.run(&coordinator_opts(dir, shards).executor(), cell_value)
+    let opts = shared_opts(dir);
+    for index in 0..shards {
+        let shard = opts.clone().with_executor(ExecSpec::Shard {
+            index,
+            total: shards,
+        });
+        c.run(&shard.executor(), cell_value);
+    }
+    let merge = opts.with_executor(ExecSpec::MergeShards { shards });
+    c.run(&merge.executor(), cell_value)
 }
 
 #[test]
@@ -82,10 +92,7 @@ fn sharded_runs_match_single_process_cold_and_warm() {
         let dir = tempdir(&format!("simrunner-shardeq-{shards}"));
         // Cold: every cell computed by exactly one shard.
         let cold = run_sharded(&c, &dir, shards);
-        assert_eq!(
-            cold.manifest.executor,
-            format!("coordinator({shards} shards)")
-        );
+        assert_eq!(cold.manifest.executor, format!("merged({shards} shards)"));
         assert_eq!(cold.manifest.cache_hits, 0, "{shards} shards cold");
         assert_eq!(cold.manifest.cache_misses, c.len());
         assert_eq!(cold.manifest.cells_skipped, 0, "merge covers every cell");
@@ -141,21 +148,21 @@ fn shard_manifests_carry_ownership_and_merge_covers_everything() {
             );
         }
     }
-    // Coordination scratch (shard plan, heartbeats) is cleaned up after
-    // a fully-successful merge; the shard manifests above are artifacts
-    // and stay.
-    assert!(
-        !dir.join("run.shardplan.json").exists(),
-        "shard plan must be removed on success"
+    // A split run leaves no scratch behind: next to the shared cache,
+    // the shard manifests above are the only files.
+    let mut left: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort();
+    assert_eq!(
+        left,
+        [
+            "cache",
+            "run.shard0of2.manifest.json",
+            "run.shard1of2.manifest.json"
+        ]
     );
-    for k in 0..2usize {
-        let hb = shard_heartbeat_path(&stem, k, 2);
-        assert!(
-            !hb.exists(),
-            "heartbeat {} must be removed on success",
-            hb.display()
-        );
-    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -163,7 +170,7 @@ fn shard_manifests_carry_ownership_and_merge_covers_everything() {
 fn killed_shard_is_reassigned_at_merge_time() {
     let dir = tempdir("simrunner-shardeq-resume");
     let c = campaign();
-    let opts = coordinator_opts(&dir, 2);
+    let opts = shared_opts(&dir);
 
     // Phase 1: only shard 0 runs (the "other machine died" scenario) —
     // its results are in the shared cache, its manifest on disk.
@@ -206,8 +213,8 @@ fn killed_shard_is_reassigned_at_merge_time() {
     assert_eq!(render(&recovered.results), render(&fresh.results));
     assert_eq!(fresh.manifest.cells_reassigned, 0);
 
-    // Phase 2: re-running the full coordinator over the now-warm cache
-    // is a pure resume — every cell is a hit, nothing is reassigned.
+    // Phase 2: re-running every shard and the merge over the now-warm
+    // cache is a pure resume — every cell is a hit, nothing is reassigned.
     let resumed = run_sharded(&c, &dir, 2);
     assert!(resumed.all_ok());
     assert_eq!(resumed.manifest.cache_hits, c.len());
@@ -235,8 +242,7 @@ fn corrupt_shard_manifest_is_quarantined_and_reassigned() {
         let path = shard_manifest_path(&stem, 1, 2);
         std::fs::write(&path, text).unwrap();
 
-        let merge_opts =
-            coordinator_opts(&dir, 2).with_executor(ExecSpec::MergeShards { shards: 2 });
+        let merge_opts = shared_opts(&dir).with_executor(ExecSpec::MergeShards { shards: 2 });
         let merged = c.run(&merge_opts.executor(), cell_value);
         assert!(
             merged.all_ok(),
@@ -272,7 +278,7 @@ fn mismatched_campaign_version_shard_is_quarantined_and_reassigned() {
     stale.version = "v0-stale".to_string();
     stale.write(&path).expect("rewrite stale manifest");
 
-    let merge_opts = coordinator_opts(&dir, 2).with_executor(ExecSpec::MergeShards { shards: 2 });
+    let merge_opts = shared_opts(&dir).with_executor(ExecSpec::MergeShards { shards: 2 });
     let merged = c.run(&merge_opts.executor(), cell_value);
     assert!(merged.all_ok());
     assert_eq!(merged.manifest.fingerprint, healthy.manifest.fingerprint);
@@ -283,46 +289,6 @@ fn mismatched_campaign_version_shard_is_quarantined_and_reassigned() {
         PathBuf::from(&q).exists(),
         "version-mismatched shard manifest must be quarantined"
     );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn lease_never_expires_a_healthy_but_slow_shard() {
-    let dir = tempdir("simrunner-shardeq-lease");
-    let stem = dir.join("run");
-    let path = shard_heartbeat_path(&stem, 0, 2);
-    let mut hb = Heartbeat::new(path.clone());
-
-    // A lease much shorter than the shard's total runtime, but longer
-    // than its inter-beat gap: slow-but-advancing must be spared.
-    let lease = Duration::from_millis(250);
-    let mut clock = LeaseClock::new(Some(lease), Instant::now());
-    let started = Instant::now();
-    let mut epoch = 0u64;
-    while started.elapsed() < Duration::from_millis(900) {
-        epoch += 1;
-        hb.beat(epoch);
-        let seen = read_heartbeat(&path).map(|h| h.epoch);
-        assert!(
-            !clock.observe(seen, Instant::now()),
-            "lease expired on a shard whose epoch was still advancing"
-        );
-        std::thread::sleep(Duration::from_millis(120));
-    }
-
-    // Now freeze the epoch (livelock / SIGSTOP): the same clock must
-    // expire once the frozen observation outlives the lease.
-    let frozen = read_heartbeat(&path).map(|h| h.epoch);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut expired = false;
-    while Instant::now() < deadline {
-        if clock.observe(frozen, Instant::now()) {
-            expired = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    assert!(expired, "a frozen epoch must expire the lease");
     std::fs::remove_dir_all(&dir).ok();
 }
 

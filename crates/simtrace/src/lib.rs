@@ -134,10 +134,6 @@ pub mod names {
     pub const RUNNER_CELLS_FAILED: &str = "runner.cells_failed";
     /// Cache entries that failed to load and were quarantined on disk.
     pub const RUNNER_CACHE_QUARANTINED: &str = "runner.cache_quarantined";
-    /// Dead shard children restarted by the coordinator's supervisor.
-    pub const RUNNER_SHARD_RESTARTS: &str = "runner.shard_restarts";
     /// Orphaned cells from dead shards recomputed inline at merge time.
     pub const RUNNER_CELLS_REASSIGNED: &str = "runner.cells_reassigned";
-    /// Shard heartbeat leases that expired (frozen progress epoch).
-    pub const RUNNER_LEASE_EXPIRIES: &str = "runner.lease_expiries";
 }

@@ -123,19 +123,17 @@ cmp -s "$SMOKE_DIR/quic-ann.1" "$SMOKE_DIR/quic-ann.2" \
 
 echo "== shard smoke (distributed campaign: split, merge, resume) =="
 # The shard-equivalence contract, end to end through a real binary: the
-# quick Fig. 17 campaign split across 2 shard child processes sharing a
-# cache must render byte-identical output and an identical manifest
-# fingerprint to the single-process run; a shard that died before
-# running must be recoverable by re-running the coordinator, with the
-# surviving shard's cells served warm from the shared cache.
+# quick Fig. 17 campaign split by scripts/shard_run.sh into 2 shard
+# processes sharing a cache, then merged, must render byte-identical
+# output and an identical manifest fingerprint to the single-process run.
 SHARD_CACHE="$SMOKE_DIR/shard-cache"
 SUSS_CACHE_DIR="$SHARD_CACHE-ref" \
     cargo run --release -q -p suss-bench --bin fig17 -- --quick --no-progress \
     >"$SMOKE_DIR/fig17-single.txt"
 cp results/fig17.manifest.json "$SMOKE_DIR/fig17-single.manifest.json"
-SUSS_CACHE_DIR="$SHARD_CACHE" \
-    cargo run --release -q -p suss-bench --bin fig17 -- --quick --no-progress --shards 2 \
-    >"$SMOKE_DIR/fig17-sharded.txt"
+rm -f results/fig17.shard*.manifest.json
+SUSS_CACHE_DIR="$SHARD_CACHE" scripts/shard_run.sh fig17 2 --quick \
+    >"$SMOKE_DIR/fig17-sharded.txt" 2>"$SMOKE_DIR/fig17-sharded.err"
 cmp -s "$SMOKE_DIR/fig17-single.txt" "$SMOKE_DIR/fig17-sharded.txt" \
     || { echo "sharded fig17 output differs from single-process" >&2; exit 1; }
 fp() { grep -o '"fingerprint":"[^"]*"' "$1" | head -1; }
@@ -146,46 +144,31 @@ fp() { grep -o '"fingerprint":"[^"]*"' "$1" | head -1; }
 [ -f results/fig17.shard0of2.manifest.json ] \
     && [ -f results/fig17.shard1of2.manifest.json ] \
     || { echo "shard manifests not written" >&2; exit 1; }
-# Killed-shard resume: only shard 0 ran before the "crash"; re-running
-# the coordinator must finish the campaign with shard 0's cells warm.
-rm -rf "$SHARD_CACHE" results/fig17.shard*of2.manifest.json
+# Killed-shard resume: shard 0 finished, shard 1 died halfway without
+# writing its manifest. Running shard 1/4 caches exactly half of shard
+# 1/2's cells and stands in for that half-finished run. The merge alone
+# must finish the campaign: it reassigns shard 1's cells inline, serves
+# the half it finished warm from the shared cache, and recomputes only
+# the rest.
+rm -rf "$SHARD_CACHE" results/fig17.shard*.manifest.json
 SUSS_CACHE_DIR="$SHARD_CACHE" \
     cargo run --release -q -p suss-bench --bin fig17 -- --quick --no-progress --shard 0/2 \
     >/dev/null
 SUSS_CACHE_DIR="$SHARD_CACHE" \
-    cargo run --release -q -p suss-bench --bin fig17 -- --quick --no-progress --shards 2 \
+    cargo run --release -q -p suss-bench --bin fig17 -- --quick --no-progress --shard 1/4 \
+    >/dev/null
+rm results/fig17.shard1of4.manifest.json
+SUSS_CACHE_DIR="$SHARD_CACHE" \
+    cargo run --release -q -p suss-bench --bin fig17 -- --quick --no-progress --merge-shards 2 \
     >"$SMOKE_DIR/fig17-resumed.txt"
 cmp -s "$SMOKE_DIR/fig17-single.txt" "$SMOKE_DIR/fig17-resumed.txt" \
     || { echo "resumed sharded run differs from single-process" >&2; exit 1; }
 [ "$(fp "$SMOKE_DIR/fig17-single.manifest.json")" = "$(fp results/fig17.manifest.json)" ] \
     || { echo "resumed manifest fingerprint differs from single-process" >&2; exit 1; }
+grep -Eq '"cells_reassigned":[1-9]' results/fig17.manifest.json \
+    || { echo "merge did not reassign the dead shard's orphaned cells" >&2; exit 1; }
 grep -q '"cache_hits":0,' results/fig17.manifest.json \
     && { echo "resume did not reuse the dead run's cached cells" >&2; exit 1; }
-
-echo "== shard-chaos smoke (SIGKILLed shard child, self-healing coordinator) =="
-# The self-healing contract, end to end: shard 1 SIGKILLs itself after 3
-# computed cells (no manifest flush — a real crash), the coordinator
-# restarts it once, and the campaign must still complete with stdout and
-# manifest fingerprint byte-identical to the single-process run, the
-# recovery visible in the manifest counters, and the coordination scratch
-# files (heartbeats, shard plan) cleaned up on success.
-SUSS_CACHE_DIR="$SMOKE_DIR/shard-chaos-cache" \
-    SUSS_CHAOS_KILL_SHARD=1:3 \
-    SUSS_SHARD_RESTARTS=1 \
-    cargo run --release -q -p suss-bench --bin fig17 -- --quick --no-progress --shards 2 \
-    >"$SMOKE_DIR/fig17-chaos.txt" 2>"$SMOKE_DIR/fig17-chaos.err"
-grep -q 'chaos: shard 1/2 SIGKILLing itself' "$SMOKE_DIR/fig17-chaos.err" \
-    || { echo "chaos kill never fired (stage is vacuous)" >&2; exit 1; }
-cmp -s "$SMOKE_DIR/fig17-single.txt" "$SMOKE_DIR/fig17-chaos.txt" \
-    || { echo "chaos-recovered fig17 output differs from single-process" >&2; exit 1; }
-[ "$(fp "$SMOKE_DIR/fig17-single.manifest.json")" = "$(fp results/fig17.manifest.json)" ] \
-    || { echo "chaos-recovered manifest fingerprint differs from single-process" >&2; exit 1; }
-grep -Eq '"shard_restarts":[1-9]' results/fig17.manifest.json \
-    || { echo "manifest does not record the shard restart" >&2; exit 1; }
-ls results/fig17.shard*.heartbeat.json >/dev/null 2>&1 \
-    && { echo "heartbeat files not cleaned up after success" >&2; exit 1; }
-[ -f results/fig17.shardplan.json ] \
-    && { echo "shard plan not cleaned up after success" >&2; exit 1; }
 
 echo "== perfbench tests (the benchmark package builds against the workspace API) =="
 # perfbench/ is a package of its own outside the workspace, so nothing

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Run one campaign binary split across N shard processes, then merge the
-# shard manifests into the final results/<bin>.manifest.json — the
-# decoupled flavour of `--shards N`, for when shards should run as
-# separately driven processes (different terminals, machines sharing the
-# cache dir, a cluster scheduler) rather than children of a coordinator.
+# shard manifests into the final results/<bin>.manifest.json. Shards run
+# one after another here; to spread them over terminals, machines sharing
+# the cache dir, or a cluster scheduler, run `<bin> --shard K/N` for each
+# K wherever you like and finish with `<bin> --merge-shards N`.
 #
 # Usage: scripts/shard_run.sh <bin> <shards> [extra bench args...]
 #   scripts/shard_run.sh fig17 4 --quick
@@ -56,6 +56,9 @@ finish() {
 }
 
 cargo build --release -q -p suss-bench --bin "$bin"
+# A shard manifest left by an earlier run would stand in for a shard that
+# dies in this one; start from none.
+rm -f "results/$bin.shard"*"of$shards.manifest.json"
 trap 'finish "$@"' EXIT
 
 for ((k = 0; k < shards; k++)); do
