@@ -60,9 +60,16 @@ impl fmt::Display for ByteRange {
 }
 
 /// A set of disjoint, sorted byte ranges with merge-on-insert.
+///
+/// Mutations find the touched window by binary search and splice only
+/// that window, so each costs O(log n + k) for k touched ranges (plus the
+/// `Vec`'s memmove of the tail); the byte total is kept alongside, so
+/// [`RangeSet::total_bytes`] is O(1).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RangeSet {
     ranges: Vec<ByteRange>,
+    /// Sum of `ranges`' lengths, kept up to date by every mutation.
+    total: u64,
 }
 
 impl RangeSet {
@@ -78,7 +85,7 @@ impl RangeSet {
 
     /// Total bytes covered.
     pub fn total_bytes(&self) -> u64 {
-        self.ranges.iter().map(ByteRange::len).sum()
+        self.total
     }
 
     /// Whether the set covers no bytes.
@@ -104,20 +111,23 @@ impl RangeSet {
         if r.is_empty() {
             return 0;
         }
-        let before = self.total_bytes();
         // Find insertion window: all ranges mergeable with r.
         let lo = self.ranges.partition_point(|x| x.end < r.start);
         let hi = self.ranges.partition_point(|x| x.start <= r.end);
-        if lo == hi {
+        let added = if lo == hi {
             self.ranges.insert(lo, r);
+            r.len()
         } else {
             let merged = ByteRange::new(
                 self.ranges[lo].start.min(r.start),
                 self.ranges[hi - 1].end.max(r.end),
             );
+            let absorbed: u64 = self.ranges[lo..hi].iter().map(ByteRange::len).sum();
             self.ranges.splice(lo..hi, std::iter::once(merged));
-        }
-        self.total_bytes() - before
+            merged.len() - absorbed
+        };
+        self.total += added;
+        added
     }
 
     /// Remove a range from the set (set difference), splitting any range
@@ -126,50 +136,39 @@ impl RangeSet {
         if r.is_empty() {
             return 0;
         }
-        let before = self.total_bytes();
-        let mut out = Vec::with_capacity(self.ranges.len() + 1);
-        for &x in &self.ranges {
-            match x.intersect(&r) {
-                None => out.push(x),
-                Some(_) => {
-                    if x.start < r.start {
-                        out.push(ByteRange::new(x.start, r.start));
-                    }
-                    if r.end < x.end {
-                        out.push(ByteRange::new(r.end, x.end));
-                    }
-                }
-            }
+        // Window of ranges that intersect r.
+        let lo = self.ranges.partition_point(|x| x.end <= r.start);
+        let hi = self.ranges.partition_point(|x| x.start < r.end);
+        if lo == hi {
+            return 0;
         }
-        self.ranges = out;
-        before - self.total_bytes()
+        let (first, last) = (self.ranges[lo], self.ranges[hi - 1]);
+        let head = (first.start < r.start).then(|| ByteRange::new(first.start, r.start));
+        let tail = (r.end < last.end).then(|| ByteRange::new(r.end, last.end));
+        let window: u64 = self.ranges[lo..hi].iter().map(ByteRange::len).sum();
+        let kept = head.map_or(0, |x| x.len()) + tail.map_or(0, |x| x.len());
+        self.ranges.splice(lo..hi, head.into_iter().chain(tail));
+        let removed = window - kept;
+        self.total -= removed;
+        removed
     }
 
     /// Remove every byte below `offset` (they have been consumed).
     pub fn remove_below(&mut self, offset: u64) {
-        self.ranges.retain_mut(|r| {
-            if r.end <= offset {
-                false
-            } else {
-                r.start = r.start.max(offset);
-                true
+        let n = self.ranges.partition_point(|x| x.end <= offset);
+        self.total -= self.ranges.drain(..n).map(|x| x.len()).sum::<u64>();
+        if let Some(first) = self.ranges.first_mut() {
+            if first.start < offset {
+                self.total -= offset - first.start;
+                first.start = offset;
             }
-        });
+        }
     }
 
     /// Whether `offset` is covered by the set.
     pub fn contains(&self, offset: u64) -> bool {
         let i = self.ranges.partition_point(|x| x.end <= offset);
         self.ranges.get(i).is_some_and(|r| r.contains(offset))
-    }
-
-    /// Bytes of the set that fall within `[start, end)`.
-    pub fn covered_within(&self, within: ByteRange) -> u64 {
-        self.ranges
-            .iter()
-            .filter_map(|r| r.intersect(&within))
-            .map(|r| r.len())
-            .sum()
     }
 
     /// The end of the contiguous run starting at `offset` (== `offset` if
@@ -204,8 +203,13 @@ impl RangeSet {
         (cursor < limit).then(|| ByteRange::new(cursor, limit))
     }
 
-    /// The most recently useful SACK blocks: the `max_blocks` ranges with
-    /// the highest offsets (receivers report newest information first).
+    /// SACK blocks above `above`: the `max_blocks` ranges with the
+    /// highest offsets, highest first, each clipped to start at `above`.
+    ///
+    /// This is not RFC 2018 §4's order, which puts the block holding the
+    /// most recently received segment first: a retransmission that fills
+    /// a low hole may never be reported. See the BBR recovery item in
+    /// ROADMAP.md; changing the order changes every lossy cell's result.
     pub fn sack_blocks(&self, above: u64, max_blocks: usize) -> Vec<ByteRange> {
         self.ranges
             .iter()
@@ -344,16 +348,6 @@ mod tests {
         s.insert(r(10, 20));
         assert!(s.contains(10) && s.contains(19));
         assert!(!s.contains(9) && !s.contains(20));
-    }
-
-    #[test]
-    fn covered_within_window() {
-        let mut s = RangeSet::new();
-        s.insert(r(10, 20));
-        s.insert(r(30, 40));
-        assert_eq!(s.covered_within(r(0, 50)), 20);
-        assert_eq!(s.covered_within(r(15, 35)), 10);
-        assert_eq!(s.covered_within(r(20, 30)), 0);
     }
 
     #[test]

@@ -184,6 +184,13 @@ echo "== rerun smoke (warm fig18 cache hits through Cache::load) =="
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload rerun --seed 1 --seconds 1 --trace 0 >/dev/null
 
+echo "== matrix smoke (full Fig. 17 fingerprint) =="
+# One short timed pass of the full Fig. 17 loss matrix (672 cells; quick
+# fig17 above covers only a subset). perfbench exits non-zero if any flow
+# fails or the campaign fingerprint disagrees with its pinned reference.
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload matrix --seed 1 --seconds 1 --trace 0 >/dev/null
+
 echo "== shim crate tests =="
 # The in-repo stand-ins for serde/proptest/criterion sit outside the
 # workspace's default members; run their own unit tests here.

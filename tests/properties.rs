@@ -2,7 +2,6 @@
 //! invariants (proptest).
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 use std::time::Duration;
 use suss_repro::suss::{
     growth_factor, plan_pacing, AckEvent, GrowthInputs, PacingPlan, Suss, SussConfig,
@@ -31,80 +30,140 @@ fn range_ops() -> impl Strategy<Value = Vec<RangeOp>> {
     )
 }
 
+/// A loss scoreboard's shape: hundreds of short inserts over `0..20_000`
+/// leave hundreds of holes; removals wide enough to span several ranges
+/// leave a remnant at each end; `remove_below` trims the low end like a
+/// cumulative ACK, often landing inside a range.
+fn many_holes_ops() -> impl Strategy<Value = Vec<RangeOp>> {
+    let insert = || (0u64..20_000, 1u64..24).prop_map(|(a, l)| RangeOp::Insert(a, a + l));
+    prop::collection::vec(
+        prop_oneof![
+            insert(),
+            insert(),
+            insert(),
+            insert(),
+            (0u64..20_000, 1u64..300).prop_map(|(a, l)| RangeOp::Remove(a, a + l)),
+            (0u64..4_000).prop_map(RangeOp::RemoveBelow),
+        ],
+        600..1_000,
+    )
+}
+
+/// The model's maximal runs of covered bytes, ascending.
+fn model_runs(model: &[bool]) -> Vec<ByteRange> {
+    let mut runs: Vec<ByteRange> = Vec::new();
+    for x in (0..model.len() as u64).filter(|&x| model[x as usize]) {
+        match runs.last_mut() {
+            Some(r) if r.end == x => r.end += 1,
+            _ => runs.push(ByteRange::new(x, x + 1)),
+        }
+    }
+    runs
+}
+
+/// Apply `ops` to a `RangeSet` and to a per-byte model of `0..span`,
+/// checking every return value and the cached total after each op, then
+/// every query over the span. Returns the most ranges the set held at once.
+fn check_against_model(ops: &[RangeOp], span: u64) -> Result<usize, TestCaseError> {
+    let mut set = RangeSet::new();
+    let mut model = vec![false; span as usize];
+    let mut model_total = 0u64;
+    let covered = |model: &[bool], x: u64| model.get(x as usize).copied().unwrap_or(false);
+    let mut peak = 0;
+    for op in ops {
+        match *op {
+            RangeOp::Insert(a, b) => {
+                let added = set.insert(ByteRange::new(a, b));
+                let cells = &mut model[a as usize..b as usize];
+                let model_added = cells.iter().filter(|&&c| !c).count() as u64;
+                cells.fill(true);
+                model_total += model_added;
+                prop_assert_eq!(added, model_added, "{:?}", op);
+            }
+            RangeOp::Remove(a, b) => {
+                let removed = set.remove(ByteRange::new(a, b));
+                let cells = &mut model[a as usize..b as usize];
+                let model_removed = cells.iter().filter(|&&c| c).count() as u64;
+                cells.fill(false);
+                model_total -= model_removed;
+                prop_assert_eq!(removed, model_removed, "{:?}", op);
+            }
+            RangeOp::RemoveBelow(o) => {
+                set.remove_below(o);
+                let cells = &mut model[..o as usize];
+                model_total -= cells.iter().filter(|&&c| c).count() as u64;
+                cells.fill(false);
+            }
+        }
+        // Invariants after every op: the cached total matches both the
+        // model and the ranges actually held.
+        let rs: Vec<ByteRange> = set.iter().collect();
+        prop_assert_eq!(set.total_bytes(), model_total, "after {:?}", op);
+        prop_assert_eq!(
+            set.total_bytes(),
+            rs.iter().map(ByteRange::len).sum::<u64>(),
+            "after {:?}",
+            op
+        );
+        prop_assert_eq!(set.num_ranges(), rs.len());
+        prop_assert_eq!(set.is_empty(), model_total == 0);
+        peak = peak.max(rs.len());
+        // Ranges are disjoint, sorted, non-empty.
+        for w in rs.windows(2) {
+            prop_assert!(w[0].end < w[1].start, "ranges must not touch: {:?}", rs);
+        }
+        for r in &rs {
+            prop_assert!(r.start < r.end);
+        }
+    }
+    let runs = model_runs(&model);
+    prop_assert_eq!(set.iter().collect::<Vec<_>>(), runs);
+    // Point queries agree everywhere.
+    for x in 0..span {
+        prop_assert_eq!(set.contains(x), covered(&model, x), "offset {}", x);
+    }
+    // contiguous_end agrees with the model.
+    for x in 0..span {
+        let mut end = x;
+        while covered(&model, end) {
+            end += 1;
+        }
+        prop_assert_eq!(set.contiguous_end(x), end, "contiguous from {}", x);
+    }
+    // first_gap agrees with the model.
+    for x in (0..span).step_by(7) {
+        let limit = x + 31;
+        let gap_start = (x..limit).find(|&y| !covered(&model, y));
+        let expect = gap_start.map(|g| {
+            let mut e = g;
+            while e < limit && !covered(&model, e) {
+                e += 1;
+            }
+            ByteRange::new(g, e)
+        });
+        prop_assert_eq!(set.first_gap(x, limit), expect);
+    }
+    // iter_from and sack_blocks agree with the model's runs.
+    for x in (0..span).step_by(span as usize / 200 + 1) {
+        let from: Vec<ByteRange> = runs.iter().copied().filter(|r| r.end > x).collect();
+        prop_assert_eq!(set.iter_from(x).collect::<Vec<_>>(), from, "from {}", x);
+        let blocks: Vec<ByteRange> = from
+            .iter()
+            .rev()
+            .take(3)
+            .map(|r| ByteRange::new(r.start.max(x), r.end))
+            .collect();
+        prop_assert_eq!(set.sack_blocks(x, 3), blocks, "sack above {}", x);
+    }
+    Ok(peak)
+}
+
 proptest! {
     #[test]
-    fn rangeset_matches_naive_model(ops in range_ops()) {
-        let mut set = RangeSet::new();
-        let mut model: BTreeSet<u64> = BTreeSet::new();
-        for op in &ops {
-            match *op {
-                RangeOp::Insert(a, b) => {
-                    let added = set.insert(ByteRange::new(a, b));
-                    let mut model_added = 0;
-                    for x in a..b {
-                        if model.insert(x) {
-                            model_added += 1;
-                        }
-                    }
-                    prop_assert_eq!(added, model_added);
-                }
-                RangeOp::Remove(a, b) => {
-                    let removed = set.remove(ByteRange::new(a, b));
-                    let mut model_removed = 0;
-                    for x in a..b {
-                        if model.remove(&x) {
-                            model_removed += 1;
-                        }
-                    }
-                    prop_assert_eq!(removed, model_removed);
-                }
-                RangeOp::RemoveBelow(o) => {
-                    set.remove_below(o);
-                    model.retain(|&x| x >= o);
-                }
-            }
-            // Invariants after every op.
-            prop_assert_eq!(set.total_bytes(), model.len() as u64);
-            // Ranges are disjoint, sorted, non-empty.
-            let rs: Vec<ByteRange> = set.iter().collect();
-            for w in rs.windows(2) {
-                prop_assert!(w[0].end < w[1].start, "ranges must not touch: {:?}", rs);
-            }
-            for r in &rs {
-                prop_assert!(r.start < r.end);
-            }
-        }
-        // Point queries agree everywhere.
-        for x in 0..240u64 {
-            prop_assert_eq!(set.contains(x), model.contains(&x), "offset {}", x);
-        }
-        // contiguous_end agrees with the model.
-        for x in 0..240u64 {
-            let mut end = x;
-            while model.contains(&end) {
-                end += 1;
-            }
-            prop_assert_eq!(set.contiguous_end(x), end, "contiguous from {}", x);
-        }
-        // first_gap agrees with the model.
-        for x in (0..240u64).step_by(7) {
-            let limit = x + 31;
-            let mut gap_start = None;
-            for y in x..limit {
-                if !model.contains(&y) {
-                    gap_start = Some(y);
-                    break;
-                }
-            }
-            let expect = gap_start.map(|g| {
-                let mut e = g;
-                while e < limit && !model.contains(&e) {
-                    e += 1;
-                }
-                ByteRange::new(g, e)
-            });
-            prop_assert_eq!(set.first_gap(x, limit), expect);
-        }
+    fn rangeset_matches_naive_model(ops in range_ops(), holes in many_holes_ops()) {
+        check_against_model(&ops, 240)?;
+        let peak = check_against_model(&holes, 20_400)?;
+        prop_assert!(peak >= 100, "many-holes case peaked at {} ranges", peak);
     }
 }
 
