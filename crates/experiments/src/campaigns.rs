@@ -167,9 +167,9 @@ impl FlowGrid {
     /// raise policy any terminal cell failure panics with the cell's
     /// label (a panic in a clean-path figure is a bug worth crashing
     /// on); under [`RunnerOpts::record_failures`] the grid always
-    /// completes — a panicking cell is retried on a fresh worker, a hung
-    /// cell is abandoned by the watchdog, and failed cells come back as
-    /// `None` with their [`simrunner::CellStatus`] in the manifest.
+    /// completes — a panicking cell is recorded, a hung cell is abandoned
+    /// by the wall-clock watchdog, and failed cells come back as `None`
+    /// with their [`simrunner::CellStatus`] in the manifest.
     /// Chaos campaigns use the record policy.
     pub fn run(self, opts: &RunnerOpts) -> FlowGridRun {
         let FlowGrid { campaign, runners } = self;
@@ -189,7 +189,7 @@ impl FlowGrid {
 #[derive(Debug)]
 pub struct FlowGridRun {
     /// Per-cell flow stats, in queue order; `None` for cells that
-    /// panicked past the retry budget or were abandoned by the watchdog
+    /// panicked or were abandoned by the watchdog
     /// (record policy only — the default policy panics instead).
     pub stats: Vec<Option<FlowStats>>,
     /// The run's manifest (workers, wall time, cache hits, per-cell

@@ -9,15 +9,16 @@
 //! per family.
 //!
 //! Chaos cells run with [`simrunner::RunnerOpts::record_failures`], so a cell that
-//! panics or livelocks is retried/abandoned and recorded in the manifest
-//! instead of killing the campaign. Two environment hooks exist purely to
-//! exercise that machinery end-to-end (`scripts/check.sh` uses them):
+//! panics or hangs is recorded in the manifest instead of killing the
+//! campaign. Two environment hooks exist purely to exercise that
+//! machinery end-to-end (`scripts/check.sh` uses them):
 //!
 //! * `SUSS_CHAOS_PANIC_CELL=<family>:<cc>:<seed>` — the matching cell
-//!   panics on every attempt;
+//!   panics;
 //! * `SUSS_CHAOS_HANG_CELL=<family>:<cc>:<seed>` — the matching cell
-//!   sleeps without simulator progress (bounded at ~30 s, so even a
-//!   disabled watchdog terminates).
+//!   sleeps before simulating, so the wall-clock watchdog
+//!   (`SUSS_CELL_TIMEOUT_MS`) abandons it. The sleep is bounded at ~30 s,
+//!   so a run without a cell timeout still terminates.
 
 use crate::campaigns::FlowGrid;
 use crate::runner::{collect_sim_telemetry, FlowOutcome, IW, MSS};
@@ -203,9 +204,9 @@ pub fn chaos_table(
                     .as_ref()
                     .is_some_and(|i| i.matches(family, kind, seed))
                 {
-                    // Sleep without ticking simulator progress so the
-                    // stall watchdog fires; bounded so a disabled
-                    // watchdog still terminates.
+                    // Outlast the wall-clock budget so the watchdog
+                    // abandons the cell; bounded so a run without a
+                    // cell timeout still terminates.
                     for _ in 0..300 {
                         std::thread::sleep(Duration::from_millis(100));
                     }

@@ -799,13 +799,9 @@ impl Sim {
     fn account_dispatch(&mut self) {
         self.events_dispatched += 1;
         if self.events_dispatched & 0xFFF == 0 {
-            // Cheap liveness heartbeat for the campaign watchdog: a frozen
-            // tick under wall-clock pressure distinguishes a livelocked
-            // cell from a merely slow one.
-            simtrace::runtime::tick_progress();
-            // Flight-recorder breadcrumb on the same stride: a post-mortem
-            // dump always carries at least one progress marker, placing
-            // the crash on the virtual-time axis. Inert (closure not run)
+            // Flight-recorder breadcrumb every 4096 events: a post-mortem
+            // dump always carries a recent progress marker, placing the
+            // crash on the virtual-time axis. Inert (closure not run)
             // unless a recorder is installed on this thread.
             let now_ns = self.core.now.as_nanos();
             let dispatched = self.events_dispatched;

@@ -19,6 +19,10 @@
 //! metric catalogue). A *mismatched* identity under the same key is a
 //! plain miss, not corruption: it is a hash collision or a stale slot,
 //! and the next store legitimately claims it.
+//!
+//! The cache is unbounded and nothing evicts from it: an entry's mtime is
+//! the time it was written, and [`Cache::load`] never writes. Quarantined
+//! files stay until someone deletes them.
 
 use crate::fnv1a64;
 use serde::{Deserialize, Json, Serialize};
@@ -103,10 +107,7 @@ impl Cache {
     }
 
     /// Load a cached value, or `None` on any miss/corruption/mismatch.
-    ///
-    /// A hit bumps the entry's mtime so the size-capped sweep
-    /// ([`sweep_lru`]) evicts least-recently-*used* entries, not merely
-    /// least-recently-written ones.
+    /// A hit only reads the entry; a corrupt entry is quarantined.
     pub fn load<T: Deserialize>(&self, id: &CellIdentity<'_>) -> Option<T> {
         let path = self.path_for_key(id.key());
         let text = match fs::read_to_string(&path) {
@@ -146,17 +147,12 @@ impl Cache {
             .as_obj()
             .and_then(|obj| Json::field(obj, "value"))
             .and_then(T::from_json);
-        let Some(value) = value else {
+        if value.is_none() {
             // Identity matches but the payload doesn't decode: the entry
             // is corrupt for exactly this reader.
             self.quarantine(&path);
-            return None;
-        };
-        // Best-effort recency touch; a failure only skews eviction order.
-        if let Ok(file) = fs::File::options().write(true).open(&path) {
-            let _ = file.set_modified(std::time::SystemTime::now());
         }
-        Some(value)
+        value
     }
 
     /// Store a value under its identity (overwrites any previous entry).
@@ -176,88 +172,6 @@ impl Cache {
         fs::write(&tmp, entry.render())?;
         fs::rename(&tmp, &path)
     }
-}
-
-/// What [`sweep_lru`] found and removed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SweepStats {
-    /// Entry files present before the sweep.
-    pub entries_before: usize,
-    /// Total bytes on disk before the sweep.
-    pub bytes_before: u64,
-    /// Entry files deleted.
-    pub entries_removed: usize,
-    /// Bytes freed.
-    pub bytes_removed: u64,
-}
-
-impl SweepStats {
-    /// Entries remaining after the sweep.
-    pub fn entries_after(&self) -> usize {
-        self.entries_before - self.entries_removed
-    }
-
-    /// Bytes remaining after the sweep.
-    pub fn bytes_after(&self) -> u64 {
-        self.bytes_before - self.bytes_removed
-    }
-}
-
-/// Evict least-recently-used entries under the cache `root` (all
-/// experiment subdirectories) until the total size is at most
-/// `max_bytes`.
-///
-/// Recency is file mtime: stores write it, and [`Cache::load`] bumps it
-/// on every hit. Stray `.tmp` files from interrupted writes are always
-/// removed. A missing root is an empty cache, not an error.
-pub fn sweep_lru(root: &Path, max_bytes: u64) -> io::Result<SweepStats> {
-    let mut entries: Vec<(std::time::SystemTime, u64, PathBuf)> = Vec::new();
-    let mut stats = SweepStats::default();
-    let dirs = match fs::read_dir(root) {
-        Ok(d) => d,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(stats),
-        Err(e) => return Err(e),
-    };
-    for dir in dirs {
-        let dir = dir?;
-        if !dir.file_type()?.is_dir() {
-            continue;
-        }
-        for file in fs::read_dir(dir.path())? {
-            let file = file?;
-            let path = file.path();
-            if path.extension().is_some_and(|e| e == "tmp") {
-                let _ = fs::remove_file(&path);
-                continue;
-            }
-            // Quarantined entries are dead weight kept only for
-            // post-mortem; they age out through the same LRU budget.
-            if path
-                .extension()
-                .is_none_or(|e| e != "json" && e != "quarantine")
-            {
-                continue;
-            }
-            let meta = file.metadata()?;
-            let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-            entries.push((mtime, meta.len(), path));
-            stats.entries_before += 1;
-            stats.bytes_before += meta.len();
-        }
-    }
-    // Oldest first: those go first when we're over budget.
-    entries.sort();
-    let mut total = stats.bytes_before;
-    for (_, len, path) in entries {
-        if total <= max_bytes {
-            break;
-        }
-        fs::remove_file(&path)?;
-        total -= len;
-        stats.entries_removed += 1;
-        stats.bytes_removed += len;
-    }
-    Ok(stats)
 }
 
 #[cfg(test)]
@@ -313,51 +227,8 @@ mod tests {
     }
 
     #[test]
-    fn sweep_evicts_oldest_first_and_clears_tmp() {
-        let root = scratch("sweep");
-        let cache = Cache::open(&root, "exp").unwrap();
-        let mut paths = Vec::new();
-        for seed in 0..4u64 {
-            let id = CellIdentity {
-                experiment: "exp",
-                version: "v1",
-                params: "p",
-                seed,
-            };
-            cache.store(&id, &(seed as f64)).unwrap();
-            let path = cache.entry_path(&id);
-            // Deterministic mtimes: seed 0 is oldest.
-            let t = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000 + seed);
-            fs::File::options()
-                .write(true)
-                .open(&path)
-                .unwrap()
-                .set_modified(t)
-                .unwrap();
-            paths.push(path);
-        }
-        fs::write(cache.dir().join("stale.tmp"), b"junk").unwrap();
-        let per_entry = fs::metadata(&paths[0]).unwrap().len();
-        // Budget for exactly two entries: seeds 0 and 1 must go.
-        let stats = sweep_lru(&root, per_entry * 2).unwrap();
-        assert_eq!(stats.entries_before, 4);
-        assert_eq!(stats.entries_removed, 2);
-        assert_eq!(stats.entries_after(), 2);
-        assert!(!paths[0].exists() && !paths[1].exists());
-        assert!(paths[2].exists() && paths[3].exists());
-        assert!(!cache.dir().join("stale.tmp").exists());
-        // Under budget: nothing further removed.
-        let stats = sweep_lru(&root, u64::MAX).unwrap();
-        assert_eq!(stats.entries_removed, 0);
-        // Missing root is fine.
-        let stats = sweep_lru(&root.join("nope"), 0).unwrap();
-        assert_eq!(stats.entries_before, 0);
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn load_touches_entry_mtime() {
-        let root = scratch("touch");
+    fn load_leaves_the_entry_untouched() {
+        let root = scratch("read-only");
         let cache = Cache::open(&root, "exp").unwrap();
         let id = CellIdentity {
             experiment: "exp",
@@ -374,9 +245,18 @@ mod tests {
             .unwrap()
             .set_modified(old)
             .unwrap();
+        let bytes = fs::read(&path).unwrap();
         assert_eq!(cache.load::<f64>(&id), Some(1.0));
-        let touched = fs::metadata(&path).unwrap().modified().unwrap();
-        assert!(touched > old, "hit must refresh recency");
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            bytes,
+            "a hit must not rewrite the entry"
+        );
+        assert_eq!(
+            fs::metadata(&path).unwrap().modified().unwrap(),
+            old,
+            "a hit must not touch the entry's mtime"
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -415,27 +295,6 @@ mod tests {
         .unwrap();
         assert_eq!(cache.load::<f64>(&id), None);
         assert_eq!(cache.quarantined_count(), 2);
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn sweep_ages_out_quarantined_files() {
-        let root = scratch("sweep-quarantine");
-        let cache = Cache::open(&root, "exp").unwrap();
-        let id = CellIdentity {
-            experiment: "exp",
-            version: "v1",
-            params: "p",
-            seed: 1,
-        };
-        cache.store(&id, &1.0f64).unwrap();
-        fs::write(cache.entry_path(&id), "garbage").unwrap();
-        assert_eq!(cache.load::<f64>(&id), None);
-        let q = cache.entry_path(&id).with_extension("quarantine");
-        assert!(q.exists());
-        let stats = sweep_lru(&root, 0).unwrap();
-        assert_eq!(stats.entries_removed, 1);
-        assert!(!q.exists(), "quarantine files must respect the budget");
         let _ = fs::remove_dir_all(&root);
     }
 

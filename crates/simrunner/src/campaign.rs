@@ -31,7 +31,7 @@ pub struct Cell {
     pub seed: u64,
 }
 
-/// What to do when cells fail (panic, exhaust retries, or time out).
+/// What to do when cells fail (panic or time out).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FailurePolicy {
     /// Panic after the campaign drains, naming the first failed cell —
@@ -50,9 +50,9 @@ pub enum FailurePolicy {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum ExecSpec {
     /// The deterministic token-tracked thread pool with panic isolation,
-    /// bounded retries, watchdogs and flight-recorder dumps (the
-    /// default, and the only local executor: cells are coarse, so its
-    /// shared queue already balances them).
+    /// a wall-clock watchdog and flight-recorder dumps (the default, and
+    /// the only local executor: cells are coarse, so its shared queue
+    /// already balances them).
     #[default]
     Pool,
     /// Run only the cells owned by shard `index` of `total` (round-robin
@@ -91,10 +91,7 @@ pub enum ExecSpec {
 /// | `SUSS_NO_CACHE` | `1` disables the cache entirely |
 /// | `SUSS_FORCE_COLD` | `1` ignores existing entries (still stores) |
 /// | `SUSS_PROGRESS` | `0` disables, anything else enables |
-/// | `SUSS_CACHE_MAX_BYTES` | LRU cap, `K`/`M`/`G` suffixes allowed |
 /// | `SUSS_CELL_TIMEOUT_MS` | per-cell wall budget (`0` disables) |
-/// | `SUSS_STALL_TIMEOUT_MS` | per-cell progress watchdog (`0` disables) |
-/// | `SUSS_CELL_RETRIES` | panic retry budget per cell |
 /// | `SUSS_PROF` | `0` disables, anything else enables the span profiler |
 /// | `SUSS_FLIGHTREC_DIR` | crash-dump directory (empty disables) |
 ///
@@ -116,21 +113,11 @@ pub struct RunnerOpts {
     pub force_cold: bool,
     /// Stream progress to stderr.
     pub progress: bool,
-    /// Size cap for the whole cache root; after the run, least-recently
-    /// used entries are evicted until the cache fits. `None` = unbounded.
-    pub cache_max_bytes: Option<u64>,
     /// Per-cell wall-clock budget (pool executor): a cell still computing
     /// past this is abandoned as [`TimedOut`](CellStatus::TimedOut).
-    /// `None` = unbounded.
+    /// `None` = unbounded. This is the runner's only watchdog; cells are
+    /// deterministic, so neither a timeout nor a panic is retried.
     pub cell_timeout: Option<Duration>,
-    /// Per-cell progress watchdog (pool executor): a cell whose
-    /// simulation dispatches no events for this long (the livelock
-    /// signature — wall clock advances, sim time doesn't) is abandoned as
-    /// [`TimedOut`](CellStatus::TimedOut). `None` disables the watchdog.
-    pub stall_timeout: Option<Duration>,
-    /// How many times a panicking cell is re-run (with linear backoff)
-    /// before being recorded as [`Panicked`](CellStatus::Panicked).
-    pub cell_retries: u32,
     /// Enable the span profiler (`simtrace::prof`) around each computed
     /// cell; per-cell snapshots merge into [`RunManifest::prof`].
     /// Observability-only: results are byte-identical either way.
@@ -138,7 +125,7 @@ pub struct RunnerOpts {
     /// Directory for flight-recorder crash dumps. When set, the pool
     /// executor arms a bounded ring of recent [`simtrace::TraceRecord`]s
     /// per in-flight cell and dumps it to `<dir>/<cell>.jsonl` when the
-    /// cell terminally panics or is abandoned by the watchdog. `None`
+    /// cell panics or is abandoned by the watchdog. `None`
     /// disables the recorder.
     pub flightrec_dir: Option<PathBuf>,
     /// What to do when cells fail terminally; see [`FailurePolicy`].
@@ -193,27 +180,9 @@ impl RunnerOpts {
         self
     }
 
-    /// Cap the cache root at `max_bytes` (LRU-swept after each run).
-    pub fn with_cache_max_bytes(mut self, max_bytes: u64) -> Self {
-        self.cache_max_bytes = Some(max_bytes);
-        self
-    }
-
     /// Set the per-cell wall-clock budget (pool executor).
     pub fn with_cell_timeout(mut self, timeout: Duration) -> Self {
         self.cell_timeout = Some(timeout);
-        self
-    }
-
-    /// Set the per-cell progress-stall watchdog (pool executor).
-    pub fn with_stall_timeout(mut self, timeout: Duration) -> Self {
-        self.stall_timeout = Some(timeout);
-        self
-    }
-
-    /// Set the panic retry budget.
-    pub fn with_cell_retries(mut self, retries: u32) -> Self {
-        self.cell_retries = retries;
         self
     }
 
@@ -289,32 +258,10 @@ impl RunnerOpts {
         if let Some(p) = get("SUSS_PROGRESS") {
             self.progress = p != "0";
         }
-        if let Some(b) = get("SUSS_CACHE_MAX_BYTES") {
-            match parse_bytes(&b) {
-                Some(b) => self.cache_max_bytes = Some(b),
-                None => warn(
-                    "SUSS_CACHE_MAX_BYTES",
-                    &b,
-                    "bytes with optional K/M/G suffix",
-                ),
-            }
-        }
         if let Some(ms) = get("SUSS_CELL_TIMEOUT_MS") {
             match ms.parse::<u64>() {
                 Ok(ms) => self.cell_timeout = (ms > 0).then(|| Duration::from_millis(ms)),
                 Err(_) => warn("SUSS_CELL_TIMEOUT_MS", &ms, "milliseconds (0 disables)"),
-            }
-        }
-        if let Some(ms) = get("SUSS_STALL_TIMEOUT_MS") {
-            match ms.parse::<u64>() {
-                Ok(ms) => self.stall_timeout = (ms > 0).then(|| Duration::from_millis(ms)),
-                Err(_) => warn("SUSS_STALL_TIMEOUT_MS", &ms, "milliseconds (0 disables)"),
-            }
-        }
-        if let Some(r) = get("SUSS_CELL_RETRIES") {
-            match r.parse() {
-                Ok(r) => self.cell_retries = r,
-                Err(_) => warn("SUSS_CELL_RETRIES", &r, "a retry count"),
             }
         }
         if let Some(p) = get("SUSS_PROF") {
@@ -523,27 +470,10 @@ impl Campaign {
                 wall_ms: 0.0,
                 events: 0,
                 status: CellStatus::Ok,
-                attempts: 0,
                 error: String::new(),
                 flightrec: String::new(),
             })
             .collect()
-    }
-
-    /// Post-run LRU sweep over the whole cache root.
-    pub(crate) fn sweep_cache(&self, opts: &RunnerOpts) {
-        if let (Some(root), Some(max)) = (opts.cache_dir.as_deref(), opts.cache_max_bytes) {
-            if let Ok(stats) = crate::cache::sweep_lru(root, max) {
-                if opts.progress && stats.entries_removed > 0 {
-                    eprintln!(
-                        "cache sweep: evicted {} entries ({} bytes), {} bytes kept",
-                        stats.entries_removed,
-                        stats.bytes_removed,
-                        stats.bytes_after()
-                    );
-                }
-            }
-        }
     }
 
     pub(crate) fn assemble_manifest(&self, parts: ManifestParts) -> RunManifest {
@@ -555,7 +485,7 @@ impl Campaign {
         let mut walls: Vec<f64> = parts
             .records
             .iter()
-            .filter(|r| !r.cached && r.status.succeeded() && r.attempts > 0)
+            .filter(|r| !r.cached && r.status.succeeded())
             .map(|r| r.wall_ms)
             .collect();
         walls.sort_by(|a, b| a.total_cmp(b));
@@ -583,7 +513,6 @@ impl Campaign {
             wall_ms_p50: nearest_rank(&walls, 50.0),
             wall_ms_p99: nearest_rank(&walls, 99.0),
             cells_failed: parts.cells_failed,
-            cell_retries: parts.cell_retries,
             cell_timeouts: parts.cell_timeouts,
             cache_quarantined: parts.cache_quarantined,
             // Stamped by the merge; a freshly assembled manifest has none.
@@ -608,7 +537,6 @@ pub(crate) struct ManifestParts {
     pub started: Instant,
     pub records: Vec<CellRecord>,
     pub cells_failed: usize,
-    pub cell_retries: u64,
     pub cell_timeouts: u64,
     pub cache_quarantined: u64,
     pub results_digest: String,
@@ -693,19 +621,6 @@ pub(crate) fn dump_flightrec(
     }
 }
 
-/// Parse a byte-size string: plain bytes, or with a `K`/`M`/`G` suffix
-/// (case-insensitive, powers of 1024).
-pub fn parse_bytes(s: &str) -> Option<u64> {
-    let s = s.trim();
-    let (digits, mult) = match s.as_bytes().last()? {
-        b'k' | b'K' => (&s[..s.len() - 1], 1u64 << 10),
-        b'm' | b'M' => (&s[..s.len() - 1], 1u64 << 20),
-        b'g' | b'G' => (&s[..s.len() - 1], 1u64 << 30),
-        _ => (s, 1),
-    };
-    digits.trim().parse::<u64>().ok()?.checked_mul(mult)
-}
-
 /// Extract the text of a panic payload. Callers holding the
 /// `Box<dyn Any + Send>` from `catch_unwind` must pass `&*payload`:
 /// passing `&payload` unsizes the *box itself* into `&dyn Any` (boxes are
@@ -723,17 +638,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_bytes_accepts_suffixes() {
-        assert_eq!(parse_bytes("1024"), Some(1024));
-        assert_eq!(parse_bytes("4K"), Some(4096));
-        assert_eq!(parse_bytes("2m"), Some(2 << 20));
-        assert_eq!(parse_bytes("1G"), Some(1 << 30));
-        assert_eq!(parse_bytes(" 8 K "), Some(8192));
-        assert_eq!(parse_bytes("nope"), None);
-        assert_eq!(parse_bytes(""), None);
-    }
 
     #[test]
     fn sanitize_label_keeps_safe_chars() {
@@ -757,10 +661,7 @@ mod tests {
             ("SUSS_CACHE_DIR", "/tmp/cache"),
             ("SUSS_FORCE_COLD", "1"),
             ("SUSS_PROGRESS", "0"),
-            ("SUSS_CACHE_MAX_BYTES", "2M"),
             ("SUSS_CELL_TIMEOUT_MS", "1500"),
-            ("SUSS_STALL_TIMEOUT_MS", "0"),
-            ("SUSS_CELL_RETRIES", "2"),
             ("SUSS_PROF", "1"),
             ("SUSS_FLIGHTREC_DIR", "/tmp/frec"),
         ]));
@@ -769,10 +670,7 @@ mod tests {
         assert_eq!(opts.cache_dir.as_deref(), Some(Path::new("/tmp/cache")));
         assert!(opts.force_cold);
         assert!(!opts.progress);
-        assert_eq!(opts.cache_max_bytes, Some(2 << 20));
         assert_eq!(opts.cell_timeout, Some(Duration::from_millis(1500)));
-        assert_eq!(opts.stall_timeout, None, "0 disables the watchdog");
-        assert_eq!(opts.cell_retries, 2);
         assert!(opts.profile);
         assert_eq!(opts.flightrec_dir.as_deref(), Some(Path::new("/tmp/frec")));
         assert_eq!(opts.executor, ExecSpec::Pool);
@@ -807,23 +705,17 @@ mod tests {
     fn apply_env_warns_and_keeps_prior_value_on_malformed_input() {
         let base = RunnerOpts::default()
             .with_workers(7)
-            .with_cell_retries(4)
-            .with_cache_max_bytes(1024);
+            .with_cell_timeout(Duration::from_millis(900));
         let (opts, warnings) = base.apply_env(env_of(&[
             ("SUSS_WORKERS", "many"),
-            ("SUSS_CACHE_MAX_BYTES", "-5"),
             ("SUSS_CELL_TIMEOUT_MS", "soon"),
-            ("SUSS_STALL_TIMEOUT_MS", "1e3"),
-            ("SUSS_CELL_RETRIES", "2.5"),
         ]));
-        assert_eq!(warnings.len(), 5, "{warnings:?}");
+        assert_eq!(warnings.len(), 2, "{warnings:?}");
         for w in &warnings {
             assert!(w.starts_with("ignoring SUSS_"), "{w}");
         }
         assert_eq!(opts.workers, 7, "malformed value must keep the prior one");
-        assert_eq!(opts.cell_retries, 4);
-        assert_eq!(opts.cache_max_bytes, Some(1024));
-        assert_eq!(opts.cell_timeout, None);
+        assert_eq!(opts.cell_timeout, Some(Duration::from_millis(900)));
         assert_eq!(opts.executor, ExecSpec::Pool);
     }
 

@@ -7,9 +7,10 @@
 //! is byte-identical across engines:
 //!
 //! * `pool` ([`ExecSpec::Pool`], the default) — the deterministic
-//!   token-tracked thread pool with panic isolation, bounded retries,
-//!   wall-clock and progress-stall watchdogs, and flight-recorder crash
-//!   dumps;
+//!   token-tracked thread pool with panic isolation, a wall-clock
+//!   watchdog, and flight-recorder crash dumps. Each cell runs once: a
+//!   cell is a pure function of its parameters and seed, so a panic or a
+//!   hang would only recur on a second attempt;
 //! * `shard k/N` ([`ExecSpec::Shard`]) — the pool over only the cells
 //!   shard `k` owns (round-robin by index, see [`ShardInfo::owns`])
 //!   against the shared cache, writing a shard manifest;
@@ -33,15 +34,12 @@ use crate::progress::Progress;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Watchdog/retry scheduling granularity of the pool executor.
+/// Watchdog scan granularity of the pool executor.
 const TICK: Duration = Duration::from_millis(20);
-/// Backoff unit: attempt `k` waits `k × RETRY_BACKOFF` before re-running.
-const RETRY_BACKOFF: Duration = Duration::from_millis(25);
 /// Exit code of a shard process whose cells failed (manifest still written).
 pub const SHARD_FAILED_EXIT: i32 = 3;
 
@@ -106,7 +104,6 @@ struct Prepared<T> {
 #[derive(Default)]
 struct Tallies {
     failed: usize,
-    retries: u64,
     timeouts: u64,
     prof: simtrace::ProfSnapshot,
     scopes: Vec<simtrace::ScopeAnnotation>,
@@ -166,9 +163,9 @@ fn prepare<T: Deserialize>(
     }
 }
 
-/// Final phase, common to the pool and the shard worker: sweep the
-/// cache, assemble the manifest (with results digest and fingerprint),
-/// print the summary, and apply the failure policy.
+/// Final phase, common to the pool and the shard worker: assemble the
+/// manifest (with results digest and fingerprint), print the summary,
+/// and apply the failure policy.
 fn finish<T: Serialize>(
     campaign: &Campaign,
     opts: &RunnerOpts,
@@ -179,7 +176,6 @@ fn finish<T: Serialize>(
     raise: bool,
 ) -> CampaignReport<T> {
     prep.progress.finish();
-    campaign.sweep_cache(opts);
     let quarantined = prep
         .cache
         .as_ref()
@@ -195,7 +191,6 @@ fn finish<T: Serialize>(
         started: prep.started,
         records: prep.records,
         cells_failed: tallies.failed,
-        cell_retries: tallies.retries,
         cell_timeouts: tallies.timeouts,
         cache_quarantined: quarantined,
         results_digest: digest,
@@ -261,10 +256,9 @@ fn results_digest_of<T: Serialize>(results: &[Option<T>], records: &[CellRecord]
 // ---------------------------------------------------------------------------
 
 /// The deterministic token-tracked thread pool (`pool`): detached
-/// workers under a watchdog, per-cell panic isolation with bounded
-/// retries (linear backoff), wall-clock and progress-stall abandonment,
-/// flight-recorder dumps on terminal failure. Results commit by cell
-/// index on the main thread.
+/// workers under a wall-clock watchdog, per-cell panic isolation, one
+/// attempt per cell, flight-recorder dumps on failure. Results commit by
+/// cell index on the main thread.
 ///
 /// Detached (non-scoped) threads are what make abandonment possible: a
 /// hung cell's thread is left behind (it dies with the process) while a
@@ -297,7 +291,6 @@ where
     if prep.pending.is_empty() {
         return tallies;
     }
-    let n = campaign.cells.len();
     let results = &mut prep.results;
     let records = &mut prep.records;
     let cache = &prep.cache;
@@ -306,7 +299,6 @@ where
     struct Dispatch {
         token: u64,
         index: usize,
-        sink: Arc<AtomicU64>,
         recorder: Option<simtrace::FlightRecorder>,
     }
     enum Msg<T> {
@@ -320,11 +312,8 @@ where
     }
     struct InFlight {
         index: usize,
-        sink: Arc<AtomicU64>,
         recorder: Option<simtrace::FlightRecorder>,
         started: Option<Instant>,
-        progress_seen: u64,
-        progress_at: Instant,
     }
 
     let cells = Arc::new(campaign.cells.clone());
@@ -346,19 +335,15 @@ where
             let tx = tx.clone();
             thread::spawn(move || {
                 while let Some(d) = work.pop() {
-                    // The per-cell progress sink lets the main thread
-                    // distinguish "slow but advancing" from "livelocked"
-                    // without touching the simulation; the flight
-                    // recorder is the dispatching thread's handle, so the
-                    // ring stays readable even if this thread hangs.
-                    simtrace::runtime::set_progress_sink(Some(Arc::clone(&d.sink)));
+                    // The flight recorder is the dispatching thread's
+                    // handle, so the ring stays readable even if this
+                    // thread hangs.
                     simtrace::flightrec::install(d.recorder.clone());
                     if tx.send(Msg::Started { token: d.token }).is_err() {
                         break;
                     }
                     let (out, tel) = run_bracketed(profile, || f(&cells[d.index]));
                     simtrace::flightrec::install(None);
-                    simtrace::runtime::set_progress_sink(None);
                     let outcome = match out {
                         Ok(v) => Ok((v, tel)),
                         Err(p) => Err(panic_message(&*p)),
@@ -380,38 +365,21 @@ where
         spawn_worker();
     }
 
+    // Every pending cell is dispatched exactly once, up front; its token
+    // is its position in `pending`.
     let mut inflight: HashMap<u64, InFlight> = HashMap::new();
-    let mut attempts: Vec<u32> = vec![0; n];
-    let mut next_token = 0u64;
-    let mut delayed: Vec<(Instant, usize)> = Vec::new();
-    let mut outstanding = prep.pending.len();
-    // Not a closure: it would hold `records`/`next_token` borrowed across
-    // the whole loop, which also mutates them.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        index: usize,
-        work: &BoundedQueue<Dispatch>,
-        next_token: &mut u64,
-        attempts: &mut [u32],
-        records: &mut [CellRecord],
-        inflight: &mut HashMap<u64, InFlight>,
-        flightrec: bool,
-    ) {
-        let token = *next_token;
-        *next_token += 1;
-        attempts[index] += 1;
-        records[index].attempts = attempts[index];
-        let sink = Arc::new(AtomicU64::new(0));
+    let flightrec = opts.flightrec_dir.is_some();
+    for (token, &index) in (0u64..).zip(&prep.pending) {
         let recorder = flightrec.then(|| {
             let r = simtrace::FlightRecorder::new(simtrace::flightrec::DEFAULT_CAPACITY);
             // Seed the ring so a cell that dies before producing any
             // trace record (e.g. an injected panic at dispatch) still
-            // leaves a parseable, non-empty dump.
+            // leaves a parseable, non-empty dump naming the cell.
             r.push(simtrace::TraceRecord::metric(
                 0,
                 simtrace::kind::COUNTER,
                 "runner.dispatch",
-                u64::from(attempts[index]),
+                index as u64,
             ));
             r
         });
@@ -419,65 +387,27 @@ where
             token,
             InFlight {
                 index,
-                sink: Arc::clone(&sink),
                 recorder: recorder.clone(),
                 started: None,
-                progress_seen: 0,
-                progress_at: Instant::now(),
             },
         );
         work.push(Dispatch {
             token,
             index,
-            sink,
             recorder,
         });
     }
-    let flightrec = opts.flightrec_dir.is_some();
-    for &idx in &prep.pending {
-        dispatch(
-            idx,
-            &work,
-            &mut next_token,
-            &mut attempts,
-            records,
-            &mut inflight,
-            flightrec,
-        );
-    }
+    let mut outstanding = prep.pending.len();
 
     while outstanding > 0 {
-        // Release retries whose backoff has elapsed.
-        let now = Instant::now();
-        let mut i = 0;
-        while i < delayed.len() {
-            if delayed[i].0 <= now {
-                let (_, idx) = delayed.swap_remove(i);
-                dispatch(
-                    idx,
-                    &work,
-                    &mut next_token,
-                    &mut attempts,
-                    records,
-                    &mut inflight,
-                    flightrec,
-                );
-            } else {
-                i += 1;
-            }
-        }
-
         match rx.recv_timeout(TICK) {
             Ok(Msg::Started { token }) => {
                 if let Some(fl) = inflight.get_mut(&token) {
-                    let now = Instant::now();
-                    fl.started = Some(now);
-                    fl.progress_at = now;
-                    fl.progress_seen = fl.sink.load(Ordering::Relaxed);
+                    fl.started = Some(Instant::now());
                 }
             }
             Ok(Msg::Done { token, outcome }) => {
-                // An unknown token is a late result from an attempt the
+                // An unknown token is a late result from a cell the
                 // watchdog already abandoned: the cell's fate is sealed,
                 // drop it (and never cache it).
                 let Some(fl) = inflight.remove(&token) else {
@@ -494,73 +424,46 @@ where
                         records[idx].events = tel.events;
                         tallies.prof.merge(&tel.prof);
                         tallies.scopes.extend(tel.scopes);
-                        records[idx].status = if attempts[idx] > 1 {
-                            CellStatus::Retried
-                        } else {
-                            CellStatus::Ok
-                        };
                         results[idx] = Some(v);
-                        outstanding -= 1;
-                        progress.tick(false);
                     }
                     Err(msg) => {
-                        if attempts[idx] <= opts.cell_retries {
-                            tallies.retries += 1;
-                            let backoff = RETRY_BACKOFF * attempts[idx];
-                            delayed.push((Instant::now() + backoff, idx));
-                        } else {
-                            records[idx].status = CellStatus::Panicked;
-                            records[idx].error = msg;
-                            // Terminal failure: dump the black box.
-                            if let (Some(dir), Some(rec)) =
-                                (opts.flightrec_dir.as_deref(), fl.recorder.as_ref())
+                        records[idx].status = CellStatus::Panicked;
+                        records[idx].error = msg;
+                        // Terminal failure: dump the black box.
+                        if let (Some(dir), Some(rec)) =
+                            (opts.flightrec_dir.as_deref(), fl.recorder.as_ref())
+                        {
+                            if let Some(path) = dump_flightrec(dir, &campaign.cells[idx].label, rec)
                             {
-                                if let Some(path) =
-                                    dump_flightrec(dir, &campaign.cells[idx].label, rec)
-                                {
-                                    records[idx].flightrec = path;
-                                }
+                                records[idx].flightrec = path;
                             }
-                            tallies.failed += 1;
-                            outstanding -= 1;
-                            progress.tick(false);
                         }
+                        tallies.failed += 1;
                     }
                 }
+                outstanding -= 1;
+                progress.tick(false);
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
 
-        // Watchdog: abandon cells over the wall budget or stalled.
+        // Watchdog: abandon cells over the wall-clock budget.
+        let Some(limit) = opts.cell_timeout else {
+            continue;
+        };
         let now = Instant::now();
-        let mut expired: Vec<(u64, String)> = Vec::new();
-        for (&token, fl) in inflight.iter_mut() {
-            let Some(cell_started) = fl.started else {
-                continue;
-            };
-            if let Some(limit) = opts.cell_timeout {
-                if now.duration_since(cell_started) > limit {
-                    expired.push((token, format!("wall-clock budget exceeded ({limit:?})")));
-                    continue;
-                }
-            }
-            if let Some(stall) = opts.stall_timeout {
-                let cur = fl.sink.load(Ordering::Relaxed);
-                if cur != fl.progress_seen {
-                    fl.progress_seen = cur;
-                    fl.progress_at = now;
-                } else if now.duration_since(fl.progress_at) > stall {
-                    expired.push((token, format!("no simulator progress for {stall:?}")));
-                }
-            }
-        }
-        for (token, msg) in expired {
+        let expired: Vec<u64> = inflight
+            .iter()
+            .filter(|(_, fl)| fl.started.is_some_and(|t| now.duration_since(t) > limit))
+            .map(|(&token, _)| token)
+            .collect();
+        for token in expired {
             let Some(fl) = inflight.remove(&token) else {
                 continue;
             };
             records[fl.index].status = CellStatus::TimedOut;
-            records[fl.index].error = msg;
+            records[fl.index].error = format!("wall-clock budget exceeded ({limit:?})");
             // The hung worker can never drain its own ring; the
             // dispatching thread's clone reads it from outside.
             if let (Some(dir), Some(rec)) = (opts.flightrec_dir.as_deref(), fl.recorder.as_ref()) {
@@ -662,7 +565,7 @@ where
 /// whose manifest is missing, corrupt, or from a different campaign —
 /// its cells re-run inline against the warm shared cache), merge them,
 /// reload the full result set from the cache (recomputing inline on a
-/// cache miss — eviction must not corrupt the campaign), stamp digest,
+/// cache miss — a deleted entry must not corrupt the campaign), stamp digest,
 /// fingerprint, the reassignment counter and the merge's wall time, and
 /// apply the failure policy.
 fn merge_and_load<T, F>(
@@ -754,7 +657,6 @@ where
     manifest.utilization =
         manifest.worker_busy_secs / (wall.max(1e-9) * manifest.workers.max(1) as f64);
     manifest.fingerprint = manifest.compute_fingerprint();
-    campaign.sweep_cache(opts);
     if opts.progress {
         eprint!("{}", manifest.summary());
     }
@@ -937,21 +839,28 @@ mod tests {
 
     #[test]
     fn record_policy_survives_a_panicking_cell() {
+        use std::sync::atomic::{AtomicU32, Ordering};
         let c = demo_campaign(8);
         let opts = RunnerOpts::default().with_workers(3).record_failures();
         let clean = c.run(&opts.clone().executor(), |cell| cell.seed * 10);
         assert!(clean.all_ok());
         assert!(!clean.manifest.results_digest.is_empty());
 
-        let hurt = c.run(&opts.executor(), |cell| {
+        let calls: Arc<Vec<AtomicU32>> = Arc::new((0..8).map(|_| AtomicU32::new(0)).collect());
+        let seen = Arc::clone(&calls);
+        let hurt = c.run(&opts.executor(), move |cell| {
+            seen[cell.index].fetch_add(1, Ordering::SeqCst);
             if cell.seed == 3 {
                 panic!("injected");
             }
             cell.seed * 10
         });
+        // One attempt per cell: a deterministic panic is never re-run.
+        for (i, n) in calls.iter().enumerate() {
+            assert_eq!(n.load(Ordering::SeqCst), 1, "cell {i} ran more than once");
+        }
         assert!(!hurt.all_ok());
         assert_eq!(hurt.manifest.cells_failed, 1);
-        assert_eq!(hurt.manifest.cell_retries, 0);
         assert_eq!(hurt.results[3], None);
         assert!(
             hurt.manifest.results_digest.is_empty(),
@@ -959,62 +868,12 @@ mod tests {
         );
         let rec = &hurt.manifest.cells[3];
         assert_eq!(rec.status, CellStatus::Panicked);
-        assert_eq!(rec.attempts, 1);
         assert!(rec.error.contains("injected"), "error: {}", rec.error);
         // Every other cell is byte-identical to the clean run.
         for i in (0..8).filter(|&i| i != 3) {
             assert_eq!(hurt.results[i], clean.results[i], "cell {i}");
             assert_eq!(hurt.manifest.cells[i].status, CellStatus::Ok);
         }
-    }
-
-    #[test]
-    fn retry_recovers_a_flaky_cell() {
-        use std::sync::atomic::AtomicU32;
-        let c = demo_campaign(6);
-        let tries = Arc::new(AtomicU32::new(0));
-        let t = Arc::clone(&tries);
-        let out = c.run(
-            &RunnerOpts::default()
-                .with_workers(2)
-                .with_cell_retries(2)
-                .executor(),
-            move |cell| {
-                if cell.seed == 2 && t.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("transient");
-                }
-                cell.seed
-            },
-        );
-        assert!(out.all_ok());
-        assert_eq!(out.results[2], Some(2));
-        assert_eq!(out.manifest.cell_retries, 1);
-        assert_eq!(out.manifest.cells[2].status, CellStatus::Retried);
-        assert_eq!(out.manifest.cells[2].attempts, 2);
-        assert_eq!(out.manifest.cells[1].status, CellStatus::Ok);
-        assert_eq!(out.manifest.cells[1].attempts, 1);
-    }
-
-    #[test]
-    fn retry_budget_is_bounded() {
-        let c = demo_campaign(4);
-        let out = c.run(
-            &RunnerOpts::default()
-                .with_workers(2)
-                .with_cell_retries(2)
-                .record_failures()
-                .executor(),
-            |cell| {
-                if cell.seed == 1 {
-                    panic!("always");
-                }
-                cell.seed
-            },
-        );
-        assert_eq!(out.manifest.cells_failed, 1);
-        assert_eq!(out.manifest.cell_retries, 2);
-        assert_eq!(out.manifest.cells[1].status, CellStatus::Panicked);
-        assert_eq!(out.manifest.cells[1].attempts, 3, "1 run + 2 retries");
     }
 
     #[test]
@@ -1048,43 +907,6 @@ mod tests {
         for i in [0usize, 2, 3, 4] {
             assert_eq!(out.results[i], Some(i as u64), "cell {i}");
         }
-    }
-
-    #[test]
-    fn stall_watchdog_spares_slow_but_advancing_cells() {
-        let c = demo_campaign(4);
-        let out = c.run(
-            &RunnerOpts::default()
-                .with_workers(2)
-                .with_stall_timeout(Duration::from_millis(200))
-                .record_failures()
-                .executor(),
-            |cell| {
-                if cell.seed == 0 {
-                    // Slower than the stall window end to end, but
-                    // progressing the whole time: must survive.
-                    for _ in 0..8 {
-                        std::thread::sleep(Duration::from_millis(60));
-                        simtrace::runtime::tick_progress();
-                    }
-                } else if cell.seed == 1 {
-                    // Livelocked: wall clock advances, simulator doesn't.
-                    std::thread::sleep(Duration::from_secs(4));
-                }
-                cell.seed
-            },
-        );
-        assert_eq!(out.results[0], Some(0), "advancing cell must survive");
-        assert_eq!(out.manifest.cells[0].status, CellStatus::Ok);
-        assert_eq!(out.results[1], None);
-        assert_eq!(out.manifest.cells[1].status, CellStatus::TimedOut);
-        assert!(
-            out.manifest.cells[1]
-                .error
-                .contains("no simulator progress"),
-            "error: {}",
-            out.manifest.cells[1].error
-        );
     }
 
     #[test]
@@ -1208,7 +1030,6 @@ mod tests {
         let out = c.run(
             &RunnerOpts::default()
                 .with_workers(2)
-                .with_cell_retries(1)
                 .with_flightrec_dir(&dir)
                 .record_failures()
                 .executor(),
@@ -1232,11 +1053,11 @@ mod tests {
         );
         let dump = std::fs::read_to_string(&rec.flightrec).expect("dump exists");
         let parsed = simtrace::query::parse_jsonl(&dump).expect("dump parses");
-        // Seeded dispatch record (attempt 2 after one retry) plus the
+        // Seeded dispatch record (carrying the cell index) plus the
         // cell's own marker.
         assert!(parsed
             .iter()
-            .any(|r| r.name.as_deref() == Some("runner.dispatch") && r.value == Some(2.0)));
+            .any(|r| r.name.as_deref() == Some("runner.dispatch") && r.value == Some(3.0)));
         assert!(parsed
             .iter()
             .any(|r| r.name.as_deref() == Some("unit.marker")));

@@ -11,8 +11,9 @@
 //! * [`Campaign::run`] hands the campaign to the [`Executor`] its
 //!   [`RunnerOpts`] select ([`exec`]), which dispatches once on the
 //!   [`ExecSpec`]: the deterministic token-tracked thread pool (the
-//!   default — panic isolation, bounded retries, wall-clock and
-//!   progress-stall watchdogs, flight-recorder crash dumps), one shard
+//!   default — panic isolation, a wall-clock watchdog, flight-recorder
+//!   crash dumps; each cell runs once, since a deterministic cell that
+//!   failed would only fail again), one shard
 //!   of a campaign split across processes sharing one cache, or the
 //!   merge that folds the shard manifests back into a single
 //!   [`RunManifest`]. A shard with no usable manifest at merge time has
@@ -90,9 +91,9 @@ pub mod manifest;
 pub mod pool;
 pub mod progress;
 
-pub use cache::{sweep_lru, Cache, CellIdentity, SweepStats};
+pub use cache::{Cache, CellIdentity};
 pub use campaign::{
-    parse_bytes, parse_shard, Campaign, CampaignReport, Cell, ExecSpec, FailurePolicy, RunnerOpts,
+    parse_shard, Campaign, CampaignReport, Cell, ExecSpec, FailurePolicy, RunnerOpts,
 };
 pub use exec::{Executor, SHARD_FAILED_EXIT};
 pub use manifest::{

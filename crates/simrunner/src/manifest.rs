@@ -19,21 +19,19 @@ use std::path::{Path, PathBuf};
 
 /// How a cell's execution ended.
 ///
-/// The cell lifecycle is: dispatched → (panic → bounded retries) →
-/// `Ok`/`Retried` on success, `Panicked` when the retry budget is spent,
-/// `TimedOut` when the wall-clock or progress watchdog abandoned it.
-/// Only successful cells are stored to cache, so re-running a campaign
-/// against a warm cache recomputes exactly the failed cells.
+/// The cell lifecycle is: dispatched once → `Ok` on success, `Panicked`
+/// when the cell panicked, `TimedOut` when the wall-clock watchdog
+/// abandoned it. A cell is a pure function of its parameters and seed,
+/// so a failed cell is never re-run within the campaign. Only successful
+/// cells are stored to cache, so re-running a campaign against a warm
+/// cache recomputes exactly the failed cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CellStatus {
-    /// Completed on the first attempt (or served from cache).
+    /// Completed (or served from cache).
     Ok,
-    /// Completed, but only after at least one retried panic.
-    Retried,
-    /// Panicked on every attempt; no result.
+    /// Panicked; no result.
     Panicked,
-    /// Abandoned by the per-cell watchdog (wall-clock budget exceeded, or
-    /// no simulator progress for the stall window); no result.
+    /// Abandoned by the per-cell wall-clock watchdog; no result.
     TimedOut,
     /// Owned by a different shard of a sharded run; this execution never
     /// attempted it. Skipped cells are not failures — the owning shard's
@@ -44,7 +42,7 @@ pub enum CellStatus {
 impl CellStatus {
     /// Whether this status carries a result.
     pub fn succeeded(self) -> bool {
-        matches!(self, CellStatus::Ok | CellStatus::Retried)
+        self == CellStatus::Ok
     }
 }
 
@@ -101,14 +99,11 @@ pub struct CellRecord {
     pub events: u64,
     /// How the cell's execution ended.
     pub status: CellStatus,
-    /// Execution attempts (0 for cache hits, 1 for a clean first run,
-    /// more when panics were retried).
-    pub attempts: u32,
     /// The terminal failure message (panic payload or watchdog verdict);
     /// empty for successful cells.
     pub error: String,
-    /// Path of the flight-recorder dump written when this cell terminally
-    /// panicked or timed out; empty when no dump exists.
+    /// Path of the flight-recorder dump written when this cell panicked
+    /// or timed out; empty when no dump exists.
     pub flightrec: String,
 }
 
@@ -176,8 +171,6 @@ pub struct RunManifest {
     pub wall_ms_p99: f64,
     /// Cells that ended without a result (`runner.cells_failed`).
     pub cells_failed: usize,
-    /// Cell re-executions after a panic (`runner.cell_retries`).
-    pub cell_retries: u64,
     /// Cells abandoned by the watchdog (`runner.cell_timeouts`).
     pub cell_timeouts: u64,
     /// Corrupt cache entries quarantined while loading
@@ -246,7 +239,7 @@ impl RunManifest {
         // Manifests written before merge-time reassignment lack its
         // counter; default it to zero so old artifacts stay readable (the
         // derived deserializer requires every field and ignores unknown
-        // ones, such as the retired shard-supervision counters).
+        // ones, such as the retired shard-supervision and retry counters).
         if let serde::Json::Obj(fields) = &mut json {
             if !fields.iter().any(|(k, _)| k == "cells_reassigned") {
                 fields.push(("cells_reassigned".to_string(), serde::Json::Num(0.0)));
@@ -263,7 +256,7 @@ impl RunManifest {
     /// Digest over the deterministic content of the manifest: experiment
     /// identity, per-cell (index, label, seed, key, status), the results
     /// digest, and both annotation lists. Wall-clock fields, `cached`
-    /// flags, attempt counts and the executor label are excluded, so the
+    /// flags and the executor label are excluded, so the
     /// fingerprint is stable across cache temperature, worker count,
     /// executor choice and sharding.
     pub fn compute_fingerprint(&self) -> String {
@@ -432,7 +425,6 @@ impl RunManifest {
             wall_ms_p50: nearest_rank(&wall, 50.0),
             wall_ms_p99: nearest_rank(&wall, 99.0),
             cells_failed: shards.iter().map(|m| m.cells_failed).sum(),
-            cell_retries: shards.iter().map(|m| m.cell_retries).sum(),
             cell_timeouts: shards.iter().map(|m| m.cell_timeouts).sum(),
             cache_quarantined: shards.iter().map(|m| m.cache_quarantined).sum(),
             cells_reassigned: shards.iter().map(|m| m.cells_reassigned).sum(),
@@ -483,11 +475,10 @@ impl RunManifest {
             self.worker_busy_secs,
             self.utilization * 100.0,
         );
-        if self.cells_failed > 0 || self.cell_retries > 0 || self.cache_quarantined > 0 {
+        if self.cells_failed > 0 || self.cache_quarantined > 0 {
             s.push_str(&format!(
-                "  resilience: {} failed ({} timed out) | {} retries | \
-                 {} cache entries quarantined\n",
-                self.cells_failed, self.cell_timeouts, self.cell_retries, self.cache_quarantined,
+                "  resilience: {} failed ({} timed out) | {} cache entries quarantined\n",
+                self.cells_failed, self.cell_timeouts, self.cache_quarantined,
             ));
             for c in self
                 .cells
@@ -571,7 +562,6 @@ mod tests {
             wall_ms_p50: 1500.0,
             wall_ms_p99: 1500.0,
             cells_failed: 0,
-            cell_retries: 0,
             cell_timeouts: 0,
             cache_quarantined: 0,
             cells_reassigned: 0,
@@ -610,7 +600,6 @@ mod tests {
                     wall_ms: 0.0,
                     events: 0,
                     status: CellStatus::Ok,
-                    attempts: 0,
                     error: String::new(),
                     flightrec: String::new(),
                 },
@@ -623,7 +612,6 @@ mod tests {
                     wall_ms: 1500.0,
                     events: 1_500_000,
                     status: CellStatus::Ok,
-                    attempts: 1,
                     error: String::new(),
                     flightrec: String::new(),
                 },
@@ -677,17 +665,19 @@ mod tests {
         let mut m = sample();
         m.cells_failed = 1;
         m.cell_timeouts = 1;
-        m.cell_retries = 2;
         m.cells[1].status = CellStatus::TimedOut;
-        m.cells[1].error = "no simulator progress for 5s".into();
+        m.cells[1].error = "wall-clock budget exceeded (5s)".into();
         assert!(!m.all_ok());
         let json = m.to_json_string();
         assert!(json.contains("\"cells_failed\":1"));
         assert!(json.contains("\"status\":\"TimedOut\""));
-        assert!(json.contains("no simulator progress"));
+        assert!(json.contains("wall-clock budget exceeded"));
         let s = m.summary();
-        assert!(s.contains("resilience: 1 failed (1 timed out) | 2 retries"));
-        assert!(s.contains("TimedOut c1: no simulator progress"), "{s}");
+        assert!(
+            s.contains("resilience: 1 failed (1 timed out) | 0 cache"),
+            "{s}"
+        );
+        assert!(s.contains("TimedOut c1: wall-clock budget exceeded"), "{s}");
     }
 
     #[test]
@@ -700,7 +690,6 @@ mod tests {
         noisy.executor = "merged(2 shards)".into();
         noisy.cells[1].wall_ms = 1.0;
         noisy.cells[1].cached = true;
-        noisy.cells[1].attempts = 0;
         assert_eq!(
             noisy.compute_fingerprint(),
             fp,
@@ -797,6 +786,48 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A manifest written while the runner still retried panicking cells:
+    /// a 4-cell record-failures campaign whose `cell-2` panicked on both
+    /// of its two attempts. It carries the retired `cell_retries` counter
+    /// and per-cell `attempts`.
+    const RETRY_ERA_MANIFEST: &str = r#"{"experiment":"retry-era","version":"v1","executor":"pool","shard":null,"workers":1,"total_cells":4,"cache_hits":0,"cache_misses":4,"cells_skipped":0,"wall_secs":0.064361596,"cells_per_sec":62.148862809430646,"events_total":0,"events_per_sec":0,"worker_busy_secs":0.00000243,"utilization":0.00003775543415672912,"wall_ms_p50":0.00095,"wall_ms_p99":0.001271,"cells_failed":1,"cell_retries":1,"cell_timeouts":0,"cache_quarantined":0,"cells_reassigned":0,"results_digest":"","fingerprint":"ae283d3aeecaa302","annotations":[],"scope_annotations":[],"prof":{"spans":[]},"cells":[{"index":0,"label":"cell-0","seed":0,"key":"d78e2ad3c50a6f23","cached":false,"wall_ms":0.001271,"events":0,"status":"Ok","attempts":1,"error":"","flightrec":""},{"index":1,"label":"cell-1","seed":1,"key":"dde3d0d94ca996fb","cached":false,"wall_ms":0.000209,"events":0,"status":"Ok","attempts":1,"error":"","flightrec":""},{"index":2,"label":"cell-2","seed":2,"key":"e43976ded448bed3","cached":false,"wall_ms":0,"events":0,"status":"Panicked","attempts":2,"error":"injected","flightrec":""},{"index":3,"label":"cell-3","seed":3,"key":"ea8f1ce45be7e6ab","cached":false,"wall_ms":0.00095,"events":0,"status":"Ok","attempts":1,"error":"","flightrec":""}]}
+"#;
+
+    #[test]
+    fn reads_manifests_with_retired_retry_fields() {
+        let dir = std::env::temp_dir().join(format!(
+            "simrunner-manifest-retry-era-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("retry-era.manifest.json");
+        std::fs::write(&path, RETRY_ERA_MANIFEST).unwrap();
+        let back = RunManifest::read(&path).expect("retry-era manifest must still read");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(back.fingerprint, "ae283d3aeecaa302");
+        assert_eq!(back.compute_fingerprint(), back.fingerprint);
+        assert_eq!(back.cells_failed, 1);
+        assert_eq!(back.cells[2].status, CellStatus::Panicked);
+
+        // The same campaign run today fingerprints identically: dropping
+        // the attempt counts changed no content the fingerprint covers.
+        let mut c = crate::Campaign::new("retry-era", "v1");
+        for seed in 0..4u64 {
+            c.cell(format!("cell-{seed}"), format!("seed={seed}"), seed);
+        }
+        let now = c.run(
+            &crate::RunnerOpts::serial().record_failures().executor(),
+            |cell| {
+                if cell.seed == 2 {
+                    panic!("injected");
+                }
+                cell.seed as f64 / 4.0
+            },
+        );
+        assert_eq!(now.manifest.fingerprint, back.fingerprint);
+    }
+
     #[test]
     fn fingerprint_ignores_recovery_counters() {
         let m = sample();
@@ -828,7 +859,6 @@ mod tests {
             wall_ms: 10.0 * (i + 1) as f64,
             events: 100,
             status,
-            attempts: u32::from(status != CellStatus::Skipped),
             error: String::new(),
             flightrec: String::new(),
         };

@@ -115,7 +115,6 @@ fn full_size_manifest_reads_in_linear_time() {
             wall_ms: i as f64 / 7.0,
             events: 13_000 + i,
             status: CellStatus::Ok,
-            attempts: 1,
             error: String::new(),
             flightrec: String::new(),
         })

@@ -226,13 +226,21 @@ fn killed_shard_is_reassigned_at_merge_time() {
 
 #[test]
 fn corrupt_shard_manifest_is_quarantined_and_reassigned() {
-    let hostile = [
+    // Each case turns shard 1's healthy manifest text into hostile text.
+    let hostile: [fn(&str) -> String; 3] = [
         // Truncated JSON.
-        "{\"experiment\":\"shard-eq-it\",\"cells\":[tru".to_string(),
+        |_| "{\"experiment\":\"shard-eq-it\",\"cells\":[tru".to_string(),
         // Nesting deep enough to overflow a recursive parser.
-        "[".repeat(100_000),
+        |_| "[".repeat(100_000),
+        // A cell status from when the runner retried panicking cells: no
+        // longer a `CellStatus`, so the manifest does not parse.
+        |healthy| {
+            let old = healthy.replacen("\"status\":\"Ok\"", "\"status\":\"Retried\"", 1);
+            assert_ne!(old, healthy, "no Ok cell to rewrite");
+            old
+        },
     ];
-    for (case, text) in hostile.iter().enumerate() {
+    for (case, corrupt) in hostile.iter().enumerate() {
         let dir = tempdir(&format!("simrunner-shardeq-corrupt-{case}"));
         let c = campaign();
         let healthy = run_sharded(&c, &dir, 2);
@@ -240,6 +248,7 @@ fn corrupt_shard_manifest_is_quarantined_and_reassigned() {
 
         // Hostile content where shard 1's manifest should be.
         let path = shard_manifest_path(&stem, 1, 2);
+        let text = corrupt(&std::fs::read_to_string(&path).unwrap());
         std::fs::write(&path, text).unwrap();
 
         let merge_opts = shared_opts(&dir).with_executor(ExecSpec::MergeShards { shards: 2 });
@@ -260,6 +269,11 @@ fn corrupt_shard_manifest_is_quarantined_and_reassigned() {
             PathBuf::from(&q).exists(),
             "corrupt shard manifest must be quarantined, not deleted (case {case})"
         );
+        // The inline reassignment rewrote shard 1's slot with a manifest
+        // of its own.
+        let rewritten = RunManifest::read(&path).expect("reassigned shard manifest");
+        assert_eq!(rewritten.shard, Some(ShardInfo { index: 1, total: 2 }));
+        assert!(rewritten.all_ok(), "case {case}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

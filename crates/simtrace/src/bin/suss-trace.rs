@@ -18,8 +18,9 @@
 //! smoke check); `profile` renders the span profile embedded in a run
 //! manifest (`--collapse` emits collapsed-stack lines for flamegraph
 //! tools, `--min-coverage` turns the named-span coverage into a CI
-//! gate); `cache-stats` reports size/age of the simrunner result
-//! cache.
+//! gate); `cache-stats` reports the size of the simrunner result cache
+//! and the age span of its files. An entry's mtime is when it was
+//! written (loads never touch it), so "age" is age since the write.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};

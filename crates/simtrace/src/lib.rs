@@ -125,12 +125,10 @@ pub mod names {
     /// Sends deferred by the QUIC pacing strategy (one per armed pacing
     /// timer; the knob the pacing-strategy matrix turns).
     pub const QUIC_PACE_DELAYS: &str = "quic.pace_delays";
-    /// Campaign cells re-run after a panic and eventually recovered.
-    pub const RUNNER_CELL_RETRIES: &str = "runner.cell_retries";
-    /// Campaign cells abandoned by the wall-clock/progress watchdog.
+    /// Campaign cells abandoned by the wall-clock watchdog.
     pub const RUNNER_CELL_TIMEOUTS: &str = "runner.cell_timeouts";
-    /// Campaign cells that ended a run without a result (panicked out of
-    /// retries or timed out).
+    /// Campaign cells that ended a run without a result (panicked or
+    /// timed out).
     pub const RUNNER_CELLS_FAILED: &str = "runner.cells_failed";
     /// Cache entries that failed to load and were quarantined on disk.
     pub const RUNNER_CACHE_QUARANTINED: &str = "runner.cache_quarantined";

@@ -4,19 +4,22 @@
 //! simulation reports its own effort here: after a run completes, the
 //! experiment layer calls [`add_cell_events`] with the number of simulator
 //! events dispatched, and the campaign runner brackets each cell with
-//! [`take_cell_events`] to attribute the count to that cell. Both sides
-//! touch only a thread-local `Cell`, so the accounting is free of
-//! synchronization and safe with any number of workers.
+//! [`take_cell_events`] to attribute the count to that cell. Scope
+//! summaries travel the same way ([`add_scope_annotation`] /
+//! [`take_scope_annotations`]). Both sides touch only thread-locals, so
+//! the accounting is free of synchronization and safe with any number of
+//! workers.
+//!
+//! The runner reads these only after a cell's closure returns; nothing
+//! here signals liveness while a cell runs. A hung cell is caught by the
+//! runner's wall-clock watchdog.
 
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 thread_local! {
     static CELL_EVENTS: Cell<u64> = const { Cell::new(0) };
-    static PROGRESS_SINK: RefCell<Option<Arc<AtomicU64>>> = const { RefCell::new(None) };
     static SCOPE_ANNOTATIONS: RefCell<Vec<ScopeAnnotation>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -69,28 +72,6 @@ pub fn take_cell_events() -> u64 {
     CELL_EVENTS.with(|c| c.replace(0))
 }
 
-/// Install a liveness heartbeat for work running on this thread, or clear
-/// it with `None`.
-///
-/// While a sink is installed, [`tick_progress`] bumps the shared counter; a
-/// campaign watchdog on another thread reads it to distinguish a slow cell
-/// (counter advancing) from a livelocked one (counter frozen). The simulator
-/// ticks from its dispatch loop, so any cell built on `netsim` gets livelock
-/// detection for free.
-pub fn set_progress_sink(sink: Option<Arc<AtomicU64>>) {
-    PROGRESS_SINK.with(|s| *s.borrow_mut() = sink);
-}
-
-/// Signal that work on this thread is still making progress. No-op when no
-/// sink is installed (the common, non-campaign case).
-pub fn tick_progress() {
-    PROGRESS_SINK.with(|s| {
-        if let Some(sink) = s.borrow().as_ref() {
-            sink.fetch_add(1, Ordering::Relaxed);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,18 +83,6 @@ mod tests {
         add_cell_events(4);
         assert_eq!(take_cell_events(), 7);
         assert_eq!(take_cell_events(), 0);
-    }
-
-    #[test]
-    fn progress_ticks_only_with_a_sink() {
-        tick_progress(); // no sink installed: must not panic
-        let sink = Arc::new(AtomicU64::new(0));
-        set_progress_sink(Some(sink.clone()));
-        tick_progress();
-        tick_progress();
-        set_progress_sink(None);
-        tick_progress();
-        assert_eq!(sink.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -33,17 +33,16 @@ cargo test --release -q -p netsim --test wheel_equivalence
 cargo test --release -q -p experiments --test determinism
 
 echo "== chaos smoke (fault injection + runner resilience) =="
-# End-to-end proof of the crash-proof runner: inject one always-panicking
-# cell and one hung cell into the quick chaos campaign. The run must
-# complete, exit non-zero, and record both failures in the manifest; a
-# clean re-run against the same cache must recompute exactly the two
-# failed cells and exit zero.
+# End-to-end proof of the crash-proof runner: inject one panicking cell
+# and one hung cell into the quick chaos campaign. The run must complete,
+# exit non-zero, and record both failures in the manifest, the hang as
+# the wall-clock watchdog's verdict; a clean re-run against the same
+# cache must recompute exactly the two failed cells and exit zero.
 CHAOS_CACHE="$SMOKE_DIR/chaos-cache"
 if SUSS_CACHE_DIR="$CHAOS_CACHE" \
     SUSS_CHAOS_PANIC_CELL=flap:cubic:1 \
     SUSS_CHAOS_HANG_CELL=reorder:cubic+suss:2 \
     SUSS_CELL_TIMEOUT_MS=5000 \
-    SUSS_CELL_RETRIES=1 \
     cargo run --release -q -p suss-bench --bin ext_chaos -- --quick \
     >/dev/null 2>"$SMOKE_DIR/chaos.err"; then
     echo "ext_chaos must exit non-zero when cells fail" >&2
@@ -53,6 +52,9 @@ grep -q '"status":"Panicked"' results/ext_chaos.manifest.json \
     || { echo "manifest missing Panicked cell" >&2; exit 1; }
 grep -q '"status":"TimedOut"' results/ext_chaos.manifest.json \
     || { echo "manifest missing TimedOut cell" >&2; exit 1; }
+grep -q '"status":"TimedOut","error":"wall-clock budget exceeded' \
+    results/ext_chaos.manifest.json \
+    || { echo "TimedOut cell was not abandoned by the wall-clock watchdog" >&2; exit 1; }
 # Every terminal failure must leave a flight-recorder dump, referenced
 # from the manifest, that parses and verifies as trace JSONL.
 frecs=$(grep -o '"flightrec":"results/flightrec/[^"]*"' \
