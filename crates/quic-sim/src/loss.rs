@@ -15,10 +15,22 @@
 //! srt-rs's sender — which the transport drains ahead of new data. The
 //! packets themselves are forgotten: a retransmission mints a fresh
 //! packet number, so the detector never tracks the same number twice.
+//!
+//! Every operation costs O(log n + packets touched), never a pass over
+//! the whole in-flight set. The in-flight byte total is cached; an ACK
+//! range finds its window by binary search and drains only that; loss
+//! detection and the loss-timer deadline walk only the prefix below
+//! `largest_acked`. Two invariants carry this:
+//!
+//! * packet numbers are handed in ascending, so the in-flight deque is
+//!   sorted (asserted on every send);
+//! * after each detection at most `PACKET_THRESHOLD − 1` unlost packets
+//!   stay below `largest_acked` — every older one is lost by count — so
+//!   that prefix is a couple of packets, not the window.
 
 use crate::frames::{Nanos, PktRange};
 use std::collections::VecDeque;
-use tcp_sim::ranges::ByteRange;
+use tcp_sim::ranges::{ByteRange, RangeSet};
 
 /// Packets-reordered threshold (RFC 9002 `kPacketThreshold`).
 pub const PACKET_THRESHOLD: u64 = 3;
@@ -51,8 +63,6 @@ pub struct SentPacket {
 pub struct AckOutcome {
     /// Stream bytes newly acknowledged.
     pub newly_acked: u64,
-    /// The newly acked stream ranges (for the send buffer / completion).
-    pub acked_ranges: Vec<ByteRange>,
     /// The largest-numbered packet among the newly acked, if any — the
     /// RTT/congestion reference packet.
     pub largest_newly: Option<SentPacket>,
@@ -66,6 +76,11 @@ pub struct AckOutcome {
 pub struct LossDetector {
     /// Unacked transmissions, ascending packet number.
     sent: VecDeque<SentPacket>,
+    /// Stream bytes carried by `sent` (kept in step on send, ACK and loss).
+    in_flight: u64,
+    /// Debug builds: checks to skip before the next full in-flight audit.
+    #[cfg(debug_assertions)]
+    audit_skip: usize,
     /// Largest packet number acknowledged so far.
     largest_acked: Option<u64>,
     /// Stream ranges awaiting retransmission: sorted, disjoint (the
@@ -79,9 +94,16 @@ impl LossDetector {
         Self::default()
     }
 
-    /// Record a departure. Packet numbers must be handed in ascending.
+    /// Record a departure. Packet numbers must be handed in ascending:
+    /// every window search and prefix walk depends on it.
     pub fn on_packet_sent(&mut self, pkt: SentPacket) {
-        debug_assert!(self.sent.back().is_none_or(|p| p.pkt_num < pkt.pkt_num));
+        assert!(
+            self.sent.back().is_none_or(|p| p.pkt_num < pkt.pkt_num),
+            "packet numbers must be sent ascending: {} after {:?}",
+            pkt.pkt_num,
+            self.sent.back().map(|p| p.pkt_num)
+        );
+        self.in_flight += pkt.range.len();
         self.sent.push_back(pkt);
     }
 
@@ -92,7 +114,7 @@ impl LossDetector {
 
     /// Unacked stream bytes currently tracked (in-flight).
     pub fn bytes_in_flight(&self) -> u64 {
-        self.sent.iter().map(|p| p.range.len()).sum()
+        self.in_flight
     }
 
     /// Number of unacked transmissions tracked.
@@ -106,23 +128,35 @@ impl LossDetector {
     }
 
     /// Apply an ACK frame's packet-number ranges, then run both loss
-    /// thresholds. `delay` is the current [`loss_delay`].
-    pub fn on_ack(&mut self, ranges: &[PktRange], now: Nanos, delay: Nanos) -> AckOutcome {
+    /// thresholds. `delay` is the current [`loss_delay`]. The stream
+    /// range of every newly acked packet is inserted into `acked`.
+    ///
+    /// Ranges may come in any order, overlap, be empty, re-ack packets
+    /// already gone, or run past the last packet sent: each one drains
+    /// just the packets it covers that are still in flight.
+    pub fn on_ack(
+        &mut self,
+        ranges: &[PktRange],
+        now: Nanos,
+        delay: Nanos,
+        acked: &mut RangeSet,
+    ) -> AckOutcome {
         let mut out = AckOutcome::default();
-        let covered = |pkt: u64| ranges.iter().any(|&(s, e)| s <= pkt && pkt < e);
-
-        self.sent.retain(|p| {
-            if covered(p.pkt_num) {
-                out.newly_acked += p.range.len();
-                out.acked_ranges.push(p.range);
-                if out.largest_newly.is_none_or(|l| l.pkt_num < p.pkt_num) {
-                    out.largest_newly = Some(*p);
-                }
-                false
-            } else {
-                true
+        for &(start, end) in ranges {
+            let lo = self.sent.partition_point(|p| p.pkt_num < start);
+            let hi = self.sent.partition_point(|p| p.pkt_num < end);
+            if lo >= hi {
+                continue;
             }
-        });
+            for p in self.sent.drain(lo..hi) {
+                out.newly_acked += p.range.len();
+                acked.insert(p.range);
+                if out.largest_newly.is_none_or(|l| l.pkt_num < p.pkt_num) {
+                    out.largest_newly = Some(p);
+                }
+            }
+        }
+        self.in_flight -= out.newly_acked;
         if let Some(l) = out.largest_newly {
             self.largest_acked = Some(self.largest_acked.map_or(l.pkt_num, |a| a.max(l.pkt_num)));
         }
@@ -131,28 +165,33 @@ impl LossDetector {
     }
 
     /// Run both loss thresholds against the current in-flight set (the
-    /// loss-timer path re-enters here without an ACK).
+    /// loss-timer path re-enters here without an ACK). Lost packets come
+    /// back in packet-number order.
     pub fn detect_lost(&mut self, now: Nanos, delay: Nanos) -> Vec<SentPacket> {
         let Some(largest) = self.largest_acked else {
             return Vec::new();
         };
+        // Only packets below `largest` can be judged. Every one of them
+        // but the last `PACKET_THRESHOLD − 1` is lost by count, so at
+        // most that many survivors precede a removed packet, and each
+        // `remove` shifts only those.
         let mut lost = Vec::new();
-        self.sent.retain(|p| {
-            if p.pkt_num >= largest {
-                return true; // nothing newer acked: cannot be judged
-            }
+        let mut i = 0;
+        while let Some(&p) = self.sent.get(i).filter(|p| p.pkt_num < largest) {
             let by_count = p.pkt_num + PACKET_THRESHOLD <= largest;
             let by_time = p.sent_at.saturating_add(delay) <= now;
             if by_count || by_time {
-                lost.push(*p);
-                false
+                self.sent.remove(i);
+                self.in_flight -= p.range.len();
+                lost.push(p);
             } else {
-                true
+                i += 1;
             }
-        });
+        }
         for p in &lost {
             self.nak(p.range);
         }
+        self.debug_check_in_flight();
         lost
     }
 
@@ -162,9 +201,30 @@ impl LossDetector {
         let largest = self.largest_acked?;
         self.sent
             .iter()
-            .filter(|p| p.pkt_num < largest)
+            .take_while(|p| p.pkt_num < largest)
             .map(|p| p.sent_at.saturating_add(delay))
             .min()
+    }
+
+    /// Debug builds re-derive the cached in-flight total from `sent`
+    /// (`on_ack` reaches this through `detect_lost`). A full audit then
+    /// skips as many checks as it summed packets, so the checks stay
+    /// O(1) amortised; a stale total stays stale, so the next audit
+    /// still catches it.
+    fn debug_check_in_flight(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            if self.audit_skip > 0 {
+                self.audit_skip -= 1;
+                return;
+            }
+            self.audit_skip = self.sent.len();
+            assert_eq!(
+                self.in_flight,
+                self.sent.iter().map(|p| p.range.len()).sum::<u64>(),
+                "cached in-flight total out of step with the in-flight packets"
+            );
+        }
     }
 
     /// Insert a stream range into the NAK list, keeping it sorted and
@@ -234,15 +294,23 @@ mod tests {
         for i in 0..5 {
             d.on_packet_sent(pkt(i, i * 1_000, 1_000, i));
         }
-        let out = d.on_ack(&[(0, 2), (3, 4)], 100, D);
+        let mut acked = RangeSet::new();
+        let out = d.on_ack(&[(0, 2), (3, 4)], 100, D, &mut acked);
         assert_eq!(out.newly_acked, 3_000);
+        let stream: Vec<_> = acked.iter().collect();
+        assert_eq!(
+            stream,
+            [ByteRange::new(0, 2_000), ByteRange::new(3_000, 4_000)]
+        );
         assert_eq!(out.largest_newly.unwrap().pkt_num, 3);
         assert_eq!(d.packets_in_flight(), 2);
         assert_eq!(d.largest_acked(), Some(3));
         // Re-acking the same ranges is a no-op.
-        let dup = d.on_ack(&[(0, 2)], 101, D);
+        let dup = d.on_ack(&[(0, 2)], 101, D, &mut acked);
         assert_eq!(dup.newly_acked, 0);
         assert!(dup.largest_newly.is_none());
+        assert_eq!(acked.total_bytes(), 3_000);
+        assert_eq!(d.bytes_in_flight(), 2_000);
     }
 
     #[test]
@@ -252,10 +320,10 @@ mod tests {
             d.on_packet_sent(pkt(i, i * 1_000, 1_000, 0));
         }
         // Packet 0 missing; acks for 1..=3 leave it within threshold.
-        let out = d.on_ack(&[(1, 3)], 10, D);
+        let out = d.on_ack(&[(1, 3)], 10, D, &mut RangeSet::new());
         assert!(out.lost.is_empty(), "0 survives: only 2 above it acked");
         // Acking packet 3 puts three higher packets past it.
-        let out = d.on_ack(&[(3, 4)], 20, D);
+        let out = d.on_ack(&[(3, 4)], 20, D, &mut RangeSet::new());
         assert_eq!(out.lost.len(), 1);
         assert_eq!(out.lost[0].pkt_num, 0);
         assert!(d.has_nak());
@@ -270,7 +338,7 @@ mod tests {
         d.on_packet_sent(pkt(0, 0, 1_000, 0));
         d.on_packet_sent(pkt(1, 1_000, 1_000, 0));
         // Only one higher packet acked: count threshold not met.
-        let out = d.on_ack(&[(1, 2)], 5, D);
+        let out = d.on_ack(&[(1, 2)], 5, D, &mut RangeSet::new());
         assert!(out.lost.is_empty());
         assert_eq!(d.next_loss_time(D), Some(D));
         // The loss timer fires past sent_at + delay.
@@ -278,6 +346,25 @@ mod tests {
         assert_eq!(lost.len(), 1);
         assert_eq!(lost[0].pkt_num, 0);
         assert_eq!(d.next_loss_time(D), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "packet numbers must be sent ascending")]
+    fn out_of_order_send_panics() {
+        let mut d = LossDetector::new();
+        d.on_packet_sent(pkt(5, 0, 1_000, 0));
+        d.on_packet_sent(pkt(5, 1_000, 1_000, 1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "cached in-flight total out of step")]
+    fn stale_in_flight_total_fails_the_debug_audit() {
+        let mut d = LossDetector::new();
+        d.on_packet_sent(pkt(0, 0, 1_000, 0));
+        d.on_packet_sent(pkt(1, 1_000, 1_000, 0));
+        d.in_flight -= 1;
+        d.on_ack(&[(1, 2)], 5, D, &mut RangeSet::new());
     }
 
     #[test]
@@ -298,7 +385,7 @@ mod tests {
         }
         // Ack only packet 1: packets 2 and 3 are above largest_acked and
         // must survive any amount of elapsed time.
-        let out = d.on_ack(&[(1, 2)], 1_000_000_000, D);
+        let out = d.on_ack(&[(1, 2)], 1_000_000_000, D, &mut RangeSet::new());
         assert_eq!(out.lost.len(), 1, "only packet 0 is judged: {out:?}");
         assert_eq!(out.lost[0].pkt_num, 0);
         assert_eq!(d.packets_in_flight(), 2);

@@ -490,9 +490,7 @@ impl QuicSender {
         }
         self.stats.pkts_lost += lost.len() as u64;
         if let Some(m) = &self.metrics {
-            for _ in lost {
-                m.pkts_lost.inc();
-            }
+            m.pkts_lost.add(lost.len() as u64);
         }
         // A new episode begins only when a packet sent after the last
         // episode's start is lost (RFC 9002 recovery-period rule).
@@ -529,14 +527,13 @@ impl QuicSender {
         self.rtt.on_sample(Duration::from_nanos(sample));
 
         let delay = self.current_loss_delay();
-        let out = self.detector.on_ack(&ack.ranges, now_ns, delay);
+        let out = self
+            .detector
+            .on_ack(&ack.ranges, now_ns, delay, &mut self.stream_acked);
 
         let was_slow_start = self.cc.in_slow_start();
         self.process_losses(now, &out.lost);
 
-        for r in &out.acked_ranges {
-            self.stream_acked.insert(*r);
-        }
         if out.newly_acked > 0 {
             self.pto_count = 0;
             let reference = out.largest_newly.expect("newly_acked implies a packet");

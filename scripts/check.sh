@@ -193,6 +193,16 @@ echo "== matrix smoke (full Fig. 17 fingerprint) =="
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload matrix --seed 1 --seconds 1 --trace 0 >/dev/null
 
+echo "== quic smoke (full ext_quic_pacing fingerprint) =="
+# One short timed pass of the full QUIC pacing matrix (432 downloads;
+# the quic smoke above runs only the quick subset, quic_determinism.rs
+# only small goldens). perfbench exits non-zero if any flow fails or the
+# fingerprint disagrees; the grep pins the reference it printed.
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload quic --seed 1 --seconds 1 --trace 0 >"$SMOKE_DIR/quic-bench.out"
+grep -q '^quic/fingerprint 44ea9649571b3c96 ' "$SMOKE_DIR/quic-bench.out" \
+    || { echo "full quic campaign fingerprint is not 44ea9649571b3c96" >&2; exit 1; }
+
 echo "== shim crate tests =="
 # The in-repo stand-ins for serde/proptest/criterion sit outside the
 # workspace's default members; run their own unit tests here.
