@@ -5,6 +5,8 @@
 use cc_algos::CcKind;
 use netsim::{FlowId, Sim, SimTime};
 use simstats::StepSeries;
+use std::cell::Cell;
+use std::rc::Rc;
 use std::time::Duration;
 use tcp_sim::flow::{install_flow, wire_flow};
 use tcp_sim::receiver::{AckPolicy, ReceiverEndpoint};
@@ -141,9 +143,12 @@ pub fn run_flow_with_horizon(
     let r2s = sim.add_half_link(ends.receiver, ends.sender, scenario.ack_link());
     wire_flow(&mut sim, ends, s2r, r2s);
 
-    sim.run_while(horizon, |sim| {
-        !sim.agent::<SenderEndpoint>(ends.sender).is_done()
-    });
+    // The tally flips inside the same dispatch as `is_done`, so the stop
+    // boundary is unchanged, without a downcast after every step.
+    let done = Rc::new(Cell::new(0u64));
+    sim.agent_mut::<SenderEndpoint>(ends.sender)
+        .notify_completion(Rc::clone(&done));
+    sim.run_while(horizon, |_| done.get() == 0);
 
     let drops = sim.link_queue_stats(s2r).dropped_pkts;
     let rcv_done = sim.agent::<ReceiverEndpoint>(ends.receiver).completed_at();

@@ -175,7 +175,7 @@ impl NetCore {
                 return self.stash.take();
             }
         }
-        self.events.pop().map(|e| (e.at, e.item))
+        self.events.pop()
     }
 
     /// Earliest pending event time, honoring the batching stash.

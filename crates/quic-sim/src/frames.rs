@@ -12,7 +12,7 @@
 //! a valid RTT sample (QUIC needs no Karn filter).
 
 use netsim::FlowId;
-use tcp_sim::ranges::ByteRange;
+use tcp_sim::ranges::{ByteRange, InlineVec};
 
 /// Nanoseconds on the transport clock.
 pub type Nanos = u64;
@@ -33,6 +33,9 @@ pub const MAX_ACK_RANGES: usize = 3;
 
 /// A half-open range of packet numbers `[start, end)`.
 pub type PktRange = (u64, u64);
+
+/// An ACK frame's packet-number ranges, stored inline.
+pub type AckRanges = InlineVec<PktRange, MAX_ACK_RANGES>;
 
 /// A 1-RTT data packet carrying one STREAM frame.
 ///
@@ -84,7 +87,7 @@ pub struct QuicAckPkt {
     /// Acknowledged packet-number ranges, ascending, at most
     /// [`MAX_ACK_RANGES`] (the newest ones; older ranges age out exactly
     /// like TCP's 3-block SACK budget).
-    pub ranges: Vec<PktRange>,
+    pub ranges: AckRanges,
     /// Packet number of the arrival that triggered this ACK.
     pub echo_pkt: u64,
     /// Echo of that packet's `sent_at`, for RTT sampling.
@@ -125,7 +128,7 @@ mod tests {
         let mut a = QuicAckPkt {
             flow: FlowId(1),
             largest: 9,
-            ranges: vec![(0, 10)],
+            ranges: [(0, 10)].into_iter().collect(),
             echo_pkt: 9,
             echo_ts: 0,
         };

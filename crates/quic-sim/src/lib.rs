@@ -47,7 +47,7 @@ pub mod sender;
 pub use flow::{
     install_quic_flow, quic_flow_complete, teardown_quic_flow, wire_quic_flow, QuicFlowEnds,
 };
-pub use frames::{QuicAckPkt, QuicDataPkt, MAX_ACK_RANGES};
+pub use frames::{AckRanges, QuicAckPkt, QuicDataPkt, MAX_ACK_RANGES};
 pub use loss::{loss_delay, AckOutcome, LossDetector, SentPacket, PACKET_THRESHOLD};
 pub use pacing::{PacingStrategy, QuicPacer};
 pub use receiver::QuicReceiver;

@@ -7,7 +7,7 @@
 //! immediate ACK carrying the newest packet-number ranges, matching the
 //! quickack regime the SUSS measurements assume on the TCP side.
 
-use crate::frames::{Nanos, QuicAckPkt, QuicDataPkt, MAX_ACK_RANGES};
+use crate::frames::{AckRanges, Nanos, QuicAckPkt, QuicDataPkt, MAX_ACK_RANGES};
 use netsim::{Agent, Ctx, FlowId, LinkId, NodeId, Packet, SimTime};
 use simtrace::{names, Counter, Registry};
 use std::any::Any;
@@ -80,7 +80,7 @@ impl QuicReceiver {
     /// [`MAX_ACK_RANGES`]. Older ranges age out of the frame exactly like
     /// TCP's 3-block SACK budget; the sender's packet threshold tolerates
     /// the resulting re-acknowledgment gaps.
-    fn ack_ranges(&self) -> Vec<(u64, u64)> {
+    fn ack_ranges(&self) -> AckRanges {
         let total = self.received_pkts.num_ranges();
         self.received_pkts
             .iter()

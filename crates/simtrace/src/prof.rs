@@ -13,8 +13,9 @@
 //! Design constraints, in priority order:
 //!
 //! 1. **Free when off.** Instrumentation sites run in the simulator's
-//!    per-event dispatch loop; a disabled span is one thread-local boolean
-//!    load, no clock read, no allocation.
+//!    per-event dispatch loop; a disabled span reads one `const`-initialised
+//!    thread-local `Cell<bool>` (no lazy-init check, no `RefCell` borrow),
+//!    no clock read, no allocation, and its guard's drop is a field test.
 //! 2. **Observability only.** The profiler reads the wall clock and a
 //!    thread-local; it never touches simulation state, RNG streams, or the
 //!    metrics registry, so enabling it cannot perturb results.
@@ -26,7 +27,7 @@
 //! (whose code creates [`span`] guards), then harvests with [`take`].
 
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -36,7 +37,6 @@ use std::time::Instant;
 pub const UNTRACKED: &str = "(untracked)";
 
 struct ProfState {
-    enabled: bool,
     /// Byte length of `path` before each active span was pushed.
     depths: Vec<usize>,
     /// Current stack path, span names joined by `;`.
@@ -50,7 +50,6 @@ struct ProfState {
 impl ProfState {
     fn new() -> Self {
         ProfState {
-            enabled: false,
             depths: Vec::new(),
             path: String::new(),
             stamp: Instant::now(),
@@ -100,44 +99,40 @@ impl ProfState {
 
 thread_local! {
     static PROF: RefCell<ProfState> = RefCell::new(ProfState::new());
+    /// Whether profiling is on. Kept outside `PROF` so that a disabled
+    /// [`span`] neither initialises nor borrows it.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Turn profiling on or off for this thread. Enabling resets the clock
 /// stamp so previously elapsed time is not attributed; it does not clear
 /// accumulated spans (use [`take`] for that).
 pub fn set_enabled(on: bool) {
-    PROF.with(|p| {
-        let mut p = p.borrow_mut();
-        p.enabled = on;
-        if on {
-            p.stamp = Instant::now();
-        }
-    });
+    ENABLED.with(|e| e.set(on));
+    if on {
+        PROF.with(|p| p.borrow_mut().stamp = Instant::now());
+    }
 }
 
 /// Whether profiling is currently enabled on this thread.
 pub fn is_enabled() -> bool {
-    PROF.with(|p| p.borrow().enabled)
+    ENABLED.with(Cell::get)
 }
 
 /// Open a profiling span named `name`. The returned guard closes the span
 /// when dropped; nesting produces `;`-joined stack paths. When profiling
-/// is disabled this is a single thread-local load and the guard is inert.
+/// is disabled this is one thread-local `Cell<bool>` load and the guard is
+/// inert.
 ///
 /// `name` should be a short, stable, slash-namespaced identifier
 /// (`"sim/arrive"`, `"cc/on_ack"`) — it becomes part of the span
 /// catalogue rendered by `suss-trace profile`.
 #[must_use = "the span closes when the guard drops"]
 pub fn span(name: &'static str) -> SpanGuard {
-    let active = PROF.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.enabled {
-            p.enter(name);
-            true
-        } else {
-            false
-        }
-    });
+    let active = ENABLED.with(Cell::get);
+    if active {
+        PROF.with(|p| p.borrow_mut().enter(name));
+    }
     SpanGuard { active }
 }
 
@@ -153,7 +148,7 @@ impl Drop for SpanGuard {
                 let mut p = p.borrow_mut();
                 // If profiling was force-disabled mid-span, the stack was
                 // already reset by `take`; unwind quietly.
-                if p.enabled || !p.depths.is_empty() {
+                if is_enabled() || !p.depths.is_empty() {
                     p.exit();
                 }
             });
@@ -168,7 +163,7 @@ impl Drop for SpanGuard {
 pub fn take() -> ProfSnapshot {
     PROF.with(|p| {
         let mut p = p.borrow_mut();
-        if p.enabled {
+        if is_enabled() {
             p.attribute(Instant::now());
         }
         p.depths.clear();

@@ -4,10 +4,12 @@
 //! scoreboard. Ranges are half-open `[start, end)` over absolute stream
 //! offsets.
 
+use crate::segment::SackBlocks;
 use std::fmt;
+use std::ops::Deref;
 
 /// A half-open byte range `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteRange {
     /// Inclusive start offset.
     pub start: u64,
@@ -56,6 +58,73 @@ impl ByteRange {
 impl fmt::Display for ByteRange {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}, {})", self.start, self.end)
+    }
+}
+
+/// At most `N` values stored inline, in push order: the short block lists
+/// an ACK carries (SACK blocks, QUIC ACK ranges), so that building an ACK
+/// allocates nothing. Reads go through `Deref<Target = [T]>`.
+#[derive(Clone, Copy)]
+pub struct InlineVec<T, const N: usize> {
+    items: [T; N],
+    len: usize,
+}
+
+impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
+    /// An empty list.
+    pub fn new() -> Self {
+        InlineVec {
+            items: [T::default(); N],
+            len: 0,
+        }
+    }
+
+    /// Append a value.
+    ///
+    /// # Panics
+    /// Panics if the list already holds `N` values.
+    pub fn push(&mut self, x: T) {
+        assert!(self.len < N, "InlineVec full ({N} values)");
+        self.items[self.len] = x;
+        self.len += 1;
+    }
+}
+
+impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T, const N: usize> Deref for InlineVec<T, N> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+}
+
+impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
+    /// Collect an iterator of at most `N` values (panics on more).
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut v = Self::new();
+        for x in iter {
+            v.push(x);
+        }
+        v
+    }
+}
+
+impl<T: PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq, const N: usize> Eq for InlineVec<T, N> {}
+
+impl<T: fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -210,7 +279,11 @@ impl RangeSet {
     /// most recently received segment first: a retransmission that fills
     /// a low hole may never be reported. See the BBR recovery item in
     /// ROADMAP.md; changing the order changes every lossy cell's result.
-    pub fn sack_blocks(&self, above: u64, max_blocks: usize) -> Vec<ByteRange> {
+    ///
+    /// # Panics
+    /// Panics if `max_blocks` exceeds [`crate::segment::MAX_SACK_BLOCKS`]
+    /// and the set has more blocks than that above `above`.
+    pub fn sack_blocks(&self, above: u64, max_blocks: usize) -> SackBlocks {
         self.ranges
             .iter()
             .rev()
@@ -358,9 +431,25 @@ mod tests {
         s.insert(r(50, 60));
         s.insert(r(70, 80));
         let blocks = s.sack_blocks(0, 3);
-        assert_eq!(blocks, vec![r(70, 80), r(50, 60), r(30, 40)]);
+        assert_eq!(blocks[..], [r(70, 80), r(50, 60), r(30, 40)]);
         // `above` trims and filters.
         let blocks = s.sack_blocks(55, 3);
-        assert_eq!(blocks, vec![r(70, 80), r(55, 60)]);
+        assert_eq!(blocks[..], [r(70, 80), r(55, 60)]);
+    }
+
+    #[test]
+    fn inline_vec_compares_only_its_values() {
+        let mut a: InlineVec<u64, 3> = InlineVec::new();
+        a.push(7);
+        let b: InlineVec<u64, 3> = [7].into_iter().collect();
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 1);
+        assert_eq!(format!("{a:?}"), "[7]");
+    }
+
+    #[test]
+    #[should_panic(expected = "InlineVec full")]
+    fn inline_vec_rejects_overflow() {
+        let _: InlineVec<u64, 2> = (0..3).collect();
     }
 }

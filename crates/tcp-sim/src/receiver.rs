@@ -7,7 +7,7 @@
 //! policy (per-packet by default, or every-N with a delayed-ACK timer).
 
 use crate::ranges::RangeSet;
-use crate::segment::{AckSeg, DataSeg};
+use crate::segment::{AckSeg, DataSeg, MAX_SACK_BLOCKS};
 use netsim::{Agent, Ctx, FlowId, LinkId, NodeId, Packet, SimTime};
 use std::any::Any;
 use std::time::Duration;
@@ -135,7 +135,7 @@ impl ReceiverEndpoint {
         let ack = AckSeg {
             flow: self.flow,
             ack_seq: cum,
-            sack: self.received.sack_blocks(cum, 3),
+            sack: self.received.sack_blocks(cum, MAX_SACK_BLOCKS),
             echo_ts,
             echo_retransmit: echo_rtx,
             segs_covered: self.unacked_segs.max(1),

@@ -5,7 +5,7 @@
 //! space) because header bytes occupy bottleneck queues and serialization
 //! time.
 
-use crate::ranges::ByteRange;
+use crate::ranges::{ByteRange, InlineVec};
 use netsim::FlowId;
 
 /// Nanoseconds on the transport clock.
@@ -17,6 +17,11 @@ pub const BASE_HEADER_BYTES: u32 = 40;
 pub const TS_OPTION_BYTES: u32 = 12;
 /// Per-SACK-block option cost (8 B per block + 2 B header, amortized).
 pub const SACK_BLOCK_BYTES: u32 = 8;
+/// SACK blocks an ACK carries at most (the TCP option space budget).
+pub const MAX_SACK_BLOCKS: usize = 3;
+
+/// An ACK's SACK blocks, stored inline.
+pub type SackBlocks = InlineVec<ByteRange, MAX_SACK_BLOCKS>;
 
 /// A data segment.
 ///
@@ -60,8 +65,8 @@ pub struct AckSeg {
     pub flow: FlowId,
     /// Cumulative acknowledgment: one past the last in-order byte received.
     pub ack_seq: u64,
-    /// SACK blocks (newest first, at most 3).
-    pub sack: Vec<ByteRange>,
+    /// SACK blocks (highest first, at most [`MAX_SACK_BLOCKS`]).
+    pub sack: SackBlocks,
     /// Echo of the `sent_at` of the segment that triggered this ACK.
     pub echo_ts: Nanos,
     /// Whether the triggering segment was a retransmission.
@@ -104,7 +109,7 @@ mod tests {
         let mut a = AckSeg {
             flow: FlowId(1),
             ack_seq: 100,
-            sack: vec![],
+            sack: SackBlocks::new(),
             echo_ts: 0,
             echo_retransmit: false,
             segs_covered: 1,

@@ -128,6 +128,10 @@ pub struct SenderEndpoint {
     /// retransmitted: the repair scan starts here (amortizes the per-send
     /// hole search to O(1) under heavy loss).
     rtx_scan_from: u64,
+    /// Debug builds: checks to skip before the next full `rtx_scan_from`
+    /// audit.
+    #[cfg(debug_assertions)]
+    rtx_audit_skip: usize,
     /// RFC 6675 loss marking has covered gaps below this offset.
     mark_cursor: u64,
 
@@ -191,6 +195,8 @@ impl SenderEndpoint {
             recovery_point: None,
             highest_sacked: 0,
             rtx_scan_from: 0,
+            #[cfg(debug_assertions)]
+            rtx_audit_skip: 0,
             mark_cursor: 0,
             rto_gen: 0,
             pace_gen: 0,
@@ -306,17 +312,53 @@ impl SenderEndpoint {
     }
 
     /// The next lost range that has not been retransmitted yet, clipped to
-    /// one MSS. Scans from `rtx_scan_from` (everything below is repaired).
-    fn next_rtx_hole(&self) -> Option<ByteRange> {
+    /// one MSS. Scans from `rtx_scan_from` (everything below is repaired)
+    /// and moves it past every lost range the scan finds fully
+    /// retransmitted, so no later call walks those ranges again.
+    fn next_rtx_hole(&mut self) -> Option<ByteRange> {
+        self.debug_check_rtx_scan();
         let from = self.rtx_scan_from.max(self.snd_una);
+        let mut repaired_to = from;
+        let mut hole = None;
         for lost in self.lost.iter_from(from) {
             let start = lost.start.max(from);
             if let Some(gap) = self.rtx_sent.first_gap(start, lost.end) {
                 let end = gap.end.min(gap.start + u64::from(self.cfg.mss));
-                return Some(ByteRange::new(gap.start, end));
+                hole = Some(ByteRange::new(gap.start, end));
+                break;
+            }
+            repaired_to = lost.end;
+        }
+        self.rtx_scan_from = self.rtx_scan_from.max(repaired_to);
+        hole
+    }
+
+    /// Debug builds check `rtx_scan_from`'s invariant: every lost byte in
+    /// `[snd_una, rtx_scan_from)` has been retransmitted. A full audit
+    /// then skips as many checks as it walked lost ranges, so the checks
+    /// stay O(1) amortised; a broken invariant stays broken until a rewind
+    /// repairs it, so a later audit still catches it.
+    fn debug_check_rtx_scan(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            if self.rtx_audit_skip > 0 {
+                self.rtx_audit_skip -= 1;
+                return;
+            }
+            self.rtx_audit_skip = self.lost.num_ranges();
+            let below = ByteRange::new(self.snd_una, self.rtx_scan_from.max(self.snd_una));
+            for lost in self.lost.iter_from(below.start) {
+                let Some(r) = lost.intersect(&below) else {
+                    break;
+                };
+                assert_eq!(
+                    self.rtx_sent.first_gap(r.start, r.end),
+                    None,
+                    "lost bytes below rtx_scan_from {} not retransmitted",
+                    self.rtx_scan_from
+                );
             }
         }
-        None
     }
 
     /// A range below the repair cursor became eligible again: rewind.
@@ -475,7 +517,7 @@ impl SenderEndpoint {
 
         // Merge SACK information.
         let mut newly_sacked = 0;
-        for block in &ack.sack {
+        for block in ack.sack.iter() {
             if block.end > self.snd_una {
                 let clipped = ByteRange::new(block.start.max(self.snd_una), block.end);
                 newly_sacked += self.sacked.insert(clipped);
@@ -772,5 +814,74 @@ impl Agent for SenderEndpoint {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cc::FixedCwnd;
+    use std::time::{Duration, Instant};
+
+    const MSS: u64 = 1448;
+
+    /// A sender whose scoreboard holds `n` disjoint one-MSS lost ranges,
+    /// every one already retransmitted.
+    fn repaired_scoreboard(n: u64) -> SenderEndpoint {
+        let mut s = SenderEndpoint::new(
+            SenderConfig::bulk(4 * n * MSS),
+            FlowId(1),
+            Box::new(FixedCwnd::new(10 * MSS)),
+        );
+        for i in 0..n {
+            let r = ByteRange::new(2 * i * MSS, (2 * i + 1) * MSS);
+            s.lost.insert(r);
+            s.rtx_sent.insert(r);
+        }
+        s.snd_nxt = 2 * n * MSS;
+        s
+    }
+
+    #[test]
+    fn repaired_ranges_are_scanned_once() {
+        // Every send attempt asks for the next hole. With all lost ranges
+        // already retransmitted, a scan that restarts from the same cursor
+        // each time walks all of them (with a `first_gap` search each):
+        // 20k calls × 20k ranges. Advancing the cursor makes it linear.
+        let n = 20_000;
+        let mut s = repaired_scoreboard(n);
+        let t0 = Instant::now();
+        for _ in 0..n {
+            assert_eq!(s.next_rtx_hole(), None);
+        }
+        let took = t0.elapsed();
+        assert_eq!(s.rtx_scan_from, (2 * n - 1) * MSS);
+        assert!(took < Duration::from_secs(2), "{n} scans took {took:?}");
+    }
+
+    #[test]
+    fn scan_stops_at_the_first_unrepaired_range() {
+        let mut s = repaired_scoreboard(4);
+        // A third range loses its retransmission: the scan must stop there
+        // and move the cursor only past the two repaired ranges below it.
+        s.rtx_sent.remove(ByteRange::new(4 * MSS, 5 * MSS));
+        s.rewind_rtx_scan(4 * MSS);
+        let hole = ByteRange::new(4 * MSS, 5 * MSS);
+        assert_eq!(s.next_rtx_hole(), Some(hole));
+        assert_eq!(s.rtx_scan_from, 3 * MSS);
+        assert_eq!(s.next_rtx_hole(), Some(hole));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not retransmitted")]
+    fn unrewound_cursor_fails_the_debug_audit() {
+        let mut s = repaired_scoreboard(4);
+        assert_eq!(s.next_rtx_hole(), None);
+        // A retransmission is found lost without rewinding the cursor:
+        // its bytes would never be repaired.
+        s.rtx_sent.remove(ByteRange::new(2 * MSS, 3 * MSS));
+        s.rtx_audit_skip = 0;
+        s.next_rtx_hole();
     }
 }

@@ -28,9 +28,14 @@ fi
 echo "== engine determinism gate =="
 # The scheduler contract, release-compiled: the one engine must reproduce
 # the goldens recorded from the original binary-heap engine exactly,
-# serial and 4-worker.
+# serial and 4-worker; the wheel's unit tests must agree with the binary
+# heap and the Vec-bucket wheel (pop order, length and cascade count) on
+# random schedules; and one fig17 cell must stay within its heap
+# allocation budget per event.
 cargo test --release -q -p netsim --test wheel_equivalence
+cargo test --release -q -p netsim --lib wheel::
 cargo test --release -q -p experiments --test determinism
+cargo test --release -q -p experiments --test alloc_budget
 
 echo "== chaos smoke (fault injection + runner resilience) =="
 # End-to-end proof of the crash-proof runner: inject one panicking cell

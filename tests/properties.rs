@@ -153,7 +153,7 @@ fn check_against_model(ops: &[RangeOp], span: u64) -> Result<usize, TestCaseErro
             .take(3)
             .map(|r| ByteRange::new(r.start.max(x), r.end))
             .collect();
-        prop_assert_eq!(set.sack_blocks(x, 3), blocks, "sack above {}", x);
+        prop_assert_eq!(set.sack_blocks(x, 3)[..], blocks[..], "sack above {}", x);
     }
     Ok(peak)
 }
