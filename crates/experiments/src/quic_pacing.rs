@@ -25,6 +25,8 @@ use quic_sim::{install_quic_flow, wire_quic_flow, PacingStrategy, QuicConfig, Qu
 use serde::{Deserialize, Serialize};
 use simrunner::{Campaign, FctAnnotation, RunManifest, RunnerOpts};
 use simstats::{LogHistogram, TextTable};
+use std::cell::Cell;
+use std::rc::Rc;
 use workload::{LastHop, PathScenario, ServerSite, KB, MB};
 
 /// The full short-flow size grid (slow-start-dominated downloads).
@@ -154,9 +156,12 @@ fn run_one(cfg: &QuicPacingConfig, flow_bytes: u64, seed: u64) -> (Option<f64>, 
     let r2s = sim.add_half_link(ends.receiver, ends.sender, cfg.scenario.ack_link());
     wire_quic_flow(&mut sim, ends, s2r, r2s);
 
-    sim.run_while(SimTime::from_secs(600), |sim| {
-        !sim.agent::<QuicSender>(ends.sender).is_done()
-    });
+    // Stop on the completion tally, bumped in the same dispatch that
+    // marks the sender done, instead of downcasting it after every step.
+    let done = Rc::new(Cell::new(0u64));
+    sim.agent_mut::<QuicSender>(ends.sender)
+        .notify_completion(Rc::clone(&done));
+    sim.run_while(SimTime::from_secs(600), |_| done.get() == 0);
 
     let fct = quic_sim::flow::teardown_quic_flow(&mut sim, ends)
         .map(|t| t.saturating_since(SimTime::ZERO).as_secs_f64());

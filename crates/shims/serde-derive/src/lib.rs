@@ -6,6 +6,10 @@
 //! token stream is parsed directly (the environment has no `syn`/`quote`)
 //! and the impl is emitted as source text.
 //!
+//! The impls stream: `write_json` appends literal keys and punctuation
+//! around each field's own `write_json`, and `read_json` walks a
+//! `serde::Reader` field by field. No `Json` tree is built either way.
+//!
 //! Encoding matches real serde's externally-tagged default:
 //!
 //! * named struct → `{"field": ...}` in declaration order;
@@ -15,6 +19,12 @@
 //! * newtype variant → `{"Variant": value}`;
 //! * tuple variant → `{"Variant": [...]}`;
 //! * struct variant → `{"Variant": {...}}`.
+//!
+//! Decoding accepts object members in any order. The first occurrence
+//! of a field's key wins; later duplicates and unknown keys are skipped,
+//! though still validated; every field is required; tuples and tuple
+//! variants need exactly their arity; a tagged variant is an object of
+//! exactly one member.
 //!
 //! Generics are not supported; the derive panics with a clear message if
 //! it meets them, which surfaces as a compile error at the derive site.
@@ -240,62 +250,91 @@ fn parse_variants(body: TokenStream) -> Vec<Variant> {
 // Code generation
 // ---------------------------------------------------------------------------
 
+/// `text` as a Rust string literal.
+fn lit(text: &str) -> String {
+    format!("{text:?}")
+}
+
+/// Statements appending `open`, then each `(key, expr)` item as `key`
+/// followed by the expression's JSON, comma-separated, then `close`.
+/// Adjacent literal text is merged into one `push_str`.
+fn stream(open: &str, items: &[(String, String)], close: &str) -> String {
+    let mut code = String::new();
+    let mut text = open.to_string();
+    for (i, (key, expr)) in items.iter().enumerate() {
+        if i > 0 {
+            text.push(',');
+        }
+        text.push_str(key);
+        code.push_str(&format!("out.push_str({});", lit(&text)));
+        code.push_str(&format!("::serde::Serialize::write_json({expr}, out);"));
+        text.clear();
+    }
+    text.push_str(close);
+    code.push_str(&format!("out.push_str({});", lit(&text)));
+    code
+}
+
+/// The JSON key prefix `"name":` of an object member.
+fn key(name: &str) -> String {
+    format!("\"{name}\":")
+}
+
 fn gen_serialize(name: &str, shape: &Shape) -> String {
     let body = match shape {
         Shape::NamedStruct(fields) => {
-            let pushes: String = fields
+            let items: Vec<_> = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "(\"{f}\".to_string(), ::serde::Serialize::to_json(&self.{f})),"
-                    )
-                })
+                .map(|f| (key(f), format!("&self.{f}")))
                 .collect();
-            format!("::serde::Json::Obj(vec![{pushes}])")
+            stream("{", &items, "}")
         }
-        Shape::TupleStruct(1) => "::serde::Serialize::to_json(&self.0)".to_string(),
+        Shape::TupleStruct(1) => "::serde::Serialize::write_json(&self.0, out);".to_string(),
         Shape::TupleStruct(n) => {
-            let items: String = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_json(&self.{i}),"))
+            let items: Vec<_> = (0..*n)
+                .map(|i| (String::new(), format!("&self.{i}")))
                 .collect();
-            format!("::serde::Json::Arr(vec![{items}])")
+            stream("[", &items, "]")
         }
         Shape::Enum(variants) => {
             let arms: String = variants
                 .iter()
                 .map(|v| {
                     let vn = &v.name;
+                    let tag = key(vn);
                     match &v.kind {
-                        VariantKind::Unit => format!(
-                            "{name}::{vn} => ::serde::Json::Str(\"{vn}\".to_string()),"
-                        ),
+                        VariantKind::Unit => {
+                            format!("{name}::{vn} => out.push_str({}),", lit(&format!("\"{vn}\"")))
+                        }
                         VariantKind::Tuple(1) => format!(
-                            "{name}::{vn}(f0) => ::serde::Json::Obj(vec![(\"{vn}\".to_string(), ::serde::Serialize::to_json(f0))]),"
+                            "{name}::{vn}(f0) => {{ {} }}",
+                            stream(&format!("{{{tag}"), &[(String::new(), "f0".into())], "}")
                         ),
                         VariantKind::Tuple(n) => {
-                            let binds: Vec<String> =
-                                (0..*n).map(|i| format!("f{i}")).collect();
-                            let items: String = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_json({b}),"))
-                                .collect();
+                            let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
+                            let items: Vec<_> =
+                                binds.iter().map(|b| (String::new(), b.clone())).collect();
                             format!(
-                                "{name}::{vn}({}) => ::serde::Json::Obj(vec![(\"{vn}\".to_string(), ::serde::Json::Arr(vec![{items}]))]),",
-                                binds.join(", ")
+                                "{name}::{vn}({}) => {{ {} }}",
+                                binds.join(", "),
+                                stream(&format!("{{{tag}["), &items, "]}")
                             )
                         }
                         VariantKind::Struct(fields) => {
-                            let binds = fields.join(", ");
-                            let items: String = fields
+                            let binds: Vec<String> = fields
                                 .iter()
-                                .map(|f| {
-                                    format!(
-                                        "(\"{f}\".to_string(), ::serde::Serialize::to_json({f})),"
-                                    )
-                                })
+                                .enumerate()
+                                .map(|(i, f)| format!("{f}: f{i}"))
+                                .collect();
+                            let items: Vec<_> = fields
+                                .iter()
+                                .enumerate()
+                                .map(|(i, f)| (key(f), format!("f{i}")))
                                 .collect();
                             format!(
-                                "{name}::{vn} {{ {binds} }} => ::serde::Json::Obj(vec![(\"{vn}\".to_string(), ::serde::Json::Obj(vec![{items}]))]),"
+                                "{name}::{vn} {{ {} }} => {{ {} }}",
+                                binds.join(", "),
+                                stream(&format!("{{{tag}{{"), &items, "}}")
                             )
                         }
                     }
@@ -305,97 +344,131 @@ fn gen_serialize(name: &str, shape: &Shape) -> String {
         }
     };
     format!(
-        "impl ::serde::Serialize for {name} {{\n\
-         \x20   fn to_json(&self) -> ::serde::Json {{ {body} }}\n\
+        "#[automatically_derived]\n\
+         impl ::serde::Serialize for {name} {{\n\
+         \x20   fn write_json(&self, out: &mut ::std::string::String) {{ {body} }}\n\
          }}"
     )
+}
+
+/// Statements decoding an object into `f0..` (first occurrence of each
+/// key wins; other keys are skipped but validated), and the expression
+/// building `path { field: f0?, .. }` from them.
+fn read_struct(path: &str, fields: &[String]) -> (String, String) {
+    let mut stmts: String = (0..fields.len())
+        .map(|i| format!("let mut f{i} = ::std::option::Option::None;"))
+        .collect();
+    stmts.push_str("r.begin_obj()?;");
+    if fields.is_empty() {
+        stmts.push_str("while r.next_key()?.is_some() { r.skip()?; }");
+    } else {
+        let arms: String = fields
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                format!(
+                    "{} if f{i}.is_none() => f{i} = ::std::option::Option::Some(::serde::Deserialize::read_json(r)?),",
+                    lit(f)
+                )
+            })
+            .collect();
+        stmts.push_str(&format!(
+            "while let ::std::option::Option::Some(key) = r.next_key()? {{ \
+             match &*key {{ {arms} _ => {{ r.skip()?; }} }} }}"
+        ));
+    }
+    let inits: Vec<String> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| format!("{f}: f{i}?"))
+        .collect();
+    (stmts, format!("{path} {{ {} }}", inits.join(", ")))
+}
+
+/// Statements decoding an array of exactly `n` items into `f0..`, and
+/// the expression building `path(f0, ..)` from them.
+fn read_tuple(path: &str, n: usize) -> (String, String) {
+    let mut stmts = String::from("r.begin_arr()?;");
+    for i in 0..n {
+        stmts.push_str(&format!(
+            "if !r.next_item()? {{ return ::std::option::Option::None; }} \
+             let f{i} = ::serde::Deserialize::read_json(r)?;"
+        ));
+    }
+    stmts.push_str("if r.next_item()? { return ::std::option::Option::None; }");
+    let binds: Vec<String> = (0..n).map(|i| format!("f{i}")).collect();
+    (stmts, format!("{path}({})", binds.join(", ")))
 }
 
 fn gen_deserialize(name: &str, shape: &Shape) -> String {
     let body = match shape {
         Shape::NamedStruct(fields) => {
-            let inits: String = fields
+            let (stmts, expr) = read_struct(name, fields);
+            format!("{stmts} ::std::option::Option::Some({expr})")
+        }
+        Shape::TupleStruct(1) => {
+            format!("::std::option::Option::Some({name}(::serde::Deserialize::read_json(r)?))")
+        }
+        Shape::TupleStruct(n) => {
+            let (stmts, expr) = read_tuple(name, *n);
+            format!("{stmts} ::std::option::Option::Some({expr})")
+        }
+        Shape::Enum(variants) => {
+            let mut arms = String::new();
+            let units: String = variants
                 .iter()
-                .map(|f| {
+                .filter(|v| matches!(v.kind, VariantKind::Unit))
+                .map(|v| {
                     format!(
-                        "{f}: ::serde::Deserialize::from_json(::serde::Json::field(obj, \"{f}\")?)?,"
+                        "{} => ::std::option::Option::Some({name}::{}),",
+                        lit(&v.name),
+                        v.name
                     )
                 })
                 .collect();
-            format!("let obj = v.as_obj()?; Some({name} {{ {inits} }})")
-        }
-        Shape::TupleStruct(1) => {
-            format!("Some({name}(::serde::Deserialize::from_json(v)?))")
-        }
-        Shape::TupleStruct(n) => {
-            let items: String = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_json(arr.get({i})?)?,"))
-                .collect();
-            format!(
-                "let arr = v.as_arr()?; if arr.len() != {n} {{ return None; }} Some({name}({items}))"
-            )
-        }
-        Shape::Enum(variants) => {
-            let unit_arms: String = variants
-                .iter()
-                .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| format!("\"{vn}\" => Some({name}::{vn}),", vn = v.name))
-                .collect();
-            let tagged_arms: String = variants
+            if !units.is_empty() {
+                arms.push_str(&format!(
+                    "b'\"' => {{ let tag = r.str()?; \
+                     match &*tag {{ {units} _ => ::std::option::Option::None }} }}"
+                ));
+            }
+            let tagged: String = variants
                 .iter()
                 .filter_map(|v| {
-                    let vn = &v.name;
-                    match &v.kind {
-                        VariantKind::Unit => None,
-                        VariantKind::Tuple(1) => Some(format!(
-                            "\"{vn}\" => Some({name}::{vn}(::serde::Deserialize::from_json(val)?)),"
-                        )),
+                    let path = format!("{name}::{}", v.name);
+                    let value = match &v.kind {
+                        VariantKind::Unit => return None,
+                        VariantKind::Tuple(1) => {
+                            format!("{path}(::serde::Deserialize::read_json(r)?)")
+                        }
                         VariantKind::Tuple(n) => {
-                            let items: String = (0..*n)
-                                .map(|i| {
-                                    format!(
-                                        "::serde::Deserialize::from_json(arr.get({i})?)?,"
-                                    )
-                                })
-                                .collect();
-                            Some(format!(
-                                "\"{vn}\" => {{ let arr = val.as_arr()?; if arr.len() != {n} {{ return None; }} Some({name}::{vn}({items})) }}"
-                            ))
+                            let (stmts, expr) = read_tuple(&path, *n);
+                            format!("{{ {stmts} {expr} }}")
                         }
                         VariantKind::Struct(fields) => {
-                            let inits: String = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "{f}: ::serde::Deserialize::from_json(::serde::Json::field(obj, \"{f}\")?)?,"
-                                    )
-                                })
-                                .collect();
-                            Some(format!(
-                                "\"{vn}\" => {{ let obj = val.as_obj()?; Some({name}::{vn} {{ {inits} }}) }}"
-                            ))
+                            let (stmts, expr) = read_struct(&path, fields);
+                            format!("{{ {stmts} {expr} }}")
                         }
-                    }
+                    };
+                    Some(format!("{} => {value},", lit(&v.name)))
                 })
                 .collect();
-            format!(
-                "if let ::serde::Json::Str(s) = v {{\n\
-                 \x20   return match s.as_str() {{ {unit_arms} _ => None }};\n\
-                 }}\n\
-                 if let ::serde::Json::Obj(o) = v {{\n\
-                 \x20   if o.len() == 1 {{\n\
-                 \x20       let (tag, val) = &o[0];\n\
-                 \x20       let _ = val;\n\
-                 \x20       return match tag.as_str() {{ {tagged_arms} _ => None }};\n\
-                 \x20   }}\n\
-                 }}\n\
-                 None"
-            )
+            if !tagged.is_empty() {
+                // `{"Variant": value}`: exactly one member.
+                arms.push_str(&format!(
+                    "b'{{' => {{ r.begin_obj()?; let tag = r.next_key()??; \
+                     let v = match &*tag {{ {tagged} _ => return ::std::option::Option::None }}; \
+                     if r.next_key()?.is_some() {{ return ::std::option::Option::None; }} \
+                     ::std::option::Option::Some(v) }}"
+                ));
+            }
+            format!("match r.peek()? {{ {arms} _ => ::std::option::Option::None }}")
         }
     };
     format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-         \x20   fn from_json(v: &::serde::Json) -> Option<Self> {{ {body} }}\n\
+        "#[automatically_derived]\n\
+         impl ::serde::Deserialize for {name} {{\n\
+         \x20   fn read_json(r: &mut ::serde::Reader<'_>) -> ::std::option::Option<Self> {{ {body} }}\n\
          }}"
     )
 }

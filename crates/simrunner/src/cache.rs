@@ -25,7 +25,8 @@
 //! files stay until someone deletes them.
 
 use crate::fnv1a64;
-use serde::{Deserialize, Json, Serialize};
+use serde::{Deserialize, Reader, Serialize};
+use std::borrow::Cow;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -108,6 +109,10 @@ impl Cache {
 
     /// Load a cached value, or `None` on any miss/corruption/mismatch.
     /// A hit only reads the entry; a corrupt entry is quarantined.
+    ///
+    /// One validating pass over the entry decodes the identity in place
+    /// and finds the value's text; the value is decoded only once the
+    /// identity matches.
     pub fn load<T: Deserialize>(&self, id: &CellIdentity<'_>) -> Option<T> {
         let path = self.path_for_key(id.key());
         let text = match fs::read_to_string(&path) {
@@ -116,40 +121,25 @@ impl Cache {
             // I/O) degrades to a miss without touching the file.
             Err(_) => return None,
         };
-        // Entry present but structurally broken → quarantine, miss.
-        let Some(json) = Json::parse(&text) else {
+        // Entry present but structurally broken, or its identity is
+        // missing or mistyped → quarantine, miss.
+        let Some(entry) = Entry::scan(&text) else {
             self.quarantine(&path);
             return None;
         };
-        let identity = (|| {
-            let obj = json.as_obj()?;
-            Some((
-                Json::field(obj, "experiment")?.as_str()?,
-                Json::field(obj, "version")?.as_str()?,
-                Json::field(obj, "params")?.as_str()?,
-                u64::from_json(Json::field(obj, "seed")?)?,
-            ))
-        })();
-        let Some((experiment, version, params, seed)) = identity else {
-            self.quarantine(&path);
-            return None;
-        };
-        if experiment != id.experiment
-            || version != id.version
-            || params != id.params
-            || seed != id.seed
+        if entry.experiment != id.experiment
+            || entry.version != id.version
+            || entry.params != id.params
+            || entry.seed != id.seed
         {
             // Collision or stale slot: a legitimate miss, next store
             // overwrites it.
             return None;
         }
-        let value = json
-            .as_obj()
-            .and_then(|obj| Json::field(obj, "value"))
-            .and_then(T::from_json);
+        let value = entry.value.and_then(serde::from_str::<T>);
         if value.is_none() {
-            // Identity matches but the payload doesn't decode: the entry
-            // is corrupt for exactly this reader.
+            // Identity matches but the payload is absent or doesn't
+            // decode: the entry is corrupt for exactly this reader.
             self.quarantine(&path);
         }
         value
@@ -157,20 +147,74 @@ impl Cache {
 
     /// Store a value under its identity (overwrites any previous entry).
     pub fn store<T: Serialize>(&self, id: &CellIdentity<'_>, value: &T) -> io::Result<()> {
-        let entry = Json::Obj(vec![
-            (
-                "experiment".to_string(),
-                Json::Str(id.experiment.to_string()),
-            ),
-            ("version".to_string(), Json::Str(id.version.to_string())),
-            ("params".to_string(), Json::Str(id.params.to_string())),
-            ("seed".to_string(), Json::Num(id.seed as f64)),
-            ("value".to_string(), value.to_json()),
-        ]);
+        let mut text = String::with_capacity(256);
+        text.push_str("{\"experiment\":");
+        id.experiment.write_json(&mut text);
+        text.push_str(",\"version\":");
+        id.version.write_json(&mut text);
+        text.push_str(",\"params\":");
+        id.params.write_json(&mut text);
+        text.push_str(",\"seed\":");
+        id.seed.write_json(&mut text);
+        text.push_str(",\"value\":");
+        value.write_json(&mut text);
+        text.push('}');
         let path = self.path_for_key(id.key());
         let tmp = path.with_extension("tmp");
-        fs::write(&tmp, entry.render())?;
+        fs::write(&tmp, text)?;
         fs::rename(&tmp, &path)
+    }
+}
+
+/// A syntactically valid entry with a well-typed identity: the first
+/// occurrence of each identity key, and the text of the first `value`.
+struct Entry<'a> {
+    experiment: Cow<'a, str>,
+    version: Cow<'a, str>,
+    params: Cow<'a, str>,
+    seed: u64,
+    value: Option<&'a str>,
+}
+
+impl<'a> Entry<'a> {
+    /// Validate the whole entry in one pass; `None` if it is not JSON,
+    /// not an object, or lacks a well-typed identity field.
+    fn scan(text: &'a str) -> Option<Entry<'a>> {
+        // Outer `Option`: key seen; inner: its value had the right type.
+        let (mut experiment, mut version, mut params, mut seed, mut value) =
+            (None, None, None, None, None);
+        let mut r = Reader::new(text);
+        r.begin_obj()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "experiment" if experiment.is_none() => experiment = Some(text_field(&mut r)?),
+                "version" if version.is_none() => version = Some(text_field(&mut r)?),
+                "params" if params.is_none() => params = Some(text_field(&mut r)?),
+                "seed" if seed.is_none() => seed = Some(serde::from_str::<u64>(r.skip()?)),
+                "value" if value.is_none() => value = Some(r.skip()?),
+                _ => {
+                    r.skip()?;
+                }
+            }
+        }
+        r.end()?;
+        Some(Entry {
+            experiment: experiment??,
+            version: version??,
+            params: params??,
+            seed: seed??,
+            value,
+        })
+    }
+}
+
+/// The next value as a string, or `Some(None)` (skipped, still
+/// validated) if it is another kind of value.
+fn text_field<'a>(r: &mut Reader<'a>) -> Option<Option<Cow<'a, str>>> {
+    if r.peek()? == b'"' {
+        r.str().map(Some)
+    } else {
+        r.skip().map(|_| None)
     }
 }
 

@@ -33,6 +33,7 @@ use crate::pool::BoundedQueue;
 use crate::progress::Progress;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -235,20 +236,24 @@ fn raise_first_failure(m: &RunManifest) {
 /// round-trips exactly, so a digest over re-serialized cached values
 /// equals the digest over freshly computed ones.
 fn results_digest_of<T: Serialize>(results: &[Option<T>], records: &[CellRecord]) -> String {
-    let mut canon = String::new();
+    // The canonical text is `<index>\0<value JSON>\n` per present result,
+    // hashed one line at a time through a reused buffer.
+    let mut hash = crate::Fnv1a::new();
+    let mut line = String::new();
     for (i, r) in results.iter().enumerate() {
         match r {
             Some(v) => {
-                canon.push_str(&i.to_string());
-                canon.push('\0');
-                canon.push_str(&serde::to_string(v));
-                canon.push('\n');
+                line.clear();
+                let _ = write!(line, "{i}\0");
+                v.write_json(&mut line);
+                line.push('\n');
+                hash.write(line.as_bytes());
             }
             None if records[i].status == CellStatus::Skipped => {}
             None => return String::new(),
         }
     }
-    format!("{:016x}", crate::fnv1a64(canon.as_bytes()))
+    format!("{:016x}", hash.finish())
 }
 
 // ---------------------------------------------------------------------------

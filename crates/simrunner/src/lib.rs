@@ -104,12 +104,31 @@ pub use manifest::{
 /// cache keys. Stable across platforms, processes, and releases (never
 /// replace with `DefaultHasher`, whose output is randomized per process).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Incremental FNV-1a 64: feeding bytes in pieces hashes exactly as one
+/// [`fnv1a64`] call over their concatenation, so digests stream their
+/// canonical text instead of building it.
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]
@@ -123,5 +142,14 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"));
+    }
+
+    #[test]
+    fn fnv_streams_like_one_call() {
+        let mut h = Fnv1a::new();
+        for piece in [&b"exp"[..], b"\0", b"", b"v1\n"] {
+            h.write(piece);
+        }
+        assert_eq!(h.finish(), fnv1a64(b"exp\0v1\n"));
     }
 }

@@ -14,6 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 use simtrace::{ProfSnapshot, ScopeAnnotation};
+use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -260,25 +261,33 @@ impl RunManifest {
     /// fingerprint is stable across cache temperature, worker count,
     /// executor choice and sharding.
     pub fn compute_fingerprint(&self) -> String {
-        let mut canon = String::new();
-        canon.push_str(&self.experiment);
-        canon.push('\0');
-        canon.push_str(&self.version);
-        canon.push('\0');
-        canon.push_str(&self.total_cells.to_string());
-        canon.push('\0');
-        canon.push_str(&self.results_digest);
-        canon.push('\0');
+        // The canonical text, hashed piecewise through one reused buffer:
+        // the identity fields and results digest, one
+        // `index\1label\1seed\1key\1status` line per cell, then both
+        // annotation lists as JSON.
+        let mut hash = crate::Fnv1a::new();
+        let mut buf = String::new();
+        let _ = write!(
+            buf,
+            "{}\0{}\0{}\0{}\0",
+            self.experiment, self.version, self.total_cells, self.results_digest
+        );
+        hash.write(buf.as_bytes());
         for c in &self.cells {
-            canon.push_str(&format!(
-                "{}\u{1}{}\u{1}{}\u{1}{}\u{1}{:?}\n",
+            buf.clear();
+            let _ = writeln!(
+                buf,
+                "{}\u{1}{}\u{1}{}\u{1}{}\u{1}{:?}",
                 c.index, c.label, c.seed, c.key, c.status
-            ));
+            );
+            hash.write(buf.as_bytes());
         }
-        canon.push_str(&serde::to_string(&self.annotations));
-        canon.push('\0');
-        canon.push_str(&serde::to_string(&self.scope_annotations));
-        format!("{:016x}", crate::fnv1a64(canon.as_bytes()))
+        buf.clear();
+        self.annotations.write_json(&mut buf);
+        buf.push('\0');
+        self.scope_annotations.write_json(&mut buf);
+        hash.write(buf.as_bytes());
+        format!("{:016x}", hash.finish())
     }
 
     /// Merge a complete set of shard manifests into one manifest covering
@@ -339,13 +348,23 @@ impl RunManifest {
             }
         }
         let total_cells = shards[0].total_cells;
+        // Each shard's records by cell index, built once; the first record
+        // per index wins.
+        let by_index: Vec<Vec<Option<&CellRecord>>> = shards
+            .iter()
+            .map(|m| {
+                let mut slots = vec![None; total_cells];
+                for c in &m.cells {
+                    if let Some(slot @ None) = slots.get_mut(c.index) {
+                        *slot = Some(c);
+                    }
+                }
+                slots
+            })
+            .collect();
         let mut cells: Vec<CellRecord> = Vec::with_capacity(total_cells);
         for i in 0..total_cells {
-            let owner = &shards[i % total];
-            let rec = owner
-                .cells
-                .iter()
-                .find(|c| c.index == i)
+            let rec = by_index[i % total][i]
                 .ok_or_else(|| format!("cell {i} missing from shard {}", i % total))?;
             if rec.status == CellStatus::Skipped {
                 return Err(format!(
@@ -354,11 +373,11 @@ impl RunManifest {
                     i % total
                 ));
             }
-            for (k, other) in shards.iter().enumerate() {
+            for (k, other) in by_index.iter().enumerate() {
                 if k == i % total {
                     continue;
                 }
-                if let Some(dup) = other.cells.iter().find(|c| c.index == i) {
+                if let Some(dup) = other[i] {
                     if dup.status != CellStatus::Skipped {
                         return Err(format!(
                             "cell {i} ('{}') owned by shard {} but also executed by shard {k}",
@@ -931,6 +950,64 @@ mod tests {
         shards[1].version = "v2-other-binary".into();
         let err = RunManifest::merge_shards(shards).unwrap_err();
         assert!(err.contains("disagrees on campaign identity"), "{err}");
+    }
+
+    #[test]
+    fn merge_shards_is_linear_in_cells() {
+        // Two 50,000-cell shard manifests, each recording every cell
+        // (owned or skipped), as real shards do. A per-cell search of
+        // the record lists makes this merge quadratic.
+        const N: usize = 50_000;
+        let mut shards = shard_pair();
+        for (k, m) in shards.iter_mut().enumerate() {
+            m.total_cells = N;
+            m.cells = (0..N)
+                .map(|i| CellRecord {
+                    index: i,
+                    label: format!("c{i}"),
+                    seed: i as u64,
+                    key: format!("{i:016x}"),
+                    cached: false,
+                    wall_ms: 1.0,
+                    events: 0,
+                    status: if i % 2 == k {
+                        CellStatus::Ok
+                    } else {
+                        CellStatus::Skipped
+                    },
+                    error: String::new(),
+                    flightrec: String::new(),
+                })
+                .collect();
+        }
+        let t = std::time::Instant::now();
+        let merged = RunManifest::merge_shards(shards).unwrap();
+        let took = t.elapsed();
+        assert_eq!(merged.cells.len(), N);
+        assert!(merged.cells.iter().enumerate().all(|(i, c)| c.index == i));
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "merging 2 x {N} cells took {took:?}"
+        );
+    }
+
+    #[test]
+    fn merge_shards_takes_the_first_record_per_index() {
+        let mut shards = shard_pair();
+        // A later record for cell 0 in its owner, and a stray record past
+        // the campaign's end, change nothing.
+        let mut late = shards[0].cells[0].clone();
+        late.status = CellStatus::Skipped;
+        shards[0].cells.push(late);
+        let mut stray = shards[1].cells[1].clone();
+        stray.index = 99;
+        shards[1].cells.push(stray);
+        let merged = RunManifest::merge_shards(shards.clone()).unwrap();
+        assert!(merged.cells.iter().all(|c| c.status == CellStatus::Ok));
+        // A missing record is reported with its owner.
+        shards[1].cells.retain(|c| c.index != 1);
+        let err = RunManifest::merge_shards(shards).unwrap_err();
+        assert_eq!(err, "cell 1 missing from shard 1");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! *omitted* (compact JSONL) and unknown/missing fields deserialize
 //! tolerantly — old readers accept new traces and vice versa.
 
-use serde::{Deserialize, Json, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 
 /// Record kind strings. Producers and queries share these constants;
 /// the field is a plain string in the JSON so readers stay forward
@@ -219,64 +219,138 @@ impl TraceRecord {
     }
 }
 
-impl Serialize for TraceRecord {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = Vec::with_capacity(6);
-        fields.push(("t_ns".into(), Json::Num(self.t_ns as f64)));
-        fields.push(("kind".into(), Json::Str(self.kind.clone())));
-        let mut num = |name: &str, v: &Option<u64>| {
-            if let Some(x) = v {
-                fields.push((name.into(), Json::Num(*x as f64)));
-            }
-        };
-        num("flow", &self.flow);
-        num("cwnd", &self.cwnd);
-        num("inflight", &self.inflight);
-        num("delivered", &self.delivered);
-        num("rtt_ns", &self.rtt_ns);
-        num("srtt_ns", &self.srtt_ns);
-        num("link", &self.link);
-        num("size", &self.size);
-        num("packet_id", &self.packet_id);
-        if let Some(s) = &self.run {
-            fields.push(("run".into(), Json::Str(s.clone())));
-        }
-        if let Some(s) = &self.name {
-            fields.push(("name".into(), Json::Str(s.clone())));
-        }
-        if let Some(x) = self.value {
-            fields.push(("value".into(), Json::Num(x)));
-        }
-        if let Some(s) = &self.reason {
-            fields.push(("reason".into(), Json::Str(s.clone())));
-        }
-        Json::Obj(fields)
+/// JSON keys of [`TraceRecord::ints`], in rendering order.
+const INT_KEYS: [&str; 9] = [
+    "flow",
+    "cwnd",
+    "inflight",
+    "delivered",
+    "rtt_ns",
+    "srtt_ns",
+    "link",
+    "size",
+    "packet_id",
+];
+
+/// JSON keys of the optional text fields `run`, `name` and `reason`.
+const TEXT_KEYS: [&str; 3] = ["run", "name", "reason"];
+
+impl TraceRecord {
+    /// The optional integer fields, in [`INT_KEYS`] order.
+    fn ints(&self) -> [Option<u64>; 9] {
+        [
+            self.flow,
+            self.cwnd,
+            self.inflight,
+            self.delivered,
+            self.rtt_ns,
+            self.srtt_ns,
+            self.link,
+            self.size,
+            self.packet_id,
+        ]
     }
 }
 
+/// Absent fields are omitted: `{"t_ns":…,"kind":…}`, then the integers
+/// that are set, then `run`, `name`, `value` and `reason` if set.
+impl Serialize for TraceRecord {
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"t_ns\":");
+        self.t_ns.write_json(out);
+        out.push_str(",\"kind\":");
+        self.kind.write_json(out);
+        for (name, v) in INT_KEYS.into_iter().zip(self.ints()) {
+            if let Some(x) = v {
+                member(out, name, &x);
+            }
+        }
+        if let Some(s) = &self.run {
+            member(out, "run", s);
+        }
+        if let Some(s) = &self.name {
+            member(out, "name", s);
+        }
+        if let Some(x) = &self.value {
+            member(out, "value", x);
+        }
+        if let Some(s) = &self.reason {
+            member(out, "reason", s);
+        }
+        out.push('}');
+    }
+}
+
+/// Append `,"name":value`.
+fn member(out: &mut String, name: &str, value: &dyn Serialize) {
+    out.push(',');
+    name.write_json(out);
+    out.push(':');
+    value.write_json(out);
+}
+
+/// Decoding is lenient: only `t_ns` and `kind` are required, an optional
+/// field of the wrong type reads as absent, unknown fields are skipped,
+/// and the first occurrence of a key wins.
 impl Deserialize for TraceRecord {
-    fn from_json(v: &Json) -> Option<Self> {
-        let o = v.as_obj()?;
-        let num = |name: &str| Json::field(o, name).and_then(u64::from_json);
-        let txt = |name: &str| Json::field(o, name).and_then(|j| j.as_str().map(str::to_string));
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        // Each slot: outer `Option` = key seen, inner = well-typed value.
+        let mut t_ns = None;
+        let mut kind = None;
+        let mut ints: [Option<Option<u64>>; 9] = [None; 9];
+        let mut texts: [Option<Option<String>>; 3] = [None, None, None];
+        let mut value = None;
+        r.begin_obj()?;
+        while let Some(key) = r.next_key()? {
+            let key = &*key;
+            let int_slot = INT_KEYS.iter().position(|n| *n == key);
+            let text_slot = TEXT_KEYS.iter().position(|n| *n == key);
+            match (key, int_slot, text_slot) {
+                ("t_ns", ..) if t_ns.is_none() => t_ns = Some(lenient::<u64>(r)?),
+                ("kind", ..) if kind.is_none() => kind = Some(lenient::<String>(r)?),
+                (_, Some(i), _) if ints[i].is_none() => ints[i] = Some(lenient(r)?),
+                (_, _, Some(i)) if texts[i].is_none() => texts[i] = Some(lenient(r)?),
+                // A number, not `null`: a null value is absent, not NaN.
+                ("value", ..) if value.is_none() => {
+                    value = Some(if r.peek()? == b'n' {
+                        r.skip()?;
+                        None
+                    } else {
+                        lenient::<f64>(r)?
+                    })
+                }
+                _ => {
+                    r.skip()?;
+                }
+            }
+        }
+        let [flow, cwnd, inflight, delivered, rtt_ns, srtt_ns, link, size, packet_id] =
+            ints.map(Option::flatten);
+        let [run, name, reason] = texts.map(Option::flatten);
         Some(TraceRecord {
-            t_ns: num("t_ns")?,
-            kind: txt("kind")?,
-            flow: num("flow"),
-            run: txt("run"),
-            cwnd: num("cwnd"),
-            inflight: num("inflight"),
-            delivered: num("delivered"),
-            rtt_ns: num("rtt_ns"),
-            srtt_ns: num("srtt_ns"),
-            link: num("link"),
-            size: num("size"),
-            packet_id: num("packet_id"),
-            name: txt("name"),
-            value: Json::field(o, "value").and_then(Json::as_f64),
-            reason: txt("reason"),
+            t_ns: t_ns??,
+            kind: kind??,
+            flow,
+            run,
+            cwnd,
+            inflight,
+            delivered,
+            rtt_ns,
+            srtt_ns,
+            link,
+            size,
+            packet_id,
+            name,
+            value: value.flatten(),
+            reason,
         })
     }
+}
+
+/// The next value as a `T`, or `Some(None)` (skipped, still validated)
+/// if it has another shape.
+fn lenient<T: Deserialize>(r: &mut Reader<'_>) -> Option<Option<T>> {
+    Some(serde::from_str(r.skip()?))
 }
 
 #[cfg(test)]
@@ -316,6 +390,23 @@ mod tests {
     fn unknown_fields_tolerated() {
         let r: TraceRecord = serde::from_str(r#"{"t_ns":5,"kind":"x","mystery":true}"#).unwrap();
         assert_eq!(r.kind, "x");
+    }
+
+    #[test]
+    fn mistyped_and_duplicate_fields_decode_leniently() {
+        // The first occurrence of a key wins; an optional field of the
+        // wrong type, or a null value, reads as absent.
+        let text = r#"{"kind":"x","flow":"one","flow":2,"cwnd":1.5,"value":null,
+            "value":3,"run":7,"name":"n","name":"m","t_ns":5,"t_ns":"late","link":[1,{"a":2}]}"#;
+        let r: TraceRecord = serde::from_str(text).unwrap();
+        assert_eq!((r.t_ns, r.kind.as_str()), (5, "x"));
+        assert_eq!((r.flow, r.cwnd, r.link, r.value), (None, None, None, None));
+        assert_eq!((r.run, r.name.as_deref()), (None, Some("n")));
+        // Required fields must be present and well typed.
+        assert!(serde::from_str::<TraceRecord>(r#"{"t_ns":"5","kind":"x"}"#).is_none());
+        assert!(serde::from_str::<TraceRecord>(r#"{"t_ns":5,"kind":1}"#).is_none());
+        // Skipped members are still validated.
+        assert!(serde::from_str::<TraceRecord>(r#"{"t_ns":5,"kind":"x","flow":[1,]}"#).is_none());
     }
 
     #[test]

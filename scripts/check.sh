@@ -187,9 +187,13 @@ echo "== rerun smoke (warm fig18 cache hits through Cache::load) =="
 # One short timed rerun pass: fig18's 10,920 cell identities against a
 # warm cache, every hit read back through the JSON parser and checked
 # intact. perfbench exits non-zero if any entry is not served intact or
-# the campaign fingerprint disagrees.
+# the campaign fingerprint disagrees; the results digest inside that
+# fingerprint hashes the serializer's output, so the grep pins the bytes
+# every cached value renders to.
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-    --workload rerun --seed 1 --seconds 1 --trace 0 >/dev/null
+    --workload rerun --seed 1 --seconds 1 --trace 0 >"$SMOKE_DIR/rerun-bench.out"
+grep -q '^rerun/fingerprint d120781bf245a9c6 ' "$SMOKE_DIR/rerun-bench.out" \
+    || { echo "rerun campaign fingerprint is not d120781bf245a9c6" >&2; exit 1; }
 
 echo "== matrix smoke (full Fig. 17 fingerprint) =="
 # One short timed pass of the full Fig. 17 loss matrix (672 cells; quick
