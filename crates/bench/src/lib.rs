@@ -1,7 +1,7 @@
 //! # suss-bench — the benchmark harness
 //!
 //! One binary per table/figure of the paper (DESIGN.md §3 maps each id to
-//! its experiment module), plus Criterion benches of scaled-down experiments.
+//! its experiment module).
 //!
 //! Every binary accepts `--quick` to run the scaled-down parameter set
 //! (useful for smoke tests; the default is the full paper-scale run) and
@@ -45,8 +45,8 @@ pub struct BenchCli {
     pub no_progress: bool,
     /// Structured JSONL trace output, from `--trace [path]` or
     /// `SUSS_TRACE=path`. An empty path means "trace to the default
-    /// `results/<name>.trace.jsonl`" — resolve it with
-    /// [`BenchCli::trace_path`].
+    /// `results/<name>.trace.jsonl`"; [`BenchCli::open_trace`] resolves
+    /// it.
     pub trace: Option<PathBuf>,
     /// Run as one shard of a split campaign (`--shard K/N`).
     pub shard: Option<(usize, usize)>,
@@ -146,7 +146,7 @@ impl BenchCli {
 
     /// The resolved JSONL trace path, if tracing was requested; a bare
     /// `--trace` defaults to `results/<name>.trace.jsonl`.
-    pub fn trace_path(&self) -> Option<PathBuf> {
+    fn trace_path(&self) -> Option<PathBuf> {
         let p = self.trace.as_ref()?;
         if p.as_os_str().is_empty() {
             Some(PathBuf::from("results").join(format!("{}.trace.jsonl", self.name)))

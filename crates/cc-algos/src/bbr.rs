@@ -160,16 +160,6 @@ impl Bbr {
         self.mode
     }
 
-    /// Bottleneck-bandwidth estimate in bytes/sec, if established.
-    pub fn btl_bw(&self) -> Option<f64> {
-        self.bw_filter.max()
-    }
-
-    /// Propagation-RTT estimate.
-    pub fn rt_prop(&self) -> Option<Duration> {
-        self.rt_prop
-    }
-
     fn bdp_bytes(&self) -> Option<f64> {
         match (self.bw_filter.max(), self.rt_prop) {
             (Some(bw), Some(rt)) => Some(bw * rt.as_secs_f64()),

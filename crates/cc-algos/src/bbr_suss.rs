@@ -40,7 +40,6 @@ pub struct BbrSuss {
     multiplier: f64,
     last_snd_nxt: u64,
     events: Vec<CcEvent>,
-    boosts_completed: u64,
 }
 
 impl BbrSuss {
@@ -53,18 +52,12 @@ impl BbrSuss {
             multiplier: 2.0,
             last_snd_nxt: 0,
             events: Vec::new(),
-            boosts_completed: 0,
         }
     }
 
     /// The SUSS state machine (diagnostics).
     pub fn suss(&self) -> &Suss {
         &self.suss
-    }
-
-    /// Boost windows that ran to completion.
-    pub fn boosts_completed(&self) -> u64 {
-        self.boosts_completed
     }
 
     /// Current BBR phase.
@@ -168,7 +161,6 @@ impl CongestionControl for BbrSuss {
             }
             if b.active && now >= b.end {
                 self.boost = None;
-                self.boosts_completed += 1;
             }
         }
     }
@@ -228,7 +220,6 @@ mod tests {
         let end = b.next_timer().unwrap();
         b.on_timer(end);
         assert!(!b.boost_active());
-        assert_eq!(b.boosts_completed(), 1);
         assert_eq!(b.cwnd(), w_before);
     }
 

@@ -98,11 +98,6 @@ impl CubicCore {
     pub fn reset_epoch(&mut self) {
         self.epoch_start = None;
     }
-
-    /// Current W_max in bytes (diagnostics).
-    pub fn w_max_bytes(&self) -> u64 {
-        (self.w_max * self.mss) as u64
-    }
 }
 
 /// Plain CUBIC with classic HyStart — the kernel-default configuration the
@@ -113,7 +108,6 @@ pub struct Cubic {
     ssthresh: u64,
     core: CubicCore,
     hystart: HyStart,
-    hystart_enabled: bool,
     events: Vec<CcEvent>,
 }
 
@@ -126,20 +120,8 @@ impl Cubic {
             ssthresh: u64::MAX,
             core: CubicCore::new(mss),
             hystart: HyStart::new(mss),
-            hystart_enabled: true,
             events: Vec::new(),
         }
-    }
-
-    /// Disable HyStart (pure loss-bounded slow start).
-    pub fn without_hystart(mut self) -> Self {
-        self.hystart_enabled = false;
-        self
-    }
-
-    /// The HyStart detector (diagnostics).
-    pub fn hystart(&self) -> &HyStart {
-        &self.hystart
     }
 }
 
@@ -161,10 +143,9 @@ impl CongestionControl for Cubic {
             return;
         }
         if self.in_slow_start() {
-            if self.hystart_enabled
-                && self
-                    .hystart
-                    .on_ack(ack.now, ack.ack_seq, ack.snd_nxt, ack.rtt_sample, self.cwnd)
+            if self
+                .hystart
+                .on_ack(ack.now, ack.ack_seq, ack.snd_nxt, ack.rtt_sample, self.cwnd)
             {
                 self.ssthresh = self.cwnd;
                 self.events.push(CcEvent::SsthreshChanged {

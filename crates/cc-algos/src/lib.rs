@@ -8,8 +8,6 @@
 //!   "SUSS off" arm and the Linux/Windows/macOS default),
 //! * [`CubicSuss`] — **the paper's contribution**: CUBIC with the SUSS
 //!   slow-start accelerator from `suss-core`,
-//! * [`CubicHspp`] — CUBIC with HyStart++ (RFC 9406), the IETF's
-//!   related-work alternative,
 //! * [`Bbr`] / [`Bbr2`] — the model-based comparators (BBRv1 semantics and
 //!   a loss-responsive v2-lite),
 //! * [`qcc`] — a quinn-shaped `QuicController` trait plus an adapter
@@ -35,7 +33,6 @@ pub mod bbr_suss;
 pub mod cubic;
 pub mod cubic_suss;
 pub mod hystart;
-pub mod hystartpp;
 pub mod qcc;
 pub mod reno;
 
@@ -44,7 +41,6 @@ pub use bbr_suss::BbrSuss;
 pub use cubic::{Cubic, CubicCore};
 pub use cubic_suss::CubicSuss;
 pub use hystart::HyStart;
-pub use hystartpp::{CubicHspp, HystartPP};
 pub use qcc::{make_quic_controller, QuicAdapter, QuicController, QuicRtt};
 pub use reno::Reno;
 
@@ -62,8 +58,6 @@ pub enum CcKind {
     CubicSuss,
     /// CUBIC + SUSS with a custom lookahead depth (Appendix A).
     CubicSussKmax(u8),
-    /// CUBIC + HyStart++ (RFC 9406).
-    CubicHspp,
     /// BBRv1.
     Bbr,
     /// BBRv2-lite.
@@ -81,7 +75,6 @@ impl CcKind {
             CcKind::Cubic => "cubic".into(),
             CcKind::CubicSuss => "cubic+suss".into(),
             CcKind::CubicSussKmax(k) => format!("cubic+suss(k={k})"),
-            CcKind::CubicHspp => "cubic+hspp".into(),
             CcKind::Bbr => "bbr".into(),
             CcKind::Bbr2 => "bbr2".into(),
             CcKind::BbrSuss => "bbr+suss".into(),
@@ -100,7 +93,6 @@ pub fn make_controller(kind: CcKind, iw: u64, mss: u64) -> Box<dyn CongestionCon
             mss,
             SussConfig::default().with_k_max(u32::from(k)),
         )),
-        CcKind::CubicHspp => Box::new(CubicHspp::new(iw, mss)),
         CcKind::Bbr => Box::new(Bbr::new(iw, mss)),
         CcKind::Bbr2 => Box::new(Bbr2::new(iw, mss)),
         CcKind::BbrSuss => Box::new(BbrSuss::new(iw, mss, SussConfig::default())),
@@ -117,7 +109,6 @@ mod tests {
             (CcKind::Reno, "reno"),
             (CcKind::Cubic, "cubic"),
             (CcKind::CubicSuss, "cubic+suss"),
-            (CcKind::CubicHspp, "cubic+hystart++"),
             (CcKind::Bbr, "bbr"),
             (CcKind::Bbr2, "bbr2"),
             (CcKind::BbrSuss, "bbr+suss"),

@@ -116,11 +116,6 @@ impl<C: CongestionControl> QuicAdapter<C> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped controller.
-    pub fn inner_mut(&mut self) -> &mut C {
-        &mut self.inner
-    }
-
     /// Total bytes the adapter has seen transmitted.
     pub fn total_sent(&self) -> u64 {
         self.total_sent

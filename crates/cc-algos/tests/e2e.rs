@@ -198,18 +198,6 @@ fn bbr_matches_cubic_slow_start_shape() {
 }
 
 #[test]
-fn hystartpp_also_completes_and_is_slower_than_suss() {
-    let hspp = run_path(CcKind::CubicHspp, 1_000_000, 100, 75, 1.0, 1);
-    let suss = run_path(CcKind::CubicSuss, 1_000_000, 100, 75, 1.0, 1);
-    assert!(
-        suss.fct < hspp.fct,
-        "SUSS {:?} should beat HyStart++ {:?} on a clean large-BDP path",
-        suss.fct,
-        hspp.fct
-    );
-}
-
-#[test]
 fn reno_completes_bulk_transfer() {
     let r = run_path(CcKind::Reno, 2_000_000, 50, 25, 2.0, 1);
     assert!(r.fct > Duration::from_millis(320)); // ≥ serialization bound

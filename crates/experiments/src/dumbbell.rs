@@ -188,16 +188,6 @@ pub fn run_dumbbell_scoped(
     }
 }
 
-/// Convenience for long-lived flows: delivered bytes at end of run.
-pub fn final_delivered(out: &DumbbellOutcome, idx: usize) -> u64 {
-    out.flows[idx]
-        .trace
-        .samples
-        .last()
-        .map(|s| s.delivered)
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

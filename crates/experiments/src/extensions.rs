@@ -60,7 +60,7 @@ pub fn bbr_suss_sweep(
 /// AQM-initiated head drops surface through the engine's
 /// `net.aqm_drops` counter in [`FlowOutcome::counters`];
 /// `bottleneck_drops` keeps counting tail drops as usual.
-pub fn run_flow_codel(
+fn run_flow_codel(
     scenario: &PathScenario,
     kind: CcKind,
     flow_bytes: u64,

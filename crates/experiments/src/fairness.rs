@@ -73,7 +73,7 @@ pub struct FairnessCell {
 impl FairnessCell {
     /// First post-join instant at which F ≥ `level` and stays there
     /// (sampled), per variant. `None` = never within the window.
-    pub fn recovery_time(&self, series: &[(Duration, f64)], level: f64) -> Option<Duration> {
+    fn recovery_time(&self, series: &[(Duration, f64)], level: f64) -> Option<Duration> {
         // Require the level to hold for the remainder of the series to
         // avoid rewarding transient spikes.
         for i in 0..series.len() {
@@ -85,12 +85,12 @@ impl FairnessCell {
     }
 
     /// Recovery time with SUSS on.
-    pub fn recovery_on(&self, level: f64) -> Option<Duration> {
+    fn recovery_on(&self, level: f64) -> Option<Duration> {
         self.recovery_time(&self.jain_on, level)
     }
 
     /// Recovery time with SUSS off.
-    pub fn recovery_off(&self, level: f64) -> Option<Duration> {
+    fn recovery_off(&self, level: f64) -> Option<Duration> {
         self.recovery_time(&self.jain_off, level)
     }
 }

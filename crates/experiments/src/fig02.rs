@@ -79,12 +79,12 @@ pub fn run(params: &Fig02Params) -> Fig02Result {
 
 impl Fig02Result {
     /// Fair share of the 50 Mbps bottleneck among 5 flows, bytes/sec.
-    pub fn fair_share(&self) -> f64 {
+    fn fair_share(&self) -> f64 {
         50e6 / 8.0 / 5.0
     }
 
     /// Goodput (bytes/sec) of the joining flow at `dt` after its start.
-    pub fn join_goodput(&self, out: &DumbbellOutcome, dt: Duration) -> f64 {
+    fn join_goodput(&self, out: &DumbbellOutcome, dt: Duration) -> f64 {
         let t = self.params.join_at + dt;
         out.flows[4]
             .delivered_series()

@@ -85,7 +85,7 @@ pub fn run(params: &Fig13Params) -> Fig13Result {
 
 impl Fig13Result {
     /// Time at which `mb` megabytes had been delivered.
-    pub fn time_to_mb(&self, out: &FlowOutcome, mb: u64) -> Option<SimTime> {
+    fn time_to_mb(&self, out: &FlowOutcome, mb: u64) -> Option<SimTime> {
         let bytes = mb * workload::MB;
         out.trace
             .samples
@@ -95,7 +95,7 @@ impl Fig13Result {
     }
 
     /// Improvement in arrival time of the `mb` checkpoint.
-    pub fn improvement_at_mb(&self, mb: u64) -> Option<f64> {
+    fn improvement_at_mb(&self, mb: u64) -> Option<f64> {
         let on = self.time_to_mb(&self.suss_on, mb)?.as_secs_f64();
         let off = self.time_to_mb(&self.suss_off, mb)?.as_secs_f64();
         Some(improvement(off, on))

@@ -326,7 +326,7 @@ pub fn run_fleet_cell(cfg: &FleetConfig, seed: u64) -> FleetStats {
 
 /// The two fleet scenarios: the paper's high-leverage 4G cell (deep
 /// buffer, long RTT) and a fast wired baseline.
-pub fn fleet_scenarios() -> [PathScenario; 2] {
+fn fleet_scenarios() -> [PathScenario; 2] {
     [
         PathScenario::new(ServerSite::GoogleUsEast, LastHop::FourG),
         PathScenario::new(ServerSite::OracleLondon, LastHop::Wired),

@@ -6,7 +6,7 @@
 //!
 //! * `paper()` — full scale (50 iterations, full sweeps), used by the
 //!   `suss-bench` binaries;
-//! * `quick()` — a scaled-down variant for Criterion benches and CI.
+//! * `quick()` — a scaled-down variant for tests and CI smoke runs.
 //!
 //! All experiments are deterministic given their seed base.
 

@@ -200,7 +200,7 @@ pub fn run_quic_pacing_cell(cfg: &QuicPacingConfig, seed: u64) -> QuicPacingStat
 
 /// The two pacing-matrix scenarios: the paper's high-leverage 4G cell and
 /// a fast wired baseline (same pair as the fleet campaign).
-pub fn quic_scenarios() -> [PathScenario; 2] {
+fn quic_scenarios() -> [PathScenario; 2] {
     [
         PathScenario::new(ServerSite::GoogleUsEast, LastHop::FourG),
         PathScenario::new(ServerSite::OracleLondon, LastHop::Wired),

@@ -109,25 +109,6 @@ pub fn run_flow(
     seed: u64,
     tracing: bool,
 ) -> FlowOutcome {
-    run_flow_with_horizon(
-        scenario,
-        kind,
-        flow_bytes,
-        seed,
-        tracing,
-        SimTime::from_secs(600),
-    )
-}
-
-/// [`run_flow`] with an explicit simulation horizon.
-pub fn run_flow_with_horizon(
-    scenario: &PathScenario,
-    kind: CcKind,
-    flow_bytes: u64,
-    seed: u64,
-    tracing: bool,
-    horizon: SimTime,
-) -> FlowOutcome {
     let _cell_span = simtrace::prof::span("flow/cell");
     let mut sim = Sim::new(seed);
     let mut cfg = SenderConfig::bulk(flow_bytes);
@@ -148,7 +129,7 @@ pub fn run_flow_with_horizon(
     let done = Rc::new(Cell::new(0u64));
     sim.agent_mut::<SenderEndpoint>(ends.sender)
         .notify_completion(Rc::clone(&done));
-    sim.run_while(horizon, |_| done.get() == 0);
+    sim.run_while(SimTime::from_secs(600), |_| done.get() == 0);
 
     let drops = sim.link_queue_stats(s2r).dropped_pkts;
     let rcv_done = sim.agent::<ReceiverEndpoint>(ends.receiver).completed_at();

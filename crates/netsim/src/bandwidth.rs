@@ -1,6 +1,5 @@
 //! Bandwidth (link rate) arithmetic.
 
-use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
@@ -73,17 +72,6 @@ impl Bandwidth {
         assert!(factor >= 0.0, "negative bandwidth scale");
         Bandwidth((self.0 as f64 * factor).round() as u64)
     }
-
-    /// The delivery rate implied by sending `bytes` over `interval`.
-    ///
-    /// Returns [`Bandwidth::ZERO`] for an empty interval.
-    pub fn from_transfer(bytes: u64, interval: Duration) -> Bandwidth {
-        if interval.is_zero() {
-            Bandwidth::ZERO
-        } else {
-            Bandwidth((bytes as f64 * 8.0 / interval.as_secs_f64()).round() as u64)
-        }
-    }
 }
 
 impl fmt::Display for Bandwidth {
@@ -98,18 +86,6 @@ impl fmt::Display for Bandwidth {
             write!(f, "{}bps", self.0)
         }
     }
-}
-
-/// A helper for expressing a rate as a pacing interval between packets.
-///
-/// Returns the inter-packet gap for packets of `packet_bytes` at `rate`.
-pub fn pacing_gap(rate: Bandwidth, packet_bytes: u64) -> Duration {
-    rate.tx_time(packet_bytes)
-}
-
-/// Convenience: an instant after `t` at which `bytes` finish serializing.
-pub fn tx_done_at(t: SimTime, rate: Bandwidth, bytes: u64) -> SimTime {
-    t + rate.tx_time(bytes)
 }
 
 #[cfg(test)]
@@ -153,23 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn from_transfer_inverts_tx_time() {
-        let b = Bandwidth::from_mbps(10);
-        let t = b.tx_time(100_000);
-        let back = Bandwidth::from_transfer(100_000, t);
-        let err = (back.as_bps() as f64 - b.as_bps() as f64).abs() / b.as_bps() as f64;
-        assert!(err < 1e-6, "err {err}");
-    }
-
-    #[test]
-    fn from_transfer_zero_interval() {
-        assert_eq!(
-            Bandwidth::from_transfer(100, Duration::ZERO),
-            Bandwidth::ZERO
-        );
-    }
-
-    #[test]
     fn scaled() {
         assert_eq!(
             Bandwidth::from_mbps(10).scaled(0.5),
@@ -183,11 +142,5 @@ mod tests {
         assert_eq!(Bandwidth::from_mbps(50).to_string(), "50.00Mbps");
         assert_eq!(Bandwidth::from_kbps(9).to_string(), "9.00Kbps");
         assert_eq!(Bandwidth::from_bps(42).to_string(), "42bps");
-    }
-
-    #[test]
-    fn tx_done_at_adds_serialization() {
-        let t = tx_done_at(SimTime::ZERO, Bandwidth::from_mbps(1), 125);
-        assert_eq!(t, SimTime::from_millis(1));
     }
 }

@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bandwidth;
-pub mod capture;
 pub mod faults;
 pub mod link;
 pub mod packet;
@@ -61,7 +60,6 @@ pub mod traffic;
 mod wheel;
 
 pub use bandwidth::Bandwidth;
-pub use capture::{Capture, CaptureEvent, CaptureKind};
 pub use faults::{FaultPlan, FlapWindow, GilbertElliott, ReorderModel};
 pub use link::{JitterModel, LinkSpec, LinkStats, Qdisc, RateSchedule};
 pub use packet::{FlowId, LinkId, NodeId, Packet, PacketMeta, PayloadHandle, PayloadPool};

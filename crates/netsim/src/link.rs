@@ -130,11 +130,6 @@ impl RateSchedule {
     pub fn base_rate(&self) -> Bandwidth {
         self.steps[0].1
     }
-
-    /// Whether this schedule ever changes rate.
-    pub fn is_constant(&self) -> bool {
-        self.steps.len() == 1
-    }
 }
 
 /// `netem`-style jitter: per-packet delay variation, optionally correlated.
@@ -411,7 +406,6 @@ mod tests {
         let s = RateSchedule::constant(Bandwidth::from_mbps(10));
         assert_eq!(s.rate_at(SimTime::ZERO), Bandwidth::from_mbps(10));
         assert_eq!(s.rate_at(SimTime::from_secs(100)), Bandwidth::from_mbps(10));
-        assert!(s.is_constant());
     }
 
     #[test]
@@ -431,7 +425,6 @@ mod tests {
             Bandwidth::from_mbps(5)
         );
         assert_eq!(s.rate_at(SimTime::from_secs(3)), Bandwidth::from_mbps(20));
-        assert!(!s.is_constant());
     }
 
     #[test]

@@ -126,25 +126,6 @@ impl Packet {
         }
     }
 
-    /// Construct a packet carrying a typed payload.
-    pub fn with_payload<T: Any + Clone>(
-        flow: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        size: u32,
-        payload: T,
-    ) -> Self {
-        Packet {
-            id: 0,
-            flow,
-            src,
-            dst,
-            size,
-            payload: Some(Box::new(payload)),
-            cloner: Some(clone_payload::<T>),
-        }
-    }
-
     /// Construct a packet from an already-boxed payload (see
     /// `Ctx::alloc_payload` for the allocation-free path).
     pub fn with_boxed_payload(
@@ -184,11 +165,6 @@ impl Packet {
             payload,
             cloner: self.cloner,
         })
-    }
-
-    /// Borrow the payload downcast to `T`, if present and of that type.
-    pub fn payload_ref<T: Any>(&self) -> Option<&T> {
-        self.payload.as_deref().and_then(|p| p.downcast_ref::<T>())
     }
 
     /// Take the payload downcast to `T`.
@@ -286,7 +262,7 @@ impl PayloadPool {
     }
 
     /// Return a consumed payload box to its type's shelf.
-    pub fn recycle(&mut self, b: Box<dyn Any>) {
+    fn recycle(&mut self, b: Box<dyn Any>) {
         let key = (*b).type_id();
         match self.shelves.iter_mut().find(|(t, _)| *t == key) {
             Some((_, shelf)) => {
@@ -335,11 +311,22 @@ mod tests {
         (NodeId(1), NodeId(2))
     }
 
+    /// A packet carrying a `u64` payload.
+    fn typed(flow: u64, size: u32, v: u64) -> Packet {
+        let (a, b) = nodes();
+        let payload = PayloadHandle::of::<u64>(Box::new(v));
+        Packet::with_boxed_payload(FlowId(flow), a, b, size, payload)
+    }
+
+    /// Borrow a packet's `u64` payload without consuming it.
+    fn peek(p: &Packet) -> Option<&u64> {
+        p.payload.as_deref().and_then(|b| b.downcast_ref())
+    }
+
     #[test]
     fn payload_roundtrip() {
-        let (a, b) = nodes();
-        let p = Packet::with_payload(FlowId(3), a, b, 1500, 42u64);
-        assert_eq!(p.payload_ref::<u64>(), Some(&42));
+        let p = typed(3, 1500, 42);
+        assert_eq!(peek(&p), Some(&42));
         let (v, meta) = p.take_payload::<u64>().unwrap();
         assert_eq!(v, 42);
         assert_eq!(meta.flow, FlowId(3));
@@ -348,18 +335,16 @@ mod tests {
 
     #[test]
     fn wrong_type_downcast_returns_packet() {
-        let (a, b) = nodes();
-        let p = Packet::with_payload(FlowId(1), a, b, 100, 42u64);
-        let p = p.take_payload::<String>().unwrap_err();
+        let p = typed(1, 100, 42).take_payload::<String>().unwrap_err();
         // Payload must survive the failed downcast.
-        assert_eq!(p.payload_ref::<u64>(), Some(&42));
+        assert_eq!(peek(&p), Some(&42));
     }
 
     #[test]
     fn opaque_has_no_payload() {
         let (a, b) = nodes();
         let p = Packet::opaque(FlowId(0), a, b, 64);
-        assert!(p.payload_ref::<u64>().is_none());
+        assert!(peek(&p).is_none());
         assert!(p.take_payload::<u64>().is_err());
     }
 
@@ -404,13 +389,13 @@ mod tests {
     #[test]
     fn duplicate_clones_typed_payloads() {
         let (a, b) = nodes();
-        let p = Packet::with_payload(FlowId(2), a, b, 900, 11u64);
+        let p = typed(2, 900, 11);
         let d = p.clone_for_duplicate().expect("typed payload is clonable");
-        assert_eq!(d.payload_ref::<u64>(), Some(&11));
+        assert_eq!(peek(&d), Some(&11));
         assert_eq!((d.flow, d.size), (p.flow, p.size));
         // The clone is a distinct allocation.
-        let orig = p.payload_ref::<u64>().unwrap() as *const u64;
-        let twin = d.payload_ref::<u64>().unwrap() as *const u64;
+        let orig = peek(&p).unwrap() as *const u64;
+        let twin = peek(&d).unwrap() as *const u64;
         assert_ne!(orig, twin);
         // Opaque packets duplicate trivially.
         assert!(Packet::opaque(FlowId(0), a, b, 64)
@@ -420,10 +405,10 @@ mod tests {
 
     #[test]
     fn take_payload_with_wrong_type_keeps_packet() {
-        let (a, b) = nodes();
         let mut pool = PayloadPool::default();
-        let p = Packet::with_payload(FlowId(1), a, b, 100, 42u64);
-        let p = p.take_payload_with::<String>(&mut pool).unwrap_err();
-        assert_eq!(p.payload_ref::<u64>(), Some(&42));
+        let p = typed(1, 100, 42)
+            .take_payload_with::<String>(&mut pool)
+            .unwrap_err();
+        assert_eq!(peek(&p), Some(&42));
     }
 }

@@ -115,23 +115,9 @@ impl SimRng {
         self.inner.next_u64()
     }
 
-    /// Next raw 32-bit draw.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.inner.next_u64() >> 32) as u32
-    }
-
     /// Uniform draw in `[0, 1)` (53-bit resolution).
     pub fn uniform(&mut self) -> f64 {
         (self.inner.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform draw in `[lo, hi)`. Returns `lo` when the range is empty.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        if hi <= lo {
-            lo
-        } else {
-            lo + self.uniform() * (hi - lo)
-        }
     }
 
     /// Uniform integer in `[0, n)`.
@@ -157,7 +143,7 @@ impl SimRng {
     }
 
     /// Standard normal draw via the Box–Muller transform.
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         // Avoid ln(0) by sampling u1 from (0, 1].
         let u1 = 1.0 - self.uniform();
         let u2 = self.uniform();
@@ -194,14 +180,6 @@ impl SimRng {
         let ha = hi.powf(alpha);
         // Inverse-CDF of the bounded Pareto.
         (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
-    }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -291,16 +269,6 @@ mod tests {
             let x = r.bounded_pareto(1.2, 10.0, 1000.0);
             assert!((10.0..=1000.0).contains(&x), "out of bounds: {x}");
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(11);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

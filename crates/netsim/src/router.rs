@@ -43,7 +43,7 @@ impl Router {
     }
 
     /// The egress link that would carry a packet to `dst`, if any.
-    pub fn route_for(&self, dst: NodeId) -> Option<LinkId> {
+    fn route_for(&self, dst: NodeId) -> Option<LinkId> {
         self.routes.get(&dst).copied().or(self.default_route)
     }
 }

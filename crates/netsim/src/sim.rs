@@ -10,7 +10,6 @@
 //! async runtime: virtual time must be decoupled from wall-clock time for
 //! reproducible experiments, and the engine is pure computation.
 
-use crate::capture::{Capture, CaptureEvent, CaptureKind};
 use crate::link::{HalfLink, LinkSpec, LinkStats};
 use crate::packet::{LinkId, NodeId, Packet, PacketMeta, PayloadHandle, PayloadPool};
 use crate::queue::QueueStats;
@@ -128,7 +127,6 @@ struct NetCore {
     /// (not in [`Sim`]) so [`Ctx::set_timer`] can stamp timers with it.
     agent_epochs: Vec<u32>,
     next_packet_id: u64,
-    capture: Option<Capture>,
     /// Links with time-series scope sampling enabled (usually 0–2 entries;
     /// the hot path pays one `is_empty` check when none are registered).
     scopes: Vec<LinkScopeState>,
@@ -143,23 +141,6 @@ struct NetCore {
     ctr_faults_injected: Counter,
     ctr_link_flaps: Counter,
     gauge_queue_hwm: Gauge,
-}
-
-impl NetCore {
-    fn capture_event(&mut self, link: LinkId, kind: CaptureKind, pkt: &Packet) {
-        if let Some(cap) = &mut self.capture {
-            if cap.wants(link) {
-                cap.record(CaptureEvent {
-                    t: self.now,
-                    link,
-                    kind,
-                    flow: pkt.flow,
-                    size: pkt.size,
-                    packet_id: pkt.id,
-                });
-            }
-        }
-    }
 }
 
 impl NetCore {
@@ -210,10 +191,9 @@ impl NetCore {
             let done = now + rate.tx_time(u64::from(pkt.size));
             hl.transmitting = Some(pkt);
             self.push(done, EventKind::TxDone { link });
-        } else if let Err(dropped) = hl.queue.enqueue(pkt, now) {
+        } else if hl.queue.enqueue(pkt, now).is_err() {
             // Dropped by the qdisc: counted by the queue's own stats.
             self.ctr_queue_drops.inc();
-            self.capture_event(link, CaptureKind::QueueDropped, &dropped);
             return;
         } else {
             let backlog = self.links[link.index()].queue.backlog_bytes();
@@ -305,7 +285,6 @@ impl NetCore {
             // cut, and the queue holds until the restore event drains it.
             hl.stats.flap_lost_pkts += 1;
             self.ctr_faults_injected.inc();
-            self.capture_event(link, CaptureKind::RandomLost, &pkt);
             return;
         }
 
@@ -313,15 +292,7 @@ impl NetCore {
         // The GE chain steps once per transmitted packet, independent of
         // the i.i.d. outcome, so burst statistics match the model exactly.
         let ge_lost = hl.fault_roll_ge();
-        let lost = iid_lost || ge_lost;
-        let kind = if lost {
-            CaptureKind::RandomLost
-        } else {
-            CaptureKind::Transmitted
-        };
-        self.capture_event(link, kind, &pkt);
-        let hl = &mut self.links[link.index()];
-        if lost {
+        if iid_lost || ge_lost {
             if iid_lost {
                 hl.stats.random_lost_pkts += 1;
             } else {
@@ -457,14 +428,6 @@ impl Ctx<'_> {
         );
     }
 
-    /// Current backlog (bytes) of a half-link's egress queue.
-    ///
-    /// Exposed for in-network agents (AQM experiments); endpoints must not
-    /// use it — they only see ACKs.
-    pub fn link_backlog_bytes(&self, link: LinkId) -> u64 {
-        self.core.links[link.index()].queue.backlog_bytes()
-    }
-
     /// Box a payload through the engine's recycled-buffer pool.
     ///
     /// Pair with [`Packet::with_boxed_payload`]; on the steady-state path
@@ -529,7 +492,6 @@ impl Sim {
                 links: Vec::new(),
                 agent_epochs: Vec::new(),
                 next_packet_id: 1,
-                capture: None,
                 scopes: Vec::new(),
                 pool: PayloadPool::default(),
                 ctr_orphan_events,
@@ -714,12 +676,6 @@ impl Sim {
         self.core.links[link.index()].aqm_drops()
     }
 
-    /// Start capturing packet events on the given links (empty = all),
-    /// keeping at most `limit` events. Replaces any previous capture.
-    pub fn enable_capture(&mut self, links: &[LinkId], limit: usize) {
-        self.core.capture = Some(Capture::new(links, limit));
-    }
-
     /// Enable time-series scope sampling on a half-link: every `every`-th
     /// packet completion emits [`ScopeKind::QueueDepth`] and
     /// [`ScopeKind::Utilization`] samples, and every `every`-th accepted
@@ -738,16 +694,6 @@ impl Sim {
             window_bytes: 0,
             sink,
         });
-    }
-
-    /// The active capture, if any.
-    pub fn capture(&self) -> Option<&Capture> {
-        self.core.capture.as_ref()
-    }
-
-    /// Current backlog (bytes) of a half-link's egress buffer.
-    pub fn link_backlog_bytes(&self, link: LinkId) -> u64 {
-        self.core.links[link.index()].queue.backlog_bytes()
     }
 
     /// Invoke a closure with mutable access to an agent plus a [`Ctx`],
@@ -830,7 +776,6 @@ impl Sim {
     /// dispatch order (and therefore every result) is the global
     /// `(time, seq)` order. Only the `net.sched_batched` counter sees it.
     fn dispatch_arrive(&mut self, at: SimTime, node: NodeId, link: LinkId, pkt: Packet) {
-        self.core.capture_event(link, CaptureKind::Delivered, &pkt);
         let Some(mut agent) = self.agents[node.index()].take() else {
             // The flow this packet belonged to has been torn down.
             self.core.ctr_orphan_events.inc();
@@ -861,7 +806,6 @@ impl Sim {
                 )) if t == at && n == node && l == link => {
                     self.account_dispatch();
                     self.core.ctr_batched.inc();
-                    self.core.capture_event(l, CaptureKind::Delivered, &p);
                     let mut ctx = Ctx {
                         core: &mut self.core,
                         agent: node,
@@ -1146,6 +1090,11 @@ mod tests {
         sim.run_to_completion();
         assert_eq!(sim.agent::<Echo>(b).got.len(), 2);
         assert_eq!(sim.link_queue_stats(ab).dropped_pkts, 3);
+        // The engine's counter and the link's wire tally agree with the
+        // queue: 1 transmitting + 1 queued serialized, 3 dropped.
+        let snap = sim.metrics().snapshot();
+        assert_eq!(snap.get(simtrace::names::NET_QUEUE_DROPS), Some(3));
+        assert_eq!(sim.link_stats(ab).tx_pkts, 2);
     }
 
     #[test]
@@ -1163,10 +1112,10 @@ mod tests {
         sim.run_to_completion();
         let delivered = sim.agent::<Echo>(b).got.len();
         assert!((380..=620).contains(&delivered), "delivered {delivered}");
-        assert_eq!(
-            sim.link_stats(ab).random_lost_pkts as usize,
-            1000 - delivered
-        );
+        let stats = sim.link_stats(ab);
+        assert_eq!(stats.random_lost_pkts as usize, 1000 - delivered);
+        // Every packet is serialized, then either delivered or lost.
+        assert_eq!(stats.tx_pkts, 1000);
     }
 
     #[test]

@@ -65,19 +65,9 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Fractional milliseconds since simulation start.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Elapsed time since `earlier`, saturating to zero if `earlier` is later.
     pub fn saturating_since(self, earlier: SimTime) -> Duration {
         Duration::from_nanos(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked subtraction; `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<Duration> {
-        self.0.checked_sub(earlier.0).map(Duration::from_nanos)
     }
 
     /// Saturating addition of a duration (clamps at [`SimTime::MAX`]).
@@ -108,7 +98,7 @@ impl SimTime {
 ///
 /// Simulations never run anywhere near 2^64 ns (~584 years), so saturation
 /// only matters for sentinel values like `Duration::MAX`.
-pub(crate) fn duration_as_nanos_u64(d: Duration) -> u64 {
+fn duration_as_nanos_u64(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -193,14 +183,6 @@ mod tests {
         let b = SimTime::from_millis(30);
         assert_eq!(a.saturating_since(b), Duration::ZERO);
         assert_eq!(b.saturating_since(a), Duration::from_millis(20));
-    }
-
-    #[test]
-    fn checked_since() {
-        let a = SimTime::from_millis(10);
-        let b = SimTime::from_millis(30);
-        assert_eq!(a.checked_since(b), None);
-        assert_eq!(b.checked_since(a), Some(Duration::from_millis(20)));
     }
 
     #[test]

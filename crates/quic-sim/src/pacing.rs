@@ -65,8 +65,6 @@ impl PacingStrategy {
 #[derive(Debug, Clone)]
 pub struct QuicPacer {
     strategy: PacingStrategy,
-    /// Full-size packet wire bytes: the burst quantum.
-    mtu: u64,
     /// Token bucket backing `PerPacket`/`Burst` (unused for `Chunked`).
     bucket: Pacer,
     // Chunked state.
@@ -93,7 +91,6 @@ impl QuicPacer {
         };
         QuicPacer {
             strategy,
-            mtu,
             bucket: Pacer::unlimited(burst),
             rate: None,
             interval_ns,
@@ -184,11 +181,6 @@ impl QuicPacer {
             }
             _ => self.bucket.next_send_time(now, bytes),
         }
-    }
-
-    /// Full-size packet wire bytes (the burst quantum).
-    pub fn mtu(&self) -> u64 {
-        self.mtu
     }
 }
 

@@ -84,7 +84,6 @@ fn every_controller_completes_a_clean_flow() {
         CcKind::Reno,
         CcKind::Cubic,
         CcKind::CubicSuss,
-        CcKind::CubicHspp,
         CcKind::Bbr,
         CcKind::Bbr2,
         CcKind::BbrSuss,

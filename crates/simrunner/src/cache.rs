@@ -15,10 +15,10 @@
 //! that exists but fails to parse (truncated by a crash, hand-edited,
 //! bit-rotted) is renamed to `<key>.quarantine` — preserved for
 //! post-mortem, off the hot path, counted via
-//! [`Cache::quarantined_count`] (`runner.cache_quarantined` in the
-//! metric catalogue). A *mismatched* identity under the same key is a
-//! plain miss, not corruption: it is a hash collision or a stale slot,
-//! and the next store legitimately claims it.
+//! [`Cache::quarantined_count`] (the manifest's `cache_quarantined`).
+//! A *mismatched* identity under the same key is a plain miss, not
+//! corruption: it is a hash collision or a stale slot, and the next
+//! store legitimately claims it.
 //!
 //! The cache is unbounded and nothing evicts from it: an entry's mtime is
 //! the time it was written, and [`Cache::load`] never writes. Quarantined

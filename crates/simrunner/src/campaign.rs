@@ -174,12 +174,6 @@ impl RunnerOpts {
         self
     }
 
-    /// Enable stderr progress reporting.
-    pub fn with_progress(mut self) -> Self {
-        self.progress = true;
-        self
-    }
-
     /// Set the per-cell wall-clock budget (pool executor).
     pub fn with_cell_timeout(mut self, timeout: Duration) -> Self {
         self.cell_timeout = Some(timeout);
@@ -233,7 +227,7 @@ impl RunnerOpts {
     /// and a warning per malformed value (the prior value is kept).
     /// Injectable so the parsing path is testable without mutating
     /// process-global environment state.
-    pub fn apply_env(mut self, get: impl Fn(&str) -> Option<String>) -> (Self, Vec<String>) {
+    fn apply_env(mut self, get: impl Fn(&str) -> Option<String>) -> (Self, Vec<String>) {
         let mut warnings = Vec::new();
         let mut warn = |key: &str, val: &str, want: &str| {
             warnings.push(format!("ignoring {key}={val:?}: expected {want}"));
@@ -587,7 +581,7 @@ pub(crate) fn run_bracketed<T>(
 
 /// Sanitize a cell label into a filename: anything outside
 /// `[A-Za-z0-9._-]` becomes `-`.
-pub(crate) fn sanitize_label(label: &str) -> String {
+fn sanitize_label(label: &str) -> String {
     label
         .chars()
         .map(|c| {

@@ -170,16 +170,14 @@ pub struct RunManifest {
     pub wall_ms_p50: f64,
     /// 99th-percentile per-cell compute wall time (nearest-rank), ms.
     pub wall_ms_p99: f64,
-    /// Cells that ended without a result (`runner.cells_failed`).
+    /// Cells that ended without a result (panicked or timed out).
     pub cells_failed: usize,
-    /// Cells abandoned by the watchdog (`runner.cell_timeouts`).
+    /// Cells abandoned by the wall-clock watchdog.
     pub cell_timeouts: u64,
-    /// Corrupt cache entries quarantined while loading
-    /// (`runner.cache_quarantined`).
+    /// Corrupt cache entries quarantined while loading.
     pub cache_quarantined: u64,
     /// Cells of dead shards recomputed inline by the merge — orphans
-    /// whose owning shard never cached them (`runner.cells_reassigned`;
-    /// 0 for unsharded runs).
+    /// whose owning shard never cached them (0 for unsharded runs).
     pub cells_reassigned: u64,
     /// FNV-1a 64 digest over the campaign's results in cell order — the
     /// value-level identity of the run. Two runs that computed the same
@@ -187,9 +185,10 @@ pub struct RunManifest {
     /// sharding, or cache temperature. Empty when some cells failed.
     pub results_digest: String,
     /// Digest over the deterministic content of this manifest (cells,
-    /// statuses, results digest, annotations) — excludes wall-clock
-    /// fields, `cached` flags and executor identity, so a sharded merge
-    /// and a single-process run fingerprint identically. Sealed by
+    /// statuses, results digest, FCT annotations) — excludes wall-clock
+    /// fields, `cached` flags, executor identity and scope annotations,
+    /// so a sharded merge, a single-process run and a warm rerun
+    /// fingerprint identically. Sealed by
     /// [`write`](Self::write); stale after in-place mutation until then.
     pub fingerprint: String,
     /// Experiment-attached result summaries (empty unless the experiment
@@ -197,7 +196,9 @@ pub struct RunManifest {
     pub annotations: Vec<FctAnnotation>,
     /// Queue/link time-series summaries reported by cells through
     /// `simtrace::runtime::add_scope_annotation`, sorted by label (empty
-    /// unless scope sampling was enabled).
+    /// unless scope sampling was enabled). Only computed cells report
+    /// them, so a warm rerun has none: like wall time, they are
+    /// observation and stay out of the fingerprint.
     pub scope_annotations: Vec<ScopeAnnotation>,
     /// Merged span profile across all computed cells (empty unless the
     /// run profiled; see [`RunnerOpts::profile`](crate::RunnerOpts)).
@@ -256,15 +257,17 @@ impl RunManifest {
 
     /// Digest over the deterministic content of the manifest: experiment
     /// identity, per-cell (index, label, seed, key, status), the results
-    /// digest, and both annotation lists. Wall-clock fields, `cached`
-    /// flags and the executor label are excluded, so the
-    /// fingerprint is stable across cache temperature, worker count,
-    /// executor choice and sharding.
+    /// digest, and the FCT annotations. Wall-clock fields, `cached`
+    /// flags, the executor label and the scope annotations are excluded,
+    /// so the fingerprint is stable across cache temperature, worker
+    /// count, executor choice and sharding.
     pub fn compute_fingerprint(&self) -> String {
         // The canonical text, hashed piecewise through one reused buffer:
         // the identity fields and results digest, one
-        // `index\1label\1seed\1key\1status` line per cell, then both
-        // annotation lists as JSON.
+        // `index\1label\1seed\1key\1status` line per cell, then the FCT
+        // annotations as JSON. The scope-annotation slot hashes as a
+        // constant empty list so that pinned fingerprints, all taken with
+        // that slot empty, still hold.
         let mut hash = crate::Fnv1a::new();
         let mut buf = String::new();
         let _ = write!(
@@ -284,8 +287,7 @@ impl RunManifest {
         }
         buf.clear();
         self.annotations.write_json(&mut buf);
-        buf.push('\0');
-        self.scope_annotations.write_json(&mut buf);
+        buf.push_str("\0[]");
         hash.write(buf.as_bytes());
         format!("{:016x}", hash.finish())
     }

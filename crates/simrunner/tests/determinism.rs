@@ -106,6 +106,40 @@ fn force_cold_recomputes_but_matches() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Scope annotations come only from computed cells, so a warm rerun has
+/// none; the fingerprint must not depend on that.
+#[test]
+fn fingerprint_is_independent_of_cache_temperature() {
+    let dir = tempdir("simrunner-det-scope");
+    let c = campaign();
+    let opts = RunnerOpts::default().with_workers(2).with_cache(&dir);
+    let run = || {
+        c.run(&opts.executor(), |cell| {
+            simtrace::runtime::add_scope_annotation(simtrace::ScopeAnnotation {
+                label: format!("scope/{}/queue_depth", cell.label),
+                n: 10 + cell.seed,
+                p50: 0.001,
+                p90: 0.002,
+                p99: 0.003,
+                p999: 0.004,
+            });
+            fake_sim(cell.seed, 1_000)
+        })
+    };
+    let cold = run();
+    let warm = run();
+    assert_eq!(cold.manifest.scope_annotations.len(), c.len());
+    assert_eq!(warm.manifest.cache_hits, c.len());
+    assert!(warm.manifest.scope_annotations.is_empty());
+    assert_eq!(
+        cold.manifest.compute_fingerprint(),
+        warm.manifest.compute_fingerprint(),
+        "a warm rerun must fingerprint like the cold run"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Manifest cell records stay in campaign order with the right labels, so
 /// downstream tooling can join them against rendered results by line.
 #[test]

@@ -32,9 +32,6 @@ pub const DEFAULT_CAPACITY: usize = 512;
 struct Ring {
     buf: VecDeque<TraceRecord>,
     cap: usize,
-    /// Records evicted to make room (so a dump says how much history the
-    /// ring could not keep).
-    evicted: u64,
 }
 
 /// A shared handle to one cell's record ring. Clones refer to the same
@@ -52,7 +49,6 @@ impl FlightRecorder {
             inner: Arc::new(Mutex::new(Ring {
                 buf: VecDeque::with_capacity(capacity.max(1)),
                 cap: capacity.max(1),
-                evicted: 0,
             })),
         }
     }
@@ -62,7 +58,6 @@ impl FlightRecorder {
         let mut r = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if r.buf.len() == r.cap {
             r.buf.pop_front();
-            r.evicted += 1;
         }
         r.buf.push_back(rec);
     }
@@ -72,14 +67,6 @@ impl FlightRecorder {
     pub fn snapshot(&self) -> Vec<TraceRecord> {
         let r = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         r.buf.iter().cloned().collect()
-    }
-
-    /// Records evicted from the ring so far.
-    pub fn evicted(&self) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .evicted
     }
 
     /// The ring serialized as JSONL, oldest record first — the same
@@ -103,11 +90,6 @@ thread_local! {
 /// before running a cell and clear it after.
 pub fn install(rec: Option<FlightRecorder>) {
     RECORDER.with(|r| *r.borrow_mut() = rec);
-}
-
-/// Whether a recorder is installed on this thread.
-pub fn is_installed() -> bool {
-    RECORDER.with(|r| r.borrow().is_some())
 }
 
 /// Record into this thread's recorder, if one is installed. The closure
@@ -136,7 +118,6 @@ mod tests {
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[0].t_ns, 2, "oldest two evicted");
         assert_eq!(snap[2].t_ns, 4);
-        assert_eq!(fr.evicted(), 2);
     }
 
     #[test]

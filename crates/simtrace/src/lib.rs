@@ -12,9 +12,9 @@
 //!   are identical at any worker count.
 //! * [`TraceRecord`] + [`EventSink`] — a common timestamped event schema
 //!   with JSONL ([`JsonlSink`]) and CSV ([`CsvSink`]) exporters. Producers
-//!   (`ConnTrace`, `Capture`) convert their native samples/events into
-//!   records; exporting is opt-in, so the hot path pays nothing when
-//!   tracing is disabled.
+//!   (`ConnTrace`) convert their native samples/events into records;
+//!   exporting is opt-in, so the hot path pays nothing when tracing is
+//!   disabled.
 //! * [`query`] — parse a JSONL trace back and answer the recurring
 //!   questions: a flow's cwnd timeseries, events in a time window, counter
 //!   totals, diffs between two runs. The `suss-trace` CLI bin is a thin
@@ -125,13 +125,4 @@ pub mod names {
     /// Sends deferred by the QUIC pacing strategy (one per armed pacing
     /// timer; the knob the pacing-strategy matrix turns).
     pub const QUIC_PACE_DELAYS: &str = "quic.pace_delays";
-    /// Campaign cells abandoned by the wall-clock watchdog.
-    pub const RUNNER_CELL_TIMEOUTS: &str = "runner.cell_timeouts";
-    /// Campaign cells that ended a run without a result (panicked or
-    /// timed out).
-    pub const RUNNER_CELLS_FAILED: &str = "runner.cells_failed";
-    /// Cache entries that failed to load and were quarantined on disk.
-    pub const RUNNER_CACHE_QUARANTINED: &str = "runner.cache_quarantined";
-    /// Orphaned cells from dead shards recomputed inline at merge time.
-    pub const RUNNER_CELLS_REASSIGNED: &str = "runner.cells_reassigned";
 }

@@ -115,7 +115,7 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Whether profiling is currently enabled on this thread.
-pub fn is_enabled() -> bool {
+fn is_enabled() -> bool {
     ENABLED.with(Cell::get)
 }
 
@@ -218,7 +218,7 @@ impl ProfSnapshot {
     }
 
     /// Wall time attributed to named spans (everything but [`UNTRACKED`]).
-    pub fn named_ns(&self) -> u64 {
+    fn named_ns(&self) -> u64 {
         self.spans
             .iter()
             .filter(|s| s.path != UNTRACKED)

@@ -1,6 +1,6 @@
 //! The common timestamped trace record.
 //!
-//! Every producer (per-ACK connection traces, packet captures, counter
+//! Every producer (per-ACK connection traces, CC decisions, counter
 //! dumps) flattens into one record shape so a single JSONL file can hold
 //! a whole run and one query layer can answer questions about it.
 //! Serialization is hand-written rather than derived so `None` fields are
@@ -27,14 +27,6 @@ pub mod kind {
     pub const SUSS_PACING: &str = "suss_pacing";
     /// Flow finished delivering its payload.
     pub const FLOW_COMPLETE: &str = "flow_complete";
-    /// Packet entered a link (capture).
-    pub const PKT_TX: &str = "pkt_tx";
-    /// Packet delivered by a link (capture).
-    pub const PKT_RX: &str = "pkt_rx";
-    /// Packet dropped by a full queue (capture).
-    pub const PKT_DROP: &str = "pkt_drop";
-    /// Packet lost to random loss injection (capture).
-    pub const PKT_LOST: &str = "pkt_lost";
     /// Counter total at export time; `name`/`value` carry the metric.
     pub const COUNTER: &str = "counter";
     /// Gauge high-water mark at export time; `name`/`value` carry it.
@@ -51,8 +43,8 @@ pub mod kind {
     /// SUSS per-round estimate. `value` carries the growth estimate `k`,
     /// `reason` the round context (e.g. `round=3,k=4`).
     pub const SUSS_ROUND: &str = "suss_round";
-    /// HyStart / HyStart++ state transition. `reason` carries
-    /// `<phase>:<trigger>` (e.g. `css:rtt_rise`, `exit:css_confirmed`).
+    /// HyStart slow-start exit. `reason` carries `<phase>:<trigger>`
+    /// (`exit:rtt_rise` from CUBIC, `exit:hystart_delay` from CUBIC+SUSS).
     pub const HYSTART: &str = "hystart";
 }
 
@@ -81,11 +73,11 @@ pub struct TraceRecord {
     pub rtt_ns: Option<u64>,
     /// Smoothed RTT in nanoseconds.
     pub srtt_ns: Option<u64>,
-    /// Link id, for capture records.
+    /// Link id, for per-link records.
     pub link: Option<u64>,
-    /// Packet size in bytes, for capture records.
+    /// Packet size in bytes, for per-packet records.
     pub size: Option<u64>,
-    /// Packet id, for capture records.
+    /// Packet id, for per-packet records.
     pub packet_id: Option<u64>,
     /// Metric name, for counter/gauge records.
     pub name: Option<String>,
@@ -182,7 +174,7 @@ impl TraceRecord {
     /// Every CSV emitter in the workspace (`csv_row`, and through it
     /// `CsvSink` and `suss-trace dump --csv`) funnels through here, so
     /// free-text fields like `reason` cannot corrupt row structure.
-    pub fn csv_quote(field: &str) -> String {
+    fn csv_quote(field: &str) -> String {
         if field.contains([',', '"', '\n', '\r']) {
             format!("\"{}\"", field.replace('"', "\"\""))
         } else {
@@ -423,12 +415,12 @@ mod tests {
     fn csv_quotes_fields_with_commas_and_quotes() {
         // Regression: a comma-bearing reason used to shift every column
         // after it; quotes used to escape nothing.
-        let mut r = TraceRecord::decision(5, 1, kind::HYSTART, "css:rtt_rise, n=8");
+        let mut r = TraceRecord::decision(5, 1, kind::HYSTART, "exit:rtt_rise, n=8");
         r.run = Some("a \"quoted\" run".to_string());
         let row = r.csv_row();
         assert_eq!(
             row,
-            "5,hystart,1,\"a \"\"quoted\"\" run\",,,,,,,,,,,\"css:rtt_rise, n=8\""
+            "5,hystart,1,\"a \"\"quoted\"\" run\",,,,,,,,,,,\"exit:rtt_rise, n=8\""
         );
         // Column count is stable: quoted commas don't split.
         let mut cols = 0usize;

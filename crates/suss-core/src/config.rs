@@ -50,11 +50,6 @@ impl Default for SussConfig {
 }
 
 impl SussConfig {
-    /// The paper's main-text configuration (identical to `Default`).
-    pub fn paper_default() -> Self {
-        Self::default()
-    }
-
     /// SUSS disabled: behaves exactly like traditional slow-start with
     /// classic HyStart (the paper's "SUSS off" arm).
     pub fn disabled() -> Self {

@@ -105,12 +105,6 @@ impl RoundTracker {
         self.prev
     }
 
-    /// First byte sent *during* the current round (== `snd_nxt` when the
-    /// round began).
-    pub fn round_send_base(&self) -> u64 {
-        self.round_end_seq
-    }
-
     /// Bytes sent so far during the current round, given the transport's
     /// current `snd_nxt`.
     pub fn bytes_sent_this_round(&self, snd_nxt: u64) -> u64 {

@@ -210,11 +210,11 @@ pub enum CcEvent {
         /// The growth estimate `k` for that round.
         k: u32,
     },
-    /// A HyStart / HyStart++ phase transition.
+    /// A HyStart phase transition.
     HystartPhase {
-        /// The phase entered: `css`, `slow_start`, or `exit`.
+        /// The phase entered (`exit`).
         phase: &'static str,
-        /// Trigger code, e.g. `rtt_rise`, `false_positive`, `css_confirmed`.
+        /// Trigger code, e.g. `rtt_rise`.
         reason: &'static str,
     },
 }

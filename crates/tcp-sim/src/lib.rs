@@ -42,7 +42,6 @@
 
 pub mod cc;
 pub mod flow;
-pub mod pacer;
 pub mod ranges;
 pub mod receiver;
 pub mod rtt;
@@ -52,7 +51,6 @@ pub mod trace;
 
 pub use cc::{AckView, CongestionControl, LossKind, LossView};
 pub use flow::{flow_complete, install_flow, wire_flow, FlowEnds};
-pub use pacer::Pacer;
 pub use ranges::{ByteRange, RangeSet};
 pub use receiver::{AckPolicy, ReceiverEndpoint};
 pub use rtt::RttEstimator;

@@ -42,11 +42,6 @@ impl ByteRange {
         self.start <= offset && offset < self.end
     }
 
-    /// Whether the two ranges overlap or touch (can be merged).
-    pub fn mergeable(&self, other: &ByteRange) -> bool {
-        self.start <= other.end && other.start <= self.end
-    }
-
     /// The intersection, if non-empty.
     pub fn intersect(&self, other: &ByteRange) -> Option<ByteRange> {
         let start = self.start.max(other.start);
@@ -309,8 +304,6 @@ mod tests {
         assert!(x.contains(10) && x.contains(19) && !x.contains(20));
         assert_eq!(x.intersect(&r(15, 30)), Some(r(15, 20)));
         assert_eq!(x.intersect(&r(20, 30)), None);
-        assert!(x.mergeable(&r(20, 30)), "touching ranges merge");
-        assert!(!x.mergeable(&r(21, 30)));
     }
 
     #[test]

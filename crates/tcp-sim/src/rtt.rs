@@ -26,7 +26,7 @@ impl RttEstimator {
     }
 
     /// Create an estimator with explicit RTO bounds.
-    pub fn with_bounds(min_rto: Duration, max_rto: Duration) -> Self {
+    fn with_bounds(min_rto: Duration, max_rto: Duration) -> Self {
         RttEstimator {
             srtt: None,
             rttvar: Duration::ZERO,

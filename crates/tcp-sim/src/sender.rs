@@ -13,7 +13,6 @@
 //! * per-ACK trace sampling for the experiment harness.
 
 use crate::cc::{AckView, CongestionControl, LossKind, LossView};
-use crate::pacer::Pacer;
 use crate::ranges::{ByteRange, RangeSet};
 use crate::rtt::RttEstimator;
 use crate::segment::{AckSeg, DataSeg};
@@ -21,6 +20,7 @@ use crate::trace::{ConnTrace, FlowStats, TraceEvent, TraceSample};
 use netsim::{Agent, Ctx, FlowId, LinkId, NodeId, Packet, SimTime};
 use simtrace::{names, Counter, Registry};
 use std::any::Any;
+use suss_core::pacer::Pacer;
 
 /// Timer token kinds (low 3 bits of the token).
 const TK_START: u64 = 0;

@@ -75,9 +75,9 @@ pub enum TraceEvent {
         /// The growth estimate `k` for that round.
         k: u32,
     },
-    /// A HyStart / HyStart++ phase transition.
+    /// A HyStart phase transition.
     HystartPhase {
-        /// The phase entered: `css`, `slow_start`, or `exit`.
+        /// The phase entered (`exit`).
         phase: &'static str,
         /// Trigger code.
         reason: &'static str,
@@ -170,11 +170,6 @@ impl ConnTrace {
             0 => 0,
             i => self.samples[i - 1].delivered,
         }
-    }
-
-    /// Count of events equal to `e`.
-    pub fn count_events(&self, e: TraceEvent) -> usize {
-        self.events.iter().filter(|(_, x)| *x == e).count()
     }
 
     /// The [`kind`] constant a [`TraceEvent`] exports under.
@@ -418,7 +413,7 @@ mod tests {
         t.event(
             SimTime::from_millis(3),
             TraceEvent::HystartPhase {
-                phase: "css",
+                phase: "exit",
                 reason: "rtt_rise",
             },
         );
@@ -439,7 +434,7 @@ mod tests {
         assert_eq!(sink.records[1].value, Some(4.0));
         assert_eq!(sink.records[1].reason.as_deref(), Some("round=3,k=4"));
         assert_eq!(sink.records[2].kind, kind::HYSTART);
-        assert_eq!(sink.records[2].reason.as_deref(), Some("css:rtt_rise"));
+        assert_eq!(sink.records[2].reason.as_deref(), Some("exit:rtt_rise"));
         assert_eq!(sink.records[3].kind, kind::CC_PACING);
         assert_eq!(sink.records[3].value, Some(50_000_000.0));
     }
@@ -510,6 +505,7 @@ mod tests {
             t.find_event(|e| matches!(e, TraceEvent::Rto)),
             Some(SimTime::from_millis(5))
         );
-        assert_eq!(t.count_events(TraceEvent::Rto), 2);
+        let rtos = t.events.iter().filter(|(_, e)| *e == TraceEvent::Rto);
+        assert_eq!(rtos.count(), 2);
     }
 }

@@ -49,7 +49,7 @@ impl FleetWorkload {
 
     /// Mean flow arrival rate (flows per second) that offers
     /// `load × bottleneck` bytes per second in expectation.
-    pub fn arrival_rate(&self) -> f64 {
+    fn arrival_rate(&self) -> f64 {
         self.load * self.bottleneck.bytes_per_sec() / self.sizes.mean_bytes()
     }
 

@@ -77,17 +77,6 @@ impl SizeDistribution {
         }
     }
 
-    /// A lognormal web-object mix: same "mostly mice" shape as
-    /// [`web`](Self::web) but with a thinner tail — the two together
-    /// bracket the flow-size distributions reported in web-workload
-    /// measurement studies.
-    pub fn lognormal_web() -> Self {
-        SizeDistribution::LogNormal {
-            median: 30 * KB,
-            sigma: 1.5,
-        }
-    }
-
     /// The analytic mean flow size in bytes. Offered-load calibration
     /// (`load × bottleneck = rate × mean size`) needs this in closed
     /// form; sampling-based estimates would make the arrival rate depend
@@ -167,7 +156,10 @@ mod tests {
         for d in [
             SizeDistribution::Fixed(5 * MB),
             SizeDistribution::web(),
-            SizeDistribution::lognormal_web(),
+            SizeDistribution::LogNormal {
+                median: 30 * KB,
+                sigma: 1.5,
+            },
         ] {
             let n = 200_000u64;
             let sum: f64 = (0..n).map(|_| d.sample(&mut rng) as f64).sum();

@@ -15,6 +15,7 @@ echo "== suss-trace smoke =="
 # counters, and dumps a cwnd timeseries.
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
+fp() { grep -o '"fingerprint":"[^"]*"' "$1" | head -1; }
 SUSS_TRACE="$SMOKE_DIR/smoke.jsonl" \
     cargo run --release -q --bin suss-sim -- --size 300K --cc suss >/dev/null
 cargo run --release -q -p simtrace --bin suss-trace -- verify "$SMOKE_DIR/smoke.jsonl"
@@ -98,6 +99,16 @@ grep -q '"label":"scope/' results/ext_fleet.manifest.json \
     || { echo "fleet manifest missing scope annotations" >&2; exit 1; }
 cargo run --release -q -p simtrace --bin suss-trace -- \
     profile results/ext_fleet.manifest.json --min-coverage 95 >/dev/null
+# A warm rerun on the same cache serves every cell from it, so no cell
+# reports scope annotations; the fingerprint must still match the cold run.
+cp results/ext_fleet.manifest.json "$SMOKE_DIR/fleet-cold.manifest.json"
+SUSS_CACHE_DIR="$SMOKE_DIR/fleet-cache" \
+    cargo run --release -q -p suss-bench --bin ext_fleet -- --quick --no-progress \
+    >/dev/null
+grep -q '"cache_misses":0' results/ext_fleet.manifest.json \
+    || { echo "warm fleet rerun recomputed cells" >&2; exit 1; }
+[ "$(fp "$SMOKE_DIR/fleet-cold.manifest.json")" = "$(fp results/ext_fleet.manifest.json)" ] \
+    || { echo "warm fleet rerun fingerprint differs from the cold run" >&2; exit 1; }
 
 echo "== quic smoke (pacing-strategy matrix, quick, profiled, determinism re-run) =="
 # The quick QUIC pacing matrix (2 scenarios × 3 strategies × 2 CCs) must
@@ -143,7 +154,6 @@ SUSS_CACHE_DIR="$SHARD_CACHE" scripts/shard_run.sh fig17 2 --quick \
     >"$SMOKE_DIR/fig17-sharded.txt" 2>"$SMOKE_DIR/fig17-sharded.err"
 cmp -s "$SMOKE_DIR/fig17-single.txt" "$SMOKE_DIR/fig17-sharded.txt" \
     || { echo "sharded fig17 output differs from single-process" >&2; exit 1; }
-fp() { grep -o '"fingerprint":"[^"]*"' "$1" | head -1; }
 [ -n "$(fp results/fig17.manifest.json | cut -d'"' -f4)" ] \
     || { echo "merged manifest is missing its fingerprint" >&2; exit 1; }
 [ "$(fp "$SMOKE_DIR/fig17-single.manifest.json")" = "$(fp results/fig17.manifest.json)" ] \
@@ -213,9 +223,9 @@ grep -q '^quic/fingerprint 44ea9649571b3c96 ' "$SMOKE_DIR/quic-bench.out" \
     || { echo "full quic campaign fingerprint is not 44ea9649571b3c96" >&2; exit 1; }
 
 echo "== shim crate tests =="
-# The in-repo stand-ins for serde/proptest/criterion sit outside the
-# workspace's default members; run their own unit tests here.
-for shim in serde proptest criterion; do
+# The in-repo stand-ins for serde/proptest sit outside the workspace's
+# default members; run their own unit tests here.
+for shim in serde proptest; do
     cargo test --offline -q --manifest-path "crates/shims/$shim/Cargo.toml" \
         --target-dir target/shims
 done

@@ -4,9 +4,9 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use suss_repro::suss::{
-    growth_factor, plan_pacing, AckEvent, GrowthInputs, PacingPlan, Suss, SussConfig,
+    growth_factor, plan_pacing, AckEvent, GrowthInputs, Pacer, PacingPlan, Suss, SussConfig,
 };
-use suss_repro::transport::{ByteRange, Pacer, RangeSet, RttEstimator};
+use suss_repro::transport::{ByteRange, RangeSet, RttEstimator};
 
 // ---------------------------------------------------------------------------
 // RangeSet vs a naive per-byte model
