@@ -20,11 +20,11 @@ use tcp_sim::cc::{AckView, CongestionControl, LossKind, LossView};
 pub type Nanos = u64;
 
 /// 2/ln(2): the STARTUP gain that doubles delivery rate per round.
-pub const STARTUP_GAIN: f64 = 2.885;
+const STARTUP_GAIN: f64 = 2.885;
 /// DRAIN inverts the STARTUP gain.
-pub const DRAIN_GAIN: f64 = 1.0 / STARTUP_GAIN;
+const DRAIN_GAIN: f64 = 1.0 / STARTUP_GAIN;
 /// PROBE_BW gain cycle.
-pub const BW_CYCLE: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+const BW_CYCLE: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
 
 /// Windowed max filter keyed by round count.
 #[derive(Debug, Clone, Default)]

@@ -9,7 +9,7 @@ use tcp_sim::cc::{AckView, CcEvent, CongestionControl, LossKind, LossView};
 pub type Nanos = u64;
 
 /// RFC 9438 multiplicative-decrease factor.
-pub const BETA: f64 = 0.7;
+const BETA: f64 = 0.7;
 /// RFC 9438 cubic scaling constant (segments/sec³).
 pub const C: f64 = 0.4;
 

@@ -3,7 +3,6 @@
 //! Every controller the paper's evaluation exercises, implemented against
 //! the `tcp-sim` controller trait (which mirrors userspace QUIC stacks):
 //!
-//! * [`Reno`] — the canonical AIMD baseline,
 //! * [`Cubic`] — RFC 9438 CUBIC with classic HyStart (the paper's
 //!   "SUSS off" arm and the Linux/Windows/macOS default),
 //! * [`CubicSuss`] — **the paper's contribution**: CUBIC with the SUSS
@@ -34,7 +33,6 @@ pub mod cubic;
 pub mod cubic_suss;
 pub mod hystart;
 pub mod qcc;
-pub mod reno;
 
 pub use bbr::{Bbr, Bbr2, BbrMode};
 pub use bbr_suss::BbrSuss;
@@ -42,7 +40,6 @@ pub use cubic::{Cubic, CubicCore};
 pub use cubic_suss::CubicSuss;
 pub use hystart::HyStart;
 pub use qcc::{make_quic_controller, QuicAdapter, QuicController, QuicRtt};
-pub use reno::Reno;
 
 use suss_core::SussConfig;
 use tcp_sim::cc::CongestionControl;
@@ -50,8 +47,6 @@ use tcp_sim::cc::CongestionControl;
 /// Controller selector for the experiment harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CcKind {
-    /// Reno (AIMD baseline).
-    Reno,
     /// CUBIC + classic HyStart ("SUSS off").
     Cubic,
     /// CUBIC + SUSS, paper configuration ("SUSS on").
@@ -71,7 +66,6 @@ impl CcKind {
     /// Short label for tables.
     pub fn label(&self) -> String {
         match self {
-            CcKind::Reno => "reno".into(),
             CcKind::Cubic => "cubic".into(),
             CcKind::CubicSuss => "cubic+suss".into(),
             CcKind::CubicSussKmax(k) => format!("cubic+suss(k={k})"),
@@ -85,7 +79,6 @@ impl CcKind {
 /// Construct a controller by kind.
 pub fn make_controller(kind: CcKind, iw: u64, mss: u64) -> Box<dyn CongestionControl> {
     match kind {
-        CcKind::Reno => Box::new(Reno::new(iw, mss)),
         CcKind::Cubic => Box::new(Cubic::new(iw, mss)),
         CcKind::CubicSuss => Box::new(CubicSuss::new(iw, mss, SussConfig::default())),
         CcKind::CubicSussKmax(k) => Box::new(CubicSuss::new(
@@ -106,7 +99,6 @@ mod tests {
     #[test]
     fn factory_produces_each_kind() {
         let kinds = [
-            (CcKind::Reno, "reno"),
             (CcKind::Cubic, "cubic"),
             (CcKind::CubicSuss, "cubic+suss"),
             (CcKind::Bbr, "bbr"),

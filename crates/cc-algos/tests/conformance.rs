@@ -27,8 +27,7 @@ const RTT_NS: u64 = 100_000_000; // 100 ms
 const ACK_SPACING_NS: u64 = 100_000; // tight ACK train
 const ACK_QUANTUM: u64 = 10 * MSS;
 
-const ALL_KINDS: [CcKind; 6] = [
-    CcKind::Reno,
+const ALL_KINDS: [CcKind; 5] = [
     CcKind::Cubic,
     CcKind::CubicSuss,
     CcKind::Bbr,
@@ -37,7 +36,7 @@ const ALL_KINDS: [CcKind; 6] = [
 ];
 
 /// Controllers that respond to loss by setting a slow-start threshold.
-const LOSS_BASED: [CcKind; 3] = [CcKind::Reno, CcKind::Cubic, CcKind::CubicSuss];
+const LOSS_BASED: [CcKind; 2] = [CcKind::Cubic, CcKind::CubicSuss];
 
 /// The TCP-side harness: drives a [`CongestionControl`] with the exact
 /// byte-counter arithmetic the `QuicAdapter` performs, so any behavioral

@@ -38,7 +38,7 @@ use tcp_sim::sender::{SenderConfig, SenderEndpoint};
 use workload::{FleetWorkload, LastHop, PathScenario, ServerSite, KB, MB};
 
 /// Offered-load sweep points (fraction of the bottleneck).
-pub const FLEET_LOADS: [f64; 3] = [0.3, 0.6, 0.9];
+const FLEET_LOADS: [f64; 3] = [0.3, 0.6, 0.9];
 
 /// Default bottleneck scope-sampling cadence for fleet sweeps: every
 /// 64th packet keeps per-cell overhead negligible while still collecting
@@ -47,7 +47,7 @@ pub const FLEET_LOADS: [f64; 3] = [0.3, 0.6, 0.9];
 pub const FLEET_SCOPE_SAMPLING: u64 = 64;
 
 /// Controllers compared in the fleet sweep.
-pub const FLEET_CCS: [CcKind; 3] = [CcKind::Cubic, CcKind::CubicSuss, CcKind::Bbr];
+const FLEET_CCS: [CcKind; 3] = [CcKind::Cubic, CcKind::CubicSuss, CcKind::Bbr];
 
 /// Upper edge of the small-flow ("mice") FCT bucket.
 pub const BUCKET_SMALL_MAX: u64 = 200 * KB;

@@ -36,7 +36,7 @@ pub const QUIC_SIZES_FULL: [u64; 6] = [100 * KB, 200 * KB, 500 * KB, MB, 2 * MB,
 pub const QUIC_SIZES_QUICK: [u64; 2] = [200 * KB, MB];
 
 /// Controllers compared in every (scenario, strategy) pair.
-pub const QUIC_CCS: [CcKind; 2] = [CcKind::Cubic, CcKind::CubicSuss];
+const QUIC_CCS: [CcKind; 2] = [CcKind::Cubic, CcKind::CubicSuss];
 
 /// One campaign cell: a path, a departure shape, and a controller.
 #[derive(Debug, Clone)]

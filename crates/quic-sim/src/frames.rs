@@ -24,9 +24,9 @@ pub const SHORT_HEADER_BYTES: u32 = 13;
 /// STREAM frame overhead: type + offset/length varints (amortized).
 pub const STREAM_FRAME_BYTES: u32 = 9;
 /// ACK frame fixed part: type + largest + delay + range-count varints.
-pub const ACK_FRAME_BASE_BYTES: u32 = 9;
+const ACK_FRAME_BASE_BYTES: u32 = 9;
 /// Per additional ACK range (gap + length varints).
-pub const ACK_RANGE_BYTES: u32 = 4;
+const ACK_RANGE_BYTES: u32 = 4;
 /// ACK frames report at most this many packet-number ranges (the newest),
 /// like the 3-block SACK option budget on the TCP side.
 pub const MAX_ACK_RANGES: usize = 3;

@@ -5,7 +5,7 @@
 //!
 //! 1. **Prove SUSS's information requirements.** The paper claims SUSS
 //!    ports to userspace QUIC congestion control. Here every controller
-//!    in `cc-algos` — CUBIC, CUBIC+SUSS, the BBR family, Reno — attaches
+//!    in `cc-algos` — CUBIC, CUBIC+SUSS, the BBR family — attaches
 //!    through the quinn-shaped [`cc_algos::QuicController`] interface
 //!    only (byte counts and times, no TCP sequence numbers), and drives
 //!    a transport with *no cumulative sequence space at all*.

@@ -35,10 +35,10 @@ use tcp_sim::ranges::{ByteRange, RangeSet};
 /// Packets-reordered threshold (RFC 9002 `kPacketThreshold`).
 pub const PACKET_THRESHOLD: u64 = 3;
 /// Time-threshold granularity floor (RFC 9002 `kGranularity`): 1 ms.
-pub const GRANULARITY_NS: u64 = 1_000_000;
+const GRANULARITY_NS: u64 = 1_000_000;
 
 /// The reordering time window: `9/8 · max(srtt, latest)` (RFC 9002
-/// `kTimeThreshold`), floored at [`GRANULARITY_NS`].
+/// `kTimeThreshold`), floored at 1 ms (`kGranularity`).
 pub fn loss_delay(srtt_ns: u64, latest_ns: u64) -> Nanos {
     (srtt_ns.max(latest_ns) * 9 / 8).max(GRANULARITY_NS)
 }

@@ -62,8 +62,6 @@ pub struct QuicConfig {
     pub strategy: PacingStrategy,
     /// Record per-ACK trace samples (disable for large batches).
     pub trace_sampling: bool,
-    /// Keep every Nth trace sample (1 = all).
-    pub trace_decimation: u32,
 }
 
 impl QuicConfig {
@@ -77,7 +75,6 @@ impl QuicConfig {
             start_at: SimTime::ZERO,
             strategy: PacingStrategy::PerPacket,
             trace_sampling: false,
-            trace_decimation: 1,
         }
     }
 
@@ -219,7 +216,7 @@ impl QuicSender {
     /// once the topology is wired (see [`crate::flow::install_quic_flow`]).
     pub fn new(cfg: QuicConfig, flow: FlowId, cc: Box<dyn QuicController>) -> Self {
         let trace = if cfg.trace_sampling {
-            ConnTrace::decimated(cfg.trace_decimation)
+            ConnTrace::enabled()
         } else {
             ConnTrace::events_only()
         };
@@ -504,7 +501,8 @@ impl QuicSender {
         let lost_bytes: u64 = lost.iter().map(|p| p.range.len()).sum();
         self.stats.loss_events += 1;
         self.recovery_start_pkt = self.next_pkt_num;
-        self.trace_event(now, TraceEvent::FastRetransmit);
+        self.trace
+            .record(now, self.flow, TraceEvent::FastRetransmit);
         {
             let _prof = simtrace::prof::span("cc/on_loss");
             self.cc
@@ -560,8 +558,9 @@ impl QuicSender {
                     m.hystart_exits.inc();
                 }
             }
-            self.trace_event(
+            self.trace.record(
                 now,
+                self.flow,
                 TraceEvent::SlowStartExit {
                     cwnd: self.cc.window(),
                 },
@@ -576,10 +575,9 @@ impl QuicSender {
                 t.set(t.get() + 1);
             }
             self.stats.completed_at = Some(now);
-            self.trace_event(now, TraceEvent::FlowComplete);
+            self.trace.record(now, self.flow, TraceEvent::FlowComplete);
             self.disarm_pto();
             self.trace_sample(now);
-            self.trace.flush_last();
             return;
         }
 
@@ -606,7 +604,7 @@ impl QuicSender {
         if let Some(m) = &self.metrics {
             m.ptos.inc();
         }
-        self.trace_event(now, TraceEvent::Rto);
+        self.trace.record(now, self.flow, TraceEvent::Rto);
         self.rtt.back_off();
         self.pto_count += 1;
         if self.pto_count == 2 {
@@ -655,41 +653,11 @@ impl QuicSender {
     }
 
     fn drain_cc_events(&mut self, now: SimTime) {
-        use tcp_sim::cc::CcEvent;
         for ev in self.cc.take_events() {
-            let te = match ev {
-                CcEvent::SussPacingStarted { g } => TraceEvent::SussPacing { growth_factor: g },
-                CcEvent::SlowStartExited => continue,
-                CcEvent::CwndChanged { cwnd, reason } => TraceEvent::CcCwnd { cwnd, reason },
-                CcEvent::SsthreshChanged { ssthresh, reason } => {
-                    TraceEvent::CcSsthresh { ssthresh, reason }
-                }
-                CcEvent::PacingRateChanged { rate_bps, reason } => {
-                    TraceEvent::CcPacingRate { rate_bps, reason }
-                }
-                CcEvent::SussRound { round, k } => TraceEvent::SussRound { round, k },
-                CcEvent::HystartPhase { phase, reason } => {
-                    TraceEvent::HystartPhase { phase, reason }
-                }
-            };
-            self.trace_event(now, te);
+            if let Some(e) = TraceEvent::from_cc(ev) {
+                self.trace.record(now, self.flow, e);
+            }
         }
-    }
-
-    /// Record a connection event, mirrored into the thread's flight
-    /// recorder exactly like the TCP sender — post-mortem dumps from
-    /// either transport read identically.
-    fn trace_event(&mut self, now: SimTime, e: TraceEvent) {
-        simtrace::flightrec::record_with(|| {
-            let mut rec = simtrace::TraceRecord::event(
-                now.as_nanos(),
-                self.flow.0,
-                ConnTrace::record_kind(&e),
-            );
-            ConnTrace::fill_record(&mut rec, &e);
-            rec
-        });
-        self.trace.event(now, e);
     }
 
     fn trace_sample(&mut self, now: SimTime) {
@@ -725,7 +693,7 @@ impl Agent for QuicSender {
             TK_START => {
                 let now = ctx.now();
                 self.stats.started_at = Some(now);
-                self.trace_event(now, TraceEvent::FlowStart);
+                self.trace.record(now, self.flow, TraceEvent::FlowStart);
                 self.sync_pacing_rate(now);
                 self.try_send(ctx);
                 self.sync_cc_timer(ctx);

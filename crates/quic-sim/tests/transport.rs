@@ -81,7 +81,6 @@ fn every_controller_completes_a_clean_flow() {
     // The adapter round-trip: each cc-algos controller drives the QUIC
     // transport end to end through `QuicController` alone.
     for kind in [
-        CcKind::Reno,
         CcKind::Cubic,
         CcKind::CubicSuss,
         CcKind::Bbr,

@@ -34,7 +34,7 @@ use std::time::Instant;
 /// Path that absorbs time elapsed while no span was active. Kept distinct
 /// so coverage (`named_ns / total_ns`) is an honest measure of how much of
 /// the window the instrumentation explains.
-pub const UNTRACKED: &str = "(untracked)";
+const UNTRACKED: &str = "(untracked)";
 
 struct ProfState {
     /// Byte length of `path` before each active span was pushed.
@@ -190,7 +190,7 @@ pub struct ProfSpan {
     pub path: String,
     /// Wall time attributed to this path and no deeper span, in ns.
     pub self_ns: u64,
-    /// Times this exact path was entered (0 for [`UNTRACKED`]).
+    /// Times this exact path was entered (0 for the `(untracked)` path).
     pub calls: u64,
 }
 
@@ -212,12 +212,12 @@ impl ProfSnapshot {
     }
 
     /// Total measured wall time: the sum of all self times, including
-    /// [`UNTRACKED`]. By construction this tiles the enabled window.
+    /// the `(untracked)` path. By construction this tiles the enabled window.
     pub fn total_ns(&self) -> u64 {
         self.spans.iter().map(|s| s.self_ns).sum()
     }
 
-    /// Wall time attributed to named spans (everything but [`UNTRACKED`]).
+    /// Wall time attributed to named spans (everything but the `(untracked)` path).
     fn named_ns(&self) -> u64 {
         self.spans
             .iter()

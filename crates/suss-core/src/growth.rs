@@ -24,7 +24,7 @@
 //! implement the main-text-normative form: with the default `k_max = 1`,
 //! `G = 4` iff Eq. 6 and Eq. 8 hold, else `G = 2` — exactly §3.
 
-use crate::config::SussConfig;
+use crate::config::{SussConfig, ACK_TRAIN_DIVISOR, DELAY_FACTOR};
 use std::time::Duration;
 
 /// Inputs to a growth-factor decision, all measured in the current round.
@@ -45,8 +45,8 @@ pub struct GrowthInputs {
 
 /// Does Condition 1 (Eq. 17) hold for lookahead `k`?
 ///
-/// `Δt_i ≤ minRTT / 2^(k+1)`, generalized for a configurable base divisor
-/// (`ack_train_divisor`, 2 in the paper): `Δt_i ≤ minRTT / (divisor·2^k)`.
+/// `Δt_i ≤ minRTT / 2^(k+1)`, written for a base divisor (2 in the paper
+/// and in [`growth_factor`]): `Δt_i ≤ minRTT / (divisor·2^k)`.
 pub fn condition1(ack_train: Duration, min_rtt: Duration, k: u32, divisor: u32) -> bool {
     let denom = u64::from(divisor) << k;
     // Compare ack_train * denom <= min_rtt without losing precision.
@@ -86,13 +86,13 @@ pub fn growth_factor(cfg: &SussConfig, inputs: &GrowthInputs) -> u32 {
     debug_assert!(cfg.validate().is_ok());
     let mut best_k = 0u32;
     for k in 1..=cfg.k_max {
-        let c1 = condition1(inputs.ack_train, inputs.min_rtt, k, cfg.ack_train_divisor);
+        let c1 = condition1(inputs.ack_train, inputs.min_rtt, k, ACK_TRAIN_DIVISOR);
         let c2 = condition2(
             inputs.mo_rtt,
             inputs.min_rtt,
             inputs.rounds_since_min_rtt,
             k,
-            cfg.delay_factor,
+            DELAY_FACTOR,
         );
         if c1 && c2 {
             best_k = k;
@@ -237,14 +237,14 @@ pub fn growth_factor_algorithm1_literal(cfg: &SussConfig, inputs: &GrowthInputs)
     }
     let mut k = 0u32;
     while k <= cfg.k_max {
-        let c1 = condition1(inputs.ack_train, inputs.min_rtt, k, cfg.ack_train_divisor);
+        let c1 = condition1(inputs.ack_train, inputs.min_rtt, k, ACK_TRAIN_DIVISOR);
         let c2 = inputs.rounds_since_min_rtt == 0
             || condition2(
                 inputs.mo_rtt,
                 inputs.min_rtt,
                 inputs.rounds_since_min_rtt,
                 k,
-                cfg.delay_factor,
+                DELAY_FACTOR,
             );
         if c1 && c2 {
             k += 1;

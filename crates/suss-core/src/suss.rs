@@ -21,7 +21,9 @@
 //! * The state machine is only meaningful during slow-start; after
 //!   `on_exit_slow_start` it goes dormant and reports `G = 2`.
 
-use crate::config::SussConfig;
+use crate::config::{
+    SussConfig, ACK_SPACING, ACK_TRAIN_DIVISOR, DELAY_FACTOR, MIN_CWND_FOR_SUSS, MIN_RTT_SAMPLES,
+};
 use crate::growth::{growth_factor, GrowthInputs};
 use crate::rounds::{Nanos, RoundTracker};
 use crate::schedule::{estimate_ack_train, plan_pacing, PacingPlan};
@@ -290,18 +292,18 @@ impl Suss {
         // `measure_growth`), which arms the cap instead of exiting.
         let train_intact = self
             .last_ack_at
-            .is_some_and(|t| ev.now.saturating_sub(t) <= ns(self.cfg.ack_spacing));
+            .is_some_and(|t| ev.now.saturating_sub(t) <= ns(ACK_SPACING));
         if is_blue && train_intact && self.rounds_since_red >= 2 {
             let elapsed = Duration::from_nanos(ev.now.saturating_sub(self.tracker.round_start()));
-            if elapsed > min_rtt / self.cfg.ack_train_divisor {
+            if elapsed > min_rtt / ACK_TRAIN_DIVISOR {
                 out.exit_slow_start = true;
             }
         }
 
         // --- Condition 2: delay increase ------------------------------------
-        if self.blue_samples >= self.cfg.min_rtt_samples {
+        if self.blue_samples >= MIN_RTT_SAMPLES {
             if let Some(mo) = self.mo_rtt {
-                let limit = min_rtt.mul_f64(self.cfg.delay_factor);
+                let limit = min_rtt.mul_f64(DELAY_FACTOR);
                 if mo > limit {
                     out.exit_slow_start = true;
                 }
@@ -330,10 +332,7 @@ impl Suss {
         // 2·cwnd_base). This covers the paced round and its echo round; a
         // clean round is handled per-ACK in `modified_hystart`,
         // classic-style.
-        if self.cap.is_none()
-            && self.rounds_since_red < 2
-            && dt_at > min_rtt / self.cfg.ack_train_divisor
-        {
+        if self.cap.is_none() && self.rounds_since_red < 2 && dt_at > min_rtt / ACK_TRAIN_DIVISOR {
             self.cap = Some(2 * self.cwnd_base.max(1));
         }
 
@@ -348,7 +347,7 @@ impl Suss {
         );
         self.last_g = g;
 
-        if g > 2 && ev.cwnd >= self.cfg.min_cwnd_for_suss {
+        if g > 2 && ev.cwnd >= MIN_CWND_FOR_SUSS {
             let blue_sent = self.tracker.bytes_sent_this_round(ev.snd_nxt);
             out.start_pacing = plan_pacing(g, self.cwnd_base, blue_sent, dt_bat, min_rtt);
         }
@@ -381,15 +380,17 @@ mod tests {
 
     impl Harness {
         fn new(cfg: SussConfig) -> Self {
-            let mut h = Harness {
-                suss: Suss::new(cfg, 0, 0, IW),
-                cwnd: IW,
-                snd_nxt: 0,
+            Self::with_iw(cfg, IW)
+        }
+
+        fn with_iw(cfg: SussConfig, iw: u64) -> Self {
+            Harness {
+                suss: Suss::new(cfg, 0, 0, iw),
+                cwnd: iw,
+                snd_nxt: iw, // send the initial window
                 acked: 0,
                 now: 0,
-            };
-            h.snd_nxt = IW; // send the initial window
-            h
+            }
         }
 
         /// Deliver one round's worth of ACKs with the given spacing and RTT,
@@ -510,12 +511,11 @@ mod tests {
 
     #[test]
     fn min_cwnd_gate() {
-        let cfg = SussConfig {
-            min_cwnd_for_suss: 1_000_000, // enormous: never met
-            ..SussConfig::default()
-        };
-        let mut h = Harness::new(cfg);
+        // A 2-segment window on the clean path that quadruples a 10-segment
+        // one: the round ends still below the floor.
+        let mut h = Harness::with_iw(SussConfig::default(), 2 * MSS);
         let (plan, _) = h.run_round(MIN_RTT_NS, 100_000, MIN_RTT_NS);
+        assert!(h.cwnd < MIN_CWND_FOR_SUSS);
         assert!(plan.is_none(), "below min cwnd SUSS must stay dormant");
         assert_eq!(h.suss.last_growth_factor(), 4, "G is still measured");
     }

@@ -5,6 +5,11 @@
 //! sampling. Out-of-order arrivals trigger immediate duplicate ACKs (as
 //! all real stacks do); in-order arrivals follow the configured ACK
 //! policy (per-packet by default, or every-N with a delayed-ACK timer).
+//!
+//! There is no flow control. The application consumes in-order data at
+//! once and the reassembly buffer is unbounded (modern autotuned buffers,
+//! as in the paper's downloads), so ACKs advertise no receive window and
+//! the sender's window is its congestion window alone.
 
 use crate::ranges::RangeSet;
 use crate::segment::{AckSeg, DataSeg, MAX_SACK_BLOCKS};
@@ -12,17 +17,14 @@ use netsim::{Agent, Ctx, FlowId, LinkId, NodeId, Packet, SimTime};
 use std::any::Any;
 use std::time::Duration;
 
-/// ACK generation policy.
+/// ACK generation policy: how many in-order segments an ACK covers and
+/// how long a delayed ACK may wait.
 #[derive(Debug, Clone, Copy)]
 pub struct AckPolicy {
     /// ACK every `every_n` in-order segments (1 = per-packet ACKing).
     pub every_n: u32,
     /// Flush a pending delayed ACK after this much time.
     pub delay: Duration,
-    /// Receive buffer in bytes, bounding the advertised window. Defaults
-    /// to effectively unlimited (modern autotuned buffers); set small to
-    /// study receiver-limited transfers.
-    pub recv_buffer: u64,
 }
 
 impl Default for AckPolicy {
@@ -32,7 +34,6 @@ impl Default for AckPolicy {
         AckPolicy {
             every_n: 1,
             delay: Duration::from_millis(40),
-            recv_buffer: u64::MAX,
         }
     }
 }
@@ -43,14 +44,7 @@ impl AckPolicy {
         AckPolicy {
             every_n: 2,
             delay: Duration::from_millis(40),
-            recv_buffer: u64::MAX,
         }
-    }
-
-    /// Bound the advertised receive window.
-    pub fn with_recv_buffer(mut self, bytes: u64) -> Self {
-        self.recv_buffer = bytes;
-        self
     }
 }
 
@@ -125,21 +119,12 @@ impl ReceiverEndpoint {
             return;
         };
         let cum = self.received.contiguous_end(0);
-        // Flow control: in-order data is consumed by the application
-        // immediately, so only out-of-order bytes occupy the buffer.
-        let held = self
-            .received
-            .total_bytes()
-            .saturating_sub(cum.min(self.received.total_bytes()));
-        let rwnd = self.policy.recv_buffer.saturating_sub(held);
         let ack = AckSeg {
             flow: self.flow,
             ack_seq: cum,
             sack: self.received.sack_blocks(cum, MAX_SACK_BLOCKS),
             echo_ts,
             echo_retransmit: echo_rtx,
-            segs_covered: self.unacked_segs.max(1),
-            rwnd,
         };
         let wire = ack.wire_bytes();
         let me = ctx.self_id();

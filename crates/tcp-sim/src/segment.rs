@@ -12,11 +12,11 @@ use netsim::FlowId;
 pub type Nanos = u64;
 
 /// IP (20 B) + TCP (20 B) headers.
-pub const BASE_HEADER_BYTES: u32 = 40;
+pub(crate) const BASE_HEADER_BYTES: u32 = 40;
 /// Timestamp option, padded (as in practice).
-pub const TS_OPTION_BYTES: u32 = 12;
+pub(crate) const TS_OPTION_BYTES: u32 = 12;
 /// Per-SACK-block option cost (8 B per block + 2 B header, amortized).
-pub const SACK_BLOCK_BYTES: u32 = 8;
+const SACK_BLOCK_BYTES: u32 = 8;
 /// SACK blocks an ACK carries at most (the TCP option space budget).
 pub const MAX_SACK_BLOCKS: usize = 3;
 
@@ -71,12 +71,6 @@ pub struct AckSeg {
     pub echo_ts: Nanos,
     /// Whether the triggering segment was a retransmission.
     pub echo_retransmit: bool,
-    /// Receiver's count of data segments received (for delayed-ACK logic
-    /// diagnostics and stretch-ACK modeling).
-    pub segs_covered: u32,
-    /// Advertised receive window in bytes (flow control): how much data
-    /// beyond `ack_seq` the receiver can buffer.
-    pub rwnd: u64,
 }
 
 impl AckSeg {
@@ -112,8 +106,6 @@ mod tests {
             sack: SackBlocks::new(),
             echo_ts: 0,
             echo_retransmit: false,
-            segs_covered: 1,
-            rwnd: 65_535,
         };
         assert_eq!(a.wire_bytes(), 52);
         a.sack.push(ByteRange::new(200, 300));

@@ -15,7 +15,7 @@
 use crate::cc::{AckView, CongestionControl, LossKind, LossView};
 use crate::ranges::{ByteRange, RangeSet};
 use crate::rtt::RttEstimator;
-use crate::segment::{AckSeg, DataSeg};
+use crate::segment::{AckSeg, DataSeg, BASE_HEADER_BYTES, TS_OPTION_BYTES};
 use crate::trace::{ConnTrace, FlowStats, TraceEvent, TraceSample};
 use netsim::{Agent, Ctx, FlowId, LinkId, NodeId, Packet, SimTime};
 use simtrace::{names, Counter, Registry};
@@ -28,6 +28,10 @@ const TK_RTO: u64 = 1;
 const TK_PACE: u64 = 2;
 const TK_CC: u64 = 3;
 
+/// Duplicate ACKs (or SACKed MSS) that trigger fast retransmit, as in
+/// Linux (`tcp_reordering` = 3).
+const DUPACK_THRESHOLD: u32 = 3;
+
 /// Static configuration of a sending endpoint.
 #[derive(Debug, Clone)]
 pub struct SenderConfig {
@@ -37,25 +41,19 @@ pub struct SenderConfig {
     pub flow_bytes: u64,
     /// When the flow starts transmitting.
     pub start_at: SimTime,
-    /// Duplicate-ACK threshold for fast retransmit.
-    pub dupack_threshold: u32,
     /// Record per-ACK trace samples (disable for large batches).
     pub trace_sampling: bool,
-    /// Keep every Nth trace sample (1 = all).
-    pub trace_decimation: u32,
 }
 
 impl SenderConfig {
     /// A bulk transfer of `flow_bytes` starting at t=0 with Linux-like
-    /// defaults (MSS 1448, dupthresh 3).
+    /// defaults (MSS 1448).
     pub fn bulk(flow_bytes: u64) -> Self {
         SenderConfig {
             mss: 1448,
             flow_bytes,
             start_at: SimTime::ZERO,
-            dupack_threshold: 3,
             trace_sampling: false,
-            trace_decimation: 1,
         }
     }
 
@@ -149,10 +147,6 @@ pub struct SenderEndpoint {
     /// multi-flow harnesses stop with an O(1) check instead of polling
     /// every sender after every event (see [`notify_completion`](Self::notify_completion)).
     completion_tally: Option<std::rc::Rc<std::cell::Cell<u64>>>,
-    /// Most recently advertised receive window (flow control). Starts at
-    /// the classic 64 kB pre-window-scaling default (learned during the
-    /// handshake in real TCP; updated by every ACK here).
-    peer_rwnd: u64,
 
     /// Per-connection trace (cwnd/RTT/delivered samples and events).
     pub trace: ConnTrace,
@@ -169,7 +163,7 @@ impl SenderEndpoint {
     /// once the topology is wired (see [`crate::flow::install_flow`]).
     pub fn new(cfg: SenderConfig, flow: FlowId, cc: Box<dyn CongestionControl>) -> Self {
         let trace = if cfg.trace_sampling {
-            ConnTrace::decimated(cfg.trace_decimation)
+            ConnTrace::enabled()
         } else {
             ConnTrace::events_only()
         };
@@ -207,7 +201,6 @@ impl SenderEndpoint {
             app_limited: false,
             done: false,
             completion_tally: None,
-            peer_rwnd: 65_535,
             trace,
             stats,
             metrics: None,
@@ -389,19 +382,13 @@ impl SenderEndpoint {
             };
             let len = range.len();
 
-            // Window check against the scoreboard pipe. The send window is
-            // min(cwnd, peer's advertised window); the 1-MSS floor stands
-            // in for the persist-timer zero-window probe.
-            let swnd = self
-                .cc
-                .cwnd()
-                .min(self.peer_rwnd.max(u64::from(self.cfg.mss)));
-            if self.pipe() + len > swnd {
+            // Window check against the scoreboard pipe.
+            if self.pipe() + len > self.cc.cwnd() {
                 break;
             }
 
             // Pacer check.
-            let wire = len as u32 + 52;
+            let wire = len as u32 + BASE_HEADER_BYTES + TS_OPTION_BYTES;
             let now_ns = ctx.now().as_nanos();
             if !self.pacer.can_send(now_ns, u64::from(wire)) {
                 let at = SimTime::from_nanos(self.pacer.next_send_time(now_ns, u64::from(wire)));
@@ -485,14 +472,15 @@ impl SenderEndpoint {
                 if let Some(m) = &self.metrics {
                     m.fast_retransmits.inc();
                 }
-                self.trace_event(now, TraceEvent::FastRetransmit);
+                self.trace
+                    .record(now, self.flow, TraceEvent::FastRetransmit);
             }
             LossKind::Timeout => {
                 self.stats.rtos += 1;
                 if let Some(m) = &self.metrics {
                     m.rtos.inc();
                 }
-                self.trace_event(now, TraceEvent::Rto);
+                self.trace.record(now, self.flow, TraceEvent::Rto);
             }
         }
     }
@@ -503,8 +491,6 @@ impl SenderEndpoint {
         }
         let _prof = simtrace::prof::span("tcp/ack");
         let now = ctx.now();
-
-        self.peer_rwnd = ack.rwnd;
 
         // RTT sampling (Karn: skip echoes of retransmitted segments).
         if !ack.echo_retransmit {
@@ -565,8 +551,8 @@ impl SenderEndpoint {
         let in_recovery = self.recovery_point.is_some_and(|p| self.snd_una < p);
         if !in_recovery {
             self.recovery_point = None;
-            let sack_thresh = u64::from(self.cfg.dupack_threshold) * u64::from(self.cfg.mss);
-            let dupack_trip = self.dup_acks >= self.cfg.dupack_threshold;
+            let sack_thresh = u64::from(DUPACK_THRESHOLD) * u64::from(self.cfg.mss);
+            let dupack_trip = self.dup_acks >= DUPACK_THRESHOLD;
             let sack_trip = self
                 .sacked
                 .iter()
@@ -603,7 +589,7 @@ impl SenderEndpoint {
             // high-water mark instead of rescanning from snd_una.
             let sack_loss_edge = self
                 .highest_sacked
-                .saturating_sub(u64::from(self.cfg.dupack_threshold) * u64::from(self.cfg.mss));
+                .saturating_sub(u64::from(DUPACK_THRESHOLD) * u64::from(self.cfg.mss));
             let mut cursor = self.snd_una.max(self.mark_cursor);
             self.mark_cursor = self.mark_cursor.max(sack_loss_edge);
             while cursor < sack_loss_edge {
@@ -647,8 +633,9 @@ impl SenderEndpoint {
                     m.hystart_exits.inc();
                 }
             }
-            self.trace_event(
+            self.trace.record(
                 now,
+                self.flow,
                 TraceEvent::SlowStartExit {
                     cwnd: self.cc.cwnd(),
                 },
@@ -663,11 +650,9 @@ impl SenderEndpoint {
                 t.set(t.get() + 1);
             }
             self.stats.completed_at = Some(now);
-            self.trace_event(now, TraceEvent::FlowComplete);
+            self.trace.record(now, self.flow, TraceEvent::FlowComplete);
             self.disarm_rto();
             self.trace_sample(now);
-            // Keep the completion-time sample even under decimation.
-            self.trace.flush_last();
             return;
         }
 
@@ -708,47 +693,11 @@ impl SenderEndpoint {
     }
 
     fn drain_cc_events(&mut self, now: SimTime) {
-        use crate::cc::CcEvent;
         for ev in self.cc.take_events() {
-            let te = match ev {
-                CcEvent::SussPacingStarted { g } => TraceEvent::SussPacing { growth_factor: g },
-                CcEvent::SlowStartExited => {
-                    // Already captured via the in_slow_start transition; kept
-                    // for controllers that exit from a timer context.
-                    continue;
-                }
-                CcEvent::CwndChanged { cwnd, reason } => TraceEvent::CcCwnd { cwnd, reason },
-                CcEvent::SsthreshChanged { ssthresh, reason } => {
-                    TraceEvent::CcSsthresh { ssthresh, reason }
-                }
-                CcEvent::PacingRateChanged { rate_bps, reason } => {
-                    TraceEvent::CcPacingRate { rate_bps, reason }
-                }
-                CcEvent::SussRound { round, k } => TraceEvent::SussRound { round, k },
-                CcEvent::HystartPhase { phase, reason } => {
-                    TraceEvent::HystartPhase { phase, reason }
-                }
-            };
-            self.trace_event(now, te);
+            if let Some(e) = TraceEvent::from_cc(ev) {
+                self.trace.record(now, self.flow, e);
+            }
         }
-    }
-
-    /// Record a connection event, mirroring it into the thread's flight
-    /// recorder (a no-op unless one is installed — see
-    /// [`simtrace::flightrec`]). The mirror uses the same record mapping
-    /// as [`ConnTrace::export`], so a post-mortem dump reads like a live
-    /// slice of the exported trace.
-    fn trace_event(&mut self, now: SimTime, e: TraceEvent) {
-        simtrace::flightrec::record_with(|| {
-            let mut rec = simtrace::TraceRecord::event(
-                now.as_nanos(),
-                self.flow.0,
-                ConnTrace::record_kind(&e),
-            );
-            ConnTrace::fill_record(&mut rec, &e);
-            rec
-        });
-        self.trace.event(now, e);
     }
 
     fn trace_sample(&mut self, now: SimTime) {
@@ -784,7 +733,7 @@ impl Agent for SenderEndpoint {
             TK_START => {
                 let now = ctx.now();
                 self.stats.started_at = Some(now);
-                self.trace_event(now, TraceEvent::FlowStart);
+                self.trace.record(now, self.flow, TraceEvent::FlowStart);
                 self.sync_pacing_rate(now);
                 self.try_send(ctx);
                 self.sync_cc_timer(ctx);

@@ -4,7 +4,8 @@
 //! delivered bytes per ACK; this module is the simulator's equivalent.
 //! Traces are the raw material for Figures 1, 9, 10, 13 and 16.
 
-use netsim::SimTime;
+use crate::cc::CcEvent;
+use netsim::{FlowId, SimTime};
 use simtrace::{kind, EventSink, TraceRecord};
 use std::time::Duration;
 
@@ -84,6 +85,28 @@ pub enum TraceEvent {
     },
 }
 
+impl TraceEvent {
+    /// The trace event a controller decision exports as. `None` for
+    /// [`CcEvent::SlowStartExited`]: the transports record the exit
+    /// themselves, as [`TraceEvent::SlowStartExit`] with the exit cwnd,
+    /// when they see the controller leave slow start.
+    pub fn from_cc(ev: CcEvent) -> Option<TraceEvent> {
+        Some(match ev {
+            CcEvent::SussPacingStarted { g } => TraceEvent::SussPacing { growth_factor: g },
+            CcEvent::SlowStartExited => return None,
+            CcEvent::CwndChanged { cwnd, reason } => TraceEvent::CcCwnd { cwnd, reason },
+            CcEvent::SsthreshChanged { ssthresh, reason } => {
+                TraceEvent::CcSsthresh { ssthresh, reason }
+            }
+            CcEvent::PacingRateChanged { rate_bps, reason } => {
+                TraceEvent::CcPacingRate { rate_bps, reason }
+            }
+            CcEvent::SussRound { round, k } => TraceEvent::SussRound { round, k },
+            CcEvent::HystartPhase { phase, reason } => TraceEvent::HystartPhase { phase, reason },
+        })
+    }
+}
+
 /// Accumulated trace of one connection.
 #[derive(Debug, Clone, Default)]
 pub struct ConnTrace {
@@ -93,15 +116,6 @@ pub struct ConnTrace {
     pub events: Vec<(SimTime, TraceEvent)>,
     /// Whether sampling is enabled (disable for big batch runs).
     pub sampling: bool,
-    /// Keep every Nth sample (1 = every ACK). Decimation keeps long-flow
-    /// traces affordable while preserving the step shape.
-    pub decimation: u32,
-    /// Samples offered since the last one kept.
-    skipped: u32,
-    /// The most recently *skipped* sample, so the flow's final state can
-    /// be recovered by [`ConnTrace::flush_last`] even when decimation
-    /// would have dropped it.
-    pending: Option<TraceSample>,
 }
 
 impl ConnTrace {
@@ -109,16 +123,6 @@ impl ConnTrace {
     pub fn enabled() -> Self {
         ConnTrace {
             sampling: true,
-            decimation: 1,
-            ..Default::default()
-        }
-    }
-
-    /// A trace keeping every `n`-th sample (n ≥ 1).
-    pub fn decimated(n: u32) -> Self {
-        ConnTrace {
-            sampling: true,
-            decimation: n.max(1),
             ..Default::default()
         }
     }
@@ -128,28 +132,9 @@ impl ConnTrace {
         ConnTrace::default()
     }
 
-    /// Record a sample if sampling is on (honouring decimation).
+    /// Record a sample if sampling is on.
     pub fn sample(&mut self, s: TraceSample) {
-        if !self.sampling {
-            return;
-        }
-        self.skipped += 1;
-        if self.skipped >= self.decimation.max(1) {
-            self.skipped = 0;
-            self.pending = None;
-            self.samples.push(s);
-        } else {
-            self.pending = Some(s);
-        }
-    }
-
-    /// Promote the most recently skipped sample, if any. The transport
-    /// calls this at flow completion (and harnesses may call it at a run
-    /// horizon) so the final sample — the one that pins FCT-adjacent
-    /// plots — survives any `decimation > 1`.
-    pub fn flush_last(&mut self) {
-        if let Some(s) = self.pending.take() {
-            self.skipped = 0;
+        if self.sampling {
             self.samples.push(s);
         }
     }
@@ -157,6 +142,20 @@ impl ConnTrace {
     /// Record an event (always kept).
     pub fn event(&mut self, t: SimTime, e: TraceEvent) {
         self.events.push((t, e));
+    }
+
+    /// Record `flow`'s event and mirror it into the thread's flight
+    /// recorder (a no-op unless one is installed — see
+    /// [`simtrace::flightrec`]). The mirror uses the same record mapping
+    /// as [`ConnTrace::export`], so a post-mortem dump from either
+    /// transport reads like a live slice of the exported trace.
+    pub fn record(&mut self, t: SimTime, flow: FlowId, e: TraceEvent) {
+        simtrace::flightrec::record_with(|| {
+            let mut rec = TraceRecord::event(t.as_nanos(), flow.0, Self::record_kind(&e));
+            Self::fill_record(&mut rec, &e);
+            rec
+        });
+        self.event(t, e);
     }
 
     /// Time of the first occurrence of an event matching `pred`.
@@ -288,69 +287,6 @@ impl FlowStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn decimation_keeps_every_nth() {
-        let mut t = ConnTrace::decimated(3);
-        for ms in 0..9u64 {
-            t.sample(TraceSample {
-                t: SimTime::from_millis(ms),
-                cwnd: 0,
-                inflight: 0,
-                delivered: ms,
-                rtt: None,
-                srtt: None,
-            });
-        }
-        assert_eq!(t.samples.len(), 3);
-        assert_eq!(t.samples[0].delivered, 2);
-        assert_eq!(t.samples[2].delivered, 8);
-    }
-
-    #[test]
-    fn flush_last_retains_final_decimated_sample() {
-        // Regression: with keep_every > 1 the final sample used to be
-        // silently dropped whenever the flow length was not a multiple of
-        // the decimation factor, skewing FCT-adjacent plots.
-        let mut t = ConnTrace::decimated(3);
-        for ms in 0..10u64 {
-            t.sample(TraceSample {
-                t: SimTime::from_millis(ms),
-                cwnd: ms,
-                inflight: 0,
-                delivered: ms,
-                rtt: None,
-                srtt: None,
-            });
-        }
-        // 10 offers at n=3 keep samples 2, 5, 8; sample 9 is pending.
-        assert_eq!(t.samples.len(), 3);
-        t.flush_last();
-        assert_eq!(t.samples.len(), 4);
-        assert_eq!(t.samples.last().unwrap().delivered, 9);
-        // Idempotent: nothing pending after a flush.
-        t.flush_last();
-        assert_eq!(t.samples.len(), 4);
-    }
-
-    #[test]
-    fn flush_last_no_duplicate_when_final_sample_was_kept() {
-        let mut t = ConnTrace::decimated(3);
-        for ms in 0..9u64 {
-            t.sample(TraceSample {
-                t: SimTime::from_millis(ms),
-                cwnd: 0,
-                inflight: 0,
-                delivered: ms,
-                rtt: None,
-                srtt: None,
-            });
-        }
-        // Sample 8 was kept by decimation; flush must not re-add it.
-        assert_eq!(t.samples.len(), 3);
-        t.flush_last();
-        assert_eq!(t.samples.len(), 3);
-    }
 
     #[test]
     fn export_emits_samples_and_events() {
@@ -507,5 +443,80 @@ mod tests {
         );
         let rtos = t.events.iter().filter(|(_, e)| *e == TraceEvent::Rto);
         assert_eq!(rtos.count(), 2);
+    }
+
+    #[test]
+    fn every_cc_event_maps_to_its_trace_event() {
+        let cases = [
+            (
+                CcEvent::SussPacingStarted { g: 4 },
+                Some(TraceEvent::SussPacing { growth_factor: 4 }),
+            ),
+            (CcEvent::SlowStartExited, None),
+            (
+                CcEvent::CwndChanged {
+                    cwnd: 14_480,
+                    reason: "loss",
+                },
+                Some(TraceEvent::CcCwnd {
+                    cwnd: 14_480,
+                    reason: "loss",
+                }),
+            ),
+            (
+                CcEvent::SsthreshChanged {
+                    ssthresh: 28_960,
+                    reason: "suss_exit",
+                },
+                Some(TraceEvent::CcSsthresh {
+                    ssthresh: 28_960,
+                    reason: "suss_exit",
+                }),
+            ),
+            (
+                CcEvent::PacingRateChanged {
+                    rate_bps: 50_000_000,
+                    reason: "suss_pacing",
+                },
+                Some(TraceEvent::CcPacingRate {
+                    rate_bps: 50_000_000,
+                    reason: "suss_pacing",
+                }),
+            ),
+            (
+                CcEvent::SussRound { round: 3, k: 1 },
+                Some(TraceEvent::SussRound { round: 3, k: 1 }),
+            ),
+            (
+                CcEvent::HystartPhase {
+                    phase: "exit",
+                    reason: "rtt_rise",
+                },
+                Some(TraceEvent::HystartPhase {
+                    phase: "exit",
+                    reason: "rtt_rise",
+                }),
+            ),
+        ];
+        for (cc, want) in cases {
+            assert_eq!(TraceEvent::from_cc(cc), want, "{cc:?}");
+        }
+    }
+
+    #[test]
+    fn record_mirrors_the_exported_record() {
+        let recorder = simtrace::flightrec::FlightRecorder::new(8);
+        simtrace::flightrec::install(Some(recorder.clone()));
+        let mut t = ConnTrace::events_only();
+        let e = TraceEvent::CcCwnd {
+            cwnd: 2_896,
+            reason: "timeout",
+        };
+        t.record(SimTime::from_millis(3), FlowId(9), e);
+        simtrace::flightrec::install(None);
+        assert_eq!(t.events, vec![(SimTime::from_millis(3), e)]);
+        let mut sink = simtrace::VecSink::new();
+        t.export(9, None, &mut sink);
+        assert_eq!(recorder.snapshot(), sink.records);
     }
 }

@@ -99,6 +99,10 @@ grep -q '"label":"scope/' results/ext_fleet.manifest.json \
     || { echo "fleet manifest missing scope annotations" >&2; exit 1; }
 cargo run --release -q -p simtrace --bin suss-trace -- \
     profile results/ext_fleet.manifest.json --min-coverage 95 >/dev/null
+# Pin the results, not only cold == warm: a change that moved every fleet
+# flow the same way would pass the comparison below.
+[ "$(fp results/ext_fleet.manifest.json)" = '"fingerprint":"af455e6be4e62388"' ] \
+    || { echo "quick ext_fleet fingerprint is not af455e6be4e62388" >&2; exit 1; }
 # A warm rerun on the same cache serves every cell from it, so no cell
 # reports scope annotations; the fingerprint must still match the cold run.
 cp results/ext_fleet.manifest.json "$SMOKE_DIR/fleet-cold.manifest.json"
@@ -149,6 +153,10 @@ SUSS_CACHE_DIR="$SHARD_CACHE-ref" \
     cargo run --release -q -p suss-bench --bin fig17 -- --quick --no-progress \
     >"$SMOKE_DIR/fig17-single.txt"
 cp results/fig17.manifest.json "$SMOKE_DIR/fig17-single.manifest.json"
+# Pinned, so the sharded runs below are held to the committed results and
+# not only to each other.
+[ "$(fp "$SMOKE_DIR/fig17-single.manifest.json")" = '"fingerprint":"da234b0cae048268"' ] \
+    || { echo "quick fig17 fingerprint is not da234b0cae048268" >&2; exit 1; }
 rm -f results/fig17.shard*.manifest.json
 SUSS_CACHE_DIR="$SHARD_CACHE" scripts/shard_run.sh fig17 2 --quick \
     >"$SMOKE_DIR/fig17-sharded.txt" 2>"$SMOKE_DIR/fig17-sharded.err"

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! suss-sim [--site <name>] [--hop 5g|wired|wifi|4g] [--size <bytes|K|M>]
-//!          [--cc cubic|suss|bbr|bbr2|bbr-suss|reno] [--seed N]
+//!          [--cc cubic|suss|bbr|bbr2|bbr-suss] [--seed N]
 //!          [--iters N] [--workers N] [--trace]
 //! ```
 //!
@@ -61,7 +61,6 @@ fn parse_cc(s: &str) -> Option<CcKind> {
         "bbr" => CcKind::Bbr,
         "bbr2" => CcKind::Bbr2,
         "bbr-suss" | "bbr+suss" => CcKind::BbrSuss,
-        "reno" => CcKind::Reno,
         _ => return None,
     })
 }
@@ -70,7 +69,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: suss-sim [--site us-east|tokyo|singapore|us-west|sydney|london|nz]\n\
          \x20               [--hop 5g|wired|wifi|4g] [--size <bytes|K|M>]\n\
-         \x20               [--cc cubic|suss|bbr|bbr2|bbr-suss|reno]\n\
+         \x20               [--cc cubic|suss|bbr|bbr2|bbr-suss]\n\
          \x20               [--seed N] [--iters N] [--workers N] [--trace]"
     );
     std::process::exit(2);

@@ -11,8 +11,8 @@
 //!
 //! * [`suss`] ([`suss_core`]) — the SUSS state machine (growth prediction,
 //!   pacing schedule, modified HyStart),
-//! * [`cc`] ([`cc_algos`]) — CUBIC+SUSS and the baselines (Reno, CUBIC,
-//!   BBRv1, BBRv2-lite) plus a quinn-shaped QUIC adapter,
+//! * [`cc`] ([`cc_algos`]) — CUBIC+SUSS and the baselines (CUBIC, BBRv1,
+//!   BBRv2-lite) plus a quinn-shaped QUIC adapter,
 //! * [`transport`] ([`tcp_sim`]) — the TCP-like transport,
 //! * [`sim`] ([`netsim`]) — the discrete-event network simulator,
 //! * [`scenarios`] ([`workload`]) — the paper's 28-scenario matrix and

@@ -103,7 +103,7 @@ fn heterogeneous_controllers_coexist() {
         DumbbellFlow::download(CcKind::Cubic, 6 * MB, SimTime::ZERO),
         DumbbellFlow::download(CcKind::CubicSuss, 6 * MB, SimTime::from_millis(500)),
         DumbbellFlow::download(CcKind::Bbr, 6 * MB, SimTime::from_secs(1)),
-        DumbbellFlow::download(CcKind::Reno, 6 * MB, SimTime::from_secs(2)),
+        DumbbellFlow::download(CcKind::Bbr2, 6 * MB, SimTime::from_secs(2)),
     ];
     let out = run_dumbbell(&cfg, &flows, 5, SimTime::from_secs(180));
     for (i, f) in out.flows.iter().enumerate() {
