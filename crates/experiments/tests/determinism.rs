@@ -185,7 +185,7 @@ fn non_engine_totals(run: &FlowGridRun) -> Vec<(String, u64)> {
         .metrics
         .into_iter()
         .filter(|m| !m.name.starts_with("net.sched_") && !m.name.starts_with("net.pool_"))
-        .map(|m| (m.name, m.value))
+        .map(|m| (m.name.into_owned(), m.value))
         .collect()
 }
 

@@ -4,6 +4,9 @@
 //! That parser is kept below, verbatim, as the oracle. Inputs are real
 //! cache entries, manifests and trace lines, mutated byte by byte.
 
+mod mutation;
+
+use mutation::{mutate, reorderings};
 use proptest::prelude::*;
 use serde::Json;
 use simrunner::{Campaign, FctAnnotation, RunnerOpts};
@@ -217,46 +220,6 @@ fn bases() -> &'static [String] {
     })
 }
 
-/// Characters mutations insert: JSON punctuation, escape and literal
-/// letters, digits and number signs, whitespace, and multi-byte UTF-8.
-const ALPHABET: &[char] = &[
-    '{', '}', '[', ']', '"', ':', ',', '\\', 'u', '0', '1', '9', 'a', 'F', '-', '+', '.', 'e', 'E',
-    'n', 't', 'f', 'l', 's', 'r', 'b', '/', ' ', '\n', '\t', 'é', '😀', '\u{1}',
-];
-
-/// Apply one mutation to `text` at a char-aligned position: `op` picks
-/// delete / insert / replace / duplicate / truncate / swap-halves, or one
-/// of three that aim at container syntax: insert `,` before the next
-/// closing bracket, insert a character after the next opening bracket or
-/// comma, or delete up to the next separator or closing bracket.
-fn mutate(text: &str, op: u8, at: f64, len: usize, ch: usize) -> String {
-    let chars: Vec<char> = text.chars().collect();
-    let n = chars.len();
-    let i = ((at * n as f64) as usize).min(n);
-    let j = (i + len).min(n);
-    let c = ALPHABET[ch % ALPHABET.len()];
-    let next = |set: &[char]| (i..n).find(|&k| set.contains(&chars[k])).unwrap_or(n);
-    let mut out: Vec<char> = match op {
-        0 => [&chars[..i], &chars[j..]].concat(),
-        1 => [&chars[..i], &[c][..], &chars[i..]].concat(),
-        2 => [&chars[..i], &[c][..], &chars[(i + 1).min(n)..]].concat(),
-        3 => [&chars[..j], &chars[i..]].concat(),
-        4 => chars[..i].to_vec(),
-        5 => [&chars[i..], &chars[..i]].concat(),
-        6 => {
-            let k = next(&[']', '}']);
-            [&chars[..k], &[','][..], &chars[k..]].concat()
-        }
-        7 => {
-            let k = (next(&['[', '{', ',']) + 1).min(n);
-            [&chars[..k], &[c][..], &chars[k..]].concat()
-        }
-        _ => [&chars[..i], &chars[next(&[',', ']', '}'])..]].concat(),
-    };
-    out.truncate(1 << 16);
-    out.into_iter().collect()
-}
-
 fn assert_same(text: &str) {
     let got = Json::parse(text);
     let want = oracle::parse(text);
@@ -281,6 +244,15 @@ fn every_truncation_and_single_deletion_agrees() {
         for w in cuts.windows(2) {
             assert_same(&text[..w[0]]);
             assert_same(&format!("{}{}", &text[..w[0]], &text[w[1]..]));
+        }
+    }
+}
+
+#[test]
+fn reordered_and_duplicated_members_agree() {
+    for text in bases() {
+        for reordered in reorderings(text) {
+            assert_same(&reordered);
         }
     }
 }

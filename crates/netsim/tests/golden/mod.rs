@@ -30,6 +30,6 @@ pub fn non_engine_counters(snap: &CounterSnapshot) -> Vec<(&str, u64)> {
     snap.metrics
         .iter()
         .filter(|m| !m.name.starts_with("net.sched_") && !m.name.starts_with("net.pool_"))
-        .map(|m| (m.name.as_str(), m.value))
+        .map(|m| (&*m.name, m.value))
         .collect()
 }

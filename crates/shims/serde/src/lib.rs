@@ -207,24 +207,26 @@ fn render_str(s: &str, out: &mut String) {
     out.push('"');
     // Copy each run of bytes that need no escape with one `push_str`.
     // Every escaped byte is ASCII, so runs split on char boundaries.
+    let bytes = s.as_bytes();
     let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        let esc = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
+    while let Some(k) = bytes[run..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        let i = run + k;
         out.push_str(&s[run..i]);
-        if esc.is_empty() {
-            out.push_str("\\u00");
-            out.push(HEX[usize::from(b >> 4)] as char);
-            out.push(HEX[usize::from(b & 0xf)] as char);
-        } else {
-            out.push_str(esc);
+        let b = bytes[i];
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
         }
         run = i + 1;
     }
@@ -270,6 +272,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A cursor at the start of `text`.
+    #[inline]
     pub fn new(text: &'a str) -> Self {
         Reader {
             text,
@@ -279,17 +282,24 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn byte(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         let b = self.text.as_bytes();
+        // Compact text, the common case, has no whitespace to skip.
+        if b.get(self.pos).is_some_and(|&c| c > b' ') {
+            return;
+        }
         while self.pos < b.len() && matches!(b[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn eat(&mut self, lit: &str) -> Option<()> {
         if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
@@ -300,18 +310,21 @@ impl<'a> Reader<'a> {
     }
 
     /// The first byte of the next value, without consuming it.
+    #[inline]
     pub fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
         self.byte()
     }
 
     /// Consume `null`.
+    #[inline]
     pub fn null(&mut self) -> Option<()> {
         self.skip_ws();
         self.eat("null")
     }
 
     /// Consume `true` or `false`.
+    #[inline]
     pub fn bool(&mut self) -> Option<bool> {
         self.skip_ws();
         if self.eat("true").is_some() {
@@ -323,7 +336,15 @@ impl<'a> Reader<'a> {
 
     /// Consume a number: an optional `-`, then the longest run of digits,
     /// `.`, `e`, `E`, `+` and `-`, which must parse as an `f64`.
+    #[inline]
     pub fn num(&mut self) -> Option<f64> {
+        self.num_token().map(|(x, _)| x)
+    }
+
+    /// [`num`](Self::num), and whether the token was a plain integer
+    /// (so its value is known to be integral without testing it).
+    #[inline]
+    fn num_token(&mut self) -> Option<(f64, bool)> {
         self.skip_ws();
         let b = self.text.as_bytes();
         let start = self.pos;
@@ -349,13 +370,14 @@ impl<'a> Reader<'a> {
             // Plain integer under 10^15: exact in an f64, and what the
             // general parser would return.
             let x = int as f64;
-            return Some(if neg { -x } else { x });
+            return Some((if neg { -x } else { x }, true));
         }
-        self.text[start..self.pos].parse::<f64>().ok()
+        Some((self.text[start..self.pos].parse::<f64>().ok()?, false))
     }
 
     /// Consume a string. It is borrowed from the input when it holds no
     /// escape sequence.
+    #[inline]
     pub fn str(&mut self) -> Option<Cow<'a, str>> {
         self.skip_ws();
         if self.byte() != Some(b'"') {
@@ -376,13 +398,14 @@ impl<'a> Reader<'a> {
 
     /// The index of the next `"` or `\` at or after the cursor (the
     /// input's length if there is none).
+    #[inline]
     fn run_end(&self) -> usize {
-        let b = self.text.as_bytes();
-        let mut i = self.pos;
-        while i < b.len() && !matches!(b[i], b'"' | b'\\') {
-            i += 1;
-        }
-        i
+        let rest = &self.text.as_bytes()[self.pos..];
+        self.pos
+            + rest
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .unwrap_or(rest.len())
     }
 
     /// Scan a string's body up to and including its closing quote,
@@ -435,6 +458,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn open(&mut self, delim: u8) -> Option<()> {
         self.skip_ws();
         if self.byte() != Some(delim) || self.depth >= MAX_DEPTH {
@@ -448,6 +472,7 @@ impl<'a> Reader<'a> {
 
     /// Consume a container's separator or its closing `close`: `true`
     /// when a member follows.
+    #[inline]
     fn next_member(&mut self, close: u8) -> Option<bool> {
         self.skip_ws();
         let b = self.byte()?;
@@ -468,12 +493,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Consume the `{` that opens an object.
+    #[inline]
     pub fn begin_obj(&mut self) -> Option<()> {
         self.open(b'{')
     }
 
     /// Consume the next key of the open object and its `:`, or the
     /// object's closing `}` (`Some(None)`).
+    #[inline]
     pub fn next_key(&mut self) -> Option<Option<Cow<'a, str>>> {
         if !self.next_member(b'}')? {
             return Some(None);
@@ -488,12 +515,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Consume the `[` that opens an array.
+    #[inline]
     pub fn begin_arr(&mut self) -> Option<()> {
         self.open(b'[')
     }
 
     /// Consume the separator before the open array's next item (`true`)
     /// or the array's closing `]` (`false`).
+    #[inline]
     pub fn next_item(&mut self) -> Option<bool> {
         self.next_member(b']')
     }
@@ -534,6 +563,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Succeed only if nothing but whitespace is left.
+    #[inline]
     pub fn end(&mut self) -> Option<()> {
         self.skip_ws();
         (self.pos == self.text.len()).then_some(())
@@ -577,14 +607,24 @@ pub fn from_str<T: Deserialize>(s: &str) -> Option<T> {
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
+            #[inline]
             fn write_json(&self, out: &mut String) {
-                render_num(*self as f64, out);
+                // What `render_num` writes for `*self as f64`, without
+                // its float tests on the common, exactly representable
+                // path.
+                let x = *self as f64;
+                if x.abs() < EXACT_INT {
+                    render_int(*self as i64, out);
+                } else {
+                    render_num(x, out);
+                }
             }
         }
         impl Deserialize for $t {
+            #[inline]
             fn read_json(r: &mut Reader<'_>) -> Option<Self> {
-                let x = r.num()?;
-                if x.is_finite() && x == x.trunc() {
+                let (x, plain) = r.num_token()?;
+                if plain || (x.is_finite() && x == x.trunc()) {
                     Some(x as $t)
                 } else {
                     None
@@ -603,6 +643,7 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
+    #[inline]
     fn read_json(r: &mut Reader<'_>) -> Option<Self> {
         if r.peek()? == b'n' {
             r.null()?;
@@ -632,6 +673,7 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
+    #[inline]
     fn read_json(r: &mut Reader<'_>) -> Option<Self> {
         r.bool()
     }
@@ -644,6 +686,7 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
+    #[inline]
     fn read_json(r: &mut Reader<'_>) -> Option<Self> {
         r.str().map(Cow::into_owned)
     }
@@ -656,6 +699,12 @@ impl Serialize for str {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: Serialize + ToOwned + ?Sized> Serialize for Cow<'_, T> {
     fn write_json(&self, out: &mut String) {
         (**self).write_json(out);
     }
@@ -829,6 +878,35 @@ mod tests {
         }
         assert_eq!(to_string(&(1u64 << 53)), "9007199254740992");
         assert_eq!(to_string(&-0.0f64), "0");
+    }
+
+    #[test]
+    fn integers_render_and_read_as_through_f64() {
+        // Integer types render as their `f64` value does and read back
+        // through it: exact below 2^53, shortest float text above.
+        let big = [
+            0u64,
+            1,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            1 << 63,
+            u64::MAX,
+        ];
+        for n in big {
+            assert_eq!(to_string(&n), to_string(&(n as f64)), "{n}");
+        }
+        for n in [i64::MIN, -(1 << 53) - 1, -(1 << 53), -1, 0, 1 << 60, i64::MAX] {
+            assert_eq!(to_string(&n), to_string(&(n as f64)), "{n}");
+        }
+        let via_f64 = |t: &str| {
+            from_str::<f64>(t)
+                .filter(|x| x.is_finite() && *x == x.trunc())
+                .map(|x| x as u8)
+        };
+        for text in ["7", "7.0", "7e0", "7.5", "-0", "-5", "300", "1e400", "null", "123456789012345678"] {
+            assert_eq!(from_str::<u8>(text), via_f64(text), "{text}");
+        }
     }
 
     #[test]

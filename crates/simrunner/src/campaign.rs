@@ -452,14 +452,21 @@ impl Campaign {
         }
     }
 
-    pub(crate) fn blank_records(&self) -> Vec<CellRecord> {
+    /// Each cell's cache key ([`CellIdentity::key`]), in cell order.
+    pub(crate) fn keys(&self) -> Vec<u64> {
+        self.cells.iter().map(|c| self.identity(c).key()).collect()
+    }
+
+    /// A fresh record per cell, filed under its key from `keys`.
+    pub(crate) fn blank_records(&self, keys: &[u64]) -> Vec<CellRecord> {
         self.cells
             .iter()
-            .map(|c| CellRecord {
+            .zip(keys)
+            .map(|(c, key)| CellRecord {
                 index: c.index,
                 label: c.label.clone(),
                 seed: c.seed,
-                key: format!("{:016x}", self.identity(c).key()),
+                key: String::from_utf8(crate::cache::key_hex(*key).to_vec()).expect("hex digits"),
                 cached: false,
                 wall_ms: 0.0,
                 events: 0,

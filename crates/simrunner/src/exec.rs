@@ -92,6 +92,8 @@ struct Prepared<T> {
     started: Instant,
     workers: usize,
     cache: Option<crate::cache::Cache>,
+    /// Each cell's cache key, computed once per run.
+    keys: Vec<u64>,
     results: Vec<Option<T>>,
     records: Vec<CellRecord>,
     /// Cell indices still to compute (owned, not served from cache).
@@ -111,7 +113,10 @@ struct Tallies {
 }
 
 /// Phase 1, common to the pool and the shard worker: mark unowned cells
-/// skipped and serve owned cells from the cache (main thread: cheap).
+/// skipped and serve owned cells from the cache on the main thread. Each
+/// cell's key is hashed once, for its record and its load; a hit is one
+/// read and one decoding pass (see [`crate::cache`]). Cells that miss are
+/// left in `pending` for [`run_pool_phase`].
 fn prepare<T: Deserialize>(
     campaign: &Campaign,
     opts: &RunnerOpts,
@@ -122,7 +127,8 @@ fn prepare<T: Deserialize>(
     let cache = campaign.open_cache(opts);
     let n = campaign.cells.len();
     let mut results: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut records = campaign.blank_records();
+    let keys = campaign.keys();
+    let mut records = campaign.blank_records(&keys);
     let owns = |i: usize| shard.is_none_or(|s| s.owns(i));
     let owned_total = (0..n).filter(|&i| owns(i)).count();
     let mut progress = Progress::new(&campaign.experiment, owned_total, opts.progress);
@@ -139,7 +145,7 @@ fn prepare<T: Deserialize>(
         } else {
             cache
                 .as_ref()
-                .and_then(|c| c.load::<T>(&campaign.identity(cell)))
+                .and_then(|c| c.load_keyed::<T>(keys[cell.index], &campaign.identity(cell)))
         };
         match hit {
             Some(v) => {
@@ -155,6 +161,7 @@ fn prepare<T: Deserialize>(
         started,
         workers,
         cache,
+        keys,
         results,
         records,
         pending,
@@ -299,25 +306,28 @@ where
     let results = &mut prep.results;
     let records = &mut prep.records;
     let cache = &prep.cache;
+    let keys = &prep.keys;
     let progress = &mut prep.progress;
 
     struct Dispatch {
         token: u64,
         index: usize,
-        recorder: Option<simtrace::FlightRecorder>,
     }
     enum Msg<T> {
         Started {
             token: u64,
+            /// The watchdog's view of the cell's flight recorder.
+            recorder: Option<simtrace::WeakRecorder>,
         },
         Done {
             token: u64,
-            outcome: Result<(T, CellTelemetry), String>,
+            /// A panic's message, with the ring to dump.
+            outcome: Result<(T, CellTelemetry), (String, Option<simtrace::FlightRecorder>)>,
         },
     }
     struct InFlight {
         index: usize,
-        recorder: Option<simtrace::FlightRecorder>,
+        recorder: Option<simtrace::WeakRecorder>,
         started: Option<Instant>,
     }
 
@@ -333,6 +343,7 @@ where
         let f = Arc::clone(&f);
         let tx = tx.clone();
         let profile = opts.profile;
+        let flightrec = opts.flightrec_dir.is_some();
         move || {
             let work = Arc::clone(&work);
             let cells = Arc::clone(&cells);
@@ -340,18 +351,25 @@ where
             let tx = tx.clone();
             thread::spawn(move || {
                 while let Some(d) = work.pop() {
-                    // The flight recorder is the dispatching thread's
-                    // handle, so the ring stays readable even if this
-                    // thread hangs.
-                    simtrace::flightrec::install(d.recorder.clone());
-                    if tx.send(Msg::Started { token: d.token }).is_err() {
+                    // A cell's ring exists only while it runs: this
+                    // thread holds it, and the main thread gets a weak
+                    // handle with `Started`, so a hung cell's ring stays
+                    // readable from outside while a finished one is freed
+                    // however far the main thread lags behind.
+                    let recorder = flightrec.then(|| dispatch_recorder(d.index));
+                    simtrace::flightrec::install(recorder.clone());
+                    let started = Msg::Started {
+                        token: d.token,
+                        recorder: recorder.as_ref().map(simtrace::FlightRecorder::downgrade),
+                    };
+                    if tx.send(started).is_err() {
                         break;
                     }
                     let (out, tel) = run_bracketed(profile, || f(&cells[d.index]));
                     simtrace::flightrec::install(None);
                     let outcome = match out {
                         Ok(v) => Ok((v, tel)),
-                        Err(p) => Err(panic_message(&*p)),
+                        Err(p) => Err((panic_message(&*p), recorder)),
                     };
                     if tx
                         .send(Msg::Done {
@@ -373,42 +391,25 @@ where
     // Every pending cell is dispatched exactly once, up front; its token
     // is its position in `pending`.
     let mut inflight: HashMap<u64, InFlight> = HashMap::new();
-    let flightrec = opts.flightrec_dir.is_some();
     for (token, &index) in (0u64..).zip(&prep.pending) {
-        let recorder = flightrec.then(|| {
-            let r = simtrace::FlightRecorder::new(simtrace::flightrec::DEFAULT_CAPACITY);
-            // Seed the ring so a cell that dies before producing any
-            // trace record (e.g. an injected panic at dispatch) still
-            // leaves a parseable, non-empty dump naming the cell.
-            r.push(simtrace::TraceRecord::metric(
-                0,
-                simtrace::kind::COUNTER,
-                "runner.dispatch",
-                index as u64,
-            ));
-            r
-        });
         inflight.insert(
             token,
             InFlight {
                 index,
-                recorder: recorder.clone(),
+                recorder: None,
                 started: None,
             },
         );
-        work.push(Dispatch {
-            token,
-            index,
-            recorder,
-        });
+        work.push(Dispatch { token, index });
     }
     let mut outstanding = prep.pending.len();
 
     while outstanding > 0 {
         match rx.recv_timeout(TICK) {
-            Ok(Msg::Started { token }) => {
+            Ok(Msg::Started { token, recorder }) => {
                 if let Some(fl) = inflight.get_mut(&token) {
                     fl.started = Some(Instant::now());
+                    fl.recorder = recorder;
                 }
             }
             Ok(Msg::Done { token, outcome }) => {
@@ -423,7 +424,8 @@ where
                     Ok((v, tel)) => {
                         if let Some(c) = cache {
                             // A failed store only costs a future miss.
-                            let _ = c.store(&campaign.identity(&campaign.cells[idx]), &v);
+                            let id = campaign.identity(&campaign.cells[idx]);
+                            let _ = c.store_keyed(keys[idx], &id, &v);
                         }
                         records[idx].wall_ms = tel.wall_ms;
                         records[idx].events = tel.events;
@@ -431,12 +433,12 @@ where
                         tallies.scopes.extend(tel.scopes);
                         results[idx] = Some(v);
                     }
-                    Err(msg) => {
+                    Err((msg, recorder)) => {
                         records[idx].status = CellStatus::Panicked;
                         records[idx].error = msg;
                         // Terminal failure: dump the black box.
                         if let (Some(dir), Some(rec)) =
-                            (opts.flightrec_dir.as_deref(), fl.recorder.as_ref())
+                            (opts.flightrec_dir.as_deref(), recorder.as_ref())
                         {
                             if let Some(path) = dump_flightrec(dir, &campaign.cells[idx].label, rec)
                             {
@@ -469,9 +471,15 @@ where
             };
             records[fl.index].status = CellStatus::TimedOut;
             records[fl.index].error = format!("wall-clock budget exceeded ({limit:?})");
-            // The hung worker can never drain its own ring; the
-            // dispatching thread's clone reads it from outside.
-            if let (Some(dir), Some(rec)) = (opts.flightrec_dir.as_deref(), fl.recorder.as_ref()) {
+            // The hung worker can never drain its own ring; the weak
+            // handle reads it from outside while the worker holds it. (A
+            // cell that finished in the instant its budget ran out has
+            // already let go of its ring and leaves no dump.)
+            let ring = fl
+                .recorder
+                .as_ref()
+                .and_then(simtrace::WeakRecorder::upgrade);
+            if let (Some(dir), Some(rec)) = (opts.flightrec_dir.as_deref(), ring.as_ref()) {
                 if let Some(path) = dump_flightrec(dir, &campaign.cells[fl.index].label, rec) {
                     records[fl.index].flightrec = path;
                 }
@@ -498,6 +506,20 @@ where
         }
     }
     tallies
+}
+
+/// A fresh flight recorder for cell `index`, seeded so that a cell that
+/// dies before producing any trace record (e.g. an injected panic at
+/// dispatch) still leaves a parseable, non-empty dump naming the cell.
+fn dispatch_recorder(index: usize) -> simtrace::FlightRecorder {
+    let r = simtrace::FlightRecorder::new(simtrace::flightrec::DEFAULT_CAPACITY);
+    r.push(simtrace::TraceRecord::metric(
+        0,
+        simtrace::kind::COUNTER,
+        "runner.dispatch",
+        index as u64,
+    ));
+    r
 }
 
 // ---------------------------------------------------------------------------
@@ -569,8 +591,9 @@ where
 /// The merge proper: read the shard manifests (reassigning any shard
 /// whose manifest is missing, corrupt, or from a different campaign —
 /// its cells re-run inline against the warm shared cache), merge them,
-/// reload the full result set from the cache (recomputing inline on a
-/// cache miss — a deleted entry must not corrupt the campaign), stamp digest,
+/// reload the full result set from the cache (recomputing a cell whose
+/// entry is gone on the pool core — a deleted entry must not corrupt the
+/// campaign, and a cell that then fails is recorded), stamp digest,
 /// fingerprint, the reassignment counter and the merge's wall time, and
 /// apply the failure policy.
 fn merge_and_load<T, F>(
@@ -628,28 +651,49 @@ where
         ),
     };
     let cache = campaign.open_cache(opts);
+    let keys = campaign.keys();
     let n = campaign.cells.len();
     let mut results: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
+    let mut pending = Vec::new();
     for cell in &campaign.cells {
         if !manifest.cells[cell.index].status.succeeded() {
             continue;
         }
         let id = campaign.identity(cell);
-        match cache.as_ref().and_then(|c| c.load::<T>(&id)) {
+        match cache
+            .as_ref()
+            .and_then(|c| c.load_keyed::<T>(keys[cell.index], &id))
+        {
             Some(v) => results[cell.index] = Some(v),
             None => {
                 eprintln!(
                     "warning: cell '{}' missing from the shared cache; recomputing",
                     cell.label
                 );
-                let v = f(cell);
-                if let Some(c) = &cache {
-                    let _ = c.store(&id, &v);
-                }
-                results[cell.index] = Some(v);
+                pending.push(cell.index);
             }
         }
     }
+    // Recompute the missing cells on the pool core, with its panic
+    // isolation, watchdog and flight recorder: a cell that fails now is
+    // recorded like any other failure, and the policy below applies.
+    let mut prep = Prepared {
+        started,
+        workers: opts.resolved_workers(),
+        cache,
+        keys,
+        results,
+        records: std::mem::take(&mut manifest.cells),
+        pending,
+        cache_hits: 0,
+        skipped: 0,
+        progress: Progress::new(&campaign.experiment, 0, false),
+    };
+    let tallies = run_pool_phase(campaign, opts, &mut prep, move |cell: &Cell| f(cell));
+    let results = prep.results;
+    manifest.cells = prep.records;
+    manifest.cells_failed += tallies.failed;
+    manifest.cell_timeouts += tallies.timeouts;
     manifest.executor = exec_label;
     manifest.results_digest = results_digest_of(&results, &manifest.cells);
     // Additive on top of whatever the shard manifests carried; it does
@@ -1131,6 +1175,54 @@ mod tests {
         assert!(
             validate_shard_manifest(&greedy, &c, 0, 2).is_err_and(|e| e.contains("does not own"))
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn merge_recomputes_a_missing_cell_on_the_pool_and_records_its_panic() {
+        let dir =
+            std::env::temp_dir().join(format!("simrunner-mergepanic-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let c = demo_campaign(6);
+        let opts = RunnerOpts::serial()
+            .with_cache(dir.join("cache"))
+            .with_manifest_stem(dir.join("unit"))
+            .with_flightrec_dir(dir.join("flightrec"))
+            .record_failures();
+        for index in 0..2 {
+            let shard = ShardInfo { index, total: 2 };
+            run_shard(&c, &opts, shard, false, |cell: &Cell| cell.seed);
+        }
+        // Cell 3 completed in its shard, but its entry is gone by merge time.
+        let cache = crate::Cache::open(&dir.join("cache"), &c.experiment).unwrap();
+        std::fs::remove_file(cache.entry_path(&c.identity(&c.cells[3]))).unwrap();
+        let merge = opts.with_executor(ExecSpec::MergeShards { shards: 2 });
+        let out = c.run(&merge.executor(), |cell| {
+            if cell.seed == 3 {
+                panic!("recompute failed");
+            }
+            cell.seed
+        });
+        let m = &out.manifest;
+        assert_eq!(m.executor, "merged(2 shards)");
+        assert_eq!(m.cells[3].status, CellStatus::Panicked);
+        assert!(
+            m.cells[3].error.contains("recompute failed"),
+            "{}",
+            m.cells[3].error
+        );
+        assert!(
+            m.cells[3].flightrec.ends_with("cell-3.jsonl"),
+            "dump path: {}",
+            m.cells[3].flightrec
+        );
+        assert_eq!(m.cells_failed, 1);
+        assert!(m.results_digest.is_empty());
+        assert_eq!(out.results[3], None);
+        for i in (0..6).filter(|&i| i != 3) {
+            assert_eq!(out.results[i], Some(i as u64), "cell {i}");
+            assert_eq!(m.cells[i].status, CellStatus::Ok);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

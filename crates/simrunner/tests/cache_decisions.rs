@@ -6,8 +6,9 @@
 //! mistyped identity field, quarantines it; a well-formed entry filed
 //! under another identity is a plain miss, whatever its value holds; a
 //! matching identity whose value is absent or does not decode
-//! quarantines it. Every expectation below is what the tree-building
-//! loader this one replaced decided for the same bytes.
+//! quarantines it, and so do bytes that are not UTF-8. Every other
+//! expectation below is what the tree-building loader this one replaced
+//! decided for the same bytes.
 
 use serde::{Deserialize, Serialize};
 use simrunner::{Cache, CellIdentity};
@@ -56,9 +57,14 @@ fn scratch() -> PathBuf {
 
 /// Load `text` filed under `ID` and classify the result.
 fn decide(cache: &Cache, text: &str) -> Outcome {
+    decide_bytes(cache, text.as_bytes())
+}
+
+/// Load the entry `bytes` filed under `ID` and classify the result.
+fn decide_bytes(cache: &Cache, bytes: &[u8]) -> Outcome {
     let path = cache.entry_path(&ID);
     let before = cache.quarantined_count();
-    std::fs::write(&path, text).unwrap();
+    std::fs::write(&path, bytes).unwrap();
     let got = cache.load::<Payload>(&ID);
     let quarantined = cache.quarantined_count() - before;
     match (got, quarantined) {
@@ -297,6 +303,29 @@ fn load_decides_as_recorded() {
         let got = decide(&cache, &text);
         if got != want {
             wrong.push(format!("{name}: got {got:?}, want {want:?}\n  {text}"));
+        }
+    }
+    // Bytes that are not UTF-8 are corruption too (bit rot, a foreign
+    // writer), wherever they sit; the tree-building loader read them as a
+    // plain miss, so the next store silently overwrote them.
+    let invalid: Vec<(&str, Vec<u8>)> = vec![
+        ("one byte flipped to 0xFF inside the value", {
+            let mut b = STORED.as_bytes().to_vec();
+            let at = STORED.find("\"t\"}").unwrap() + 1;
+            b[at] = 0xFF;
+            b
+        }),
+        ("a lone continuation byte in params", {
+            let mut b = STORED.as_bytes().to_vec();
+            let at = STORED.find("p=1").unwrap();
+            b[at] = 0x80;
+            b
+        }),
+    ];
+    for (name, bytes) in invalid {
+        let got = decide_bytes(&cache, &bytes);
+        if got != Quarantine {
+            wrong.push(format!("{name}: got {got:?}, want Quarantine"));
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

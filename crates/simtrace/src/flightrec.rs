@@ -3,8 +3,8 @@
 //! When a campaign cell panics or hangs, the manifest records *that* it
 //! failed but nothing about what the simulation was doing. The flight
 //! recorder keeps the last few hundred trace records in a fixed-size ring;
-//! the resilient runner holds a handle to each in-flight cell's recorder
-//! and dumps it to `results/flightrec/<cell>.jsonl` when the cell panics
+//! the resilient runner holds a (weak) handle to each in-flight cell's
+//! recorder and dumps it to `results/flightrec/<cell>.jsonl` when the cell panics
 //! or is abandoned by the watchdog — including from the *outside* of a
 //! hung worker thread, which can never drain its own ring.
 //!
@@ -22,7 +22,7 @@
 use crate::record::TraceRecord;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Default ring capacity: enough to hold several RTTs of per-flow events
 /// plus the periodic dispatch-progress records, small enough to dump and
@@ -53,6 +53,15 @@ impl FlightRecorder {
         }
     }
 
+    /// A handle that reads the ring while some [`FlightRecorder`] still
+    /// holds it, without keeping it alive: the runner's view of a cell
+    /// its worker is running, freed as soon as the worker lets go.
+    pub fn downgrade(&self) -> WeakRecorder {
+        WeakRecorder {
+            inner: Arc::downgrade(&self.inner),
+        }
+    }
+
     /// Append a record, evicting the oldest when full.
     pub fn push(&self, rec: TraceRecord) {
         let mut r = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
@@ -78,6 +87,19 @@ impl FlightRecorder {
             out.push('\n');
         }
         out
+    }
+}
+
+/// A non-owning handle on a ring (see [`FlightRecorder::downgrade`]).
+#[derive(Clone)]
+pub struct WeakRecorder {
+    inner: Weak<Mutex<Ring>>,
+}
+
+impl WeakRecorder {
+    /// The ring, if a [`FlightRecorder`] still holds it.
+    pub fn upgrade(&self) -> Option<FlightRecorder> {
+        self.inner.upgrade().map(|inner| FlightRecorder { inner })
     }
 }
 
@@ -143,6 +165,19 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].name.as_deref(), Some("net.events_processed"));
         assert_eq!(recs[0].value, Some(4096.0));
+    }
+
+    #[test]
+    fn weak_handles_read_the_ring_only_while_it_is_held() {
+        let fr = FlightRecorder::new(4);
+        let weak = fr.downgrade();
+        fr.push(TraceRecord::new(1, kind::RTO));
+        assert_eq!(weak.upgrade().map(|r| r.snapshot().len()), Some(1));
+        drop(fr);
+        assert!(
+            weak.upgrade().is_none(),
+            "a weak handle must not keep the ring"
+        );
     }
 
     #[test]

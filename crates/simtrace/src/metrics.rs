@@ -7,11 +7,12 @@
 //! max) — the order cells complete in a parallel campaign cannot change
 //! the merged totals.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 
 /// A monotonically increasing counter handle.
 ///
@@ -72,7 +73,7 @@ impl fmt::Debug for Gauge {
 }
 
 struct Slot {
-    name: String,
+    name: &'static str,
     gauge: bool,
     value: Rc<Cell<u64>>,
 }
@@ -94,7 +95,7 @@ impl Registry {
         Self::default()
     }
 
-    fn slot(&self, name: &str, gauge: bool) -> Rc<Cell<u64>> {
+    fn slot(&self, name: &'static str, gauge: bool) -> Rc<Cell<u64>> {
         let mut slots = self.slots.borrow_mut();
         if let Some(s) = slots.iter().find(|s| s.name == name) {
             debug_assert_eq!(
@@ -105,20 +106,20 @@ impl Registry {
         }
         let value = Rc::new(Cell::new(0));
         slots.push(Slot {
-            name: name.to_string(),
+            name,
             gauge,
             value: Rc::clone(&value),
         });
         value
     }
 
-    /// Register (or look up) a counter by name.
-    pub fn counter(&self, name: &str) -> Counter {
+    /// Register (or look up) a counter by name (see [`crate::names`]).
+    pub fn counter(&self, name: &'static str) -> Counter {
         Counter(self.slot(name, false))
     }
 
     /// Register (or look up) a high-water-mark gauge by name.
-    pub fn gauge(&self, name: &str) -> Gauge {
+    pub fn gauge(&self, name: &'static str) -> Gauge {
         Gauge(self.slot(name, true))
     }
 
@@ -128,7 +129,7 @@ impl Registry {
         let mut metrics: Vec<MetricValue> = slots
             .iter()
             .map(|s| MetricValue {
-                name: s.name.clone(),
+                name: Cow::Borrowed(s.name),
                 gauge: s.gauge,
                 value: s.value.get(),
             })
@@ -147,14 +148,47 @@ impl fmt::Debug for Registry {
 }
 
 /// One metric in a [`CounterSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetricValue {
-    /// Metric name (see [`crate::names`]).
-    pub name: String,
+    /// Metric name (see [`crate::names`]): borrowed for catalogue names,
+    /// whether registered or decoded, so neither allocates it.
+    pub name: Cow<'static, str>,
     /// True for high-water-mark gauges (merged by max, not sum).
     pub gauge: bool,
     /// Value at snapshot time.
     pub value: u64,
+}
+
+/// Decodes as the derive would (first occurrence of a key wins, unknown
+/// keys are skipped, every field is required), interning the name.
+impl Deserialize for MetricValue {
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        MetricValue::read_interned(r, &mut 0)
+    }
+}
+
+impl MetricValue {
+    /// Decode one metric, interning its name with the catalogue cursor
+    /// `next` (see [`crate::names::intern`]).
+    fn read_interned(r: &mut Reader<'_>, next: &mut usize) -> Option<Self> {
+        let (mut name, mut gauge, mut value) = (None, None, None);
+        r.begin_obj()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "name" if name.is_none() => name = Some(crate::names::intern(&r.str()?, next)),
+                "gauge" if gauge.is_none() => gauge = Some(r.bool()?),
+                "value" if value.is_none() => value = Some(u64::read_json(r)?),
+                _ => {
+                    r.skip()?;
+                }
+            }
+        }
+        Some(MetricValue {
+            name: name?,
+            gauge: gauge?,
+            value: value?,
+        })
+    }
 }
 
 /// An immutable, order-independent snapshot of a [`Registry`].
@@ -162,10 +196,40 @@ pub struct MetricValue {
 /// Snapshots are plain data (`Send`), serialize deterministically, and
 /// merge commutatively — the basis for the parallel-equals-serial
 /// counter-totals guarantee.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct CounterSnapshot {
     /// Metrics sorted by name.
     pub metrics: Vec<MetricValue>,
+}
+
+/// Decodes as the derive would, interning the sorted metric names with
+/// one catalogue cursor.
+impl Deserialize for CounterSnapshot {
+    fn read_json(r: &mut Reader<'_>) -> Option<Self> {
+        let mut metrics = None;
+        r.begin_obj()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "metrics" if metrics.is_none() => {
+                    // Sized for the whole catalogue up front, then
+                    // trimmed: no regrowth copies for a snapshot of
+                    // catalogue names, and no spare capacity kept per
+                    // cached result.
+                    let (mut list, mut next) = (Vec::with_capacity(crate::names::ALL.len()), 0);
+                    r.begin_arr()?;
+                    while r.next_item()? {
+                        list.push(MetricValue::read_interned(r, &mut next)?);
+                    }
+                    list.shrink_to_fit();
+                    metrics = Some(list);
+                }
+                _ => {
+                    r.skip()?;
+                }
+            }
+        }
+        Some(CounterSnapshot { metrics: metrics? })
+    }
 }
 
 impl CounterSnapshot {
@@ -207,7 +271,7 @@ impl CounterSnapshot {
             .metrics
             .iter()
             .chain(&other.metrics)
-            .map(|m| m.name.as_str())
+            .map(|m| &*m.name)
             .collect();
         names.sort_unstable();
         names.dedup();
@@ -298,7 +362,7 @@ mod tests {
             ],
         };
         a.merge(&b);
-        let names: Vec<&str> = a.metrics.iter().map(|m| m.name.as_str()).collect();
+        let names: Vec<&str> = a.metrics.iter().map(|m| &*m.name).collect();
         assert_eq!(names, ["a", "m", "z"]);
     }
 
@@ -321,6 +385,84 @@ mod tests {
         assert_eq!(
             a.diff(&b),
             vec![("only_a".to_string(), 2), ("only_b".to_string(), -3)]
+        );
+    }
+
+    #[test]
+    fn catalogue_is_sorted_and_decoded_names_borrow_from_it() {
+        let all = crate::names::ALL;
+        assert!(
+            all.windows(2).all(|w| w[0] < w[1]),
+            "names::ALL must be sorted like a snapshot's metrics"
+        );
+        // In order, backwards, and from a cursor past the end.
+        let mut next = 0;
+        for &name in all.iter().chain(all.iter().rev()) {
+            assert!(matches!(crate::names::intern(name, &mut next), Cow::Borrowed(n) if n == name));
+            assert!(matches!(crate::names::intern(name, &mut 99), Cow::Borrowed(n) if n == name));
+        }
+        assert!(
+            matches!(crate::names::intern("no.such", &mut next), Cow::Owned(n) if n == "no.such")
+        );
+        let text = r#"{"metrics":[{"name":"net.pool_hits","gauge":false,"value":3},
+            {"name":"custom.metric","gauge":true,"value":4}]}"#;
+        let snap = serde::from_str::<CounterSnapshot>(text).unwrap();
+        assert!(matches!(
+            &snap.metrics[0].name,
+            Cow::Borrowed("net.pool_hits")
+        ));
+        assert!(matches!(&snap.metrics[1].name, Cow::Owned(n) if n == "custom.metric"));
+        assert_eq!(snap.get("custom.metric"), Some(4));
+    }
+
+    #[test]
+    fn metric_values_decode_as_the_derive_would() {
+        #[derive(Debug, PartialEq, Deserialize)]
+        struct Derived {
+            name: String,
+            gauge: bool,
+            value: u64,
+        }
+        #[derive(Debug, PartialEq, Deserialize)]
+        struct DerivedSnapshot {
+            metrics: Vec<Derived>,
+        }
+        for text in [
+            r#"{"name":"tcp.rtos","gauge":false,"value":2}"#,
+            r#"{"value":2,"gauge":true,"name":"x\u0041"}"#,
+            r#"{"name":"a","name":"b","gauge":false,"x":[1,{}],"value":1,"value":"no"}"#,
+            r#"{"name":"a","gauge":false}"#,
+            r#"{"name":"a","gauge":0,"value":1}"#,
+            r#"{"name":"a","gauge":false,"value":1.5}"#,
+            r#"{"name":"a","gauge":false,"value":1,"x":[1,]}"#,
+            r#"{"name":1,"gauge":false,"value":1}"#,
+            r#"["a",false,1]"#,
+        ] {
+            let ours = serde::from_str::<MetricValue>(text)
+                .map(|m| (m.name.into_owned(), m.gauge, m.value));
+            let derived = serde::from_str::<Derived>(text).map(|d| (d.name, d.gauge, d.value));
+            assert_eq!(ours, derived, "{text}");
+            for snapshot in [
+                format!(r#"{{"metrics":[{text},{text}]}}"#),
+                format!(r#"{{"x":1,"metrics":[{text}],"metrics":[]}}"#),
+                format!(r#"{{"metrics":{text}}}"#),
+            ] {
+                let ours = serde::from_str::<CounterSnapshot>(&snapshot).map(|s| {
+                    let m = s.metrics.into_iter();
+                    m.map(|m| (m.name.into_owned(), m.gauge, m.value))
+                        .collect::<Vec<_>>()
+                });
+                let derived = serde::from_str::<DerivedSnapshot>(&snapshot).map(|s| {
+                    let m = s.metrics.into_iter();
+                    m.map(|d| (d.name, d.gauge, d.value)).collect::<Vec<_>>()
+                });
+                assert_eq!(ours, derived, "{snapshot}");
+            }
+        }
+        assert_eq!(
+            serde::from_str::<CounterSnapshot>(r#"{"other":[]}"#),
+            None,
+            "metrics is required"
         );
     }
 

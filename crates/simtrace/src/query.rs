@@ -123,7 +123,7 @@ pub fn counters(records: &[TraceRecord], run: Option<&str>) -> CounterSnapshot {
         };
         snap.merge(&CounterSnapshot {
             metrics: vec![MetricValue {
-                name: name.clone(),
+                name: crate::names::intern(name, &mut 0),
                 gauge: r.kind == kind::GAUGE,
                 value: value as u64,
             }],

@@ -195,6 +195,32 @@ grep -Eq '"cells_reassigned":[1-9]' results/fig17.manifest.json \
 grep -q '"cache_hits":0,' results/fig17.manifest.json \
     && { echo "resume did not reuse the dead run's cached cells" >&2; exit 1; }
 
+echo "== hostile-entry smoke (a bit-rotted cache entry is quarantined, then recomputed) =="
+# Flip one byte of one warm quick fig18 entry to 0xFF, which is never
+# valid UTF-8. The rerun must quarantine that entry (keep its bytes aside,
+# never trust or silently overwrite them), recompute exactly its cell,
+# and reproduce the cold run's output and fingerprint.
+ROT_CACHE="$SMOKE_DIR/rot-cache"
+SUSS_CACHE_DIR="$ROT_CACHE" \
+    cargo run --release -q -p suss-bench --bin fig18 -- --quick --no-progress \
+    >"$SMOKE_DIR/fig18-cold.txt"
+cp results/fig18.manifest.json "$SMOKE_DIR/fig18-cold.manifest.json"
+rot=$(find "$ROT_CACHE/fct_sweep" -name '*.json' -print -quit)
+printf '\377' | dd of="$rot" bs=1 seek=200 conv=notrunc status=none
+SUSS_CACHE_DIR="$ROT_CACHE" \
+    cargo run --release -q -p suss-bench --bin fig18 -- --quick --no-progress \
+    >"$SMOKE_DIR/fig18-rot.txt"
+grep -q '"cache_quarantined":1' results/fig18.manifest.json \
+    || { echo "bit-rotted cache entry was not quarantined" >&2; exit 1; }
+grep -q '"cache_misses":1,' results/fig18.manifest.json \
+    || { echo "rerun after bit rot must recompute exactly one cell" >&2; exit 1; }
+[ -f "${rot%.json}.quarantine" ] \
+    || { echo "quarantined entry's bytes were not kept" >&2; exit 1; }
+cmp -s "$SMOKE_DIR/fig18-cold.txt" "$SMOKE_DIR/fig18-rot.txt" \
+    || { echo "fig18 output changed after recomputing the bit-rotted cell" >&2; exit 1; }
+[ "$(fp "$SMOKE_DIR/fig18-cold.manifest.json")" = "$(fp results/fig18.manifest.json)" ] \
+    || { echo "fig18 fingerprint changed after recomputing the bit-rotted cell" >&2; exit 1; }
+
 echo "== perfbench tests (the benchmark package builds against the workspace API) =="
 # perfbench/ is a package of its own outside the workspace, so nothing
 # else compiles it; its tests include a traced-vs-untraced fingerprint
