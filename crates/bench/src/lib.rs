@@ -8,12 +8,11 @@
 //! `--csv` to emit machine-readable output after the human-readable
 //! table. All experiments run as simrunner campaigns, so every binary
 //! also accepts the parallel-execution flags (`--workers`, `--no-cache`,
-//! `--cold`, `--no-progress`), runs on the worker pool unless a shard
-//! flag says otherwise (`--shard K/N` to run one shard and exit,
-//! `--merge-shards N` to merge already-written shard manifests;
-//! `scripts/shard_run.sh` drives both), caches results under
-//! `results/cache/`, and writes a run manifest to
-//! `results/<name>.manifest.json`.
+//! `--cold`, `--no-progress`), runs on the worker pool unless
+//! `--shard K/N` says to run one shard of the campaign and exit (a plain
+//! run on the same cache then finishes it; `scripts/shard_run.sh` drives
+//! both), caches results under `results/cache/`, and writes a run
+//! manifest to `results/<name>.manifest.json`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -50,8 +49,6 @@ pub struct BenchCli {
     pub trace: Option<PathBuf>,
     /// Run as one shard of a split campaign (`--shard K/N`).
     pub shard: Option<(usize, usize)>,
-    /// Merge already-written shard manifests (`--merge-shards N`).
-    pub merge_shards: Option<usize>,
 }
 
 impl BenchCli {
@@ -68,7 +65,6 @@ impl BenchCli {
             no_progress: false,
             trace: None,
             shard: None,
-            merge_shards: None,
         };
         let mut args = std::env::args().skip(1).peekable();
         while let Some(a) = args.next() {
@@ -97,15 +93,6 @@ impl BenchCli {
                         }
                     }
                 }
-                "--merge-shards" => {
-                    o.merge_shards = match args.next().and_then(|v| v.parse().ok()) {
-                        Some(0) | None => {
-                            eprintln!("--merge-shards needs a shard count >= 1");
-                            std::process::exit(2);
-                        }
-                        n => n,
-                    }
-                }
                 "--trace" => {
                     // Optional operand: `--trace out.jsonl` or bare
                     // `--trace` for the binary's default path.
@@ -119,7 +106,7 @@ impl BenchCli {
                     eprintln!(
                         "usage: {name} [--quick] [--csv] [--workers N] [--no-cache] \
                          [--cold] [--no-progress] [--trace [PATH]] \
-                         [--shard K/N | --merge-shards N]"
+                         [--shard K/N]"
                     );
                     std::process::exit(0);
                 }
@@ -184,9 +171,9 @@ impl BenchCli {
     /// count, the shared cache under `results/cache/`, progress on
     /// stderr (human output goes to stdout, so redirects stay clean),
     /// flight-recorder dumps under `results/flightrec/` for cells that
-    /// terminally panic or time out, the executor selected by the
-    /// `--shard`/`--merge-shards` flags (the pool when neither is
-    /// given), and `SUSS_*` environment overrides applied last
+    /// terminally panic or time out, the executor selected by `--shard`
+    /// (the pool when it is not given), and `SUSS_*` environment
+    /// overrides applied last
     /// (`SUSS_FLIGHTREC_DIR=` disables the recorder, `SUSS_PROF=1`
     /// enables per-cell span profiling). Exits with status 2 when the
     /// final options shard without a cache (`--no-cache` or
@@ -201,13 +188,9 @@ impl BenchCli {
         r.flightrec_dir = Some(PathBuf::from("results/flightrec"));
         r.manifest_stem = Some(PathBuf::from("results").join(self.name));
         if let Some((index, total)) = self.shard {
-            // A CLI-selected shard run exits after writing its shard
-            // manifest — the figure-rendering tail of the binary must
-            // not run on a partial result set.
+            // A shard run exits inside the runner after writing its
+            // shard manifest, before the binary renders anything.
             r.executor = ExecSpec::Shard { index, total };
-            r.shard_exit = true;
-        } else if let Some(shards) = self.merge_shards {
-            r.executor = ExecSpec::MergeShards { shards };
         }
         let r = r.env_overrides();
         if let Err(e) = r.check_sharding() {
@@ -215,6 +198,17 @@ impl BenchCli {
             std::process::exit(2);
         }
         r
+    }
+
+    /// `Err` when `--shard` was given: see [`emit`](Self::emit).
+    fn check_no_shard(&self) -> Result<(), String> {
+        match self.shard {
+            Some((k, n)) => Err(format!(
+                "{}: --shard {k}/{n} given, but this binary runs no campaign to shard",
+                self.name
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Write a campaign manifest to `results/<name>.manifest.json`.
@@ -254,7 +248,16 @@ impl BenchCli {
     }
 
     /// Print a table, and its CSV form if requested.
+    ///
+    /// A campaign binary under `--shard` exits inside the runner and
+    /// never gets here, so reaching this with a shard set means the
+    /// binary runs no campaign and the flag would be silently ignored:
+    /// exit with status 2 instead, before anything is rendered.
     pub fn emit(&self, title: &str, table: &simstats::TextTable) {
+        if let Err(e) = self.check_no_shard() {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
         println!("== {title} ==");
         print!("{}", table.render());
         if self.csv {
@@ -262,5 +265,31 @@ impl BenchCli {
             print!("{}", table.to_csv());
         }
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cli(shard: Option<(usize, usize)>) -> BenchCli {
+        BenchCli {
+            name: "fig09",
+            quick: true,
+            csv: false,
+            workers: 0,
+            no_cache: true,
+            cold: false,
+            no_progress: true,
+            trace: None,
+            shard,
+        }
+    }
+
+    #[test]
+    fn campaign_free_bins_refuse_to_render_under_shard() {
+        assert_eq!(cli(None).check_no_shard(), Ok(()));
+        let err = cli(Some((0, 2))).check_no_shard().unwrap_err();
+        assert!(err.contains("fig09: --shard 0/2"), "{err}");
     }
 }

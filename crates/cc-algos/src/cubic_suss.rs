@@ -55,9 +55,14 @@ impl CubicSuss {
     /// CUBIC+SUSS from `iw` bytes with the given SUSS configuration.
     ///
     /// Use `SussConfig::default()` for the paper's configuration and
-    /// `SussConfig::disabled()` for a controller that behaves identically
-    /// to plain CUBIC+HyStart but shares this exact code path (the clean
-    /// A/B the paper's kernel patch performs with its on/off switch).
+    /// `SussConfig::disabled()` for the SUSS-off arm on this exact code
+    /// path (the clean A/B the paper's kernel patch performs with its
+    /// on/off switch). That arm is close to plain CUBIC+HyStart, not
+    /// identical: SUSS's embedded delay test takes 4 RTT samples and an
+    /// unclamped `1.125 × minRTT`, where [`crate::hystart`] takes 8
+    /// samples and `clamp(minRTT / 8, 4 ms, 16 ms)`. The contract is
+    /// `tests/e2e.rs::suss_behaves_like_cubic_when_disabled`: SUSS-off FCT
+    /// within ±10% of plain CUBIC's.
     pub fn new(iw: u64, mss: u64, cfg: SussConfig) -> Self {
         CubicSuss {
             mss,

@@ -2,29 +2,39 @@
 //!
 //! Two independent heuristics end slow start before the first loss:
 //!
-//! * **ACK train**: each ACK arriving within `spacing` of the previous one
+//! * **ACK train**: each ACK arriving within 2 ms of the previous one
 //!   extends the train; once the train stretches longer than `minRTT / 2`,
 //!   the pipe is full.
-//! * **Delay increase**: if the minimum RTT sampled early in a round
-//!   exceeds the lifetime minimum by `clamp(minRTT/8, 4 ms, 16 ms)`
+//! * **Delay increase**: if the minimum of the first 8 RTT samples of a
+//!   round exceeds the lifetime minimum by `clamp(minRTT/8, 4 ms, 16 ms)`
 //!   (Linux's `HYSTART_DELAY_MIN/MAX` bounds), queueing has begun.
 //!
-//! This is the *unmodified* detector, used by plain CUBIC (the paper's
-//! "SUSS off" arm). The SUSS-modified variant (blue-scaled, capped) lives
-//! in `suss-core`.
+//! This is the *unmodified* detector, used by plain CUBIC. The HyStart
+//! embedded in SUSS (`suss-core`, and so the paper's "SUSS off" arm) is
+//! not this detector: its delay test trusts 4 samples per round and
+//! uses an unclamped `1.125 × minRTT` (see `suss-core`'s `config.rs`).
 
 use std::time::Duration;
 
 /// Nanoseconds on the transport clock.
 pub type Nanos = u64;
 
+/// Inter-ACK spacing bound for the train detector (Linux's
+/// `hystart_ack_delta_us`, 2 ms).
+const ACK_SPACING: Duration = Duration::from_millis(2);
+
+/// RTT samples examined per round before the delay detector decides
+/// (Linux's `HYSTART_MIN_SAMPLES`).
+const DELAY_SAMPLES: u32 = 8;
+
+/// Bounds of the delay threshold `minRTT / 8` (Linux's
+/// `HYSTART_DELAY_MIN/MAX`).
+const DELAY_THRESHOLD_MIN: Duration = Duration::from_millis(4);
+const DELAY_THRESHOLD_MAX: Duration = Duration::from_millis(16);
+
 /// Classic HyStart state machine.
 #[derive(Debug, Clone)]
 pub struct HyStart {
-    /// Inter-ACK spacing bound for the train detector.
-    spacing: Duration,
-    /// RTT samples examined per round for the delay detector.
-    delay_samples: u32,
     /// Activation floor: below this cwnd (bytes) HyStart stays quiet
     /// (Linux: 16 segments).
     low_window: u64,
@@ -43,8 +53,6 @@ impl HyStart {
     /// 16-segment activation floor).
     pub fn new(mss: u64) -> Self {
         HyStart {
-            spacing: Duration::from_millis(2),
-            delay_samples: 8,
             low_window: 16 * mss,
             round_end_seq: 0,
             round_start: 0,
@@ -76,7 +84,7 @@ impl HyStart {
 
     /// The Linux delay threshold: `clamp(minRTT / 8, 4 ms, 16 ms)`.
     fn delay_threshold(min_rtt: Duration) -> Duration {
-        (min_rtt / 8).clamp(Duration::from_millis(4), Duration::from_millis(16))
+        (min_rtt / 8).clamp(DELAY_THRESHOLD_MIN, DELAY_THRESHOLD_MAX)
     }
 
     /// Process one ACK during slow start. Returns `true` if slow start
@@ -114,7 +122,7 @@ impl HyStart {
 
         // ACK-train detector.
         if let Some(last) = self.last_ack {
-            if Duration::from_nanos(now.saturating_sub(last)) <= self.spacing {
+            if Duration::from_nanos(now.saturating_sub(last)) <= ACK_SPACING {
                 let train = Duration::from_nanos(now.saturating_sub(self.round_start));
                 if train >= min_rtt / 2 {
                     self.found = true;
@@ -123,12 +131,12 @@ impl HyStart {
         }
         self.last_ack = Some(now);
 
-        // Delay detector: min of the first `delay_samples` RTTs per round.
+        // Delay detector: min of the first `DELAY_SAMPLES` RTTs per round.
         if let Some(rtt) = rtt {
-            if self.samples_this_round < self.delay_samples {
+            if self.samples_this_round < DELAY_SAMPLES {
                 self.samples_this_round += 1;
                 self.round_min_rtt = Some(self.round_min_rtt.map_or(rtt, |m| m.min(rtt)));
-                if self.samples_this_round >= self.delay_samples {
+                if self.samples_this_round >= DELAY_SAMPLES {
                     let threshold = min_rtt + Self::delay_threshold(min_rtt);
                     if self.round_min_rtt.unwrap() > threshold {
                         self.found = true;

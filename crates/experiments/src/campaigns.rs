@@ -159,9 +159,9 @@ impl FlowGrid {
     }
 
     /// Execute every queued cell on the executor selected by `opts`
-    /// (the pool by default; one shard or the merge of a split campaign
-    /// via [`simrunner::ExecSpec`], which a bench binary's `--shard K/N`
-    /// and `--merge-shards N` select).
+    /// (the pool by default; one shard of a split campaign via
+    /// [`simrunner::ExecSpec`], which a bench binary's `--shard K/N`
+    /// selects).
     ///
     /// Failure handling follows `opts.on_failure`: under the default
     /// raise policy any terminal cell failure panics with the cell's

@@ -3,14 +3,14 @@
 //!
 //! Execution itself lives in [`crate::exec`]: a [`Campaign`] is pure
 //! data, and [`Campaign::run`] hands it to the [`Executor`] its options
-//! select — the deterministic thread pool, one shard of a split
-//! campaign, or the merge of a split campaign's shards. All engines commit
-//! results by cell index, so the output is byte-identical regardless of
-//! worker count, scheduling, cache state, or sharding.
+//! select — the deterministic thread pool, or one shard of a split
+//! campaign. Both commit results by cell index, so the output is
+//! byte-identical regardless of worker count, scheduling, cache state,
+//! or sharding.
 
 use crate::cache::{Cache, CellIdentity};
 use crate::exec::Executor;
-use crate::manifest::{nearest_rank, CellRecord, CellStatus, RunManifest, ShardInfo};
+use crate::manifest::{nearest_rank, CellRecord, CellStatus, RunManifest};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -56,21 +56,16 @@ pub enum ExecSpec {
     #[default]
     Pool,
     /// Run only the cells owned by shard `index` of `total` (round-robin
-    /// by cell index) and write a shard manifest next to the campaign's
-    /// manifest stem. A bench binary's `--shard K/N` selects it.
+    /// by cell index) against the shared cache, write a shard manifest
+    /// next to the campaign's manifest stem, and exit the process (0, or
+    /// [`SHARD_FAILED_EXIT`](crate::SHARD_FAILED_EXIT) when cells failed).
+    /// A bench binary's `--shard K/N` selects it; a plain [`Pool`](Self::Pool)
+    /// run on the same cache then finishes the campaign.
     Shard {
         /// This process's shard index, in `0..total`.
         index: usize,
         /// Number of shards the campaign is split into.
         total: usize,
-    },
-    /// Merge already-written shard manifests (e.g. from runs on other
-    /// machines against the shared cache) and reload the results — a
-    /// report indistinguishable from a single-process run. Only cells of
-    /// a shard with no usable manifest execute, inline.
-    MergeShards {
-        /// How many shard manifests to expect.
-        shards: usize,
     },
 }
 
@@ -95,10 +90,10 @@ pub enum ExecSpec {
 /// | `SUSS_PROF` | `0` disables, anything else enables the span profiler |
 /// | `SUSS_FLIGHTREC_DIR` | crash-dump directory (empty disables) |
 ///
-/// The executor is never set from the environment: shard runs and
-/// merges come from explicit options (a bench binary's `--shard K/N` and
-/// `--merge-shards N`). [`check_sharding`](Self::check_sharding) vets the
-/// final options, after these overrides.
+/// The executor is never set from the environment: shard runs come from
+/// explicit options (a bench binary's `--shard K/N`).
+/// [`check_sharding`](Self::check_sharding) vets the final options, after
+/// these overrides.
 ///
 /// (`SUSS_TRACE` — the event-trace output path — is consumed by the
 /// bench CLI and `suss-sim`, not by the runner; it selects where traces
@@ -136,13 +131,6 @@ pub struct RunnerOpts {
     /// `<stem>.shard<k>of<N>.manifest.json`). `None` defaults to
     /// `results/<experiment>`.
     pub manifest_stem: Option<PathBuf>,
-    /// Whether a [`ExecSpec::Shard`] run exits the process after writing
-    /// its shard manifest (exit code 0, or 3 when cells failed). Set by a
-    /// bench binary's `--shard K/N` — a shard process must not fall
-    /// through into the bin's figure rendering on partial results.
-    /// In-process shard runs (tests, the merge's inline reassignment)
-    /// leave this `false`.
-    pub shard_exit: bool,
 }
 
 impl RunnerOpts {
@@ -268,14 +256,14 @@ impl RunnerOpts {
     }
 
     /// Reject option sets that cannot work: shards exchange results only
-    /// through the shared cache, so a shard run or a merge without a
-    /// `cache_dir` would cache nothing and leave the merge to recompute
-    /// every cell serially. Call on the final options, after
+    /// through the shared cache, so a shard run without a `cache_dir`
+    /// would cache nothing and leave the final run to recompute every
+    /// cell. Call on the final options, after
     /// [`env_overrides`](Self::env_overrides) (`SUSS_NO_CACHE=1` clears
     /// the cache there).
     pub fn check_sharding(&self) -> Result<(), String> {
         match self.executor {
-            ExecSpec::Shard { .. } | ExecSpec::MergeShards { .. } if self.cache_dir.is_none() => {
+            ExecSpec::Shard { .. } if self.cache_dir.is_none() => {
                 Err("sharded execution requires the result cache \
                      (drop --no-cache / SUSS_NO_CACHE)"
                     .to_string())
@@ -411,7 +399,7 @@ impl Campaign {
     /// seeding) and results commit by cell index, so the output — and
     /// anything aggregated from it in order — is byte-identical whether
     /// this runs on 1 worker or 64, cold or fully cached, in one process
-    /// or merged from N shards.
+    /// or after N shards filled the shared cache.
     ///
     /// # Panics
     /// Under [`FailurePolicy::Raise`] (the default), re-raises the first
@@ -499,7 +487,6 @@ impl Campaign {
             experiment: self.experiment.clone(),
             version: self.version.clone(),
             executor: parts.executor,
-            shard: parts.shard,
             workers: parts.workers,
             total_cells: n,
             cache_hits: parts.cache_hits,
@@ -516,8 +503,6 @@ impl Campaign {
             cells_failed: parts.cells_failed,
             cell_timeouts: parts.cell_timeouts,
             cache_quarantined: parts.cache_quarantined,
-            // Stamped by the merge; a freshly assembled manifest has none.
-            cells_reassigned: 0,
             results_digest: parts.results_digest,
             fingerprint: String::new(),
             annotations: Vec::new(),
@@ -531,7 +516,6 @@ impl Campaign {
 /// Everything an executor hands to [`Campaign::assemble_manifest`].
 pub(crate) struct ManifestParts {
     pub executor: String,
-    pub shard: Option<ShardInfo>,
     pub workers: usize,
     pub cache_hits: usize,
     pub cells_skipped: usize,
@@ -675,28 +659,24 @@ mod tests {
         assert!(opts.profile);
         assert_eq!(opts.flightrec_dir.as_deref(), Some(Path::new("/tmp/frec")));
         assert_eq!(opts.executor, ExecSpec::Pool);
-        assert!(!opts.shard_exit);
     }
 
     #[test]
     fn sharding_without_cache_is_rejected_after_env_overrides() {
         let cached = RunnerOpts::default().with_cache("/tmp/cache");
-        for spec in [
-            ExecSpec::Shard { index: 0, total: 2 },
-            ExecSpec::MergeShards { shards: 2 },
-        ] {
-            let opts = cached.clone().with_executor(spec.clone());
-            assert_eq!(opts.check_sharding(), Ok(()), "{spec:?} with a cache");
-            // The flags asked for a cache; the environment took it away.
-            let (opts, warnings) = opts.apply_env(env_of(&[("SUSS_NO_CACHE", "1")]));
-            assert!(warnings.is_empty(), "{warnings:?}");
-            assert_eq!(opts.cache_dir, None);
-            assert!(
-                opts.check_sharding()
-                    .is_err_and(|e| e.contains("requires the result cache")),
-                "{spec:?} without a cache must be rejected"
-            );
-        }
+        let opts = cached
+            .clone()
+            .with_executor(ExecSpec::Shard { index: 0, total: 2 });
+        assert_eq!(opts.check_sharding(), Ok(()), "a shard with a cache");
+        // The flags asked for a cache; the environment took it away.
+        let (opts, warnings) = opts.apply_env(env_of(&[("SUSS_NO_CACHE", "1")]));
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(opts.cache_dir, None);
+        assert!(
+            opts.check_sharding()
+                .is_err_and(|e| e.contains("requires the result cache")),
+            "a shard without a cache must be rejected"
+        );
         // The pool runs fine uncached.
         let (pool, _) = cached.apply_env(env_of(&[("SUSS_NO_CACHE", "1")]));
         assert_eq!(pool.check_sharding(), Ok(()));

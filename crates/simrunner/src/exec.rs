@@ -2,8 +2,8 @@
 //!
 //! A [`Campaign`] is pure data; the [`ExecSpec`] in its [`RunnerOpts`]
 //! decides *how* its cells get computed. [`RunnerOpts::executor`] hands
-//! back an [`Executor`] that dispatches once on that spec to one of three
-//! plain functions, all committing results by cell index so the output
+//! back an [`Executor`] that dispatches once on that spec to one of two
+//! plain functions, both committing results by cell index so the output
 //! is byte-identical across engines:
 //!
 //! * `pool` ([`ExecSpec::Pool`], the default) — the deterministic
@@ -12,29 +12,24 @@
 //!   cell is a pure function of its parameters and seed, so a panic or a
 //!   hang would only recur on a second attempt;
 //! * `shard k/N` ([`ExecSpec::Shard`]) — the pool over only the cells
-//!   shard `k` owns (round-robin by index, see [`ShardInfo::owns`])
-//!   against the shared cache, writing a shard manifest;
-//! * `merged(N shards)` ([`ExecSpec::MergeShards`]) — merges the N shard
-//!   manifests with [`RunManifest::merge_shards`], reloads the results
-//!   from the shared cache, and returns a report indistinguishable from a
-//!   single-process run — same results, same manifest fingerprint.
+//!   shard `k` owns (round-robin by index) against the shared cache. It
+//!   writes a shard manifest and exits the process.
 //!
-//! The merge validates every shard manifest it reads. One that is
-//! missing, corrupt, or from another campaign is quarantined and its
-//! cells are reassigned inline against the warm shared cache, so a
-//! killed shard costs only its unfinished cells, never the campaign.
+//! A split campaign is finished by an ordinary pool run on the shared
+//! cache: it serves every cell a shard completed as a hit and recomputes
+//! whatever is missing, so a killed shard costs only its unfinished cells.
 
 use crate::campaign::{
     dump_flightrec, panic_message, run_bracketed, Campaign, CampaignReport, Cell, CellTelemetry,
     ExecSpec, FailurePolicy, ManifestParts, RunnerOpts,
 };
-use crate::manifest::{shard_manifest_path, CellRecord, CellStatus, RunManifest, ShardInfo};
+use crate::manifest::{shard_manifest_path, CellRecord, CellStatus, RunManifest};
 use crate::pool::BoundedQueue;
 use crate::progress::Progress;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::path::Path;
+use std::io;
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -69,16 +64,11 @@ impl Executor<'_> {
         F: Fn(&Cell) -> T + Send + Sync + 'static,
     {
         let opts = self.opts;
-        match &opts.executor {
+        match opts.executor {
             ExecSpec::Pool => run_pool(campaign, opts, f),
             ExecSpec::Shard { index, total } => {
-                let shard = ShardInfo {
-                    index: *index,
-                    total: *total,
-                };
-                run_shard(campaign, opts, shard, opts.shard_exit, f)
+                run_shard(campaign, opts, Shard { index, total }, f)
             }
-            ExecSpec::MergeShards { shards } => run_merge(campaign, opts, *shards, f),
         }
     }
 }
@@ -112,6 +102,23 @@ struct Tallies {
     scopes: Vec<simtrace::ScopeAnnotation>,
 }
 
+/// One slice of a split campaign: shard `index` of `total` owns exactly
+/// the cells whose campaign index `i` satisfies `i % total == index`
+/// (round-robin, so heavyweight scenario blocks spread across shards).
+/// Cell indices, labels, seeds and cache keys do not depend on it, which
+/// is what lets shards share one `SUSS_CACHE_DIR`.
+#[derive(Debug, Clone, Copy)]
+struct Shard {
+    index: usize,
+    total: usize,
+}
+
+impl Shard {
+    fn owns(&self, i: usize) -> bool {
+        self.total <= 1 || i % self.total == self.index
+    }
+}
+
 /// Phase 1, common to the pool and the shard worker: mark unowned cells
 /// skipped and serve owned cells from the cache on the main thread. Each
 /// cell's key is hashed once, for its record and its load; a hit is one
@@ -120,7 +127,7 @@ struct Tallies {
 fn prepare<T: Deserialize>(
     campaign: &Campaign,
     opts: &RunnerOpts,
-    shard: Option<ShardInfo>,
+    shard: Option<Shard>,
 ) -> Prepared<T> {
     let started = Instant::now();
     let workers = opts.resolved_workers();
@@ -178,7 +185,6 @@ fn finish<T: Serialize>(
     campaign: &Campaign,
     opts: &RunnerOpts,
     exec_label: String,
-    shard: Option<ShardInfo>,
     prep: Prepared<T>,
     tallies: Tallies,
     raise: bool,
@@ -192,7 +198,6 @@ fn finish<T: Serialize>(
     let digest = results_digest_of(&prep.results, &prep.records);
     let mut manifest = campaign.assemble_manifest(ManifestParts {
         executor: exec_label,
-        shard,
         workers: prep.workers,
         cache_hits: prep.cache_hits,
         cells_skipped: prep.skipped,
@@ -221,11 +226,7 @@ fn finish<T: Serialize>(
 /// Re-raise the first terminal cell failure with the old single-process
 /// message shape ("campaign 'x' cell 'y' panicked: boom").
 fn raise_first_failure(m: &RunManifest) {
-    if let Some(rec) = m
-        .cells
-        .iter()
-        .find(|r| !r.status.succeeded() && r.status != CellStatus::Skipped)
-    {
+    if let Some(rec) = m.cells.iter().find(|r| !r.status.succeeded()) {
         let verb = match rec.status {
             CellStatus::TimedOut => "timed out",
             _ => "panicked",
@@ -284,7 +285,7 @@ where
     let mut prep = prepare::<T>(campaign, opts, None);
     let tallies = run_pool_phase(campaign, opts, &mut prep, f);
     let raise = opts.on_failure == FailurePolicy::Raise;
-    finish(campaign, opts, "pool".into(), None, prep, tallies, raise)
+    finish(campaign, opts, "pool".into(), prep, tallies, raise)
 }
 
 /// Phase 2 of the pool executor and shard worker: compute `prep.pending`
@@ -523,27 +524,41 @@ fn dispatch_recorder(index: usize) -> simtrace::FlightRecorder {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded execution: worker and merge
+// Sharded execution
 // ---------------------------------------------------------------------------
 
-/// Executes one shard of a campaign (`shard k/N`): the cells with
-/// `index % shard.total == shard.index` run on the pool core against the
-/// shared cache, every other cell is recorded as
-/// [`Skipped`](CellStatus::Skipped), and the resulting shard manifest is
-/// written to `<stem>.shard<k>of<N>.manifest.json`.
-///
-/// The failure policy is always record-style here — the merge applies
-/// [`FailurePolicy`], and a shard must deliver its manifest even when
-/// cells fail. With `exit: true` (a bench binary's `--shard K/N`) the
-/// process exits after the manifest is written: 0 when clean,
-/// [`SHARD_FAILED_EXIT`] when cells failed.
-fn run_shard<T, F>(
+/// Executes one shard of a campaign (`shard k/N`) in its own process:
+/// [`shard_phase`], then exit — 0 when clean, [`SHARD_FAILED_EXIT`] when
+/// cells failed, 4 when the shard manifest cannot be written. A shard
+/// must not fall through into a bench binary's figure rendering on a
+/// partial result set.
+fn run_shard<T, F>(campaign: &Campaign, opts: &RunnerOpts, shard: Shard, f: F) -> !
+where
+    T: Serialize + Deserialize + Send + 'static,
+    F: Fn(&Cell) -> T + Send + Sync + 'static,
+{
+    match shard_phase::<T, F>(campaign, opts, shard, f) {
+        Ok(report) if report.manifest.cells_failed > 0 => std::process::exit(SHARD_FAILED_EXIT),
+        Ok(_) => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: cannot write shard manifest {e}");
+            std::process::exit(4);
+        }
+    }
+}
+
+/// The cells shard `k/N` owns run on the pool core against the shared
+/// cache; every other cell is recorded as [`Skipped`](CellStatus::Skipped).
+/// The failure policy is always record-style: a shard delivers its
+/// manifest even when cells fail. The manifest is written to
+/// `<stem>.shard<k>of<N>.manifest.json` for the operator; nothing reads
+/// it back.
+fn shard_phase<T, F>(
     campaign: &Campaign,
     opts: &RunnerOpts,
-    shard: ShardInfo,
-    exit: bool,
+    shard: Shard,
     f: F,
-) -> CampaignReport<T>
+) -> io::Result<CampaignReport<T>>
 where
     T: Serialize + Deserialize + Send + 'static,
     F: Fn(&Cell) -> T + Send + Sync + 'static,
@@ -551,267 +566,13 @@ where
     let mut prep = prepare::<T>(campaign, opts, Some(shard));
     let tallies = run_pool_phase(campaign, opts, &mut prep, f);
     let label = format!("shard {}/{}", shard.index, shard.total);
-    let report = finish(campaign, opts, label, Some(shard), prep, tallies, false);
+    let report = finish(campaign, opts, label, prep, tallies, false);
     let stem = opts.stem_for(&campaign.experiment);
     let path = shard_manifest_path(&stem, shard.index, shard.total);
-    if let Err(e) = report.manifest.write(&path) {
-        eprintln!("error: cannot write shard manifest {}: {e}", path.display());
-        if exit {
-            std::process::exit(4);
-        }
+    match report.manifest.write(&path) {
+        Ok(()) => Ok(report),
+        Err(e) => Err(io::Error::new(e.kind(), format!("{}: {e}", path.display()))),
     }
-    if exit {
-        std::process::exit(if report.manifest.cells_failed > 0 {
-            SHARD_FAILED_EXIT
-        } else {
-            0
-        });
-    }
-    report
-}
-
-/// Merges already-written shard manifests (`merged(N shards)`), e.g.
-/// from shard runs driven by `scripts/shard_run.sh` or on other machines
-/// sharing the cache. A shard whose manifest is missing, corrupt, or
-/// from a different campaign has its cells reassigned: they run inline
-/// against the warm shared cache, so a dead shard's *completed* cells
-/// are cache hits and only its orphans recompute.
-fn run_merge<T, F>(campaign: &Campaign, opts: &RunnerOpts, shards: usize, f: F) -> CampaignReport<T>
-where
-    T: Serialize + Deserialize + Send + 'static,
-    F: Fn(&Cell) -> T + Send + Sync + 'static,
-{
-    let started = Instant::now();
-    let total = shards.max(1);
-    let stem = opts.stem_for(&campaign.experiment);
-    let label = format!("merged({total} shards)");
-    merge_and_load(campaign, opts, started, &stem, total, label, Arc::new(f))
-}
-
-/// The merge proper: read the shard manifests (reassigning any shard
-/// whose manifest is missing, corrupt, or from a different campaign —
-/// its cells re-run inline against the warm shared cache), merge them,
-/// reload the full result set from the cache (recomputing a cell whose
-/// entry is gone on the pool core — a deleted entry must not corrupt the
-/// campaign, and a cell that then fails is recorded), stamp digest,
-/// fingerprint, the reassignment counter and the merge's wall time, and
-/// apply the failure policy.
-fn merge_and_load<T, F>(
-    campaign: &Campaign,
-    opts: &RunnerOpts,
-    started: Instant,
-    stem: &Path,
-    total: usize,
-    exec_label: String,
-    f: Arc<F>,
-) -> CampaignReport<T>
-where
-    T: Serialize + Deserialize + Send + 'static,
-    F: Fn(&Cell) -> T + Send + Sync + 'static,
-{
-    let mut cells_reassigned = 0u64;
-    let mut shard_manifests = Vec::with_capacity(total);
-    for k in 0..total {
-        let path = shard_manifest_path(stem, k, total);
-        let read = match RunManifest::read(&path) {
-            Ok(m) => match validate_shard_manifest(&m, campaign, k, total) {
-                Ok(()) => Some(m),
-                Err(why) => {
-                    quarantine_shard_manifest(&path, &why);
-                    None
-                }
-            },
-            Err(e) => {
-                if path.exists() {
-                    quarantine_shard_manifest(&path, &e.to_string());
-                } else {
-                    eprintln!("warning: shard {k}/{total} left no manifest ({e})");
-                }
-                None
-            }
-        };
-        match read {
-            Some(m) => shard_manifests.push(m),
-            None => {
-                eprintln!(
-                    "warning: reassigning shard {k}/{total}'s cells inline \
-                     (completed cells resume from the shared cache)"
-                );
-                let recovered = recover_shard(campaign, opts, k, total, Arc::clone(&f));
-                cells_reassigned += recovered.cache_misses as u64;
-                shard_manifests.push(recovered);
-            }
-        }
-    }
-    let mut manifest = match RunManifest::merge_shards(shard_manifests) {
-        Ok(m) => m,
-        Err(e) => panic!(
-            "campaign '{}': shard merge failed: {e}",
-            campaign.experiment
-        ),
-    };
-    let cache = campaign.open_cache(opts);
-    let keys = campaign.keys();
-    let n = campaign.cells.len();
-    let mut results: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut pending = Vec::new();
-    for cell in &campaign.cells {
-        if !manifest.cells[cell.index].status.succeeded() {
-            continue;
-        }
-        let id = campaign.identity(cell);
-        match cache
-            .as_ref()
-            .and_then(|c| c.load_keyed::<T>(keys[cell.index], &id))
-        {
-            Some(v) => results[cell.index] = Some(v),
-            None => {
-                eprintln!(
-                    "warning: cell '{}' missing from the shared cache; recomputing",
-                    cell.label
-                );
-                pending.push(cell.index);
-            }
-        }
-    }
-    // Recompute the missing cells on the pool core, with its panic
-    // isolation, watchdog and flight recorder: a cell that fails now is
-    // recorded like any other failure, and the policy below applies.
-    let mut prep = Prepared {
-        started,
-        workers: opts.resolved_workers(),
-        cache,
-        keys,
-        results,
-        records: std::mem::take(&mut manifest.cells),
-        pending,
-        cache_hits: 0,
-        skipped: 0,
-        progress: Progress::new(&campaign.experiment, 0, false),
-    };
-    let tallies = run_pool_phase(campaign, opts, &mut prep, move |cell: &Cell| f(cell));
-    let results = prep.results;
-    manifest.cells = prep.records;
-    manifest.cells_failed += tallies.failed;
-    manifest.cell_timeouts += tallies.timeouts;
-    manifest.executor = exec_label;
-    manifest.results_digest = results_digest_of(&results, &manifest.cells);
-    // Additive on top of whatever the shard manifests carried; it does
-    // not enter the fingerprint, so recovery must not move it.
-    manifest.cells_reassigned += cells_reassigned;
-    let wall = started.elapsed().as_secs_f64();
-    manifest.wall_secs = wall;
-    manifest.cells_per_sec = n as f64 / wall.max(1e-9);
-    manifest.events_per_sec = manifest.events_total as f64 / wall.max(1e-9);
-    manifest.utilization =
-        manifest.worker_busy_secs / (wall.max(1e-9) * manifest.workers.max(1) as f64);
-    manifest.fingerprint = manifest.compute_fingerprint();
-    if opts.progress {
-        eprint!("{}", manifest.summary());
-    }
-    if opts.on_failure == FailurePolicy::Raise {
-        raise_first_failure(&manifest);
-    }
-    CampaignReport { results, manifest }
-}
-
-/// Check that a shard manifest parsed from disk actually belongs to this
-/// campaign and shard slot — a stale file from another run, a shard
-/// manifest copied to the wrong slot, or a mismatched `CAMPAIGN_VERSION`
-/// must be quarantined and reassigned, not merged.
-fn validate_shard_manifest(
-    m: &RunManifest,
-    campaign: &Campaign,
-    index: usize,
-    total: usize,
-) -> Result<(), String> {
-    let shard = ShardInfo { index, total };
-    match m.shard {
-        Some(s) if s.index == index && s.total == total => {}
-        Some(s) => {
-            return Err(format!(
-                "claims shard {}/{} but sits in slot {index}/{total}",
-                s.index, s.total
-            ))
-        }
-        None => return Err("carries no shard stamp".to_string()),
-    }
-    if m.experiment != campaign.experiment
-        || m.version != campaign.version
-        || m.total_cells != campaign.cells.len()
-    {
-        return Err(format!(
-            "belongs to campaign '{}' v{} ({} cells), not '{}' v{} ({} cells)",
-            m.experiment,
-            m.version,
-            m.total_cells,
-            campaign.experiment,
-            campaign.version,
-            campaign.cells.len()
-        ));
-    }
-    if m.cells.len() != campaign.cells.len() {
-        return Err(format!(
-            "has {} cell records for a {}-cell campaign",
-            m.cells.len(),
-            campaign.cells.len()
-        ));
-    }
-    for (i, r) in m.cells.iter().enumerate() {
-        if r.index != i {
-            return Err(format!("cell record {i} is out of position"));
-        }
-        let owned = shard.owns(i);
-        if !owned && r.status != CellStatus::Skipped {
-            return Err(format!("executed cell {i}, which it does not own"));
-        }
-        if owned && r.status == CellStatus::Skipped {
-            return Err(format!("skipped cell {i}, which it owns"));
-        }
-    }
-    Ok(())
-}
-
-/// Move a hostile shard manifest aside as `<path>.quarantine` (same
-/// policy as cache corruption: preserved for forensics, never merged).
-fn quarantine_shard_manifest(path: &Path, why: &str) {
-    let mut q = path.as_os_str().to_os_string();
-    q.push(".quarantine");
-    let outcome = std::fs::rename(path, &q);
-    match outcome {
-        Ok(()) => eprintln!(
-            "warning: shard manifest {} {why}; quarantined to {}",
-            path.display(),
-            std::path::Path::new(&q).display()
-        ),
-        Err(e) => eprintln!(
-            "warning: shard manifest {} {why}; quarantine failed ({e}), ignoring it",
-            path.display()
-        ),
-    }
-}
-
-/// Re-run a dead shard's slice inline (in-process, no exit) against the
-/// warm shared cache: the cells the dead shard completed are cache hits,
-/// only its orphans recompute. Rewrites the shard manifest on disk as a
-/// side effect, so a re-driven merge sees the recovered shard. The
-/// returned manifest's `cache_misses` is the number of cells that
-/// actually had to be recomputed — the `cells_reassigned` counter.
-fn recover_shard<T, F>(
-    campaign: &Campaign,
-    opts: &RunnerOpts,
-    index: usize,
-    total: usize,
-    f: Arc<F>,
-) -> RunManifest
-where
-    T: Serialize + Deserialize + Send + 'static,
-    F: Fn(&Cell) -> T + Send + Sync + 'static,
-{
-    let shard = ShardInfo { index, total };
-    let report: CampaignReport<T> =
-        run_shard(campaign, opts, shard, false, move |cell: &Cell| f(cell));
-    report.manifest
 }
 
 #[cfg(test)]
@@ -1151,35 +912,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_manifest_validation_rejects_imposters() {
-        let dir =
-            std::env::temp_dir().join(format!("simrunner-shardval-unit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let c = demo_campaign(6);
-        let opts = RunnerOpts::serial()
-            .with_cache(dir.join("cache"))
-            .with_manifest_stem(dir.join("unit"));
-        let shard = ShardInfo { index: 0, total: 2 };
-        let m = run_shard(&c, &opts, shard, false, |cell: &Cell| cell.seed).manifest;
-        assert!(validate_shard_manifest(&m, &c, 0, 2).is_ok());
-        // Wrong slot: a shard-0 manifest cannot stand in for shard 1.
-        assert!(validate_shard_manifest(&m, &c, 1, 2).is_err_and(|e| e.contains("slot")));
-        // Wrong campaign version.
-        let mut stale = m.clone();
-        stale.version = "other".to_string();
-        assert!(validate_shard_manifest(&stale, &c, 0, 2)
-            .is_err_and(|e| e.contains("belongs to campaign")));
-        // Executed a cell it does not own.
-        let mut greedy = m.clone();
-        greedy.cells[1].status = CellStatus::Ok;
-        assert!(
-            validate_shard_manifest(&greedy, &c, 0, 2).is_err_and(|e| e.contains("does not own"))
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn merge_recomputes_a_missing_cell_on_the_pool_and_records_its_panic() {
+        // The run that finishes a split campaign is a plain pool run on
+        // the shared cache: it recomputes what the shards left out with
+        // the pool's panic isolation and flight recorder.
         let dir =
             std::env::temp_dir().join(format!("simrunner-mergepanic-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1190,21 +926,22 @@ mod tests {
             .with_flightrec_dir(dir.join("flightrec"))
             .record_failures();
         for index in 0..2 {
-            let shard = ShardInfo { index, total: 2 };
-            run_shard(&c, &opts, shard, false, |cell: &Cell| cell.seed);
+            let shard = Shard { index, total: 2 };
+            shard_phase(&c, &opts, shard, |cell: &Cell| cell.seed).unwrap();
         }
-        // Cell 3 completed in its shard, but its entry is gone by merge time.
+        // Cell 3 completed in its shard, but its entry is gone by the
+        // final run.
         let cache = crate::Cache::open(&dir.join("cache"), &c.experiment).unwrap();
         std::fs::remove_file(cache.entry_path(&c.identity(&c.cells[3]))).unwrap();
-        let merge = opts.with_executor(ExecSpec::MergeShards { shards: 2 });
-        let out = c.run(&merge.executor(), |cell| {
+        let out = c.run(&opts.executor(), |cell| {
             if cell.seed == 3 {
                 panic!("recompute failed");
             }
             cell.seed
         });
         let m = &out.manifest;
-        assert_eq!(m.executor, "merged(2 shards)");
+        assert_eq!(m.executor, "pool");
+        assert_eq!((m.cache_hits, m.cache_misses), (5, 1));
         assert_eq!(m.cells[3].status, CellStatus::Panicked);
         assert!(
             m.cells[3].error.contains("recompute failed"),
@@ -1237,10 +974,9 @@ mod tests {
         let opts = RunnerOpts::serial()
             .with_cache(dir.join("cache"))
             .with_manifest_stem(dir.join("unit"));
-        let shard = ShardInfo { index: 1, total: 3 };
-        let out = run_shard(&c, &opts, shard, false, |cell: &Cell| cell.seed * 2);
+        let shard = Shard { index: 1, total: 3 };
+        let out = shard_phase(&c, &opts, shard, |cell: &Cell| cell.seed * 2).unwrap();
         assert_eq!(out.manifest.executor, "shard 1/3");
-        assert_eq!(out.manifest.shard, Some(ShardInfo { index: 1, total: 3 }));
         // Owns 1 and 4 (7 cells, stride 3).
         assert_eq!(out.manifest.cells_skipped, 5);
         assert_eq!(out.manifest.cache_misses, 2);
@@ -1254,7 +990,8 @@ mod tests {
             }
         }
         let path = shard_manifest_path(&dir.join("unit"), 1, 3);
-        let written = RunManifest::read(&path).expect("shard manifest written");
+        let text = std::fs::read_to_string(&path).expect("shard manifest written");
+        let written: RunManifest = serde::from_str(text.trim()).expect("shard manifest parses");
         assert_eq!(written.cells_skipped, 5);
         assert_eq!(written.fingerprint, written.compute_fingerprint());
         let _ = std::fs::remove_dir_all(&dir);

@@ -13,15 +13,13 @@
 //!   [`ExecSpec`]: the deterministic token-tracked thread pool (the
 //!   default — panic isolation, a wall-clock watchdog, flight-recorder
 //!   crash dumps; each cell runs once, since a deterministic cell that
-//!   failed would only fail again), one shard
-//!   of a campaign split across processes sharing one cache, or the
-//!   merge that folds the shard manifests back into a single
-//!   [`RunManifest`]. A shard with no usable manifest at merge time has
-//!   its remaining cells reassigned inline through the warm shared cache.
-//!   All engines commit results by cell index, so the aggregated output is
-//!   **byte-identical regardless of engine, worker count, scheduling
-//!   order, or shard count** — the core invariant, enforced by
-//!   regression tests;
+//!   failed would only fail again), or one shard of a campaign split
+//!   across processes sharing one cache. A split campaign is finished by
+//!   a plain pool run on that cache, which serves what the shards
+//!   computed and recomputes what they left out. Both engines commit
+//!   results by cell index, so the aggregated output is **byte-identical
+//!   regardless of engine, worker count, scheduling order, or shard
+//!   count** — the core invariant, enforced by regression tests;
 //! * failures follow [`FailurePolicy`]: raise on first terminal failure
 //!   (the default) or record — the campaign completes, failed cells
 //!   come back as `None`, and their [`CellStatus`] and terminal error
@@ -30,8 +28,8 @@
 //! * results are memoized in a content-addressed cache ([`cache`]) keyed
 //!   by a stable hash of (experiment id, version tag, cell params, seed).
 //!   The key is shard-independent, which is what lets N shard processes
-//!   share one cache dir and the merge reassemble the full result set
-//!   afterwards;
+//!   share one cache dir and a final pool run serve the full result set
+//!   from it afterwards;
 //! * every run produces a serde-derived [`RunManifest`] (workers, wall
 //!   time, cache hits/misses, per-cell timings, a results digest and a
 //!   content fingerprint) that the figure binaries write next to their
@@ -63,21 +61,20 @@
 //! for seed in 0..28 {
 //!     c.cell(format!("cell-{seed}"), format!("x={seed}"), seed);
 //! }
-//! // Each shard may run in its own process or on its own machine; all
-//! // that they share is the cache dir. Shard `k` computes the cells with
-//! // `index % 2 == k` and writes `/tmp/demo.shard<k>of2.manifest.json`.
 //! let opts = RunnerOpts::default()
 //!     .with_cache("/tmp/suss-cache")
 //!     .with_manifest_stem("/tmp/demo");
-//! for index in 0..2 {
-//!     let shard = opts.clone().with_executor(ExecSpec::Shard { index, total: 2 });
+//! // Started as `demo <k>`, possibly on its own machine, with only the
+//! // cache dir shared: shard `k` computes the cells with `index % 2 == k`,
+//! // writes `/tmp/demo.shard<k>of2.manifest.json`, and exits the process.
+//! if let Some(k) = std::env::args().nth(1).and_then(|a| a.parse().ok()) {
+//!     let shard = opts.clone().with_executor(ExecSpec::Shard { index: k, total: 2 });
 //!     c.run(&shard.executor(), |cell| cell.seed as f64);
 //! }
-//! // The merge reads both shard manifests and reloads every result
-//! // from the cache: same results and fingerprint as one pool run.
-//! let merge = opts.with_executor(ExecSpec::MergeShards { shards: 2 });
-//! let out = c.run(&merge.executor(), |cell| cell.seed as f64);
-//! assert_eq!(out.manifest.executor, "merged(2 shards)");
+//! // Started as plain `demo` after the shards: serves every cell they
+//! // computed from the cache and recomputes any a dead shard left out —
+//! // same results and fingerprint as one pool run from scratch.
+//! let out = c.run(&opts.executor(), |cell| cell.seed as f64);
 //! assert_eq!(out.expect_all().len(), 28);
 //! ```
 
@@ -96,9 +93,7 @@ pub use campaign::{
     parse_shard, Campaign, CampaignReport, Cell, ExecSpec, FailurePolicy, RunnerOpts,
 };
 pub use exec::{Executor, SHARD_FAILED_EXIT};
-pub use manifest::{
-    shard_manifest_path, CellRecord, CellStatus, FctAnnotation, RunManifest, ShardInfo,
-};
+pub use manifest::{shard_manifest_path, CellRecord, CellStatus, FctAnnotation, RunManifest};
 
 /// FNV-1a 64-bit hash over a byte string — the stable content hash behind
 /// cache keys. Stable across platforms, processes, and releases (never

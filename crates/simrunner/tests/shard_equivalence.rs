@@ -1,14 +1,20 @@
-//! Shard-equivalence regression suite: splitting a campaign into N shard
-//! runs against a shared cache and merging their manifests must produce
-//! results and a manifest fingerprint byte-identical to a single-process
-//! run — cold and warm, for any shard count — and a dead, corrupt, or
-//! mismatched shard must be recovered at merge time by reassigning its
-//! cells through the cache, never by voiding the run.
+//! Shard-equivalence regression suite: shard processes sharing one cache,
+//! followed by a plain pool run on that cache, must produce results and a
+//! manifest fingerprint byte-identical to a single-process run — cold and
+//! warm, for any shard count — and after a shard dies half-way, the final
+//! run must recompute exactly the cells it never cached.
+//!
+//! A shard run exits its process, as `scripts/shard_run.sh` expects, so
+//! every shard here is this test binary started again as a child that
+//! runs only [`shard_process`].
 
-use simrunner::{
-    shard_manifest_path, Campaign, CampaignReport, ExecSpec, RunManifest, RunnerOpts, ShardInfo,
-};
+use simrunner::{shard_manifest_path, Campaign, CampaignReport, ExecSpec, RunManifest, RunnerOpts};
 use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// `<k>/<N>:<dir>` — tells a child started by [`run_shard`] which shard
+/// to run, on the cache and manifest stem under `dir`.
+const SHARD_ENV: &str = "SIMRUNNER_SHARD_EQ";
 
 /// A seed- and parameter-sensitive stand-in simulation with uneven cost.
 fn fake_sim(seed: u64, rounds: u64) -> f64 {
@@ -57,26 +63,64 @@ fn render(results: &[Option<f64>]) -> String {
 }
 
 /// Options sharing one cache and manifest stem under `dir`, as every
-/// shard of one split campaign and its merge do.
+/// shard of one split campaign and its final run do.
 fn shared_opts(dir: &Path) -> RunnerOpts {
     RunnerOpts::serial()
         .with_cache(dir.join("cache"))
         .with_manifest_stem(dir.join("run"))
 }
 
-/// Run every shard `k/shards` in turn (in process, as
-/// `scripts/shard_run.sh` does one process per shard), then merge.
+/// Not a test of its own: the body of the shard processes that
+/// [`run_shard`] starts. Without [`SHARD_ENV`] it does nothing.
+#[test]
+#[ignore = "entry point of the shard processes the other tests start"]
+fn shard_process() {
+    let Ok(spec) = std::env::var(SHARD_ENV) else {
+        return;
+    };
+    let (kn, dir) = spec.split_once(':').expect("<k>/<N>:<dir>");
+    let (index, total) = simrunner::parse_shard(kn).expect("shard coordinates");
+    let opts = shared_opts(Path::new(dir)).with_executor(ExecSpec::Shard { index, total });
+    campaign().run(&opts.executor(), cell_value);
+    unreachable!("a shard run exits its process");
+}
+
+/// Run shard `index/total` in a child process on `dir`'s cache, which
+/// must exit 0.
+fn run_shard(dir: &Path, index: usize, total: usize) {
+    let out = Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["shard_process", "--exact", "--ignored", "--test-threads=1"])
+        .env(SHARD_ENV, format!("{index}/{total}:{}", dir.display()))
+        .output()
+        .expect("start shard process");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "shard {index}/{total} failed:\n{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// The manifest shard `index/total` left under `dir`.
+fn shard_manifest(dir: &Path, index: usize, total: usize) -> RunManifest {
+    let path = shard_manifest_path(&dir.join("run"), index, total);
+    let text = std::fs::read_to_string(&path).expect("shard manifest written");
+    serde::from_str(text.trim()).expect("shard manifest parses")
+}
+
+/// The plain pool run that finishes a split campaign on `dir`'s cache.
+fn final_run(c: &Campaign, dir: &Path) -> CampaignReport<f64> {
+    c.run(&shared_opts(dir).executor(), cell_value)
+}
+
+/// Run every shard `k/shards` in its own process, one after another as
+/// `scripts/shard_run.sh` does, then the final run.
 fn run_sharded(c: &Campaign, dir: &Path, shards: usize) -> CampaignReport<f64> {
-    let opts = shared_opts(dir);
     for index in 0..shards {
-        let shard = opts.clone().with_executor(ExecSpec::Shard {
-            index,
-            total: shards,
-        });
-        c.run(&shard.executor(), cell_value);
+        run_shard(dir, index, shards);
     }
-    let merge = opts.with_executor(ExecSpec::MergeShards { shards });
-    c.run(&merge.executor(), cell_value)
+    final_run(c, dir)
 }
 
 #[test]
@@ -90,12 +134,15 @@ fn sharded_runs_match_single_process_cold_and_warm() {
 
     for shards in [2usize, 4] {
         let dir = tempdir(&format!("simrunner-shardeq-{shards}"));
-        // Cold: every cell computed by exactly one shard.
+        // Cold: every cell computed by exactly one shard, then served to
+        // the final run from the shared cache.
         let cold = run_sharded(&c, &dir, shards);
-        assert_eq!(cold.manifest.executor, format!("merged({shards} shards)"));
-        assert_eq!(cold.manifest.cache_hits, 0, "{shards} shards cold");
-        assert_eq!(cold.manifest.cache_misses, c.len());
-        assert_eq!(cold.manifest.cells_skipped, 0, "merge covers every cell");
+        let computed: usize = (0..shards)
+            .map(|k| shard_manifest(&dir, k, shards).cache_misses)
+            .sum();
+        assert_eq!(computed, c.len(), "{shards} shards cold");
+        assert_eq!(cold.manifest.executor, "pool");
+        assert_eq!(cold.manifest.cache_hits, c.len(), "{shards} shards cold");
         assert_eq!(
             render(&cold.results),
             render(&single.results),
@@ -112,6 +159,10 @@ fn sharded_runs_match_single_process_cold_and_warm() {
 
         // Warm: every shard serves its slice from the shared cache.
         let warm = run_sharded(&c, &dir, shards);
+        let hits: usize = (0..shards)
+            .map(|k| shard_manifest(&dir, k, shards).cache_hits)
+            .sum();
+        assert_eq!(hits, c.len(), "{shards} shards warm");
         assert_eq!(warm.manifest.cache_hits, c.len(), "{shards} shards warm");
         assert_eq!(warm.manifest.fingerprint, single.manifest.fingerprint);
         assert_eq!(render(&warm.results), render(&single.results));
@@ -127,25 +178,26 @@ fn shard_manifests_carry_ownership_and_merge_covers_everything() {
     let c = campaign();
     let out = run_sharded(&c, &dir, 2);
     assert!(out.all_ok());
+    assert_eq!(
+        out.manifest.cells_skipped, 0,
+        "the final run covers every cell"
+    );
 
-    // The per-shard manifests stay on disk next to the merged run and
-    // partition the campaign exactly.
-    let stem = dir.join("run");
+    // The per-shard manifests stay on disk and partition the campaign
+    // exactly: each marks the cells it does not own `Skipped`.
     for k in 0..2usize {
-        let m = RunManifest::read(&shard_manifest_path(&stem, k, 2)).expect("shard manifest");
-        assert_eq!(m.shard, Some(ShardInfo { index: k, total: 2 }));
+        let m = shard_manifest(&dir, k, 2);
+        assert_eq!(m.executor, format!("shard {k}/2"));
         assert_eq!(m.total_cells, c.len());
         let owned = c.len() / 2;
         assert_eq!(m.cells_skipped, c.len() - owned);
         for rec in &m.cells {
-            let owns = rec.index % 2 == k;
-            assert_eq!(
-                rec.status.succeeded(),
-                owns,
-                "shard {k} cell {}: status {:?}",
-                rec.index,
-                rec.status
-            );
+            let want = if rec.index % 2 == k {
+                simrunner::CellStatus::Ok
+            } else {
+                simrunner::CellStatus::Skipped
+            };
+            assert_eq!(rec.status, want, "shard {k} cell {}", rec.index);
         }
     }
     // A split run leaves no scratch behind: next to the shared cache,
@@ -170,37 +222,21 @@ fn shard_manifests_carry_ownership_and_merge_covers_everything() {
 fn killed_shard_is_reassigned_at_merge_time() {
     let dir = tempdir("simrunner-shardeq-resume");
     let c = campaign();
-    let opts = shared_opts(&dir);
 
-    // Phase 1: only shard 0 runs (the "other machine died" scenario) —
-    // its results are in the shared cache, its manifest on disk.
-    let shard_opts = opts
-        .clone()
-        .with_executor(ExecSpec::Shard { index: 0, total: 2 });
-    let half = c.run(&shard_opts.executor(), cell_value);
-    let owned = c.len() / 2;
-    assert_eq!(half.manifest.cache_misses, owned);
+    // Shard 0/2 finishes; shard 1/2 dies half-way. Shard 1/4 caches
+    // exactly half of shard 1/2's cells and stands in for that run.
+    run_shard(&dir, 0, 2);
+    run_shard(&dir, 1, 4);
 
-    // A merge over the partial state reassigns the missing shard's cells
-    // inline instead of recording them dead: the merged run is complete,
-    // with the recovery visible in the counters.
-    let merge_opts = opts
-        .clone()
-        .with_executor(ExecSpec::MergeShards { shards: 2 });
-    let recovered = c.run(&merge_opts.executor(), cell_value);
-    assert!(recovered.all_ok(), "merge must absorb the dead shard");
-    assert_eq!(
-        recovered.manifest.cells_reassigned,
-        (c.len() - owned) as u64,
-        "every orphaned cell recomputes inline"
+    // The final run serves both shards' cells from the cache and
+    // recomputes only the 7 orphans.
+    let recovered = final_run(&c, &dir);
+    assert!(
+        recovered.all_ok(),
+        "the final run must absorb the dead shard"
     );
-    assert_eq!(recovered.manifest.cells_failed, 0);
-
-    // The recovery rewrote shard 1's manifest, so a later merge (or an
-    // external driver) sees a complete shard set on disk.
-    let stem = dir.join("run");
-    let m1 = RunManifest::read(&shard_manifest_path(&stem, 1, 2)).expect("recovered manifest");
-    assert_eq!(m1.shard, Some(ShardInfo { index: 1, total: 2 }));
+    assert_eq!(recovered.manifest.cache_hits, c.len() / 2 + c.len() / 4);
+    assert_eq!(recovered.manifest.cache_misses, c.len() / 4);
 
     // And the recovered run is indistinguishable from a never-killed one.
     let fresh_dir = tempdir("simrunner-shardeq-resume-fresh");
@@ -211,105 +247,19 @@ fn killed_shard_is_reassigned_at_merge_time() {
         fresh.manifest.results_digest
     );
     assert_eq!(render(&recovered.results), render(&fresh.results));
-    assert_eq!(fresh.manifest.cells_reassigned, 0);
 
-    // Phase 2: re-running every shard and the merge over the now-warm
-    // cache is a pure resume — every cell is a hit, nothing is reassigned.
-    let resumed = run_sharded(&c, &dir, 2);
-    assert!(resumed.all_ok());
+    // Running it again is a pure resume: every cell is a hit.
+    let resumed = final_run(&c, &dir);
     assert_eq!(resumed.manifest.cache_hits, c.len());
-    assert_eq!(resumed.manifest.cells_reassigned, 0);
     assert_eq!(resumed.manifest.fingerprint, fresh.manifest.fingerprint);
     std::fs::remove_dir_all(&fresh_dir).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn corrupt_shard_manifest_is_quarantined_and_reassigned() {
-    // Each case turns shard 1's healthy manifest text into hostile text.
-    let hostile: [fn(&str) -> String; 3] = [
-        // Truncated JSON.
-        |_| "{\"experiment\":\"shard-eq-it\",\"cells\":[tru".to_string(),
-        // Nesting deep enough to overflow a recursive parser.
-        |_| "[".repeat(100_000),
-        // A cell status from when the runner retried panicking cells: no
-        // longer a `CellStatus`, so the manifest does not parse.
-        |healthy| {
-            let old = healthy.replacen("\"status\":\"Ok\"", "\"status\":\"Retried\"", 1);
-            assert_ne!(old, healthy, "no Ok cell to rewrite");
-            old
-        },
-    ];
-    for (case, corrupt) in hostile.iter().enumerate() {
-        let dir = tempdir(&format!("simrunner-shardeq-corrupt-{case}"));
-        let c = campaign();
-        let healthy = run_sharded(&c, &dir, 2);
-        let stem = dir.join("run");
-
-        // Hostile content where shard 1's manifest should be.
-        let path = shard_manifest_path(&stem, 1, 2);
-        let text = corrupt(&std::fs::read_to_string(&path).unwrap());
-        std::fs::write(&path, text).unwrap();
-
-        let merge_opts = shared_opts(&dir).with_executor(ExecSpec::MergeShards { shards: 2 });
-        let merged = c.run(&merge_opts.executor(), cell_value);
-        assert!(
-            merged.all_ok(),
-            "corrupt shard manifest must not sink the merge (case {case})"
-        );
-        assert_eq!(merged.manifest.fingerprint, healthy.manifest.fingerprint);
-        // Warm cache: reassignment found every cell cached, so nothing
-        // actually recomputed.
-        assert_eq!(merged.manifest.cells_reassigned, 0);
-
-        // The hostile file is preserved for forensics, like cache corruption.
-        let mut q = path.clone().into_os_string();
-        q.push(".quarantine");
-        assert!(
-            PathBuf::from(&q).exists(),
-            "corrupt shard manifest must be quarantined, not deleted (case {case})"
-        );
-        // The inline reassignment rewrote shard 1's slot with a manifest
-        // of its own.
-        let rewritten = RunManifest::read(&path).expect("reassigned shard manifest");
-        assert_eq!(rewritten.shard, Some(ShardInfo { index: 1, total: 2 }));
-        assert!(rewritten.all_ok(), "case {case}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[test]
-fn mismatched_campaign_version_shard_is_quarantined_and_reassigned() {
-    let dir = tempdir("simrunner-shardeq-version");
-    let c = campaign();
-    let healthy = run_sharded(&c, &dir, 2);
-    let stem = dir.join("run");
-
-    // Shard 0's slot holds a manifest from a different CAMPAIGN_VERSION
-    // (an external driver raced an old binary, say).
-    let path = shard_manifest_path(&stem, 0, 2);
-    let mut stale = RunManifest::read(&path).expect("healthy shard manifest");
-    stale.version = "v0-stale".to_string();
-    stale.write(&path).expect("rewrite stale manifest");
-
-    let merge_opts = shared_opts(&dir).with_executor(ExecSpec::MergeShards { shards: 2 });
-    let merged = c.run(&merge_opts.executor(), cell_value);
-    assert!(merged.all_ok());
-    assert_eq!(merged.manifest.fingerprint, healthy.manifest.fingerprint);
-
-    let mut q = path.clone().into_os_string();
-    q.push(".quarantine");
-    assert!(
-        PathBuf::from(&q).exists(),
-        "version-mismatched shard manifest must be quarantined"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn merge_is_order_insensitive_across_shard_counts() {
-    // merge_shards itself is commutative (unit-tested); here: the
-    // end-to-end fingerprint is invariant across 1, 2, and 4 shards.
+    // The fingerprint of the final run is invariant across 1, 2 and 4
+    // shards.
     let c = campaign();
     let mut prints = Vec::new();
     for shards in [1usize, 2, 4] {

@@ -364,11 +364,10 @@ mod tests {
         assert_eq!(ab.total_ns(), 122);
     }
 
-    /// Shard-manifest merging folds per-shard snapshots in shard-index
-    /// order; for the merged profile to be byte-identical to a
-    /// single-process run, merge must be associative and leave the spans
-    /// in the canonical (self_ns desc, path) order regardless of fold
-    /// shape.
+    /// The runner folds per-cell snapshots in completion order, which
+    /// depends on scheduling; for the profile to be byte-identical across
+    /// worker counts, merge must be associative and leave the spans in
+    /// the canonical (self_ns desc, path) order regardless of fold shape.
     #[test]
     fn merge_is_associative_with_canonical_span_order() {
         let snap = |path: &str, self_ns: u64, calls: u64| ProfSnapshot {

@@ -53,8 +53,14 @@ impl Default for SussConfig {
 }
 
 impl SussConfig {
-    /// SUSS disabled: behaves exactly like traditional slow-start with
-    /// classic HyStart (the paper's "SUSS off" arm).
+    /// SUSS disabled: traditional slow-start with the embedded HyStart
+    /// (the paper's "SUSS off" arm). That HyStart is close to, not the
+    /// same as, CUBIC's classic one (`cc_algos::hystart`): its delay test
+    /// trusts `MIN_RTT_SAMPLES` = 4 samples per round and uses an
+    /// unclamped `DELAY_FACTOR` × minRTT, where Linux takes 8 samples
+    /// and adds `clamp(minRTT / 8, 4 ms, 16 ms)`. The contract is
+    /// `cc-algos`' `e2e.rs::suss_behaves_like_cubic_when_disabled`: a
+    /// SUSS-off flow's FCT stays within ±10% of plain CUBIC's.
     pub fn disabled() -> Self {
         SussConfig {
             enabled: false,

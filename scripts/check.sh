@@ -143,11 +143,12 @@ grep -o '"annotations":\[[^]]*\]' results/ext_quic_pacing.manifest.json \
 cmp -s "$SMOKE_DIR/quic-ann.1" "$SMOKE_DIR/quic-ann.2" \
     || { echo "quic annotations differ across worker counts" >&2; exit 1; }
 
-echo "== shard smoke (distributed campaign: split, merge, resume) =="
+echo "== shard smoke (distributed campaign: split, final run, resume) =="
 # The shard-equivalence contract, end to end through a real binary: the
 # quick Fig. 17 campaign split by scripts/shard_run.sh into 2 shard
-# processes sharing a cache, then merged, must render byte-identical
-# output and an identical manifest fingerprint to the single-process run.
+# processes sharing a cache, then finished by a plain run on that cache,
+# must render byte-identical output and an identical manifest fingerprint
+# to the single-process run.
 SHARD_CACHE="$SMOKE_DIR/shard-cache"
 SUSS_CACHE_DIR="$SHARD_CACHE-ref" \
     cargo run --release -q -p suss-bench --bin fig17 -- --quick --no-progress \
@@ -157,43 +158,44 @@ cp results/fig17.manifest.json "$SMOKE_DIR/fig17-single.manifest.json"
 # not only to each other.
 [ "$(fp "$SMOKE_DIR/fig17-single.manifest.json")" = '"fingerprint":"da234b0cae048268"' ] \
     || { echo "quick fig17 fingerprint is not da234b0cae048268" >&2; exit 1; }
-rm -f results/fig17.shard*.manifest.json
 SUSS_CACHE_DIR="$SHARD_CACHE" scripts/shard_run.sh fig17 2 --quick \
     >"$SMOKE_DIR/fig17-sharded.txt" 2>"$SMOKE_DIR/fig17-sharded.err"
 cmp -s "$SMOKE_DIR/fig17-single.txt" "$SMOKE_DIR/fig17-sharded.txt" \
     || { echo "sharded fig17 output differs from single-process" >&2; exit 1; }
-[ -n "$(fp results/fig17.manifest.json | cut -d'"' -f4)" ] \
-    || { echo "merged manifest is missing its fingerprint" >&2; exit 1; }
 [ "$(fp "$SMOKE_DIR/fig17-single.manifest.json")" = "$(fp results/fig17.manifest.json)" ] \
     || { echo "sharded manifest fingerprint differs from single-process" >&2; exit 1; }
+grep -q '"cache_hits":168,"cache_misses":0,' results/fig17.manifest.json \
+    || { echo "the final run recomputed cells the shards had cached" >&2; exit 1; }
 [ -f results/fig17.shard0of2.manifest.json ] \
     && [ -f results/fig17.shard1of2.manifest.json ] \
     || { echo "shard manifests not written" >&2; exit 1; }
-# Killed-shard resume: shard 0 finished, shard 1 died halfway without
-# writing its manifest. Running shard 1/4 caches exactly half of shard
-# 1/2's cells and stands in for that half-finished run. The merge alone
-# must finish the campaign: it reassigns shard 1's cells inline, serves
-# the half it finished warm from the shared cache, and recomputes only
-# the rest.
-rm -rf "$SHARD_CACHE" results/fig17.shard*.manifest.json
+# Killed-shard resume: shard 0 finished, shard 1 died halfway. Running
+# shard 1/4 caches exactly half of shard 1/2's cells and stands in for
+# that half-finished run. The plain final run must finish the campaign:
+# it serves the 126 cached cells and recomputes only the 42 orphans.
+rm -rf "$SHARD_CACHE"
 SUSS_CACHE_DIR="$SHARD_CACHE" \
     cargo run --release -q -p suss-bench --bin fig17 -- --quick --no-progress --shard 0/2 \
     >/dev/null
 SUSS_CACHE_DIR="$SHARD_CACHE" \
     cargo run --release -q -p suss-bench --bin fig17 -- --quick --no-progress --shard 1/4 \
     >/dev/null
-rm results/fig17.shard1of4.manifest.json
 SUSS_CACHE_DIR="$SHARD_CACHE" \
-    cargo run --release -q -p suss-bench --bin fig17 -- --quick --no-progress --merge-shards 2 \
+    cargo run --release -q -p suss-bench --bin fig17 -- --quick --no-progress \
     >"$SMOKE_DIR/fig17-resumed.txt"
 cmp -s "$SMOKE_DIR/fig17-single.txt" "$SMOKE_DIR/fig17-resumed.txt" \
     || { echo "resumed sharded run differs from single-process" >&2; exit 1; }
 [ "$(fp "$SMOKE_DIR/fig17-single.manifest.json")" = "$(fp results/fig17.manifest.json)" ] \
     || { echo "resumed manifest fingerprint differs from single-process" >&2; exit 1; }
-grep -Eq '"cells_reassigned":[1-9]' results/fig17.manifest.json \
-    || { echo "merge did not reassign the dead shard's orphaned cells" >&2; exit 1; }
-grep -q '"cache_hits":0,' results/fig17.manifest.json \
-    && { echo "resume did not reuse the dead run's cached cells" >&2; exit 1; }
+grep -q '"cache_hits":126,"cache_misses":42,' results/fig17.manifest.json \
+    || { echo "resume must serve the 126 cached cells and recompute the 42 orphans" >&2; exit 1; }
+# A binary that runs no campaign cannot be sharded: it must refuse the
+# flag (exit 2) and render nothing, not run the whole figure per shard.
+rc=0
+cargo run --release -q -p suss-bench --bin fig09 -- --quick --no-cache --shard 0/2 \
+    >"$SMOKE_DIR/fig09-shard.txt" 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] && [ ! -s "$SMOKE_DIR/fig09-shard.txt" ] \
+    || { echo "fig09 --shard must exit 2 without output (exit $rc)" >&2; exit 1; }
 
 echo "== hostile-entry smoke (a bit-rotted cache entry is quarantined, then recomputed) =="
 # Flip one byte of one warm quick fig18 entry to 0xFF, which is never
