@@ -6,7 +6,7 @@ use suss_bench::BenchCli;
 use workload::PathScenario;
 
 fn main() {
-    let o = BenchCli::parse("fig17");
+    let o = BenchCli::parse("fig17", true);
     let p = if o.quick {
         LossParams {
             sizes: vec![4 * workload::MB],

@@ -5,7 +5,7 @@ use simstats::{fmt_pct, TextTable};
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("fig18");
+    let o = BenchCli::parse("fig18", true);
     let p = if o.quick {
         SweepParams {
             sizes: vec![workload::MB, 4 * workload::MB],

@@ -23,9 +23,9 @@ use std::path::PathBuf;
 /// The shared command line of every figure/table/ablation binary.
 ///
 /// Construct with [`BenchCli::parse`], passing the binary's artifact name
-/// once; the manifest and trace paths (`results/<name>.manifest.json`,
-/// `results/<name>.trace.jsonl`) derive from it, so binaries never thread
-/// their own name through each call.
+/// once, and whether it runs a campaign; the manifest and trace paths
+/// (`results/<name>.manifest.json`, `results/<name>.trace.jsonl`) derive
+/// from the name, so binaries never thread it through each call.
 #[derive(Debug, Clone)]
 pub struct BenchCli {
     /// Artifact name (manifest/trace file stem under `results/`).
@@ -53,8 +53,10 @@ pub struct BenchCli {
 
 impl BenchCli {
     /// Parse `std::env::args` for the binary publishing artifacts under
-    /// `results/<name>.*`.
-    pub fn parse(name: &'static str) -> Self {
+    /// `results/<name>.*`. `campaign` says whether the binary runs a
+    /// campaign; one that does not refuses `--shard` here, with exit
+    /// status 2, before it computes anything or opens its trace file.
+    pub fn parse(name: &'static str, campaign: bool) -> Self {
         let mut o = BenchCli {
             name,
             quick: false,
@@ -115,6 +117,10 @@ impl BenchCli {
                     std::process::exit(2);
                 }
             }
+        }
+        if let Err(e) = o.check_shardable(campaign) {
+            eprintln!("{e}");
+            std::process::exit(2);
         }
         if o.trace.is_none() {
             if let Ok(p) = std::env::var("SUSS_TRACE") {
@@ -200,14 +206,16 @@ impl BenchCli {
         r
     }
 
-    /// `Err` when `--shard` was given: see [`emit`](Self::emit).
-    fn check_no_shard(&self) -> Result<(), String> {
+    /// `Err` when `--shard` was given to a binary that runs no campaign:
+    /// the flag would be silently ignored and the whole figure rendered
+    /// once per shard.
+    fn check_shardable(&self, campaign: bool) -> Result<(), String> {
         match self.shard {
-            Some((k, n)) => Err(format!(
+            Some((k, n)) if !campaign => Err(format!(
                 "{}: --shard {k}/{n} given, but this binary runs no campaign to shard",
                 self.name
             )),
-            None => Ok(()),
+            _ => Ok(()),
         }
     }
 
@@ -248,16 +256,7 @@ impl BenchCli {
     }
 
     /// Print a table, and its CSV form if requested.
-    ///
-    /// A campaign binary under `--shard` exits inside the runner and
-    /// never gets here, so reaching this with a shard set means the
-    /// binary runs no campaign and the flag would be silently ignored:
-    /// exit with status 2 instead, before anything is rendered.
     pub fn emit(&self, title: &str, table: &simstats::TextTable) {
-        if let Err(e) = self.check_no_shard() {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
         println!("== {title} ==");
         print!("{}", table.render());
         if self.csv {
@@ -288,8 +287,10 @@ mod tests {
 
     #[test]
     fn campaign_free_bins_refuse_to_render_under_shard() {
-        assert_eq!(cli(None).check_no_shard(), Ok(()));
-        let err = cli(Some((0, 2))).check_no_shard().unwrap_err();
+        assert_eq!(cli(None).check_shardable(false), Ok(()));
+        assert_eq!(cli(None).check_shardable(true), Ok(()));
+        assert_eq!(cli(Some((0, 2))).check_shardable(true), Ok(()));
+        let err = cli(Some((0, 2))).check_shardable(false).unwrap_err();
         assert!(err.contains("fig09: --shard 0/2"), "{err}");
     }
 }

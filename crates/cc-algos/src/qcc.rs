@@ -127,7 +127,7 @@ impl<C: CongestionControl> QuicAdapter<C> {
     }
 }
 
-/// Construct a boxed quinn-shaped controller by [`CcKind`]: the factory
+/// Construct a boxed quinn-shaped controller by [`CcKind`](crate::CcKind): the factory
 /// the QUIC transport uses, mirroring [`crate::make_controller`]. Every
 /// controller in this crate runs unmodified behind the adapter.
 pub fn make_quic_controller(kind: crate::CcKind, iw: u64, mss: u64) -> Box<dyn QuicController> {

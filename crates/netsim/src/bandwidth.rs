@@ -58,7 +58,12 @@ impl Bandwidth {
     /// outages with [`crate::link::RateSchedule`] pauses instead).
     pub fn tx_time(self, bytes: u64) -> Duration {
         assert!(self.0 > 0, "tx_time on a zero-rate link");
-        let ns = (bytes as u128 * 8 * 1_000_000_000).div_ceil(self.0 as u128);
+        // 64-bit division whenever the numerator fits (any packet, any
+        // backlog under ~2.3 GB); the same exact ceiling either way.
+        let ns = match bytes.checked_mul(8 * 1_000_000_000) {
+            Some(bits_ns) => u128::from(bits_ns.div_ceil(self.0)),
+            None => (bytes as u128 * 8 * 1_000_000_000).div_ceil(self.0 as u128),
+        };
         Duration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
     }
 

@@ -261,9 +261,10 @@ impl PayloadPool {
         (Box::new(value), false)
     }
 
-    /// Return a consumed payload box to its type's shelf.
-    fn recycle(&mut self, b: Box<dyn Any>) {
-        let key = (*b).type_id();
+    /// Return a consumed payload box to its type's shelf. Typed, so the
+    /// shelf key is a constant rather than a virtual `type_id` call.
+    fn recycle<T: Any>(&mut self, b: Box<T>) {
+        let key = TypeId::of::<T>();
         match self.shelves.iter_mut().find(|(t, _)| *t == key) {
             Some((_, shelf)) => {
                 if shelf.len() < SHELF_CAP {
@@ -377,7 +378,7 @@ mod tests {
     fn pool_shelves_are_per_type() {
         let mut pool = PayloadPool::default();
         let (b1, _) = pool.boxed(1u64);
-        pool.recycle(b1);
+        pool.recycle(b1.downcast::<u64>().unwrap());
         // A different payload type cannot hit the u64 shelf.
         let (_, hit) = pool.boxed(String::from("x"));
         assert!(!hit);

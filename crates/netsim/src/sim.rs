@@ -6,6 +6,14 @@
 //! dispatched in insertion order, and all randomness flows from the seed
 //! given at construction.
 //!
+//! Events are small (24 bytes): a packet between the end of its
+//! serialization (`TxDone`) and its delivery waits in a per-`Sim` packet
+//! slab, and its `Arrive` event carries only the slab index. Dispatch
+//! moves the packet out once and hands it to [`Agent::on_packet`] by
+//! value. Each step asks the wheel once for the event due by the run's
+//! deadline, advancing it exactly where a peek would (`NetCore::pop_due`),
+//! so `net.sched_cascades` is unchanged.
+//!
 //! The design follows the poll/event-driven idiom of smoltcp rather than an
 //! async runtime: virtual time must be decoupled from wall-clock time for
 //! reproducible experiments, and the engine is pure computation.
@@ -47,13 +55,15 @@ pub trait Agent: Any {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
+/// A scheduled event: 24 bytes, so a wheel slot is 48 and the stash 32.
 #[derive(Debug)]
 enum EventKind {
-    /// Deliver a packet to a node (via the given half-link).
+    /// Deliver a packet to a node (via the given half-link). The packet
+    /// waits in [`NetCore::parked`] at index `pkt` until dispatch.
     Arrive {
         node: NodeId,
         link: LinkId,
-        pkt: Packet,
+        pkt: u32,
     },
     /// A half-link finished serializing its current packet.
     TxDone { link: LinkId },
@@ -122,6 +132,10 @@ struct NetCore {
     /// One event popped ahead of its dispatch by the batching lookahead:
     /// always the globally next event, replayed before touching the queue.
     stash: Option<(SimTime, EventKind)>,
+    /// Packets between `TxDone` and delivery, indexed by
+    /// [`EventKind::Arrive`]'s `pkt`; `parked_free` lists the empty slots.
+    parked: Vec<Option<Packet>>,
+    parked_free: Vec<u32>,
     links: Vec<HalfLink>,
     /// Per-slot reuse epoch, bumped by [`Sim::retire_agent`]; lives here
     /// (not in [`Sim`]) so [`Ctx::set_timer`] can stamp timers with it.
@@ -144,30 +158,70 @@ struct NetCore {
 }
 
 impl NetCore {
-    /// Pop the globally next event, honoring the batching stash.
+    /// Pop the globally next event if it is due by `deadline`, honoring
+    /// the batching stash. One wheel call either way: it advances the
+    /// wheel exactly where a peek would, so `net.sched_cascades` sees the
+    /// same trajectory whether or not the event is due.
+    ///
+    /// That trajectory is part of every cached result: an event pushed
+    /// while the wheel sits on an earlier tick may land in the overflow
+    /// heap and cascade later, so the wheel must advance where it always
+    /// has. That is also why the batch loop in `Sim::dispatch_arrive`
+    /// pops the event closing a same-tick group into the stash instead of
+    /// peeking at it (see DESIGN.md §5d).
     ///
     /// The stash was globally next when it was set, but host code (e.g. a
     /// workload driver spawning a flow between steps) can push an earlier
     /// event afterwards, so the stash must race the queue head here. The
     /// stash wins ties: it was popped — and tie-broken — first.
-    fn pop_event(&mut self) -> Option<(SimTime, EventKind)> {
-        if let Some((at, _)) = &self.stash {
-            if !matches!(self.events.next_at(), Some(q) if q < *at) {
-                return self.stash.take();
+    fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, EventKind)> {
+        match &self.stash {
+            Some((at, _)) => {
+                let at = *at;
+                let head = self.events.pop_if(|q| q < at && q <= deadline);
+                if head.is_none() && at <= deadline {
+                    return self.stash.take();
+                }
+                head
+            }
+            None => self.events.pop_if(|q| q <= deadline),
+        }
+    }
+
+    /// Hold a packet for its `Arrive` event; returns its slab index.
+    #[inline]
+    fn park(&mut self, pkt: Packet) -> u32 {
+        match self.parked_free.pop() {
+            Some(i) => {
+                // A free slot is empty: fill it without a drop check,
+                // which would stage the packet on the stack first.
+                debug_assert!(self.parked[i as usize].is_none());
+                self.parked[i as usize].get_or_insert(pkt);
+                i
+            }
+            None => {
+                let i = u32::try_from(self.parked.len()).expect("packet slab full");
+                self.parked.push(Some(pkt));
+                i
             }
         }
-        self.events.pop()
     }
 
-    /// Earliest pending event time, honoring the batching stash.
-    fn next_event_at(&mut self) -> Option<SimTime> {
-        match (&self.stash, self.events.next_at()) {
-            (Some((at, _)), Some(q)) => Some((*at).min(q)),
-            (Some((at, _)), None) => Some(*at),
-            (None, q) => q,
-        }
+    /// Take a parked packet out for delivery, freeing its slot.
+    #[inline]
+    fn unpark(&mut self, i: u32) -> Packet {
+        let pkt = self.parked[i as usize]
+            .take()
+            .expect("arrival slot holds a packet");
+        self.parked_free.push(i);
+        pkt
     }
 
+    /// Always inlined, with [`TimerWheel::push`], so each caller builds
+    /// its event in place in the wheel slot: passed by reference, an event
+    /// written to the stack field by field and reloaded whole stalls on
+    /// store forwarding.
+    #[inline(always)]
     fn push(&mut self, at: SimTime, kind: EventKind) {
         debug_assert!(
             at >= self.now,
@@ -331,16 +385,11 @@ impl NetCore {
             if injected > 0 {
                 self.ctr_faults_injected.add(injected);
             }
+            let pkt = self.park(pkt);
             self.push(arrival, EventKind::Arrive { node, link, pkt });
             if let Some(twin) = twin {
-                self.push(
-                    arrival,
-                    EventKind::Arrive {
-                        node,
-                        link,
-                        pkt: twin,
-                    },
-                );
+                let pkt = self.park(twin);
+                self.push(arrival, EventKind::Arrive { node, link, pkt });
             }
         }
 
@@ -489,6 +538,8 @@ impl Sim {
                 seq: 0,
                 events: Box::new(TimerWheel::new()),
                 stash: None,
+                parked: Vec::new(),
+                parked_free: Vec::new(),
                 links: Vec::new(),
                 agent_epochs: Vec::new(),
                 next_packet_id: 1,
@@ -775,7 +826,8 @@ impl Sim {
     /// and the first non-member is stashed for the next [`Sim::step`],
     /// dispatch order (and therefore every result) is the global
     /// `(time, seq)` order. Only the `net.sched_batched` counter sees it.
-    fn dispatch_arrive(&mut self, at: SimTime, node: NodeId, link: LinkId, pkt: Packet) {
+    fn dispatch_arrive(&mut self, at: SimTime, node: NodeId, link: LinkId, pkt: u32) {
+        let pkt = self.core.unpark(pkt);
         let Some(mut agent) = self.agents[node.index()].take() else {
             // The flow this packet belonged to has been torn down.
             self.core.ctr_orphan_events.inc();
@@ -795,7 +847,7 @@ impl Sim {
         // first. Skipping coalescing never changes dispatch order, so
         // results stay byte-identical either way.
         while self.core.stash.is_none() {
-            match self.core.pop_event() {
+            match self.core.events.pop() {
                 Some((
                     t,
                     EventKind::Arrive {
@@ -806,6 +858,7 @@ impl Sim {
                 )) if t == at && n == node && l == link => {
                     self.account_dispatch();
                     self.core.ctr_batched.inc();
+                    let p = self.core.unpark(p);
                     let mut ctx = Ctx {
                         core: &mut self.core,
                         agent: node,
@@ -827,7 +880,13 @@ impl Sim {
     /// Returns `false` if the queue is empty.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
-        let Some((at, kind)) = self.core.pop_event() else {
+        self.step_due(SimTime::MAX)
+    }
+
+    /// [`Sim::step`] if the next event is due by `deadline`, without the
+    /// start check: the `run_*` loops make it once per call.
+    fn step_due(&mut self, deadline: SimTime) -> bool {
+        let Some((at, kind)) = self.core.pop_due(deadline) else {
             return false;
         };
         debug_assert!(
@@ -879,14 +938,7 @@ impl Sim {
     /// the next event lies beyond it (the event stays queued).
     pub fn run_until(&mut self, deadline: SimTime) {
         self.ensure_started();
-        loop {
-            match self.core.next_event_at() {
-                Some(at) if at <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
+        while self.step_due(deadline) {}
         self.core.now = self.core.now.max(deadline);
     }
 
@@ -898,19 +950,13 @@ impl Sim {
     /// of it. Use it to stop when e.g. all flows have completed.
     pub fn run_while(&mut self, deadline: SimTime, mut pred: impl FnMut(&Sim) -> bool) {
         self.ensure_started();
-        while pred(self) {
-            match self.core.next_event_at() {
-                Some(at) if at <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
+        while pred(self) && self.step_due(deadline) {}
     }
 
     /// Drain every remaining event (use with a workload that terminates).
     pub fn run_to_completion(&mut self) {
-        while self.step() {}
+        self.ensure_started();
+        while self.step_due(SimTime::MAX) {}
     }
 }
 
@@ -1271,6 +1317,17 @@ mod tests {
             .get(simtrace::names::NET_ORPHAN_EVENTS)
             .unwrap_or(0);
         assert_eq!(orphans, 1, "delivery to an empty slot must be dropped");
+        // The orphaned packet left the slab too.
+        assert!(sim.core.parked.iter().all(Option::is_none));
+        assert_eq!(sim.core.parked_free.len(), sim.core.parked.len());
+    }
+
+    #[test]
+    fn events_stay_small() {
+        // A packet rides in the slab, not in its event: the wheel slot
+        // and the batching stash copy 24 bytes per event, not 72.
+        assert_eq!(std::mem::size_of::<EventKind>(), 24);
+        assert_eq!(std::mem::size_of::<Option<(SimTime, EventKind)>>(), 32);
     }
 
     #[test]

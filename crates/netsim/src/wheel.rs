@@ -142,6 +142,9 @@ impl<T> TimerWheel<T> {
 
     /// Schedule an event. `seq` must be strictly greater than every
     /// previously pushed `seq` (the engine's global insertion counter).
+    /// Always inlined so the caller writes the event straight into its
+    /// slot (see `NetCore::push`).
+    #[inline(always)]
     pub(crate) fn push(&mut self, at: SimTime, seq: u64, item: T) {
         let tick = at.as_nanos() >> TICK_SHIFT;
         let slot = self.alloc(at, seq, item);
@@ -159,6 +162,7 @@ impl<T> TimerWheel<T> {
 
     /// Earliest pending event time, advancing the wheel if needed to find
     /// it (advancing never changes dispatch order).
+    #[cfg(test)]
     pub(crate) fn next_at(&mut self) -> Option<SimTime> {
         loop {
             let head = match (self.current.get(self.cursor), self.same_tick.peek()) {
@@ -176,28 +180,42 @@ impl<T> TimerWheel<T> {
 
     /// Remove and return the earliest event (ties in insertion order).
     pub(crate) fn pop(&mut self) -> Option<(SimTime, T)> {
+        self.pop_if(|_| true)
+    }
+
+    /// Remove and return the earliest event if `due` accepts its time.
+    /// Advances the wheel exactly where a peek (`next_at`) would, so one
+    /// call stands in for a peek followed by a pop.
+    #[inline]
+    pub(crate) fn pop_if(&mut self, due: impl Fn(SimTime) -> bool) -> Option<(SimTime, T)> {
         loop {
-            let key = match (self.current.get(self.cursor), self.same_tick.peek()) {
-                (Some(c), Some(Reverse(s))) if s < c => self.same_tick.pop().map(|r| r.0),
-                (Some(&c), _) => {
-                    self.cursor += 1;
-                    Some(c)
+            let (key, same) = match (self.current.get(self.cursor), self.same_tick.peek()) {
+                (Some(c), Some(Reverse(s))) if s < c => (*s, true),
+                (Some(c), _) => (*c, false),
+                (None, Some(Reverse(s))) => (*s, true),
+                (None, None) => {
+                    if self.len == 0 {
+                        return None;
+                    }
+                    self.advance();
+                    continue;
                 }
-                (None, Some(_)) => self.same_tick.pop().map(|r| r.0),
-                (None, None) => None,
             };
-            if let Some(key) = key {
-                self.len -= 1;
-                return Some((key.at, self.release(key.slot)));
-            }
-            if self.len == 0 {
+            if !due(key.at) {
                 return None;
             }
-            self.advance();
+            if same {
+                self.same_tick.pop();
+            } else {
+                self.cursor += 1;
+            }
+            self.len -= 1;
+            return Some((key.at, self.release(key.slot)));
         }
     }
 
     /// Store an event in a free slot (or a new one) and return its index.
+    #[inline(always)]
     fn alloc(&mut self, at: SimTime, seq: u64, item: T) -> u32 {
         let slot = Slot {
             at,
@@ -559,9 +577,9 @@ mod tests {
         Pop,
         /// Peek the earliest event time.
         NextAt,
-        /// `run_until(now + δ)`: dispatch everything due by the deadline,
-        /// then jump `now` to it, leaving the cursor behind over an idle
-        /// stretch.
+        /// `run_until(now + δ)`: dispatch everything due by the deadline
+        /// (one `pop_if` per event, as the engine does), then jump `now` to
+        /// it, leaving the cursor behind over an idle stretch.
         Idle(u64),
     }
 
@@ -598,6 +616,29 @@ mod tests {
             let w = self.wheel.pop().map(|(at, item)| (at.as_nanos(), item));
             let h = self.heap.pop().map(|Reverse(x)| x);
             let v = self.vec_wheel.pop().map(|(at, seq)| (at.as_nanos(), seq));
+            prop_assert_eq!(w, h);
+            prop_assert_eq!(w, v);
+            Ok(w)
+        }
+
+        /// Pop the earliest event if it is due by `deadline`: the wheel in
+        /// one [`TimerWheel::pop_if`] call, as the engine's run loops do,
+        /// the oracles by a peek and then a pop.
+        fn pop_due(&mut self, deadline: u64) -> Result<Option<(u64, u64)>, TestCaseError> {
+            let w = self
+                .wheel
+                .pop_if(|at| at.as_nanos() <= deadline)
+                .map(|(at, item)| (at.as_nanos(), item));
+            let h = match self.heap.peek() {
+                Some(Reverse((at, _))) if *at <= deadline => self.heap.pop().map(|Reverse(x)| x),
+                _ => None,
+            };
+            let v = match self.vec_wheel.next_at() {
+                Some(at) if at.as_nanos() <= deadline => {
+                    self.vec_wheel.pop().map(|(at, seq)| (at.as_nanos(), seq))
+                }
+                _ => None,
+            };
             prop_assert_eq!(w, h);
             prop_assert_eq!(w, v);
             Ok(w)
@@ -645,9 +686,7 @@ mod tests {
                     }
                     Op::Idle(d) => {
                         let deadline = now + d;
-                        while q.next_at()?.is_some_and(|at| at <= deadline) {
-                            q.pop()?;
-                        }
+                        while q.pop_due(deadline)?.is_some() {}
                         now = deadline;
                     }
                 }

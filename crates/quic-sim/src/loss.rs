@@ -143,8 +143,8 @@ impl LossDetector {
     ) -> AckOutcome {
         let mut out = AckOutcome::default();
         for &(start, end) in ranges {
-            let lo = self.sent.partition_point(|p| p.pkt_num < start);
-            let hi = self.sent.partition_point(|p| p.pkt_num < end);
+            let hi = self.count_below(end);
+            let lo = self.count_below(start);
             if lo >= hi {
                 continue;
             }
@@ -162,6 +162,26 @@ impl LossDetector {
         }
         out.lost = self.detect_lost(now, delay);
         out
+    }
+
+    /// How many in-flight packets are numbered below `n`: the
+    /// `partition_point` of `n`, in O(1) when no number between the
+    /// oldest in flight and `n` is missing. Numbers are distinct and
+    /// ascending, so at most `n − oldest` packets qualify; when the last
+    /// of those candidates is below `n`, all of them are.
+    fn count_below(&self, n: u64) -> usize {
+        let Some(oldest) = self.sent.front().map(|p| p.pkt_num) else {
+            return 0;
+        };
+        if n <= oldest {
+            return 0;
+        }
+        let k = usize::try_from(n - oldest).map_or(self.sent.len(), |d| d.min(self.sent.len()));
+        if self.sent[k - 1].pkt_num < n {
+            k
+        } else {
+            self.sent.partition_point(|p| p.pkt_num < n)
+        }
     }
 
     /// Run both loss thresholds against the current in-flight set (the

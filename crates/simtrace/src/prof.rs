@@ -128,6 +128,7 @@ fn is_enabled() -> bool {
 /// (`"sim/arrive"`, `"cc/on_ack"`) — it becomes part of the span
 /// catalogue rendered by `suss-trace profile`.
 #[must_use = "the span closes when the guard drops"]
+#[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     let active = ENABLED.with(Cell::get);
     if active {
@@ -142,6 +143,7 @@ pub struct SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
         if self.active {
             PROF.with(|p| {

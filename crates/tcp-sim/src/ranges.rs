@@ -127,7 +127,8 @@ impl<T: fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
 ///
 /// Mutations find the touched window by binary search and splice only
 /// that window, so each costs O(log n + k) for k touched ranges (plus the
-/// `Vec`'s memmove of the tail); the byte total is kept alongside, so
+/// `Vec`'s memmove of the tail); an insert that starts past the last
+/// range's start skips the search. The byte total is kept alongside, so
 /// [`RangeSet::total_bytes`] is O(1).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RangeSet {
@@ -175,6 +176,22 @@ impl RangeSet {
         if r.is_empty() {
             return 0;
         }
+        // In-order arrivals start past the last range's start, so no
+        // earlier range (all end at or before it) can merge: append, or
+        // extend the last range, without the binary searches.
+        if let Some(last) = self.ranges.last_mut() {
+            if r.start > last.end {
+                self.ranges.push(r);
+                self.total += r.len();
+                return r.len();
+            }
+            if r.start > last.start {
+                let added = r.end.saturating_sub(last.end);
+                last.end += added;
+                self.total += added;
+                return added;
+            }
+        }
         // Find insertion window: all ranges mergeable with r.
         let lo = self.ranges.partition_point(|x| x.end < r.start);
         let hi = self.ranges.partition_point(|x| x.start <= r.end);
@@ -187,7 +204,8 @@ impl RangeSet {
                 self.ranges[hi - 1].end.max(r.end),
             );
             let absorbed: u64 = self.ranges[lo..hi].iter().map(ByteRange::len).sum();
-            self.ranges.splice(lo..hi, std::iter::once(merged));
+            self.ranges[lo] = merged;
+            self.ranges.drain(lo + 1..hi);
             merged.len() - absorbed
         };
         self.total += added;
@@ -444,5 +462,67 @@ mod tests {
     #[should_panic(expected = "InlineVec full")]
     fn inline_vec_rejects_overflow() {
         let _: InlineVec<u64, 2> = (0..3).collect();
+    }
+
+    use proptest::prelude::*;
+
+    /// Bytes `0..DOMAIN`, small enough that random ranges overlap, touch
+    /// and nest often.
+    const DOMAIN: u64 = 64;
+
+    /// `(op, a, b)`: 0–1 insert, 2 remove, 3 `remove_below(a)`, on the
+    /// range `min(a, b)..max(a, b)`.
+    fn op() -> impl Strategy<Value = (u8, u64, u64)> {
+        (0u8..4, 0..DOMAIN, 0..DOMAIN)
+    }
+
+    // The set against a per-byte model on random schedules: same return
+    // values, same bytes, and maximal ranges (no two touching), through
+    // both the in-order fast path of `insert` and its binary search.
+    proptest! {
+        #[test]
+        fn random_ops_match_a_byte_model(ops in prop::collection::vec(op(), 1..200)) {
+            let mut set = RangeSet::new();
+            let mut model = [false; DOMAIN as usize];
+            for (kind, a, b) in ops {
+                let (lo, hi) = (a.min(b), a.max(b));
+                let want_set = |v: bool, m: &mut [bool; DOMAIN as usize]| {
+                    let mut n = 0;
+                    for x in &mut m[lo as usize..hi as usize] {
+                        n += u64::from(*x != v);
+                        *x = v;
+                    }
+                    n
+                };
+                match kind {
+                    0 | 1 => {
+                        let want = want_set(true, &mut model);
+                        prop_assert_eq!(set.insert(r(lo, hi)), want);
+                    }
+                    2 => {
+                        let want = want_set(false, &mut model);
+                        prop_assert_eq!(set.remove(r(lo, hi)), want);
+                    }
+                    _ => {
+                        set.remove_below(a);
+                        model[..a as usize].fill(false);
+                    }
+                }
+                let mut runs = Vec::new();
+                let mut i = 0;
+                while i < DOMAIN {
+                    if model[i as usize] {
+                        let start = i;
+                        while i < DOMAIN && model[i as usize] {
+                            i += 1;
+                        }
+                        runs.push(r(start, i));
+                    }
+                    i += 1;
+                }
+                prop_assert_eq!(set.iter().collect::<Vec<_>>(), runs);
+                prop_assert_eq!(set.total_bytes(), model.iter().filter(|&&x| x).count() as u64);
+            }
+        }
     }
 }

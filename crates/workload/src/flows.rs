@@ -68,7 +68,8 @@ pub enum SizeDistribution {
 
 impl SizeDistribution {
     /// A web-browsing-like mix: mostly small objects, occasional large
-    /// ones (motivated by the flow-size studies the paper cites [19]).
+    /// ones (motivated by the flow-size studies the paper cites, its
+    /// reference 19).
     pub fn web() -> Self {
         SizeDistribution::BoundedPareto {
             alpha: 1.2,
