@@ -109,7 +109,7 @@ impl CongestionControl for BbrSuss {
             cwnd: self.inner.cwnd(),
             snd_nxt: ack.snd_nxt,
         });
-        if out.exit_slow_start {
+        if out.exit_slow_start.is_some() {
             // SUSS predicts the pipe is full; no further boosts. BBR's own
             // full-pipe detector ends STARTUP on its own schedule.
             self.cancel_boost();

@@ -143,18 +143,18 @@ impl CongestionControl for Cubic {
             return;
         }
         if self.in_slow_start() {
-            if self
-                .hystart
-                .on_ack(ack.now, ack.ack_seq, ack.snd_nxt, ack.rtt_sample, self.cwnd)
+            if let Some(why) =
+                self.hystart
+                    .on_ack(ack.now, ack.ack_seq, ack.snd_nxt, ack.rtt_sample, self.cwnd)
             {
                 self.ssthresh = self.cwnd;
                 self.events.push(CcEvent::SsthreshChanged {
                     ssthresh: self.ssthresh,
-                    reason: "hystart_delay",
+                    reason: "hystart",
                 });
                 self.events.push(CcEvent::HystartPhase {
                     phase: "exit",
-                    reason: "rtt_rise",
+                    reason: why.reason(),
                 });
                 return;
             }
@@ -319,6 +319,41 @@ mod tests {
         assert!(c.in_slow_start());
         c.on_ack(&ack_at(0, 10 * MSS, 100));
         assert_eq!(c.cwnd(), 20 * MSS);
+    }
+
+    #[test]
+    fn paced_flat_rtt_round_exits_on_the_ack_train() {
+        // A paced round's ACKs arrive 1 ms apart while the RTT stays flat
+        // at 38 ms: only the ACK-train detector can fire, and the trace
+        // must name it rather than a delay rise.
+        let mut c = Cubic::new(10 * MSS, MSS);
+        let rtt = Duration::from_millis(38);
+        for k in 0..100 {
+            c.on_ack(&AckView {
+                now: 1_000_000_000 + k * 1_000_000,
+                ack_seq: (k + 1) * MSS,
+                newly_acked: MSS,
+                rtt_sample: Some(rtt),
+                srtt: Some(rtt),
+                min_rtt: Some(rtt),
+                inflight: 0,
+                snd_nxt: 200 * MSS,
+                delivered: (k + 1) * MSS,
+                app_limited: false,
+            });
+            if !c.in_slow_start() {
+                break;
+            }
+        }
+        assert!(!c.in_slow_start(), "a 19 ms train exceeds minRTT/2");
+        let evs = c.take_events();
+        assert!(
+            evs.contains(&CcEvent::HystartPhase {
+                phase: "exit",
+                reason: "ack_train",
+            }),
+            "{evs:?}"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::cubic::{CubicCore, Nanos};
 use std::time::Duration;
-use suss_core::{AckEvent, PacingPlan, Suss, SussConfig};
+use suss_core::{AckEvent, HystartExit, PacingPlan, Suss, SussConfig};
 use tcp_sim::cc::{AckView, CcEvent, CongestionControl, LossKind, LossView};
 
 /// Execution state of an active pacing period.
@@ -104,7 +104,7 @@ impl CubicSuss {
         self.active = None;
     }
 
-    fn exit_slow_start(&mut self) {
+    fn exit_slow_start(&mut self, why: HystartExit) {
         self.ssthresh = self.cwnd;
         self.events.push(CcEvent::SsthreshChanged {
             ssthresh: self.ssthresh,
@@ -112,7 +112,7 @@ impl CubicSuss {
         });
         self.events.push(CcEvent::HystartPhase {
             phase: "exit",
-            reason: "hystart_delay",
+            reason: why.reason(),
         });
         self.suss.on_exit_slow_start();
         self.cancel_pacing();
@@ -160,8 +160,8 @@ impl CongestionControl for CubicSuss {
             snd_nxt: ack.snd_nxt,
         });
 
-        if out.exit_slow_start {
-            self.exit_slow_start();
+        if let Some(why) = out.exit_slow_start {
+            self.exit_slow_start(why);
             return;
         }
 
@@ -393,6 +393,29 @@ mod tests {
         assert_eq!(d.cc.completed_pacings(), 1);
         let evs = d.cc.take_events();
         assert!(evs.contains(&CcEvent::SussPacingStarted { g: 4 }));
+    }
+
+    #[test]
+    fn paced_flat_rtt_rounds_exit_on_the_ack_train() {
+        // ACKs 1.9 ms apart keep the train contiguous while the RTT stays
+        // flat: the modified HyStart's train check ends slow start, and
+        // the trace names it rather than a delay rise.
+        let mut d = Drive::new(SussConfig::disabled());
+        for r in 1..10 {
+            d.round(r * RTT_NS, 1_900_000, RTT_NS);
+            if !d.cc.in_slow_start() {
+                break;
+            }
+        }
+        assert!(!d.cc.in_slow_start(), "a long contiguous train must exit");
+        let evs = d.cc.take_events();
+        assert!(
+            evs.contains(&CcEvent::HystartPhase {
+                phase: "exit",
+                reason: "ack_train",
+            }),
+            "{evs:?}"
+        );
     }
 
     #[test]

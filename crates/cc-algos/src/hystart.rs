@@ -15,6 +15,7 @@
 //! uses an unclamped `1.125 × minRTT` (see `suss-core`'s `config.rs`).
 
 use std::time::Duration;
+use suss_core::HystartExit;
 
 /// Nanoseconds on the transport clock.
 pub type Nanos = u64;
@@ -45,7 +46,7 @@ pub struct HyStart {
     round_min_rtt: Option<Duration>,
     samples_this_round: u32,
     min_rtt: Option<Duration>,
-    found: bool,
+    found: Option<HystartExit>,
 }
 
 impl HyStart {
@@ -60,13 +61,13 @@ impl HyStart {
             round_min_rtt: None,
             samples_this_round: 0,
             min_rtt: None,
-            found: false,
+            found: None,
         }
     }
 
     /// Whether an exit signal has fired.
     pub fn found(&self) -> bool {
-        self.found
+        self.found.is_some()
     }
 
     /// Lifetime minimum RTT seen.
@@ -76,7 +77,7 @@ impl HyStart {
 
     /// Reset after an RTO restarts slow start.
     pub fn restart(&mut self) {
-        self.found = false;
+        self.found = None;
         self.last_ack = None;
         self.round_min_rtt = None;
         self.samples_this_round = 0;
@@ -87,8 +88,9 @@ impl HyStart {
         (min_rtt / 8).clamp(DELAY_THRESHOLD_MIN, DELAY_THRESHOLD_MAX)
     }
 
-    /// Process one ACK during slow start. Returns `true` if slow start
-    /// should end now.
+    /// Process one ACK during slow start. Returns the detector that
+    /// fired if slow start should end now (the ACK train when both fire
+    /// on the same ACK).
     pub fn on_ack(
         &mut self,
         now: Nanos,
@@ -96,9 +98,9 @@ impl HyStart {
         snd_nxt: u64,
         rtt: Option<Duration>,
         cwnd: u64,
-    ) -> bool {
-        if self.found {
-            return true;
+    ) -> Option<HystartExit> {
+        if self.found.is_some() {
+            return self.found;
         }
         // Round boundary, sequence-delimited like Linux `bictcp_hystart_reset`.
         if ack_seq > self.round_end_seq {
@@ -112,12 +114,10 @@ impl HyStart {
         if let Some(rtt) = rtt {
             self.min_rtt = Some(self.min_rtt.map_or(rtt, |m| m.min(rtt)));
         }
-        let Some(min_rtt) = self.min_rtt else {
-            return false;
-        };
+        let min_rtt = self.min_rtt?;
         if cwnd < self.low_window {
             self.last_ack = Some(now);
-            return false;
+            return None;
         }
 
         // ACK-train detector.
@@ -125,7 +125,7 @@ impl HyStart {
             if Duration::from_nanos(now.saturating_sub(last)) <= ACK_SPACING {
                 let train = Duration::from_nanos(now.saturating_sub(self.round_start));
                 if train >= min_rtt / 2 {
-                    self.found = true;
+                    self.found = Some(HystartExit::AckTrain);
                 }
             }
         }
@@ -139,7 +139,7 @@ impl HyStart {
                 if self.samples_this_round >= DELAY_SAMPLES {
                     let threshold = min_rtt + Self::delay_threshold(min_rtt);
                     if self.round_min_rtt.unwrap() > threshold {
-                        self.found = true;
+                        self.found.get_or_insert(HystartExit::Delay);
                     }
                 }
             }
@@ -169,21 +169,17 @@ mod tests {
         rtt: Duration,
         base_seq: u64,
         cwnd: u64,
-    ) -> bool {
+    ) -> Option<HystartExit> {
         let snd_nxt = base_seq + 4 * n * MSS;
-        for k in 0..n {
-            let fired = h.on_ack(
+        (0..n).find_map(|k| {
+            h.on_ack(
                 start + k * gap,
                 base_seq + (k + 1) * MSS,
                 snd_nxt,
                 Some(rtt),
                 cwnd,
-            );
-            if fired {
-                return true;
-            }
-        }
-        false
+            )
+        })
     }
 
     #[test]
@@ -191,7 +187,7 @@ mod tests {
         let mut h = HyStart::new(MSS);
         // 20 acks 0.5 ms apart = 10 ms train << minRTT/2 = 50 ms.
         let fired = feed_round(&mut h, 0, 20, 500_000, ms(100), 0, 32 * MSS);
-        assert!(!fired);
+        assert_eq!(fired, None);
         assert!(!h.found());
     }
 
@@ -200,7 +196,7 @@ mod tests {
         let mut h = HyStart::new(MSS);
         // 60 acks 1 ms apart: train passes 50 ms mid-round.
         let fired = feed_round(&mut h, 0, 60, 1_000_000, ms(100), 0, 64 * MSS);
-        assert!(fired);
+        assert_eq!(fired, Some(HystartExit::AckTrain));
     }
 
     #[test]
@@ -209,7 +205,7 @@ mod tests {
         // 60 acks 3 ms apart: same elapsed span, but gaps exceed 2 ms so
         // the train detector must not fire; delay detector sees flat RTT.
         let fired = feed_round(&mut h, 0, 60, 3_000_000, ms(100), 0, 64 * MSS);
-        assert!(!fired);
+        assert_eq!(fired, None);
     }
 
     #[test]
@@ -221,7 +217,7 @@ mod tests {
         // must clear round 1's round_end_seq (= its snd_nxt, 40·MSS).
         let base = 40 * MSS;
         let fired = feed_round(&mut h, 200_000_000, 10, 3_000_000, ms(120), base, 32 * MSS);
-        assert!(fired, "delay detector must fire");
+        assert_eq!(fired, Some(HystartExit::Delay), "delay detector must fire");
     }
 
     #[test]
@@ -235,7 +231,7 @@ mod tests {
     fn quiet_below_low_window() {
         let mut h = HyStart::new(MSS);
         let fired = feed_round(&mut h, 0, 60, 1_000_000, ms(100), 0, 4 * MSS);
-        assert!(!fired, "HyStart must not fire below 16 segments");
+        assert_eq!(fired, None, "HyStart must not fire below 16 segments");
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //!   combination is needed.
 
 use crate::campaigns::FlowGrid;
-use crate::runner::{collect_sim_telemetry, FlowOutcome, IW, MSS};
+use crate::runner::{
+    build_download, run_download, run_until_complete, FlowOutcome, Transport, HORIZON, IW, MSS,
+};
 use cc_algos::{CcKind, CubicSuss};
-use netsim::{Bandwidth, FlowId, RateSchedule, Sim, SimTime};
+use netsim::{Bandwidth, LinkSpec, RateSchedule, SimTime};
 use simrunner::{RunManifest, RunnerOpts};
 use simstats::{fmt_bytes, fmt_pct, improvement, TextTable};
+use std::time::Duration;
 use suss_core::SussConfig;
-use tcp_sim::flow::{install_flow, wire_flow};
-use tcp_sim::receiver::AckPolicy;
-use tcp_sim::sender::{SenderConfig, SenderEndpoint};
 use workload::{LastHop, PathScenario, ServerSite};
 
 /// Appendix A: FCT vs. k_max on a clean large-BDP path.
@@ -66,50 +66,19 @@ pub fn kmax_sweep(
 }
 
 /// Run one flow over a path whose bottleneck follows `sched`.
-fn run_scheduled(
+pub(crate) fn run_scheduled(
     kind: CcKind,
     sched: RateSchedule,
     flow_bytes: u64,
     owd_ms: u64,
     seed: u64,
 ) -> FlowOutcome {
-    let mut sim = Sim::new(seed);
-    let cfg = SenderConfig::bulk(flow_bytes);
-    let ends = install_flow(
-        &mut sim,
-        FlowId(1),
-        cfg,
-        cc_algos::make_controller(kind, IW, MSS),
-        AckPolicy::default(),
-    );
-    let rtt = std::time::Duration::from_millis(2 * owd_ms);
-    let data = netsim::LinkSpec::clean(sched.base_rate(), std::time::Duration::from_millis(owd_ms))
+    let owd = Duration::from_millis(owd_ms);
+    let data = LinkSpec::clean(sched.base_rate(), owd)
         .with_rate_schedule(sched)
-        .with_queue_bdp(rtt, 1.0);
-    let ack = netsim::LinkSpec::clean(
-        Bandwidth::from_mbps(1000),
-        std::time::Duration::from_millis(owd_ms),
-    );
-    let s2r = sim.add_half_link(ends.sender, ends.receiver, data);
-    let r2s = sim.add_half_link(ends.receiver, ends.sender, ack);
-    wire_flow(&mut sim, ends, s2r, r2s);
-    sim.run_while(SimTime::from_secs(600), |sim| {
-        !sim.agent::<SenderEndpoint>(ends.sender).is_done()
-    });
-    let drops = sim.link_queue_stats(s2r).dropped_pkts;
-    let snd = sim.agent::<SenderEndpoint>(ends.sender);
-    FlowOutcome {
-        fct: snd.stats.fct(),
-        fct_receiver: snd.stats.fct(),
-        segs_sent: snd.stats.segs_sent,
-        segs_retransmitted: snd.stats.segs_retransmitted,
-        retransmit_rate: snd.stats.retransmit_rate(),
-        bottleneck_drops: drops,
-        exit_cwnd: None,
-        suss_pacings: 0,
-        counters: collect_sim_telemetry(&sim),
-        trace: snd.trace.clone(),
-    }
+        .with_queue_bdp(2 * owd, 1.0);
+    let ack = LinkSpec::clean(Bandwidth::from_mbps(1000), owd);
+    run_download(data, ack, Transport::tcp(kind), flow_bytes, seed, false).with_sender_fct()
 }
 
 /// Appendix B: FCT and loss with a mid-slow-start bandwidth change
@@ -183,25 +152,11 @@ pub fn btlbw_sweep(
     (t, run.manifest)
 }
 
-/// Burst-shaping ablation: run CUBIC+SUSS with the extra data injected as
-/// an immediate cwnd jump (no pacing window) and compare drops/loss to the
-/// paper's guarded pacing. Implemented by executing the SUSS plan with an
-/// effectively infinite pacing rate.
-pub struct BurstVariant;
-
-impl BurstVariant {
-    /// Build the burst-mode controller: paper SUSS but the pacing window
-    /// collapses to an instantaneous cwnd jump.
-    pub fn controller(iw: u64, mss: u64) -> Box<dyn tcp_sim::cc::CongestionControl> {
-        Box::new(BurstSuss {
-            inner: CubicSuss::new(iw, mss, SussConfig::default()),
-        })
-    }
-}
-
-/// CUBIC+SUSS with pacing disabled: when the guard timer fires the window
-/// jumps straight to the round target and the extra packets leave as an
-/// ACK-clocked burst (what §4 warns against).
+/// Burst-shaping ablation: paper CUBIC+SUSS with pacing disabled. When
+/// the guard timer fires the window jumps straight to the round target
+/// and the extra packets leave as an ACK-clocked burst (what §4 warns
+/// against), so drops and loss can be compared to the paper's guarded
+/// pacing.
 struct BurstSuss {
     inner: CubicSuss,
 }
@@ -256,41 +211,29 @@ impl tcp_sim::cc::CongestionControl for BurstSuss {
 const PEAK_QUEUE_GAUGE: &str = "ablation.peak_queue_bytes";
 
 /// One burst-ablation cell on the shallow-buffered 5G path.
-fn run_burst_variant(flow_bytes: u64, burst: bool, seed: u64) -> FlowOutcome {
+pub(crate) fn run_burst_variant(flow_bytes: u64, burst: bool, seed: u64) -> FlowOutcome {
     let mut scn = PathScenario::new(ServerSite::GoogleTokyo, LastHop::FiveG);
     scn.buffer_bdp = 0.35; // shallow: bursts visibly overflow
-    let cc = if burst {
-        BurstVariant::controller(IW, MSS)
+    let transport = if burst {
+        Transport::Tcp(Box::new(BurstSuss {
+            inner: CubicSuss::new(IW, MSS, SussConfig::default()),
+        }))
     } else {
-        cc_algos::make_controller(CcKind::CubicSuss, IW, MSS)
+        Transport::tcp(CcKind::CubicSuss)
     };
-
-    let mut sim = Sim::new(seed);
-    let cfg = SenderConfig::bulk(flow_bytes);
-    let ends = install_flow(&mut sim, FlowId(1), cfg, cc, AckPolicy::default());
-    let s2r = sim.add_half_link(ends.sender, ends.receiver, scn.data_link());
-    let r2s = sim.add_half_link(ends.receiver, ends.sender, scn.ack_link());
-    wire_flow(&mut sim, ends, s2r, r2s);
-    sim.run_while(SimTime::from_secs(600), |sim| {
-        !sim.agent::<SenderEndpoint>(ends.sender).is_done()
-    });
+    let (mut sim, flow, s2r) = build_download(
+        scn.data_link(),
+        scn.ack_link(),
+        transport,
+        flow_bytes,
+        seed,
+        false,
+    );
+    run_until_complete(&mut sim, &[flow], HORIZON);
     sim.metrics()
         .gauge(PEAK_QUEUE_GAUGE)
         .observe(sim.link_queue_stats(s2r).max_backlog_bytes);
-    let drops = sim.link_queue_stats(s2r).dropped_pkts;
-    let snd = sim.agent::<SenderEndpoint>(ends.sender);
-    FlowOutcome {
-        fct: snd.stats.fct(),
-        fct_receiver: snd.stats.fct(),
-        segs_sent: snd.stats.segs_sent,
-        segs_retransmitted: snd.stats.segs_retransmitted,
-        retransmit_rate: snd.stats.retransmit_rate(),
-        bottleneck_drops: drops,
-        exit_cwnd: None,
-        suss_pacings: 0,
-        counters: collect_sim_telemetry(&sim),
-        trace: snd.trace.clone(),
-    }
+    FlowOutcome::collect(&mut sim, flow, &[s2r]).with_sender_fct()
 }
 
 /// Compare burst-mode SUSS against paced SUSS on a shallow buffer, as a

@@ -21,15 +21,12 @@
 //!   so a run without a cell timeout still terminates.
 
 use crate::campaigns::FlowGrid;
-use crate::runner::{collect_sim_telemetry, FlowOutcome, IW, MSS};
+use crate::runner::{run_download, FlowOutcome, Transport};
 use cc_algos::CcKind;
-use netsim::{FaultPlan, FlapWindow, FlowId, GilbertElliott, Sim, SimTime};
+use netsim::{FaultPlan, FlapWindow, GilbertElliott, SimTime};
 use simrunner::{RunManifest, RunnerOpts};
 use simstats::{fmt_pct, improvement, TextTable};
 use std::time::Duration;
-use tcp_sim::flow::{install_flow, wire_flow};
-use tcp_sim::receiver::AckPolicy;
-use tcp_sim::sender::{SenderConfig, SenderEndpoint};
 use workload::{LastHop, PathScenario, ServerSite};
 
 /// The fault families the chaos table sweeps, one row each.
@@ -102,36 +99,15 @@ pub fn run_flow_faulted(
     seed: u64,
     plan: &FaultPlan,
 ) -> FlowOutcome {
-    let mut sim = Sim::new(seed);
-    let cfg = SenderConfig::bulk(flow_bytes);
-    let ends = install_flow(
-        &mut sim,
-        FlowId(1),
-        cfg,
-        cc_algos::make_controller(kind, IW, MSS),
-        AckPolicy::default(),
-    );
-    let data = scenario.data_link().with_faults(plan.clone());
-    let s2r = sim.add_half_link(ends.sender, ends.receiver, data);
-    let r2s = sim.add_half_link(ends.receiver, ends.sender, scenario.ack_link());
-    wire_flow(&mut sim, ends, s2r, r2s);
-    sim.run_while(SimTime::from_secs(600), |sim| {
-        !sim.agent::<SenderEndpoint>(ends.sender).is_done()
-    });
-    let drops = sim.link_queue_stats(s2r).dropped_pkts;
-    let snd = sim.agent::<SenderEndpoint>(ends.sender);
-    FlowOutcome {
-        fct: snd.stats.fct(),
-        fct_receiver: snd.stats.fct(),
-        segs_sent: snd.stats.segs_sent,
-        segs_retransmitted: snd.stats.segs_retransmitted,
-        retransmit_rate: snd.stats.retransmit_rate(),
-        bottleneck_drops: drops,
-        exit_cwnd: None,
-        suss_pacings: 0,
-        counters: collect_sim_telemetry(&sim),
-        trace: snd.trace.clone(),
-    }
+    run_download(
+        scenario.data_link().with_faults(plan.clone()),
+        scenario.ack_link(),
+        Transport::tcp(kind),
+        flow_bytes,
+        seed,
+        false,
+    )
+    .with_sender_fct()
 }
 
 /// A parsed `<family>:<cc>:<seed>` injection target from the env.

@@ -5,11 +5,11 @@ use cc_algos::CcKind;
 use netsim::{build_dumbbell, FlowId, NodeId, Sim, SimTime};
 use simstats::StepSeries;
 use tcp_sim::flow::{install_flow, wire_flow, FlowEnds};
-use tcp_sim::receiver::{AckPolicy, ReceiverEndpoint};
-use tcp_sim::sender::{SenderConfig, SenderEndpoint};
+use tcp_sim::receiver::AckPolicy;
+use tcp_sim::sender::SenderConfig;
 use workload::DumbbellConfig;
 
-use crate::runner::{collect_sim_telemetry, FlowOutcome, IW, MSS};
+use crate::runner::{collect_sim_telemetry, run_until_complete, Endpoints, FlowOutcome, IW, MSS};
 use crate::scope::{attach_link_scope, emit_scope_annotations};
 
 /// One flow in a dumbbell experiment.
@@ -129,27 +129,17 @@ pub fn run_dumbbell_scoped(
         wire_flow(&mut sim, *e, db.right_egress[i], db.left_egress[i]);
     }
 
-    let finite: Vec<NodeId> = ends
+    let finite: Vec<Endpoints> = ends
         .iter()
         .zip(flows)
         .filter(|(_, f)| f.flow_bytes != u64::MAX)
-        .map(|(e, _)| e.sender)
+        .map(|(&e, _)| Endpoints::Tcp(e))
         .collect();
     if finite.is_empty() {
         // Only long-lived flows: observe for the whole horizon.
         sim.run_until(horizon);
     } else {
-        // O(1) completion check: each finite sender bumps the shared tally
-        // exactly once, so the stop boundary is the same event at which
-        // polling `is_done` on every sender would first report all-done —
-        // without touching N scattered agents after every event.
-        let tally = std::rc::Rc::new(std::cell::Cell::new(0u64));
-        for &s in &finite {
-            sim.agent_mut::<SenderEndpoint>(s)
-                .notify_completion(std::rc::Rc::clone(&tally));
-        }
-        let all = finite.len() as u64;
-        sim.run_while(horizon, |_| tally.get() < all);
+        run_until_complete(&mut sim, &finite, horizon);
     }
     let ended_at = sim.now();
 
@@ -160,25 +150,10 @@ pub fn run_dumbbell_scoped(
     // One shared simulation: snapshot once, every flow reports the same
     // simulation-wide counters.
     let counters = collect_sim_telemetry(&sim);
+    // The shared queue's drops are reported at outcome level, not per flow.
     let outcomes = ends
         .iter()
-        .map(|e| {
-            let rcv_done = sim.agent::<ReceiverEndpoint>(e.receiver).completed_at();
-            let snd = sim.agent::<SenderEndpoint>(e.sender);
-            let started = snd.stats.started_at.unwrap_or(SimTime::ZERO);
-            FlowOutcome {
-                fct: snd.stats.fct(),
-                fct_receiver: rcv_done.map(|t| t.saturating_since(started)),
-                segs_sent: snd.stats.segs_sent,
-                segs_retransmitted: snd.stats.segs_retransmitted,
-                retransmit_rate: snd.stats.retransmit_rate(),
-                bottleneck_drops: 0, // shared queue: reported at outcome level
-                exit_cwnd: None,
-                suss_pacings: 0,
-                counters: counters.clone(),
-                trace: snd.trace.clone(),
-            }
-        })
+        .map(|&e| FlowOutcome::of_flow(&mut sim, Endpoints::Tcp(e), 0, counters.clone()))
         .collect();
 
     DumbbellOutcome {

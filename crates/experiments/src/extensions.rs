@@ -13,14 +13,11 @@
 //! rendered table together with the run's manifest.
 
 use crate::campaigns::FlowGrid;
-use crate::runner::{collect_sim_telemetry, FlowOutcome, IW, MSS};
+use crate::runner::{run_download, run_until_complete, Endpoints, FlowOutcome, Transport, HORIZON};
 use cc_algos::CcKind;
 use netsim::{FlowId, Qdisc, Sim, SimTime};
 use simrunner::{RunManifest, RunnerOpts};
 use simstats::{fmt_bytes, fmt_pct, improvement, TextTable};
-use tcp_sim::flow::{install_flow, wire_flow};
-use tcp_sim::receiver::AckPolicy;
-use tcp_sim::sender::{SenderConfig, SenderEndpoint};
 use workload::{LastHop, PathScenario, ServerSite};
 
 /// BBR vs BBR+SUSS FCT across flow sizes on a clean large-BDP path.
@@ -60,42 +57,21 @@ pub fn bbr_suss_sweep(
 /// AQM-initiated head drops surface through the engine's
 /// `net.aqm_drops` counter in [`FlowOutcome::counters`];
 /// `bottleneck_drops` keeps counting tail drops as usual.
-fn run_flow_codel(
+pub(crate) fn run_flow_codel(
     scenario: &PathScenario,
     kind: CcKind,
     flow_bytes: u64,
     seed: u64,
 ) -> FlowOutcome {
-    let mut sim = Sim::new(seed);
-    let cfg = SenderConfig::bulk(flow_bytes);
-    let ends = install_flow(
-        &mut sim,
-        FlowId(1),
-        cfg,
-        cc_algos::make_controller(kind, IW, MSS),
-        AckPolicy::default(),
-    );
-    let data = scenario.data_link().with_qdisc(Qdisc::codel_default());
-    let s2r = sim.add_half_link(ends.sender, ends.receiver, data);
-    let r2s = sim.add_half_link(ends.receiver, ends.sender, scenario.ack_link());
-    wire_flow(&mut sim, ends, s2r, r2s);
-    sim.run_while(SimTime::from_secs(600), |sim| {
-        !sim.agent::<SenderEndpoint>(ends.sender).is_done()
-    });
-    let drops = sim.link_queue_stats(s2r).dropped_pkts;
-    let snd = sim.agent::<SenderEndpoint>(ends.sender);
-    FlowOutcome {
-        fct: snd.stats.fct(),
-        fct_receiver: snd.stats.fct(),
-        segs_sent: snd.stats.segs_sent,
-        segs_retransmitted: snd.stats.segs_retransmitted,
-        retransmit_rate: snd.stats.retransmit_rate(),
-        bottleneck_drops: drops,
-        exit_cwnd: None,
-        suss_pacings: 0,
-        counters: collect_sim_telemetry(&sim),
-        trace: snd.trace.clone(),
-    }
+    run_download(
+        scenario.data_link().with_qdisc(Qdisc::codel_default()),
+        scenario.ack_link(),
+        Transport::tcp(kind),
+        flow_bytes,
+        seed,
+        false,
+    )
+    .with_sender_fct()
 }
 
 /// SUSS on/off under a CoDel bottleneck: FCT and AQM drops.
@@ -294,33 +270,23 @@ fn run_cross_traffic(
     use std::time::Duration;
 
     let mut sim = Sim::new(seed);
-    let cfg = SenderConfig::bulk(flow_bytes);
-    let ends = install_flow(
-        &mut sim,
-        FlowId(1),
-        cfg,
-        cc_algos::make_controller(kind, IW, MSS),
-        AckPolicy::default(),
-    );
+    let flow = Endpoints::install(&mut sim, FlowId(1), Transport::tcp(kind), flow_bytes, false);
     let sink = sim.add_agent(Box::new(TrafficSink::new()));
     let router_a = sim.add_agent(Box::new(Router::new()));
     let router_b = sim.add_agent(Box::new(Router::new()));
 
     let edge = || netsim::LinkSpec::clean(Bandwidth::from_gbps(1), Duration::from_micros(100));
-    let s_in = sim.add_half_link(ends.sender, router_a, edge());
+    let (snd, rcv) = flow.nodes();
+    let s_in = sim.add_half_link(snd, router_a, edge());
     let bottleneck = sim.add_half_link(router_a, router_b, scn.data_link());
-    let b_rcv = sim.add_half_link(router_b, ends.receiver, edge());
+    let b_rcv = sim.add_half_link(router_b, rcv, edge());
     let b_sink = sim.add_half_link(router_b, sink, edge());
-    let ack_back = sim.add_half_link(ends.receiver, ends.sender, scn.ack_link());
-    {
-        let ra = sim.agent_mut::<Router>(router_a);
-        ra.set_default_route(bottleneck);
-    }
-    {
-        let rb = sim.agent_mut::<Router>(router_b);
-        rb.add_route(ends.receiver, b_rcv);
-        rb.add_route(sink, b_sink);
-    }
+    let ack_back = sim.add_half_link(rcv, snd, scn.ack_link());
+    sim.agent_mut::<Router>(router_a)
+        .set_default_route(bottleneck);
+    let rb = sim.agent_mut::<Router>(router_b);
+    rb.add_route(rcv, b_rcv);
+    rb.add_route(sink, b_sink);
 
     // The cross source transmits on its own edge into router A.
     let rate = Bandwidth::from_bps(((scn.bottleneck.as_bps() as f64 * load) as u64).max(1_000));
@@ -338,24 +304,9 @@ fn run_cross_traffic(
     let src_edge = sim.add_half_link(src, router_a, edge());
     sim.agent_mut::<TrafficSource>(src).set_egress(src_edge);
 
-    wire_flow(&mut sim, ends, s_in, ack_back);
-    sim.run_while(SimTime::from_secs(600), |sim| {
-        !sim.agent::<SenderEndpoint>(ends.sender).is_done()
-    });
-    let drops = sim.link_queue_stats(bottleneck).dropped_pkts;
-    let snd = sim.agent::<SenderEndpoint>(ends.sender);
-    FlowOutcome {
-        fct: snd.stats.fct(),
-        fct_receiver: snd.stats.fct(),
-        segs_sent: snd.stats.segs_sent,
-        segs_retransmitted: snd.stats.segs_retransmitted,
-        retransmit_rate: snd.stats.retransmit_rate(),
-        bottleneck_drops: drops,
-        exit_cwnd: None,
-        suss_pacings: 0,
-        counters: collect_sim_telemetry(&sim),
-        trace: snd.trace.clone(),
-    }
+    flow.wire(&mut sim, s_in, ack_back);
+    run_until_complete(&mut sim, &[flow], HORIZON);
+    FlowOutcome::collect(&mut sim, flow, &[bottleneck]).with_sender_fct()
 }
 
 #[cfg(test)]
@@ -443,22 +394,16 @@ fn run_parking_lot(hops: usize, kind: CcKind, flow_bytes: u64, seed: u64) -> Flo
 
     let mut sim = Sim::new(seed);
     // Long-path short flow under test.
-    let probe = install_flow(
-        &mut sim,
-        FlowId(1),
-        SenderConfig::bulk(flow_bytes),
-        cc_algos::make_controller(kind, IW, MSS),
-        AckPolicy::default(),
-    );
+    let probe = Endpoints::install(&mut sim, FlowId(1), Transport::tcp(kind), flow_bytes, false);
     // One long-lived CUBIC cross flow per hop.
-    let crosses: Vec<tcp_sim::FlowEnds> = (0..hops)
+    let crosses: Vec<Endpoints> = (0..hops)
         .map(|i| {
-            install_flow(
+            Endpoints::install(
                 &mut sim,
                 FlowId(10 + i as u64),
-                SenderConfig::bulk(u64::MAX),
-                cc_algos::make_controller(CcKind::Cubic, IW, MSS),
-                AckPolicy::default(),
+                Transport::tcp(CcKind::Cubic),
+                u64::MAX,
+                false,
             )
         })
         .collect();
@@ -469,35 +414,16 @@ fn run_parking_lot(hops: usize, kind: CcKind, flow_bytes: u64, seed: u64) -> Flo
         hops: vec![hop_spec; hops],
         edge: LinkSpec::clean(Bandwidth::from_gbps(1), Duration::from_millis(1)),
     };
-    let pairs: Vec<(netsim::NodeId, netsim::NodeId)> =
-        crosses.iter().map(|c| (c.sender, c.receiver)).collect();
-    let pl = build_parking_lot(&mut sim, probe.sender, probe.receiver, &pairs, &spec);
-    tcp_sim::flow::wire_flow(&mut sim, probe, pl.long_src_egress, pl.long_dst_egress);
+    let pairs: Vec<_> = crosses.iter().map(|c| c.nodes()).collect();
+    let (src, dst) = probe.nodes();
+    let pl = build_parking_lot(&mut sim, src, dst, &pairs, &spec);
+    probe.wire(&mut sim, pl.long_src_egress, pl.long_dst_egress);
     for (i, c) in crosses.iter().enumerate() {
-        tcp_sim::flow::wire_flow(&mut sim, *c, pl.cross_src_egress[i], pl.cross_dst_egress[i]);
+        c.wire(&mut sim, pl.cross_src_egress[i], pl.cross_dst_egress[i]);
     }
 
-    sim.run_while(SimTime::from_secs(300), |sim| {
-        !sim.agent::<SenderEndpoint>(probe.sender).is_done()
-    });
-    let drops: u64 = pl
-        .hop_links
-        .iter()
-        .map(|&h| sim.link_queue_stats(h).dropped_pkts)
-        .sum();
-    let snd = sim.agent::<SenderEndpoint>(probe.sender);
-    FlowOutcome {
-        fct: snd.stats.fct(),
-        fct_receiver: snd.stats.fct(),
-        segs_sent: snd.stats.segs_sent,
-        segs_retransmitted: snd.stats.segs_retransmitted,
-        retransmit_rate: snd.stats.retransmit_rate(),
-        bottleneck_drops: drops,
-        exit_cwnd: None,
-        suss_pacings: 0,
-        counters: collect_sim_telemetry(&sim),
-        trace: snd.trace.clone(),
-    }
+    run_until_complete(&mut sim, &[probe], SimTime::from_secs(300));
+    FlowOutcome::collect(&mut sim, probe, &pl.hop_links).with_sender_fct()
 }
 
 #[cfg(test)]

@@ -18,15 +18,13 @@
 
 use crate::campaigns::CAMPAIGN_VERSION;
 use crate::fleet::{BUCKET_MID_MAX, BUCKET_SMALL_MAX};
-use crate::runner::{collect_sim_telemetry, IW, MSS};
+use crate::runner::{run_download, Transport};
 use cc_algos::CcKind;
-use netsim::{EngineConfig, FlowId, Sim, SimTime};
-use quic_sim::{install_quic_flow, wire_quic_flow, PacingStrategy, QuicConfig, QuicSender};
+use netsim::EngineConfig;
+use quic_sim::PacingStrategy;
 use serde::{Deserialize, Serialize};
 use simrunner::{Campaign, FctAnnotation, RunManifest, RunnerOpts};
 use simstats::{LogHistogram, TextTable};
-use std::cell::Cell;
-use std::rc::Rc;
 use workload::{LastHop, PathScenario, ServerSite, KB, MB};
 
 /// The full short-flow size grid (slow-start-dominated downloads).
@@ -141,33 +139,6 @@ impl QuicPacingStats {
     }
 }
 
-/// Run one download of `flow_bytes` over the cell's path and return the
-/// receiver-side FCT in seconds, if it completed.
-fn run_one(cfg: &QuicPacingConfig, flow_bytes: u64, seed: u64) -> (Option<f64>, Sim) {
-    let mut sim = Sim::new(seed);
-    let qcfg = QuicConfig::bulk(flow_bytes).with_strategy(cfg.strategy);
-    let ends = install_quic_flow(
-        &mut sim,
-        FlowId(1),
-        qcfg,
-        cc_algos::make_quic_controller(cfg.cc, IW, MSS),
-    );
-    let s2r = sim.add_half_link(ends.sender, ends.receiver, cfg.scenario.data_link());
-    let r2s = sim.add_half_link(ends.receiver, ends.sender, cfg.scenario.ack_link());
-    wire_quic_flow(&mut sim, ends, s2r, r2s);
-
-    // Stop on the completion tally, bumped in the same dispatch that
-    // marks the sender done, instead of downcasting it after every step.
-    let done = Rc::new(Cell::new(0u64));
-    sim.agent_mut::<QuicSender>(ends.sender)
-        .notify_completion(Rc::clone(&done));
-    sim.run_while(SimTime::from_secs(600), |_| done.get() == 0);
-
-    let fct = quic_sim::flow::teardown_quic_flow(&mut sim, ends)
-        .map(|t| t.saturating_since(SimTime::ZERO).as_secs_f64());
-    (fct, sim)
-}
-
 /// Run one pacing-matrix cell: `iters` seeded repetitions of the size
 /// grid, each download its own simulation.
 ///
@@ -184,15 +155,22 @@ pub fn run_quic_pacing_cell(cfg: &QuicPacingConfig, seed: u64) -> QuicPacingStat
             let sub = seed
                 .wrapping_add(iter.wrapping_mul(7919))
                 .wrapping_add((si as u64).wrapping_mul(104_729));
-            let (fct, sim) = run_one(cfg, bytes, sub);
-            match fct {
-                Some(secs) => {
-                    stats.bucket_mut(bytes).observe(secs);
+            let out = run_download(
+                cfg.scenario.data_link(),
+                cfg.scenario.ack_link(),
+                Transport::quic(cfg.cc, cfg.strategy),
+                bytes,
+                sub,
+                false,
+            );
+            match out.fct_receiver {
+                Some(fct) => {
+                    stats.bucket_mut(bytes).observe(fct.as_secs_f64());
                     stats.completed += 1;
                 }
                 None => stats.incomplete += 1,
             }
-            stats.counters.merge(&collect_sim_telemetry(&sim));
+            stats.counters.merge(&out.counters);
         }
     }
     stats

@@ -1,14 +1,21 @@
-//! Shared single-path experiment runner: one flow over one Internet-matrix
-//! scenario, mirroring the paper's "client downloads a file from a server"
-//! measurement unit.
+//! The one single-flow runner, on either transport: the paper's "client
+//! downloads a file from a server" unit. `run_download` chains its three
+//! steps, which experiments with their own topology reuse one by one:
+//! `build_download` (or `Endpoints::install`), `run_until_complete` and
+//! `FlowOutcome::collect`. [`run_flow`] is its Internet-matrix case.
 
-use cc_algos::CcKind;
-use netsim::{FlowId, Sim, SimTime};
+use cc_algos::{CcKind, QuicController};
+use netsim::{FlowId, LinkId, LinkSpec, NodeId, Sim, SimTime};
+use quic_sim::{
+    install_quic_flow, wire_quic_flow, PacingStrategy, QuicConfig, QuicFlowEnds, QuicReceiver,
+    QuicSender,
+};
 use simstats::StepSeries;
 use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
-use tcp_sim::flow::{install_flow, wire_flow};
+use tcp_sim::cc::CongestionControl;
+use tcp_sim::flow::{install_flow, wire_flow, FlowEnds};
 use tcp_sim::receiver::{AckPolicy, ReceiverEndpoint};
 use tcp_sim::sender::{SenderConfig, SenderEndpoint};
 use tcp_sim::trace::{ConnTrace, TraceEvent};
@@ -19,6 +26,81 @@ pub const MSS: u64 = 1_448;
 /// Initial window: 10 segments.
 pub const IW: u64 = 10 * MSS;
 
+/// Simulated-time limit of a single download.
+pub(crate) const HORIZON: SimTime = SimTime::from_secs(600);
+
+/// The transport that carries a download, with its congestion controller.
+pub(crate) enum Transport {
+    /// `tcp-sim` driving a TCP controller.
+    Tcp(Box<dyn CongestionControl>),
+    /// `quic-sim` driving a QUIC controller, departures spaced by the
+    /// strategy.
+    Quic(Box<dyn QuicController>, PacingStrategy),
+}
+
+impl Transport {
+    /// TCP with the controller `kind` names, at [`IW`] and [`MSS`].
+    pub(crate) fn tcp(kind: CcKind) -> Transport {
+        Transport::Tcp(cc_algos::make_controller(kind, IW, MSS))
+    }
+
+    /// QUIC with the controller `kind` names, at [`IW`] and [`MSS`].
+    pub(crate) fn quic(kind: CcKind, strategy: PacingStrategy) -> Transport {
+        Transport::Quic(cc_algos::make_quic_controller(kind, IW, MSS), strategy)
+    }
+}
+
+/// The sender and receiver of one installed download.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Endpoints {
+    /// A `tcp-sim` flow.
+    Tcp(FlowEnds),
+    /// A `quic-sim` flow.
+    Quic(QuicFlowEnds),
+}
+
+impl Endpoints {
+    /// Install a bulk download of `flow_bytes` as `flow`, starting at
+    /// t = 0; `tracing` turns on per-ACK samples. Wire its egress links
+    /// with [`Endpoints::wire`] once the topology exists.
+    pub(crate) fn install(
+        sim: &mut Sim,
+        flow: FlowId,
+        transport: Transport,
+        flow_bytes: u64,
+        tracing: bool,
+    ) -> Endpoints {
+        match transport {
+            Transport::Tcp(cc) => {
+                let mut cfg = SenderConfig::bulk(flow_bytes);
+                cfg.trace_sampling = tracing;
+                Endpoints::Tcp(install_flow(sim, flow, cfg, cc, AckPolicy::default()))
+            }
+            Transport::Quic(cc, strategy) => {
+                let mut cfg = QuicConfig::bulk(flow_bytes).with_strategy(strategy);
+                cfg.trace_sampling = tracing;
+                Endpoints::Quic(install_quic_flow(sim, flow, cfg, cc))
+            }
+        }
+    }
+
+    /// The sender's and the receiver's nodes.
+    pub(crate) fn nodes(self) -> (NodeId, NodeId) {
+        match self {
+            Endpoints::Tcp(e) => (e.sender, e.receiver),
+            Endpoints::Quic(e) => (e.sender, e.receiver),
+        }
+    }
+
+    /// Wire the sender's and the receiver's egress half-links.
+    pub(crate) fn wire(self, sim: &mut Sim, sender_egress: LinkId, receiver_egress: LinkId) {
+        match self {
+            Endpoints::Tcp(e) => wire_flow(sim, e, sender_egress, receiver_egress),
+            Endpoints::Quic(e) => wire_quic_flow(sim, e, sender_egress, receiver_egress),
+        }
+    }
+}
+
 /// Everything measured from one download.
 #[derive(Debug, Clone)]
 pub struct FlowOutcome {
@@ -27,9 +109,9 @@ pub struct FlowOutcome {
     /// Receiver-side completion (last byte reassembled) — the paper's
     /// download-complete instant.
     pub fct_receiver: Option<Duration>,
-    /// Data segments sent, including retransmissions.
+    /// Data segments (QUIC: packets) sent, including retransmissions.
     pub segs_sent: u64,
-    /// Retransmitted segments.
+    /// Retransmitted segments (QUIC: packets carrying retransmitted bytes).
     pub segs_retransmitted: u64,
     /// Sender's observable loss proxy: retransmitted / sent.
     pub retransmit_rate: f64,
@@ -47,6 +129,82 @@ pub struct FlowOutcome {
 }
 
 impl FlowOutcome {
+    /// Read the outcome of the one download in a finished simulation:
+    /// `bottlenecks` are the links whose queue drops it reports, and the
+    /// counters are the simulation's (see [`collect_sim_telemetry`]).
+    pub(crate) fn collect(sim: &mut Sim, flow: Endpoints, bottlenecks: &[LinkId]) -> FlowOutcome {
+        let drops = bottlenecks
+            .iter()
+            .map(|&l| sim.link_queue_stats(l).dropped_pkts)
+            .sum();
+        let counters = collect_sim_telemetry(sim);
+        FlowOutcome::of_flow(sim, flow, drops, counters)
+    }
+
+    /// Read one flow's outcome from a finished simulation, with the drop
+    /// count and counter snapshot given (a simulation shared by several
+    /// flows snapshots its counters once). Moves the flow's trace out of
+    /// its sender.
+    pub(crate) fn of_flow(
+        sim: &mut Sim,
+        flow: Endpoints,
+        bottleneck_drops: u64,
+        counters: simtrace::CounterSnapshot,
+    ) -> FlowOutcome {
+        let (done, started, fct, sent, rtx, rate, trace) = match flow {
+            Endpoints::Tcp(e) => {
+                let done = sim.agent::<ReceiverEndpoint>(e.receiver).completed_at();
+                let snd = sim.agent_mut::<SenderEndpoint>(e.sender);
+                let (s, trace) = (snd.stats, std::mem::take(&mut snd.trace));
+                let (sent, rtx) = (s.segs_sent, s.segs_retransmitted);
+                let (fct, rate) = (s.fct(), s.retransmit_rate());
+                (done, s.started_at, fct, sent, rtx, rate, trace)
+            }
+            Endpoints::Quic(e) => {
+                let done = sim.agent::<QuicReceiver>(e.receiver).completed_at();
+                let snd = sim.agent_mut::<QuicSender>(e.sender);
+                let (s, trace) = (snd.stats, std::mem::take(&mut snd.trace));
+                let (sent, rtx) = (s.pkts_sent, s.pkts_retransmitted);
+                let (fct, rate) = (s.fct(), s.retransmit_rate());
+                (done, s.started_at, fct, sent, rtx, rate, trace)
+            }
+        };
+        let started = started.unwrap_or(SimTime::ZERO);
+        FlowOutcome {
+            fct,
+            fct_receiver: done.map(|t| t.saturating_since(started)),
+            segs_sent: sent,
+            segs_retransmitted: rtx,
+            retransmit_rate: rate,
+            bottleneck_drops,
+            exit_cwnd: trace.events.iter().find_map(|(_, e)| match e {
+                TraceEvent::SlowStartExit { cwnd } => Some(*cwnd),
+                _ => None,
+            }),
+            suss_pacings: trace
+                .events
+                .iter()
+                .filter(|(_, e)| matches!(e, TraceEvent::SussPacing { .. }))
+                .count(),
+            counters,
+            trace,
+        }
+    }
+
+    /// Report the sender-side FCT ([`FlowOutcome::fct`], last byte
+    /// cumulatively ACKed) in place of the receiver's.
+    ///
+    /// ext_chaos, ext_codel, ext_cross_traffic, ext_parking_lot,
+    /// ablation_btlbw and ablation_burst have always tabulated the
+    /// sender's FCT, and their cached results and fingerprints hold it.
+    /// The v3 campaign batch deletes this method and its six calls, so
+    /// that they report the receiver's FCT like fig11–18 (ROADMAP.md,
+    /// item 8).
+    pub(crate) fn with_sender_fct(mut self) -> FlowOutcome {
+        self.fct_receiver = self.fct;
+        self
+    }
+
     /// Seconds variant of the receiver FCT (NaN if incomplete).
     pub fn fct_secs(&self) -> f64 {
         self.fct_receiver
@@ -97,7 +255,68 @@ pub fn collect_sim_telemetry(sim: &Sim) -> simtrace::CounterSnapshot {
     sim.metrics().snapshot()
 }
 
-/// Run one download of `flow_bytes` over `scenario` with controller `kind`.
+/// Build one download's path: a simulation seeded with `seed`, flow 1
+/// installed on `transport`, `data` carrying sender → receiver and `ack`
+/// receiver → sender. Returns the simulation, the endpoints and the data
+/// link.
+pub(crate) fn build_download(
+    data: LinkSpec,
+    ack: LinkSpec,
+    transport: Transport,
+    flow_bytes: u64,
+    seed: u64,
+    tracing: bool,
+) -> (Sim, Endpoints, LinkId) {
+    let mut sim = Sim::new(seed);
+    let flow = Endpoints::install(&mut sim, FlowId(1), transport, flow_bytes, tracing);
+    let (snd, rcv) = flow.nodes();
+    let s2r = sim.add_half_link(snd, rcv, data);
+    let r2s = sim.add_half_link(rcv, snd, ack);
+    flow.wire(&mut sim, s2r, r2s);
+    (sim, flow, s2r)
+}
+
+/// Run `sim` until every sender in `flows` has completed, or `horizon`
+/// passes.
+///
+/// The stop is a completion tally each sender bumps in the dispatch that
+/// marks it done, so the boundary is the step at which polling every
+/// sender would first see them all done, without a downcast after every
+/// step.
+pub(crate) fn run_until_complete(sim: &mut Sim, flows: &[Endpoints], horizon: SimTime) {
+    let done = Rc::new(Cell::new(0u64));
+    for flow in flows {
+        match *flow {
+            Endpoints::Tcp(e) => sim
+                .agent_mut::<SenderEndpoint>(e.sender)
+                .notify_completion(Rc::clone(&done)),
+            Endpoints::Quic(e) => sim
+                .agent_mut::<QuicSender>(e.sender)
+                .notify_completion(Rc::clone(&done)),
+        }
+    }
+    let all = flows.len() as u64;
+    sim.run_while(horizon, |_| done.get() < all);
+}
+
+/// Run one download of `flow_bytes` over a data and an ACK link, to
+/// completion or [`HORIZON`], and collect its outcome; drops are counted
+/// on the data link.
+pub(crate) fn run_download(
+    data: LinkSpec,
+    ack: LinkSpec,
+    transport: Transport,
+    flow_bytes: u64,
+    seed: u64,
+    tracing: bool,
+) -> FlowOutcome {
+    let (mut sim, flow, s2r) = build_download(data, ack, transport, flow_bytes, seed, tracing);
+    run_until_complete(&mut sim, &[flow], HORIZON);
+    FlowOutcome::collect(&mut sim, flow, &[s2r])
+}
+
+/// Run one TCP download of `flow_bytes` over `scenario` with controller
+/// `kind`.
 ///
 /// `seed` controls all stochastic path elements; with the same seed, the
 /// SUSS-on and SUSS-off arms see identical jitter and loss draws — the
@@ -110,51 +329,14 @@ pub fn run_flow(
     tracing: bool,
 ) -> FlowOutcome {
     let _cell_span = simtrace::prof::span("flow/cell");
-    let mut sim = Sim::new(seed);
-    let mut cfg = SenderConfig::bulk(flow_bytes);
-    cfg.trace_sampling = tracing;
-    let ends = install_flow(
-        &mut sim,
-        FlowId(1),
-        cfg,
-        cc_algos::make_controller(kind, IW, MSS),
-        AckPolicy::default(),
-    );
-    let s2r = sim.add_half_link(ends.sender, ends.receiver, scenario.data_link());
-    let r2s = sim.add_half_link(ends.receiver, ends.sender, scenario.ack_link());
-    wire_flow(&mut sim, ends, s2r, r2s);
-
-    // The tally flips inside the same dispatch as `is_done`, so the stop
-    // boundary is unchanged, without a downcast after every step.
-    let done = Rc::new(Cell::new(0u64));
-    sim.agent_mut::<SenderEndpoint>(ends.sender)
-        .notify_completion(Rc::clone(&done));
-    sim.run_while(SimTime::from_secs(600), |_| done.get() == 0);
-
-    let drops = sim.link_queue_stats(s2r).dropped_pkts;
-    let rcv_done = sim.agent::<ReceiverEndpoint>(ends.receiver).completed_at();
-    let snd = sim.agent::<SenderEndpoint>(ends.sender);
-    let started = snd.stats.started_at.unwrap_or(SimTime::ZERO);
-    FlowOutcome {
-        fct: snd.stats.fct(),
-        fct_receiver: rcv_done.map(|t| t.saturating_since(started)),
-        segs_sent: snd.stats.segs_sent,
-        segs_retransmitted: snd.stats.segs_retransmitted,
-        retransmit_rate: snd.stats.retransmit_rate(),
-        bottleneck_drops: drops,
-        exit_cwnd: snd.trace.events.iter().find_map(|(_, e)| match e {
-            TraceEvent::SlowStartExit { cwnd } => Some(*cwnd),
-            _ => None,
-        }),
-        suss_pacings: snd
-            .trace
-            .events
-            .iter()
-            .filter(|(_, e)| matches!(e, TraceEvent::SussPacing { .. }))
-            .count(),
-        counters: collect_sim_telemetry(&sim),
-        trace: snd.trace.clone(),
-    }
+    run_download(
+        scenario.data_link(),
+        scenario.ack_link(),
+        Transport::tcp(kind),
+        flow_bytes,
+        seed,
+        tracing,
+    )
 }
 
 /// Mean receiver-side FCT over `iters` seeded repetitions, run as a
@@ -225,6 +407,53 @@ mod tests {
         let b = run_flow(&scn, CcKind::CubicSuss, 500_000, 9, false);
         assert_eq!(a.fct, b.fct);
         assert_eq!(a.segs_sent, b.segs_sent);
+    }
+
+    #[test]
+    fn every_path_variant_reports_slow_start_exit_and_suss_pacing() {
+        use crate::ablations::{run_burst_variant, run_scheduled};
+        use crate::chaos::{chaos_scenario, run_flow_faulted};
+        use crate::extensions::run_flow_codel;
+        use netsim::{Bandwidth, FaultPlan, RateSchedule};
+        use workload::MB;
+
+        let scn = chaos_scenario();
+        let mut deep = scn;
+        deep.buffer_bdp = 4.0;
+        let drop = RateSchedule::steps(vec![
+            (SimTime::ZERO, Bandwidth::from_mbps(100)),
+            (SimTime::from_millis(400), Bandwidth::from_mbps(40)),
+        ]);
+        let suss = CcKind::CubicSuss;
+        // Each path at a size where the flow leaves slow start on an ACK
+        // (a loss exit records no exit cwnd) after SUSS has paced.
+        let size = 8 * MB;
+        let variants: [(&str, FlowOutcome); 6] = [
+            ("plain", run_flow(&scn, suss, size, 1, false)),
+            (
+                "faulted",
+                run_flow_faulted(&scn, suss, size, 1, &FaultPlan::new()),
+            ),
+            ("codel", run_flow_codel(&deep, suss, size, 1)),
+            ("rate-scheduled", run_scheduled(suss, drop, size, 75, 1)),
+            ("burst ablation", run_burst_variant(20 * MB, true, 1)),
+            (
+                "quic per-packet",
+                run_download(
+                    scn.data_link(),
+                    scn.ack_link(),
+                    Transport::quic(suss, PacingStrategy::PerPacket),
+                    size,
+                    1,
+                    false,
+                ),
+            ),
+        ];
+        for (name, out) in &variants {
+            assert!(out.fct_secs().is_finite(), "{name}: incomplete");
+            assert!(out.exit_cwnd.is_some(), "{name}: no slow-start exit");
+            assert!(out.suss_pacings > 0, "{name}: no SUSS pacing");
+        }
     }
 
     #[test]

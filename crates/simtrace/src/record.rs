@@ -43,8 +43,9 @@ pub mod kind {
     /// SUSS per-round estimate. `value` carries the growth estimate `k`,
     /// `reason` the round context (e.g. `round=3,k=4`).
     pub const SUSS_ROUND: &str = "suss_round";
-    /// HyStart slow-start exit. `reason` carries `<phase>:<trigger>`
-    /// (`exit:rtt_rise` from CUBIC, `exit:hystart_delay` from CUBIC+SUSS).
+    /// HyStart slow-start exit. `reason` carries `<phase>:<trigger>`, the
+    /// trigger naming the detector that fired (`exit:ack_train` or
+    /// `exit:delay`, from CUBIC and CUBIC+SUSS alike).
     pub const HYSTART: &str = "hystart";
 }
 

@@ -64,4 +64,4 @@ pub use growth::{
 pub use pacer::{packet_interval, Pacer};
 pub use rounds::{AckObservation, Nanos, RoundSnapshot, RoundTracker};
 pub use schedule::{estimate_ack_train, plan_pacing, PacingPlan};
-pub use suss::{AckEvent, Suss, SussOutput};
+pub use suss::{AckEvent, HystartExit, Suss, SussOutput};

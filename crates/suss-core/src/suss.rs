@@ -55,9 +55,33 @@ pub struct SussOutput {
     /// `plan.extra_bytes` at `plan.rate_bytes_per_sec`, growing cwnd as
     /// the bytes are sent, up to `plan.cwnd_target`.
     pub start_pacing: Option<PacingPlan>,
-    /// Modified HyStart says exponential growth must stop now: exit
-    /// slow-start (set ssthresh = cwnd) and cancel any pending pacing.
-    pub exit_slow_start: bool,
+    /// Modified HyStart says exponential growth must stop now, and which
+    /// of its detectors said so: exit slow-start (set ssthresh = cwnd) and
+    /// cancel any pending pacing.
+    pub exit_slow_start: Option<HystartExit>,
+}
+
+/// Which HyStart detector ended slow start. Classic HyStart
+/// (`cc-algos`) and the modified HyStart embedded in SUSS both have the
+/// same two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HystartExit {
+    /// A contiguous ACK train longer than `minRTT / 2`: the pipe is full.
+    /// SUSS's growth cap, which that check arms in a paced round, exits
+    /// with this reason too.
+    AckTrain,
+    /// A round's RTT rose past the delay threshold: a queue is building.
+    Delay,
+}
+
+impl HystartExit {
+    /// The reason code traced with the exit (`ack_train` or `delay`).
+    pub fn reason(self) -> &'static str {
+        match self {
+            HystartExit::AckTrain => "ack_train",
+            HystartExit::Delay => "delay",
+        }
+    }
 }
 
 /// The SUSS per-connection state.
@@ -228,7 +252,7 @@ impl Suss {
         }
 
         self.last_ack_at = Some(ev.now);
-        if out.exit_slow_start {
+        if out.exit_slow_start.is_some() {
             self.exp_growth = false;
         }
         out
@@ -266,7 +290,7 @@ impl Suss {
         // Cap check first: once armed, it alone decides when to stop.
         if let Some(cap) = self.cap {
             if ev.cwnd >= cap {
-                out.exit_slow_start = true;
+                out.exit_slow_start = Some(HystartExit::AckTrain);
             }
             return;
         }
@@ -296,7 +320,7 @@ impl Suss {
         if is_blue && train_intact && self.rounds_since_red >= 2 {
             let elapsed = Duration::from_nanos(ev.now.saturating_sub(self.tracker.round_start()));
             if elapsed > min_rtt / ACK_TRAIN_DIVISOR {
-                out.exit_slow_start = true;
+                out.exit_slow_start = Some(HystartExit::AckTrain);
             }
         }
 
@@ -305,7 +329,8 @@ impl Suss {
             if let Some(mo) = self.mo_rtt {
                 let limit = min_rtt.mul_f64(DELAY_FACTOR);
                 if mo > limit {
-                    out.exit_slow_start = true;
+                    // The train check above, if it fired too, names the exit.
+                    out.exit_slow_start.get_or_insert(HystartExit::Delay);
                 }
             }
         }
@@ -401,9 +426,9 @@ mod tests {
             round_start: Nanos,
             spacing_ns: u64,
             rtt_ns: u64,
-        ) -> (Option<PacingPlan>, bool) {
+        ) -> (Option<PacingPlan>, Option<HystartExit>) {
             let mut plan = None;
-            let mut exited = false;
+            let mut exited = None;
             let to_ack = self.snd_nxt - self.acked;
             let n_acks = (to_ack / MSS).max(1);
             self.now = round_start;
@@ -423,8 +448,8 @@ mod tests {
                 if let Some(p) = out.start_pacing {
                     plan = Some(p);
                 }
-                if out.exit_slow_start {
-                    exited = true;
+                if out.exit_slow_start.is_some() {
+                    exited = out.exit_slow_start;
                     break;
                 }
             }
@@ -438,7 +463,7 @@ mod tests {
         // far below minRTT/4 = 25 ms; no queueing. Expect G = 4 by round 2.
         let mut h = Harness::new(SussConfig::default());
         let (plan, exited) = h.run_round(MIN_RTT_NS, 100_000, MIN_RTT_NS);
-        assert!(!exited);
+        assert_eq!(exited, None);
         let plan = plan.expect("pacing plan expected on a fat path");
         assert_eq!(plan.growth_factor, 4);
         assert_eq!(h.suss.last_growth_factor(), 4);
@@ -455,7 +480,7 @@ mod tests {
         let mut h = Harness::new(SussConfig::default());
         let (plan, exited) = h.run_round(MIN_RTT_NS, 3_000_000, MIN_RTT_NS);
         assert!(plan.is_none());
-        assert!(!exited);
+        assert_eq!(exited, None);
         assert_eq!(h.suss.last_growth_factor(), 2);
     }
 
@@ -479,7 +504,7 @@ mod tests {
         h.run_round(MIN_RTT_NS, 100_000, MIN_RTT_NS);
         // moRTT way above 1.125*minRTT: HyStart delay exit.
         let (_, exited) = h.run_round(2 * MIN_RTT_NS, 100_000, 150_000_000);
-        assert!(exited);
+        assert_eq!(exited, Some(HystartExit::Delay));
         assert!(!h.suss.exp_growth());
     }
 
@@ -490,14 +515,18 @@ mod tests {
         let mut h = Harness::new(SussConfig::disabled());
         // Round 2 with 10 acks spaced 1 ms: train 9 ms < 50 ms -> fine.
         let (_, exited) = h.run_round(MIN_RTT_NS, 1_000_000, MIN_RTT_NS);
-        assert!(!exited);
+        assert_eq!(exited, None);
         // Round 3 now has 20 pkts in flight... keep acking with 1.9 ms
         // spacing (train stays contiguous): 20 acks * 1.9 = 38 ms < 50.
         let (_, exited) = h.run_round(2 * MIN_RTT_NS, 1_900_000, MIN_RTT_NS);
-        assert!(!exited);
+        assert_eq!(exited, None);
         // Round 4 has 40 pkts: 40 * 1.9 = 76 ms > 50 ms -> exit mid-train.
         let (_, exited) = h.run_round(3 * MIN_RTT_NS, 1_900_000, MIN_RTT_NS);
-        assert!(exited, "long contiguous ACK train must stop growth");
+        assert_eq!(
+            exited,
+            Some(HystartExit::AckTrain),
+            "long contiguous ACK train must stop growth"
+        );
     }
 
     #[test]
@@ -526,7 +555,7 @@ mod tests {
         h.suss.on_exit_slow_start();
         let (plan, exited) = h.run_round(MIN_RTT_NS, 100_000, MIN_RTT_NS);
         assert!(plan.is_none());
-        assert!(!exited, "dormant SUSS emits no further signals");
+        assert_eq!(exited, None, "dormant SUSS emits no further signals");
         assert!(!h.suss.exp_growth());
     }
 
@@ -559,7 +588,7 @@ mod tests {
         // Next round: the measurement scales by total/blue > 1. The path is
         // still clean, so SUSS accelerates again (paper Fig. 6, G3 = 4).
         let (plan3, exited) = h.run_round(2 * MIN_RTT_NS, 100_000, MIN_RTT_NS);
-        assert!(!exited);
+        assert_eq!(exited, None);
         let plan3 = plan3.expect("round 3 accelerates again on a clean path");
         assert_eq!(plan3.growth_factor, 4);
         assert!(
@@ -584,7 +613,7 @@ mod tests {
             cwnd: h.cwnd,
             snd_nxt: h.snd_nxt,
         });
-        assert!(!out.exit_slow_start);
+        assert_eq!(out.exit_slow_start, None);
         assert_eq!(h.suss.rounds_since_min_rtt, 0);
     }
 }

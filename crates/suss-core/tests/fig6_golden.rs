@@ -59,7 +59,7 @@ impl World {
                 cwnd: self.cwnd,
                 snd_nxt: self.snd_nxt,
             });
-            assert!(!out.exit_slow_start, "ideal path must not exit");
+            assert_eq!(out.exit_slow_start, None, "ideal path must not exit");
             if out.start_pacing.is_some() {
                 plan = out.start_pacing;
             }

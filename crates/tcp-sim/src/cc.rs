@@ -193,7 +193,7 @@ pub enum CcEvent {
     SsthreshChanged {
         /// The new threshold in bytes.
         ssthresh: u64,
-        /// Decision code, e.g. `loss`, `hystart_delay`, `suss_exit`.
+        /// Decision code, e.g. `loss`, `hystart`, `suss_exit`.
         reason: &'static str,
     },
     /// The pacing rate changed (0 = pacing stopped).
@@ -214,7 +214,7 @@ pub enum CcEvent {
     HystartPhase {
         /// The phase entered (`exit`).
         phase: &'static str,
-        /// Trigger code, e.g. `rtt_rise`.
+        /// Trigger code: the detector that fired, `ack_train` or `delay`.
         reason: &'static str,
     },
 }

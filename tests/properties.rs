@@ -314,7 +314,7 @@ proptest! {
                     paced = true;
                 }
             }
-            if out.exit_slow_start {
+            if out.exit_slow_start.is_some() {
                 prop_assert!(!suss.exp_growth());
             }
             // Mimic slow-start growth and clocked sending.
