@@ -4,7 +4,7 @@ use experiments::ablations::btlbw_sweep;
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("ablation_btlbw", true);
+    let o = BenchCli::parse("ablation_btlbw");
     let (size, iters) = if o.quick {
         (3 * workload::MB, 1)
     } else {

@@ -4,7 +4,7 @@ use experiments::ablations::burst_ablation;
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("ablation_burst", true);
+    let o = BenchCli::parse("ablation_burst");
     let (size, iters) = if o.quick {
         (2 * workload::MB, 1)
     } else {

@@ -4,7 +4,7 @@ use experiments::ablations::kmax_sweep;
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("ablation_kmax", true);
+    let o = BenchCli::parse("ablation_kmax");
     let (sizes, iters): (Vec<u64>, u64) = if o.quick {
         (vec![workload::MB, 4 * workload::MB], 2)
     } else {

@@ -5,7 +5,7 @@ use experiments::extensions::bbr_suss_sweep;
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("ext_bbr_suss", true);
+    let o = BenchCli::parse("ext_bbr_suss");
     let (sizes, iters): (Vec<u64>, u64) = if o.quick {
         (vec![workload::MB, 2 * workload::MB], 2)
     } else {

@@ -9,7 +9,7 @@ use experiments::chaos::chaos_table;
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("ext_chaos", true);
+    let o = BenchCli::parse("ext_chaos");
     let (size, iters) = if o.quick {
         (workload::MB, 2)
     } else {

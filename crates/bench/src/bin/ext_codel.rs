@@ -4,7 +4,7 @@ use experiments::extensions::codel_sweep;
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("ext_codel", true);
+    let o = BenchCli::parse("ext_codel");
     let (sizes, iters): (Vec<u64>, u64) = if o.quick {
         (vec![2 * workload::MB], 2)
     } else {

@@ -4,7 +4,7 @@ use experiments::extensions::cross_traffic_sweep;
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("ext_cross_traffic", true);
+    let o = BenchCli::parse("ext_cross_traffic");
     let (loads, iters): (Vec<f64>, u64) = if o.quick {
         (vec![0.0, 0.4], 2)
     } else {

@@ -10,7 +10,7 @@
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("ext_fleet", true);
+    let o = BenchCli::parse("ext_fleet");
     let n_flows = if o.quick { 150 } else { 2_000 };
     let run = experiments::fleet::fleet_table(n_flows, 1, &o.runner());
     let (spawned, completed, expired) = run.totals();

@@ -4,7 +4,7 @@ use experiments::extensions::parking_lot_probe;
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("ext_parking_lot", true);
+    let o = BenchCli::parse("ext_parking_lot");
     let (hops, size) = if o.quick {
         (2usize, workload::MB)
     } else {

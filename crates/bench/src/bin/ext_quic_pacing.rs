@@ -13,7 +13,7 @@ use quic_sim::PacingStrategy;
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("ext_quic_pacing", true);
+    let o = BenchCli::parse("ext_quic_pacing");
     let (iters, sizes): (u64, &[u64]) = if o.quick {
         (2, &QUIC_SIZES_QUICK)
     } else {

@@ -4,7 +4,7 @@ use experiments::fig01::{run, Fig01Params};
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("fig01", false);
+    let o = BenchCli::parse("fig01");
     let p = if o.quick {
         Fig01Params::quick()
     } else {

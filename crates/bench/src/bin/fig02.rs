@@ -4,7 +4,7 @@ use experiments::fig02::{run, Fig02Params};
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("fig02", false);
+    let o = BenchCli::parse("fig02");
     let p = if o.quick {
         Fig02Params::quick()
     } else {

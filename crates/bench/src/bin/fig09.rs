@@ -4,7 +4,7 @@ use experiments::fig09::{run, Fig09Params};
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("fig09", false);
+    let o = BenchCli::parse("fig09");
     let p = if o.quick {
         Fig09Params::quick()
     } else {

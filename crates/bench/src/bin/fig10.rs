@@ -5,7 +5,7 @@ use netsim::SimTime;
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("fig10", false);
+    let o = BenchCli::parse("fig10");
     let p = if o.quick {
         Fig09Params::quick()
     } else {

@@ -4,7 +4,7 @@ use experiments::fct_sweep::{fig11_scenarios, sweep_matrix, SweepParams};
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("fig11", true);
+    let o = BenchCli::parse("fig11");
     let p = if o.quick {
         SweepParams::quick()
     } else {

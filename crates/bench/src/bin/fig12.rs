@@ -5,7 +5,7 @@ use simstats::{fmt_bytes, fmt_pct, TextTable};
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("fig12", true);
+    let o = BenchCli::parse("fig12");
     let p = if o.quick {
         SweepParams::quick()
     } else {

@@ -4,7 +4,7 @@ use experiments::fig13::{run, Fig13Params};
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("fig13", false);
+    let o = BenchCli::parse("fig13");
     let p = if o.quick {
         Fig13Params::quick()
     } else {

@@ -4,7 +4,7 @@ use experiments::loss::{fig14_scenario, sweep_matrix, LossParams};
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("fig14", true);
+    let o = BenchCli::parse("fig14");
     let p = if o.quick {
         LossParams::quick()
     } else {

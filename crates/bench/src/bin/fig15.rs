@@ -4,7 +4,7 @@ use experiments::fairness::{run_with, to_table, FairnessParams};
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("fig15", true);
+    let o = BenchCli::parse("fig15");
     let p = if o.quick {
         FairnessParams::quick()
     } else {

@@ -5,7 +5,7 @@ use std::time::Duration;
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("fig16", false);
+    let o = BenchCli::parse("fig16");
     let p = if o.quick {
         StabilityParams::quick()
     } else {

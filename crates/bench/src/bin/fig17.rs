@@ -6,7 +6,7 @@ use suss_bench::BenchCli;
 use workload::PathScenario;
 
 fn main() {
-    let o = BenchCli::parse("fig17", true);
+    let o = BenchCli::parse("fig17");
     let p = if o.quick {
         LossParams {
             sizes: vec![4 * workload::MB],
@@ -22,7 +22,7 @@ fn main() {
             buffer_bdp_override: Some(0.5),
         }
     };
-    // All 28 scenarios run as one campaign, sharded across the pool.
+    // All 28 scenarios run as one campaign, spread across the pool.
     let m = sweep_matrix(&PathScenario::matrix(), &p, &o.runner());
     let mut t = TextTable::new(vec!["scenario", "suss-on(%)", "suss-off(%)", "bbr(%)"]);
     for sweep in &m.sweeps {

@@ -5,7 +5,7 @@ use simstats::{fmt_pct, TextTable};
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("fig18", true);
+    let o = BenchCli::parse("fig18");
     let p = if o.quick {
         SweepParams {
             sizes: vec![workload::MB, 4 * workload::MB],
@@ -21,7 +21,7 @@ fn main() {
             seed_base: 1,
         }
     };
-    // All 28 scenarios run as one campaign, sharded across the pool.
+    // All 28 scenarios run as one campaign, spread across the pool.
     let m = sweep_matrix(&fig18_scenarios(), &p, &o.runner());
     let mut t = TextTable::new(vec![
         "scenario",

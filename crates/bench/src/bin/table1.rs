@@ -4,7 +4,7 @@ use experiments::stability::{run_with, to_table, StabilityParams};
 use suss_bench::BenchCli;
 
 fn main() {
-    let o = BenchCli::parse("table1", true);
+    let o = BenchCli::parse("table1");
     let p = if o.quick {
         StabilityParams::quick()
     } else {

@@ -6,24 +6,22 @@
 //! Every binary accepts `--quick` to run the scaled-down parameter set
 //! (useful for smoke tests; the default is the full paper-scale run) and
 //! `--csv` to emit machine-readable output after the human-readable
-//! table. All experiments run as simrunner campaigns, so every binary
-//! also accepts the parallel-execution flags (`--workers`, `--no-cache`,
-//! `--cold`, `--no-progress`), runs on the worker pool unless
-//! `--shard K/N` says to run one shard of the campaign and exit (a plain
-//! run on the same cache then finishes it; `scripts/shard_run.sh` drives
-//! both), caches results under `results/cache/`, and writes a run
-//! manifest to `results/<name>.manifest.json`.
+//! table. Experiments run as simrunner campaigns, so every binary also
+//! accepts the parallel-execution flags (`--workers`, `--no-cache`,
+//! `--cold`, `--no-progress`); a campaign runs on the worker pool, caches
+//! results under `results/cache/`, and writes a run manifest to
+//! `results/<name>.manifest.json`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use simrunner::{parse_shard, ExecSpec, RunManifest, RunnerOpts};
+use simrunner::{RunManifest, RunnerOpts};
 use std::path::PathBuf;
 
 /// The shared command line of every figure/table/ablation binary.
 ///
 /// Construct with [`BenchCli::parse`], passing the binary's artifact name
-/// once, and whether it runs a campaign; the manifest and trace paths
+/// once; the manifest and trace paths
 /// (`results/<name>.manifest.json`, `results/<name>.trace.jsonl`) derive
 /// from the name, so binaries never thread it through each call.
 #[derive(Debug, Clone)]
@@ -47,16 +45,12 @@ pub struct BenchCli {
     /// `results/<name>.trace.jsonl`"; [`BenchCli::open_trace`] resolves
     /// it.
     pub trace: Option<PathBuf>,
-    /// Run as one shard of a split campaign (`--shard K/N`).
-    pub shard: Option<(usize, usize)>,
 }
 
 impl BenchCli {
     /// Parse `std::env::args` for the binary publishing artifacts under
-    /// `results/<name>.*`. `campaign` says whether the binary runs a
-    /// campaign; one that does not refuses `--shard` here, with exit
-    /// status 2, before it computes anything or opens its trace file.
-    pub fn parse(name: &'static str, campaign: bool) -> Self {
+    /// `results/<name>.*`.
+    pub fn parse(name: &'static str) -> Self {
         let mut o = BenchCli {
             name,
             quick: false,
@@ -66,7 +60,6 @@ impl BenchCli {
             cold: false,
             no_progress: false,
             trace: None,
-            shard: None,
         };
         let mut args = std::env::args().skip(1).peekable();
         while let Some(a) = args.next() {
@@ -85,16 +78,6 @@ impl BenchCli {
                 "--no-cache" => o.no_cache = true,
                 "--cold" => o.cold = true,
                 "--no-progress" => o.no_progress = true,
-                "--shard" => {
-                    let spec = args.next().unwrap_or_default();
-                    o.shard = match parse_shard(&spec) {
-                        Some(kn) => Some(kn),
-                        None => {
-                            eprintln!("--shard needs K/N with K < N, got {spec:?}");
-                            std::process::exit(2);
-                        }
-                    }
-                }
                 "--trace" => {
                     // Optional operand: `--trace out.jsonl` or bare
                     // `--trace` for the binary's default path.
@@ -107,8 +90,7 @@ impl BenchCli {
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: {name} [--quick] [--csv] [--workers N] [--no-cache] \
-                         [--cold] [--no-progress] [--trace [PATH]] \
-                         [--shard K/N]"
+                         [--cold] [--no-progress] [--trace [PATH]]"
                     );
                     std::process::exit(0);
                 }
@@ -117,10 +99,6 @@ impl BenchCli {
                     std::process::exit(2);
                 }
             }
-        }
-        if let Err(e) = o.check_shardable(campaign) {
-            eprintln!("{e}");
-            std::process::exit(2);
         }
         if o.trace.is_none() {
             if let Ok(p) = std::env::var("SUSS_TRACE") {
@@ -174,16 +152,13 @@ impl BenchCli {
     }
 
     /// Campaign execution options for this invocation: requested worker
-    /// count, the shared cache under `results/cache/`, progress on
-    /// stderr (human output goes to stdout, so redirects stay clean),
-    /// flight-recorder dumps under `results/flightrec/` for cells that
-    /// terminally panic or time out, the executor selected by `--shard`
-    /// (the pool when it is not given), and `SUSS_*` environment
-    /// overrides applied last
-    /// (`SUSS_FLIGHTREC_DIR=` disables the recorder, `SUSS_PROF=1`
-    /// enables per-cell span profiling). Exits with status 2 when the
-    /// final options shard without a cache (`--no-cache` or
-    /// `SUSS_NO_CACHE=1`): shards exchange results only through it.
+    /// count, the shared cache under `results/cache/` (none under
+    /// `--no-cache`), progress on stderr (human output goes to stdout, so
+    /// redirects stay clean), flight-recorder dumps under
+    /// `results/flightrec/` for cells that terminally panic or time out,
+    /// and the `SUSS_*` environment overrides applied last
+    /// (`SUSS_CACHE_DIR` moves the cache, `SUSS_CELL_TIMEOUT_MS` sets the
+    /// per-cell budget, `SUSS_PROF=1` enables per-cell span profiling).
     pub fn runner(&self) -> RunnerOpts {
         let mut r = RunnerOpts::default().with_workers(self.workers);
         if !self.no_cache {
@@ -192,31 +167,7 @@ impl BenchCli {
         r.force_cold = self.cold;
         r.progress = !self.no_progress;
         r.flightrec_dir = Some(PathBuf::from("results/flightrec"));
-        r.manifest_stem = Some(PathBuf::from("results").join(self.name));
-        if let Some((index, total)) = self.shard {
-            // A shard run exits inside the runner after writing its
-            // shard manifest, before the binary renders anything.
-            r.executor = ExecSpec::Shard { index, total };
-        }
-        let r = r.env_overrides();
-        if let Err(e) = r.check_sharding() {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        r
-    }
-
-    /// `Err` when `--shard` was given to a binary that runs no campaign:
-    /// the flag would be silently ignored and the whole figure rendered
-    /// once per shard.
-    fn check_shardable(&self, campaign: bool) -> Result<(), String> {
-        match self.shard {
-            Some((k, n)) if !campaign => Err(format!(
-                "{}: --shard {k}/{n} given, but this binary runs no campaign to shard",
-                self.name
-            )),
-            _ => Ok(()),
-        }
+        r.env_overrides()
     }
 
     /// Write a campaign manifest to `results/<name>.manifest.json`.
@@ -264,33 +215,5 @@ impl BenchCli {
             print!("{}", table.to_csv());
         }
         println!();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cli(shard: Option<(usize, usize)>) -> BenchCli {
-        BenchCli {
-            name: "fig09",
-            quick: true,
-            csv: false,
-            workers: 0,
-            no_cache: true,
-            cold: false,
-            no_progress: true,
-            trace: None,
-            shard,
-        }
-    }
-
-    #[test]
-    fn campaign_free_bins_refuse_to_render_under_shard() {
-        assert_eq!(cli(None).check_shardable(false), Ok(()));
-        assert_eq!(cli(None).check_shardable(true), Ok(()));
-        assert_eq!(cli(Some((0, 2))).check_shardable(true), Ok(()));
-        let err = cli(Some((0, 2))).check_shardable(false).unwrap_err();
-        assert!(err.contains("fig09: --shard 0/2"), "{err}");
     }
 }

@@ -21,7 +21,7 @@ use workload::{LastHop, PathScenario, ServerSite};
 
 /// Appendix A: FCT vs. k_max on a clean large-BDP path.
 ///
-/// Runs as one [`FlowGrid`] campaign — all (size × k × seed) cells shard
+/// Runs as one [`FlowGrid`] campaign — all (size × k × seed) cells spread
 /// across the worker pool and memoize in the shared cache — and returns
 /// the rendered table together with the run's manifest.
 pub fn kmax_sweep(

@@ -8,7 +8,7 @@
 //!   Poisson stream;
 //! * **parking lot** — a short flow crossing several stacked bottlenecks.
 //!
-//! Every sweep runs as one [`FlowGrid`] campaign: cells shard across the
+//! Every sweep runs as one [`FlowGrid`] campaign: cells spread across the
 //! worker pool, memoize in the shared cache, and the function returns the
 //! rendered table together with the run's manifest.
 
@@ -64,7 +64,7 @@ pub(crate) fn run_flow_codel(
     seed: u64,
 ) -> FlowOutcome {
     run_download(
-        scenario.data_link().with_qdisc(Qdisc::codel_default()),
+        scenario.data_link().with_qdisc(Qdisc::Codel),
         scenario.ack_link(),
         Transport::tcp(kind),
         flow_bytes,

@@ -84,7 +84,7 @@ pub struct MatrixSweep {
 }
 
 /// Sweep many scenarios as **one** campaign: every
-/// (scenario, size, scheme, seed) cell shards across the worker pool
+/// (scenario, size, scheme, seed) cell spreads across the worker pool
 /// together and memoizes in the shared result cache.
 pub fn sweep_matrix(scenarios: &[PathScenario], p: &SweepParams, opts: &RunnerOpts) -> MatrixSweep {
     let mut grid = FlowGrid::new("fct_sweep");

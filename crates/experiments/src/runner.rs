@@ -425,10 +425,10 @@ mod tests {
             (SimTime::from_millis(400), Bandwidth::from_mbps(40)),
         ]);
         let suss = CcKind::CubicSuss;
-        // Each path at a size where the flow leaves slow start on an ACK
-        // (a loss exit records no exit cwnd) after SUSS has paced.
+        // Each path at a size where SUSS has paced before the flow leaves
+        // slow start, on an ACK or, for the 12 MB burst arm, on a loss.
         let size = 8 * MB;
-        let variants: [(&str, FlowOutcome); 6] = [
+        let variants: [(&str, FlowOutcome); 7] = [
             ("plain", run_flow(&scn, suss, size, 1, false)),
             (
                 "faulted",
@@ -437,6 +437,10 @@ mod tests {
             ("codel", run_flow_codel(&deep, suss, size, 1)),
             ("rate-scheduled", run_scheduled(suss, drop, size, 75, 1)),
             ("burst ablation", run_burst_variant(20 * MB, true, 1)),
+            (
+                "burst ablation, loss exit",
+                run_burst_variant(12 * MB, true, 1),
+            ),
             (
                 "quic per-packet",
                 run_download(

@@ -63,7 +63,7 @@ pub use bandwidth::Bandwidth;
 pub use faults::{FaultPlan, FlapWindow, GilbertElliott, ReorderModel};
 pub use link::{JitterModel, LinkSpec, LinkStats, Qdisc, RateSchedule};
 pub use packet::{FlowId, LinkId, NodeId, Packet, PacketMeta, PayloadHandle, PayloadPool};
-pub use queue::{CodelQueue, DropTailQueue, Queue, QueueStats};
+pub use queue::{CodelQueue, DropTailQueue, QueueStats};
 pub use rng::SimRng;
 pub use router::Router;
 pub use sim::{Agent, Ctx, EngineConfig, ScopeKind, ScopeSink, Sim};

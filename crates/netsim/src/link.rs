@@ -9,7 +9,7 @@
 use crate::bandwidth::Bandwidth;
 use crate::faults::{FaultPlan, FaultState, FlapWindow};
 use crate::packet::{NodeId, Packet};
-use crate::queue::{CodelQueue, DropTailQueue, Queue, QueueStats};
+use crate::queue::{CodelQueue, DropTailQueue, QueueStats};
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use std::time::Duration;
@@ -19,23 +19,8 @@ use std::time::Duration;
 pub enum Qdisc {
     /// Classic tail-drop FIFO (the paper's testbed default).
     DropTail,
-    /// CoDel AQM (RFC 8289) with the given target/interval.
-    Codel {
-        /// Target sojourn time (RFC default: 5 ms).
-        target: Duration,
-        /// Sliding-minimum interval (RFC default: 100 ms).
-        interval: Duration,
-    },
-}
-
-impl Qdisc {
-    /// CoDel with RFC 8289 defaults.
-    pub fn codel_default() -> Self {
-        Qdisc::Codel {
-            target: Duration::from_millis(5),
-            interval: Duration::from_millis(100),
-        }
-    }
+    /// CoDel AQM with RFC 8289's 5 ms target and 100 ms interval.
+    Codel,
 }
 
 /// The concrete egress queue behind a [`Qdisc`].
@@ -48,11 +33,7 @@ impl LinkQueue {
     pub(crate) fn new(qdisc: Qdisc, capacity: u64) -> Self {
         match qdisc {
             Qdisc::DropTail => LinkQueue::DropTail(DropTailQueue::new(capacity)),
-            Qdisc::Codel { target, interval } => LinkQueue::Codel(CodelQueue::with_params(
-                capacity,
-                target.as_nanos() as u64,
-                interval.as_nanos() as u64,
-            )),
+            Qdisc::Codel => LinkQueue::Codel(CodelQueue::new(capacity)),
         }
     }
 
@@ -136,17 +117,15 @@ impl RateSchedule {
 ///
 /// Each packet's extra delay is `max(0, N(0, std_dev))`, low-pass filtered
 /// with coefficient `correlation` against the previous packet's jitter —
-/// exactly the (approximate) correlation model `netem` documents. By default
-/// delivery order is preserved (as when a rate-limited qdisc follows netem);
-/// set `allow_reorder` to let large jitter swings reorder packets.
+/// exactly the (approximate) correlation model `netem` documents. Delivery
+/// order is preserved (as when a rate-limited qdisc follows netem):
+/// arrivals are clamped to FIFO order.
 #[derive(Debug, Clone, Copy)]
 pub struct JitterModel {
     /// Standard deviation of the per-packet delay variation.
     pub std_dev: Duration,
     /// Correlation coefficient in `[0, 1)` between consecutive samples.
     pub correlation: f64,
-    /// If false (default), arrivals are clamped to FIFO order.
-    pub allow_reorder: bool,
 }
 
 impl JitterModel {
@@ -155,7 +134,6 @@ impl JitterModel {
         JitterModel {
             std_dev: Duration::ZERO,
             correlation: 0.0,
-            allow_reorder: false,
         }
     }
 
@@ -164,7 +142,6 @@ impl JitterModel {
         JitterModel {
             std_dev,
             correlation: 0.0,
-            allow_reorder: false,
         }
     }
 
@@ -177,7 +154,6 @@ impl JitterModel {
         JitterModel {
             std_dev,
             correlation,
-            allow_reorder: false,
         }
     }
 }

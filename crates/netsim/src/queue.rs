@@ -2,8 +2,9 @@
 //!
 //! The paper's testbeds use drop-tail buffers on the bottleneck router,
 //! sized in bandwidth-delay-product (BDP) multiples via `netem`/`tbf`.
-//! [`DropTailQueue`] reproduces that. A small [`Queue`] trait keeps the
-//! door open for AQM variants (the related-work section discusses CoDel).
+//! [`DropTailQueue`] reproduces that; [`CodelQueue`] is the AQM variant
+//! the related-work section discusses. A link reaches either through its
+//! `Qdisc`.
 
 use crate::packet::Packet;
 use std::collections::VecDeque;
@@ -21,27 +22,6 @@ pub struct QueueStats {
     pub dropped_bytes: u64,
     /// High-water mark of queue occupancy in bytes.
     pub max_backlog_bytes: u64,
-}
-
-/// A FIFO packet queue with an admission policy.
-pub trait Queue {
-    /// Offer a packet. Returns the packet back if it was dropped.
-    fn enqueue(&mut self, pkt: Packet) -> Result<(), Packet>;
-
-    /// Remove the packet at the head of the queue.
-    fn dequeue(&mut self) -> Option<Packet>;
-
-    /// Current backlog in bytes.
-    fn backlog_bytes(&self) -> u64;
-
-    /// Current backlog in packets.
-    fn backlog_pkts(&self) -> usize;
-
-    /// Lifetime statistics.
-    fn stats(&self) -> QueueStats;
-
-    /// Capacity in bytes (`u64::MAX` if unbounded).
-    fn capacity_bytes(&self) -> u64;
 }
 
 /// Classic drop-tail (tail-drop) FIFO queue with a byte-based capacity.
@@ -68,14 +48,8 @@ impl DropTailQueue {
         }
     }
 
-    /// Create an effectively unbounded queue (for non-bottleneck hops).
-    pub fn unbounded() -> Self {
-        Self::new(u64::MAX)
-    }
-}
-
-impl Queue for DropTailQueue {
-    fn enqueue(&mut self, pkt: Packet) -> Result<(), Packet> {
+    /// Offer a packet. Returns the packet back if it was dropped.
+    pub fn enqueue(&mut self, pkt: Packet) -> Result<(), Packet> {
         let size = u64::from(pkt.size);
         if self.backlog.saturating_add(size) > self.capacity {
             self.stats.dropped_pkts += 1;
@@ -90,26 +64,21 @@ impl Queue for DropTailQueue {
         Ok(())
     }
 
-    fn dequeue(&mut self) -> Option<Packet> {
+    /// Remove the packet at the head of the queue.
+    pub fn dequeue(&mut self) -> Option<Packet> {
         let pkt = self.fifo.pop_front()?;
         self.backlog -= u64::from(pkt.size);
         Some(pkt)
     }
 
-    fn backlog_bytes(&self) -> u64 {
+    /// Current backlog in bytes.
+    pub fn backlog_bytes(&self) -> u64 {
         self.backlog
     }
 
-    fn backlog_pkts(&self) -> usize {
-        self.fifo.len()
-    }
-
-    fn stats(&self) -> QueueStats {
+    /// Lifetime statistics.
+    pub fn stats(&self) -> QueueStats {
         self.stats
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.capacity
     }
 }
 
@@ -142,10 +111,11 @@ mod tests {
         q.enqueue(pkt(300)).unwrap();
         q.enqueue(pkt(200)).unwrap();
         assert_eq!(q.backlog_bytes(), 500);
-        assert_eq!(q.backlog_pkts(), 2);
-        q.dequeue();
+        assert_eq!(q.dequeue().map(|p| p.size), Some(300));
         assert_eq!(q.backlog_bytes(), 200);
-        assert_eq!(q.backlog_pkts(), 1);
+        assert_eq!(q.dequeue().map(|p| p.size), Some(200));
+        assert_eq!(q.backlog_bytes(), 0);
+        assert!(q.dequeue().is_none(), "two packets in, two out");
     }
 
     #[test]
@@ -180,7 +150,8 @@ mod tests {
 
     #[test]
     fn unbounded_never_drops() {
-        let mut q = DropTailQueue::unbounded();
+        // A capacity of `u64::MAX` bytes admits every packet.
+        let mut q = DropTailQueue::new(u64::MAX);
         for _ in 0..1_000 {
             q.enqueue(pkt(u32::MAX)).unwrap();
         }
@@ -203,10 +174,6 @@ pub struct CodelQueue {
     backlog: u64,
     capacity: u64,
     stats: QueueStats,
-    /// Target sojourn time (ns). RFC default 5 ms.
-    target_ns: u64,
-    /// Sliding-minimum interval (ns). RFC default 100 ms.
-    interval_ns: u64,
     /// Time the sojourn time first exceeded target, if tracking.
     first_above_at: Option<u64>,
     /// In the dropping state.
@@ -220,20 +187,18 @@ pub struct CodelQueue {
 }
 
 impl CodelQueue {
-    /// RFC 8289 defaults: 5 ms target, 100 ms interval.
-    pub fn new(capacity_bytes: u64) -> Self {
-        Self::with_params(capacity_bytes, 5_000_000, 100_000_000)
-    }
+    /// Target sojourn time (ns): RFC 8289's 5 ms.
+    const TARGET_NS: u64 = 5_000_000;
+    /// Sliding-minimum interval (ns): RFC 8289's 100 ms.
+    const INTERVAL_NS: u64 = 100_000_000;
 
-    /// Explicit target/interval (nanoseconds).
-    pub fn with_params(capacity_bytes: u64, target_ns: u64, interval_ns: u64) -> Self {
+    /// A CoDel queue holding at most `capacity_bytes` of packets.
+    pub fn new(capacity_bytes: u64) -> Self {
         CodelQueue {
             fifo: VecDeque::new(),
             backlog: 0,
             capacity: capacity_bytes,
             stats: QueueStats::default(),
-            target_ns,
-            interval_ns,
             first_above_at: None,
             dropping: false,
             drop_next: 0,
@@ -243,7 +208,7 @@ impl CodelQueue {
     }
 
     fn control_law(&self, t: u64) -> u64 {
-        t + (self.interval_ns as f64 / (self.drop_count.max(1) as f64).sqrt()) as u64
+        t + (Self::INTERVAL_NS as f64 / (self.drop_count.max(1) as f64).sqrt()) as u64
     }
 
     /// Offer a packet at time `now`.
@@ -270,7 +235,7 @@ impl CodelQueue {
             self.backlog -= u64::from(pkt.size);
             let sojourn = now.saturating_sub(enq);
 
-            let above = sojourn > self.target_ns && self.backlog > 2 * 1500;
+            let above = sojourn > Self::TARGET_NS && self.backlog > 2 * 1500;
             if !above {
                 // Sojourn acceptable: leave any dropping state.
                 self.first_above_at = None;
@@ -284,7 +249,7 @@ impl CodelQueue {
                         self.first_above_at = Some(now);
                         return Some(pkt);
                     }
-                    Some(t0) if now.saturating_sub(t0) < self.interval_ns => {
+                    Some(t0) if now.saturating_sub(t0) < Self::INTERVAL_NS => {
                         return Some(pkt);
                     }
                     Some(_) => {

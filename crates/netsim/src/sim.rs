@@ -366,10 +366,8 @@ impl NetCore {
                     hl.stats.reordered_pkts += 1;
                 }
                 None => {
-                    if !hl.spec.jitter.allow_reorder {
-                        arrival = arrival.max(hl.last_arrival);
-                    }
-                    hl.last_arrival = hl.last_arrival.max(arrival);
+                    arrival = arrival.max(hl.last_arrival);
+                    hl.last_arrival = arrival;
                 }
             }
             hl.stats.delivered_pkts += 1;

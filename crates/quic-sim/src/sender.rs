@@ -654,9 +654,7 @@ impl QuicSender {
 
     fn drain_cc_events(&mut self, now: SimTime) {
         for ev in self.cc.take_events() {
-            if let Some(e) = TraceEvent::from_cc(ev) {
-                self.trace.record(now, self.flow, e);
-            }
+            self.trace.record(now, self.flow, TraceEvent::from_cc(ev));
         }
     }
 

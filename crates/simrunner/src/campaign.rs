@@ -1,12 +1,11 @@
 //! Campaigns: grids of independent simulation cells, plus the options
-//! surface ([`RunnerOpts`]) that selects and configures an executor.
+//! surface ([`RunnerOpts`]) that configures the executor.
 //!
 //! Execution itself lives in [`crate::exec`]: a [`Campaign`] is pure
-//! data, and [`Campaign::run`] hands it to the [`Executor`] its options
-//! select — the deterministic thread pool, or one shard of a split
-//! campaign. Both commit results by cell index, so the output is
-//! byte-identical regardless of worker count, scheduling, cache state,
-//! or sharding.
+//! data, and [`Campaign::run`] serves its cache hits and runs its misses
+//! on the deterministic thread pool. Results commit by cell index, so the
+//! output is byte-identical regardless of worker count, scheduling, or
+//! cache state.
 
 use crate::cache::{Cache, CellIdentity};
 use crate::exec::Executor;
@@ -46,54 +45,32 @@ pub enum FailurePolicy {
     Record,
 }
 
-/// Which executor [`RunnerOpts::executor`] builds.
+/// The executor [`RunnerOpts::executor`] selects: there is one. A
+/// compatibility stub for the benchmark package under `perfbench/`, which
+/// names `ExecSpec::Pool` in a test (see DESIGN §5d).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum ExecSpec {
     /// The deterministic token-tracked thread pool with panic isolation,
-    /// a wall-clock watchdog and flight-recorder dumps (the default, and
-    /// the only local executor: cells are coarse, so its shared queue
-    /// already balances them).
+    /// a wall-clock watchdog and flight-recorder dumps.
     #[default]
     Pool,
-    /// Run only the cells owned by shard `index` of `total` (round-robin
-    /// by cell index) against the shared cache, write a shard manifest
-    /// next to the campaign's manifest stem, and exit the process (0, or
-    /// [`SHARD_FAILED_EXIT`](crate::SHARD_FAILED_EXIT) when cells failed).
-    /// A bench binary's `--shard K/N` selects it; a plain [`Pool`](Self::Pool)
-    /// run on the same cache then finishes the campaign.
-    Shard {
-        /// This process's shard index, in `0..total`.
-        index: usize,
-        /// Number of shards the campaign is split into.
-        total: usize,
-    },
 }
 
-/// How to execute a campaign: worker counts, caching, resilience,
-/// observability, and which [`Executor`] to build.
+/// How to execute a campaign: worker counts, caching, resilience and
+/// observability.
 ///
 /// # Environment knobs
 ///
-/// [`RunnerOpts::from_env`] (and [`env_overrides`](RunnerOpts::env_overrides),
-/// which layers the same variables over explicit options) is the single
-/// parsing path for every `SUSS_*` runner knob. Malformed values never
-/// abort a campaign: each one warns on stderr and keeps the prior value.
+/// [`env_overrides`](RunnerOpts::env_overrides) layers the `SUSS_*`
+/// runner knobs over explicit options; every other setting is a bench
+/// binary flag. Malformed values never abort a campaign: each one warns
+/// on stderr and keeps the prior value.
 ///
 /// | Variable | Effect |
 /// |---|---|
-/// | `SUSS_WORKERS` | worker threads (`0` = auto) |
 /// | `SUSS_CACHE_DIR` | result-cache root (empty = keep current) |
-/// | `SUSS_NO_CACHE` | `1` disables the cache entirely |
-/// | `SUSS_FORCE_COLD` | `1` ignores existing entries (still stores) |
-/// | `SUSS_PROGRESS` | `0` disables, anything else enables |
 /// | `SUSS_CELL_TIMEOUT_MS` | per-cell wall budget (`0` disables) |
 /// | `SUSS_PROF` | `0` disables, anything else enables the span profiler |
-/// | `SUSS_FLIGHTREC_DIR` | crash-dump directory (empty disables) |
-///
-/// The executor is never set from the environment: shard runs come from
-/// explicit options (a bench binary's `--shard K/N`).
-/// [`check_sharding`](Self::check_sharding) vets the final options, after
-/// these overrides.
 ///
 /// (`SUSS_TRACE` — the event-trace output path — is consumed by the
 /// bench CLI and `suss-sim`, not by the runner; it selects where traces
@@ -125,11 +102,12 @@ pub struct RunnerOpts {
     pub flightrec_dir: Option<PathBuf>,
     /// What to do when cells fail terminally; see [`FailurePolicy`].
     pub on_failure: FailurePolicy,
-    /// Which executor [`RunnerOpts::executor`] builds.
+    /// The executor [`RunnerOpts::executor`] selects; [`ExecSpec`] has
+    /// one variant.
     pub executor: ExecSpec,
-    /// Path stem for campaign manifests (shard manifests land at
-    /// `<stem>.shard<k>of<N>.manifest.json`). `None` defaults to
-    /// `results/<experiment>`.
+    /// Unread: nothing writes a manifest from the runner's options. A
+    /// compatibility stub for the benchmark package under `perfbench/`,
+    /// which sets it (see DESIGN §5d).
     pub manifest_stem: Option<PathBuf>,
 }
 
@@ -140,14 +118,6 @@ impl RunnerOpts {
             workers: 1,
             ..Self::default()
         }
-    }
-
-    /// Build options purely from `SUSS_*` environment variables layered
-    /// over the defaults. See the [type docs](RunnerOpts) for the
-    /// variable table; this and [`env_overrides`](Self::env_overrides)
-    /// share one parsing path.
-    pub fn from_env() -> Self {
-        Self::default().env_overrides()
     }
 
     /// Set the worker count.
@@ -187,18 +157,6 @@ impl RunnerOpts {
         self
     }
 
-    /// Select which executor [`RunnerOpts::executor`] builds.
-    pub fn with_executor(mut self, spec: ExecSpec) -> Self {
-        self.executor = spec;
-        self
-    }
-
-    /// Set the manifest path stem (see [`RunnerOpts::manifest_stem`]).
-    pub fn with_manifest_stem(mut self, stem: impl Into<PathBuf>) -> Self {
-        self.manifest_stem = Some(stem.into());
-        self
-    }
-
     /// Apply the `SUSS_*` environment overrides on top of these options
     /// (see the [type docs](RunnerOpts) for the variable table), warning
     /// on stderr about malformed values.
@@ -220,25 +178,10 @@ impl RunnerOpts {
         let mut warn = |key: &str, val: &str, want: &str| {
             warnings.push(format!("ignoring {key}={val:?}: expected {want}"));
         };
-        if let Some(w) = get("SUSS_WORKERS") {
-            match w.parse() {
-                Ok(w) => self.workers = w,
-                Err(_) => warn("SUSS_WORKERS", &w, "a worker count"),
-            }
-        }
         if let Some(d) = get("SUSS_CACHE_DIR") {
             if !d.is_empty() {
                 self.cache_dir = Some(PathBuf::from(d));
             }
-        }
-        if get("SUSS_NO_CACHE").is_some_and(|v| v == "1") {
-            self.cache_dir = None;
-        }
-        if get("SUSS_FORCE_COLD").is_some_and(|v| v == "1") {
-            self.force_cold = true;
-        }
-        if let Some(p) = get("SUSS_PROGRESS") {
-            self.progress = p != "0";
         }
         if let Some(ms) = get("SUSS_CELL_TIMEOUT_MS") {
             match ms.parse::<u64>() {
@@ -249,27 +192,7 @@ impl RunnerOpts {
         if let Some(p) = get("SUSS_PROF") {
             self.profile = p != "0";
         }
-        if let Some(d) = get("SUSS_FLIGHTREC_DIR") {
-            self.flightrec_dir = (!d.is_empty()).then(|| PathBuf::from(d));
-        }
         (self, warnings)
-    }
-
-    /// Reject option sets that cannot work: shards exchange results only
-    /// through the shared cache, so a shard run without a `cache_dir`
-    /// would cache nothing and leave the final run to recompute every
-    /// cell. Call on the final options, after
-    /// [`env_overrides`](Self::env_overrides) (`SUSS_NO_CACHE=1` clears
-    /// the cache there).
-    pub fn check_sharding(&self) -> Result<(), String> {
-        match self.executor {
-            ExecSpec::Shard { .. } if self.cache_dir.is_none() => {
-                Err("sharded execution requires the result cache \
-                     (drop --no-cache / SUSS_NO_CACHE)"
-                    .to_string())
-            }
-            _ => Ok(()),
-        }
     }
 
     pub(crate) fn resolved_workers(&self) -> usize {
@@ -281,26 +204,6 @@ impl RunnerOpts {
                 .unwrap_or(1)
         }
     }
-
-    /// The manifest path stem for `experiment`: the configured
-    /// [`manifest_stem`](RunnerOpts::manifest_stem), or
-    /// `results/<experiment>`.
-    pub(crate) fn stem_for(&self, experiment: &str) -> PathBuf {
-        self.manifest_stem
-            .clone()
-            .unwrap_or_else(|| Path::new("results").join(experiment))
-    }
-}
-
-/// Parse `K/N` shard coordinates (`--shard K/N`): `None` unless
-/// `K < N`.
-pub fn parse_shard(s: &str) -> Option<(usize, usize)> {
-    let (k, n) = s.split_once('/')?;
-    let (k, n) = (
-        k.trim().parse::<usize>().ok()?,
-        n.trim().parse::<usize>().ok()?,
-    );
-    (k < n && n >= 1).then_some((k, n))
 }
 
 /// A named grid of cells, executed together.
@@ -315,17 +218,16 @@ pub struct Campaign {
     pub cells: Vec<Cell>,
 }
 
-/// What [`Campaign::run`] returns, whichever executor ran it.
+/// What [`Campaign::run`] returns.
 ///
-/// Failed (or shard-skipped) cells come back as `None` with their status
-/// and terminal error recorded in the manifest; under the default
-/// [`FailurePolicy::Raise`] a failure panics instead, so every slot is
-/// `Some` by construction.
+/// Failed cells come back as `None` with their status and terminal error
+/// recorded in the manifest; under the default [`FailurePolicy::Raise`] a
+/// failure panics instead, so every slot is `Some` by construction.
 #[derive(Debug)]
 pub struct CampaignReport<T> {
     /// Per-cell results in campaign (cell-index) order — independent of
-    /// worker count, scheduling, cache state, and sharding. `None` marks
-    /// a failed or skipped cell.
+    /// worker count, scheduling, and cache state. `None` marks a failed
+    /// cell.
     pub results: Vec<Option<T>>,
     /// The run's manifest (timings, cache hits, per-cell records,
     /// failure totals, results digest).
@@ -335,12 +237,12 @@ pub struct CampaignReport<T> {
 impl<T> CampaignReport<T> {
     /// Whether every cell produced a result.
     pub fn all_ok(&self) -> bool {
-        self.manifest.all_ok() && self.manifest.cells_skipped == 0
+        self.manifest.all_ok()
     }
 
     /// Unwrap every result, panicking with the first failed cell's label
     /// if any is missing. Infallible after a [`FailurePolicy::Raise`]
-    /// run of an unsharded executor.
+    /// run.
     pub fn expect_all(self) -> Vec<T> {
         if let Some(rec) = self.manifest.cells.iter().find(|r| !r.status.succeeded()) {
             panic!(
@@ -393,13 +295,14 @@ impl Campaign {
     }
 
     /// Execute every cell on `exec` (from [`RunnerOpts::executor`]) and
-    /// return results in campaign order.
+    /// return results in campaign order: cache hits are served, misses
+    /// run on the pool.
     ///
     /// Each cell is computed solely from its own [`Cell`] (independent
     /// seeding) and results commit by cell index, so the output — and
     /// anything aggregated from it in order — is byte-identical whether
-    /// this runs on 1 worker or 64, cold or fully cached, in one process
-    /// or after N shards filled the shared cache.
+    /// this runs on 1 worker or 64, cold, fully cached, or resuming a
+    /// killed run on its cache.
     ///
     /// # Panics
     /// Under [`FailurePolicy::Raise`] (the default), re-raises the first
@@ -467,7 +370,6 @@ impl Campaign {
 
     pub(crate) fn assemble_manifest(&self, parts: ManifestParts) -> RunManifest {
         let n = self.cells.len();
-        let owned = n - parts.cells_skipped;
         let wall_secs = parts.started.elapsed().as_secs_f64();
         let events_total: u64 = parts.records.iter().map(|r| r.events).sum();
         let worker_busy_secs: f64 = parts.records.iter().map(|r| r.wall_ms).sum::<f64>() / 1e3;
@@ -481,7 +383,7 @@ impl Campaign {
         let mut scope_annotations = parts.scope_annotations;
         // Canonical order: harvest order is completion order, which is
         // scheduling-dependent; sorting keeps manifests byte-comparable
-        // across executors and worker counts.
+        // across worker counts.
         scope_annotations.sort_by(|a, b| a.label.cmp(&b.label).then(a.n.cmp(&b.n)));
         RunManifest {
             experiment: self.experiment.clone(),
@@ -490,10 +392,9 @@ impl Campaign {
             workers: parts.workers,
             total_cells: n,
             cache_hits: parts.cache_hits,
-            cache_misses: owned - parts.cache_hits,
-            cells_skipped: parts.cells_skipped,
+            cache_misses: n - parts.cache_hits,
             wall_secs,
-            cells_per_sec: owned as f64 / wall_secs.max(1e-9),
+            cells_per_sec: n as f64 / wall_secs.max(1e-9),
             events_total,
             events_per_sec: events_total as f64 / wall_secs.max(1e-9),
             worker_busy_secs,
@@ -518,7 +419,6 @@ pub(crate) struct ManifestParts {
     pub executor: String,
     pub workers: usize,
     pub cache_hits: usize,
-    pub cells_skipped: usize,
     pub started: Instant,
     pub records: Vec<CellRecord>,
     pub cells_failed: usize,
@@ -642,73 +542,45 @@ mod tests {
     #[test]
     fn apply_env_parses_every_knob() {
         let (opts, warnings) = RunnerOpts::default().apply_env(env_of(&[
-            ("SUSS_WORKERS", "3"),
             ("SUSS_CACHE_DIR", "/tmp/cache"),
-            ("SUSS_FORCE_COLD", "1"),
-            ("SUSS_PROGRESS", "0"),
             ("SUSS_CELL_TIMEOUT_MS", "1500"),
             ("SUSS_PROF", "1"),
-            ("SUSS_FLIGHTREC_DIR", "/tmp/frec"),
         ]));
         assert!(warnings.is_empty(), "{warnings:?}");
-        assert_eq!(opts.workers, 3);
         assert_eq!(opts.cache_dir.as_deref(), Some(Path::new("/tmp/cache")));
-        assert!(opts.force_cold);
-        assert!(!opts.progress);
         assert_eq!(opts.cell_timeout, Some(Duration::from_millis(1500)));
         assert!(opts.profile);
-        assert_eq!(opts.flightrec_dir.as_deref(), Some(Path::new("/tmp/frec")));
-        assert_eq!(opts.executor, ExecSpec::Pool);
-    }
-
-    #[test]
-    fn sharding_without_cache_is_rejected_after_env_overrides() {
-        let cached = RunnerOpts::default().with_cache("/tmp/cache");
-        let opts = cached
-            .clone()
-            .with_executor(ExecSpec::Shard { index: 0, total: 2 });
-        assert_eq!(opts.check_sharding(), Ok(()), "a shard with a cache");
-        // The flags asked for a cache; the environment took it away.
-        let (opts, warnings) = opts.apply_env(env_of(&[("SUSS_NO_CACHE", "1")]));
+        // An empty cache dir keeps the current one; 0 disables the budget.
+        let (opts, warnings) = opts.apply_env(env_of(&[
+            ("SUSS_CACHE_DIR", ""),
+            ("SUSS_CELL_TIMEOUT_MS", "0"),
+            ("SUSS_PROF", "0"),
+        ]));
         assert!(warnings.is_empty(), "{warnings:?}");
-        assert_eq!(opts.cache_dir, None);
-        assert!(
-            opts.check_sharding()
-                .is_err_and(|e| e.contains("requires the result cache")),
-            "a shard without a cache must be rejected"
-        );
-        // The pool runs fine uncached.
-        let (pool, _) = cached.apply_env(env_of(&[("SUSS_NO_CACHE", "1")]));
-        assert_eq!(pool.check_sharding(), Ok(()));
+        assert_eq!(opts.cache_dir.as_deref(), Some(Path::new("/tmp/cache")));
+        assert_eq!(opts.cell_timeout, None);
+        assert!(!opts.profile);
     }
 
     #[test]
     fn apply_env_warns_and_keeps_prior_value_on_malformed_input() {
-        let base = RunnerOpts::default()
-            .with_workers(7)
-            .with_cell_timeout(Duration::from_millis(900));
-        let (opts, warnings) = base.apply_env(env_of(&[
-            ("SUSS_WORKERS", "many"),
-            ("SUSS_CELL_TIMEOUT_MS", "soon"),
-        ]));
-        assert_eq!(warnings.len(), 2, "{warnings:?}");
-        for w in &warnings {
-            assert!(w.starts_with("ignoring SUSS_"), "{w}");
+        let base = RunnerOpts::default().with_cell_timeout(Duration::from_millis(900));
+        for bad in ["soon", "-5", "1.5"] {
+            let (opts, warnings) = base
+                .clone()
+                .apply_env(env_of(&[("SUSS_CELL_TIMEOUT_MS", bad)]));
+            assert_eq!(warnings.len(), 1, "{warnings:?}");
+            assert!(
+                warnings[0].starts_with("ignoring SUSS_CELL_TIMEOUT_MS"),
+                "{}",
+                warnings[0]
+            );
+            assert_eq!(
+                opts.cell_timeout,
+                Some(Duration::from_millis(900)),
+                "malformed value must keep the prior one"
+            );
         }
-        assert_eq!(opts.workers, 7, "malformed value must keep the prior one");
-        assert_eq!(opts.cell_timeout, Some(Duration::from_millis(900)));
-        assert_eq!(opts.executor, ExecSpec::Pool);
-    }
-
-    #[test]
-    fn shard_coordinates_must_be_in_range() {
-        assert_eq!(parse_shard("0/1"), Some((0, 1)));
-        assert_eq!(parse_shard("3/4"), Some((3, 4)));
-        assert_eq!(parse_shard(" 1 / 2 "), Some((1, 2)));
-        assert_eq!(parse_shard("4/4"), None);
-        assert_eq!(parse_shard("2"), None);
-        assert_eq!(parse_shard("a/b"), None);
-        assert_eq!(parse_shard("1/0"), None);
     }
 
     #[test]
@@ -717,10 +589,5 @@ mod tests {
         assert_eq!(opts.resolved_workers(), 1);
         let auto = RunnerOpts::default();
         assert!(auto.resolved_workers() >= 1);
-        assert_eq!(auto.stem_for("fig17"), Path::new("results").join("fig17"));
-        assert_eq!(
-            auto.with_manifest_stem("/tmp/x/fig17").stem_for("fig17"),
-            Path::new("/tmp/x/fig17")
-        );
     }
 }

@@ -1,83 +1,63 @@
-//! The execution engines behind [`Campaign::run`].
+//! The executor behind [`Campaign::run`]: serve the cache hits, then run
+//! the misses on the pool.
 //!
-//! A [`Campaign`] is pure data; the [`ExecSpec`] in its [`RunnerOpts`]
-//! decides *how* its cells get computed. [`RunnerOpts::executor`] hands
-//! back an [`Executor`] that dispatches once on that spec to one of two
-//! plain functions, both committing results by cell index so the output
-//! is byte-identical across engines:
-//!
-//! * `pool` ([`ExecSpec::Pool`], the default) — the deterministic
-//!   token-tracked thread pool with panic isolation, a wall-clock
-//!   watchdog, and flight-recorder crash dumps. Each cell runs once: a
-//!   cell is a pure function of its parameters and seed, so a panic or a
-//!   hang would only recur on a second attempt;
-//! * `shard k/N` ([`ExecSpec::Shard`]) — the pool over only the cells
-//!   shard `k` owns (round-robin by index) against the shared cache. It
-//!   writes a shard manifest and exits the process.
-//!
-//! A split campaign is finished by an ordinary pool run on the shared
-//! cache: it serves every cell a shard completed as a hit and recomputes
-//! whatever is missing, so a killed shard costs only its unfinished cells.
+//! The pool is a deterministic token-tracked thread pool with panic
+//! isolation, a wall-clock watchdog, and flight-recorder crash dumps.
+//! Each cell runs once: a cell is a pure function of its parameters and
+//! seed, so a panic or a hang would only recur on a second attempt.
+//! Results commit by cell index, so the output is byte-identical at any
+//! worker count and cache temperature. A killed run resumes by running
+//! again on the same cache: every cell it completed is a hit.
 
 use crate::campaign::{
     dump_flightrec, panic_message, run_bracketed, Campaign, CampaignReport, Cell, CellTelemetry,
     ExecSpec, FailurePolicy, ManifestParts, RunnerOpts,
 };
-use crate::manifest::{shard_manifest_path, CellRecord, CellStatus, RunManifest};
-use crate::pool::BoundedQueue;
+use crate::manifest::{CellRecord, CellStatus, RunManifest};
 use crate::progress::Progress;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// Watchdog scan granularity of the pool executor.
 const TICK: Duration = Duration::from_millis(20);
-/// Exit code of a shard process whose cells failed (manifest still written).
-pub const SHARD_FAILED_EXIT: i32 = 3;
 
-/// The executor selected by [`RunnerOpts::executor`]: the options a
-/// campaign runs under, dispatched once on their [`ExecSpec`].
+/// The executor returned by [`RunnerOpts::executor`]: the options a
+/// campaign runs under. Kept as a type of its own for the benchmark
+/// package under `perfbench/`, which calls `opts.executor()`.
 #[derive(Debug, Clone, Copy)]
 pub struct Executor<'a> {
     opts: &'a RunnerOpts,
 }
 
 impl RunnerOpts {
-    /// The executor selected by the `executor` field ([`ExecSpec`]):
-    /// call sites uniformly write `campaign.run(&opts.executor(), f)`.
+    /// The executor for these options: call sites uniformly write
+    /// `campaign.run(&opts.executor(), f)`.
     pub fn executor(&self) -> Executor<'_> {
         Executor { opts: self }
     }
 }
 
 impl Executor<'_> {
-    /// Execute `campaign`, computing each cell with `f`, on the engine
-    /// the options select. Every engine commits results in campaign
-    /// (cell-index) order and fills a [`RunManifest`] describing the run.
+    /// Execute `campaign`, computing each cell with `f`: results come
+    /// back in campaign (cell-index) order with a [`RunManifest`]
+    /// describing the run.
     pub(crate) fn execute<T, F>(&self, campaign: &Campaign, f: F) -> CampaignReport<T>
     where
         T: Serialize + Deserialize + Send + 'static,
         F: Fn(&Cell) -> T + Send + Sync + 'static,
     {
-        let opts = self.opts;
-        match opts.executor {
-            ExecSpec::Pool => run_pool(campaign, opts, f),
-            ExecSpec::Shard { index, total } => {
-                run_shard(campaign, opts, Shard { index, total }, f)
-            }
+        match self.opts.executor {
+            ExecSpec::Pool => run_pool(campaign, self.opts, f),
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shared phases: cache serve, manifest finish
-// ---------------------------------------------------------------------------
-
-/// State threaded through an executor's phases.
+/// State threaded through the executor's phases.
 struct Prepared<T> {
     started: Instant,
     workers: usize,
@@ -86,14 +66,13 @@ struct Prepared<T> {
     keys: Vec<u64>,
     results: Vec<Option<T>>,
     records: Vec<CellRecord>,
-    /// Cell indices still to compute (owned, not served from cache).
+    /// Cell indices still to compute (not served from cache).
     pending: Vec<usize>,
     cache_hits: usize,
-    skipped: usize,
     progress: Progress,
 }
 
-/// Failure/observability tallies from an executor's compute phase.
+/// Failure/observability tallies from the compute phase.
 #[derive(Default)]
 struct Tallies {
     failed: usize,
@@ -102,33 +81,26 @@ struct Tallies {
     scopes: Vec<simtrace::ScopeAnnotation>,
 }
 
-/// One slice of a split campaign: shard `index` of `total` owns exactly
-/// the cells whose campaign index `i` satisfies `i % total == index`
-/// (round-robin, so heavyweight scenario blocks spread across shards).
-/// Cell indices, labels, seeds and cache keys do not depend on it, which
-/// is what lets shards share one `SUSS_CACHE_DIR`.
-#[derive(Debug, Clone, Copy)]
-struct Shard {
-    index: usize,
-    total: usize,
+/// Serve the cache hits, run the misses on the pool, and assemble the
+/// manifest. Detached (non-scoped) worker threads are what make
+/// abandonment possible: a hung cell's thread is left behind (it dies
+/// with the process) while a replacement worker keeps the pool at full
+/// strength — hence the `'static` bounds on [`Campaign::run`].
+fn run_pool<T, F>(campaign: &Campaign, opts: &RunnerOpts, f: F) -> CampaignReport<T>
+where
+    T: Serialize + Deserialize + Send + 'static,
+    F: Fn(&Cell) -> T + Send + Sync + 'static,
+{
+    let mut prep = prepare::<T>(campaign, opts);
+    let tallies = run_misses(campaign, opts, &mut prep, f);
+    finish(campaign, opts, prep, tallies)
 }
 
-impl Shard {
-    fn owns(&self, i: usize) -> bool {
-        self.total <= 1 || i % self.total == self.index
-    }
-}
-
-/// Phase 1, common to the pool and the shard worker: mark unowned cells
-/// skipped and serve owned cells from the cache on the main thread. Each
-/// cell's key is hashed once, for its record and its load; a hit is one
-/// read and one decoding pass (see [`crate::cache`]). Cells that miss are
-/// left in `pending` for [`run_pool_phase`].
-fn prepare<T: Deserialize>(
-    campaign: &Campaign,
-    opts: &RunnerOpts,
-    shard: Option<Shard>,
-) -> Prepared<T> {
+/// Phase 1: serve cells from the cache on the main thread. Each cell's
+/// key is hashed once, for its record and its load; a hit is one read and
+/// one decoding pass (see [`crate::cache`]). Cells that miss are left in
+/// `pending` for [`run_misses`].
+fn prepare<T: Deserialize>(campaign: &Campaign, opts: &RunnerOpts) -> Prepared<T> {
     let started = Instant::now();
     let workers = opts.resolved_workers();
     let cache = campaign.open_cache(opts);
@@ -136,17 +108,9 @@ fn prepare<T: Deserialize>(
     let mut results: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
     let keys = campaign.keys();
     let mut records = campaign.blank_records(&keys);
-    let owns = |i: usize| shard.is_none_or(|s| s.owns(i));
-    let owned_total = (0..n).filter(|&i| owns(i)).count();
-    let mut progress = Progress::new(&campaign.experiment, owned_total, opts.progress);
+    let mut progress = Progress::new(&campaign.experiment, n, opts.progress);
     let mut pending: Vec<usize> = Vec::new();
-    let mut skipped = 0usize;
     for cell in &campaign.cells {
-        if !owns(cell.index) {
-            records[cell.index].status = CellStatus::Skipped;
-            skipped += 1;
-            continue;
-        }
         let hit = if opts.force_cold {
             None
         } else {
@@ -163,7 +127,7 @@ fn prepare<T: Deserialize>(
             None => pending.push(cell.index),
         }
     }
-    let cache_hits = owned_total - pending.len();
+    let cache_hits = n - pending.len();
     Prepared {
         started,
         workers,
@@ -173,21 +137,17 @@ fn prepare<T: Deserialize>(
         records,
         pending,
         cache_hits,
-        skipped,
         progress,
     }
 }
 
-/// Final phase, common to the pool and the shard worker: assemble the
-/// manifest (with results digest and fingerprint), print the summary,
-/// and apply the failure policy.
+/// Final phase: assemble the manifest (with results digest and
+/// fingerprint), print the summary, and apply the failure policy.
 fn finish<T: Serialize>(
     campaign: &Campaign,
     opts: &RunnerOpts,
-    exec_label: String,
     prep: Prepared<T>,
     tallies: Tallies,
-    raise: bool,
 ) -> CampaignReport<T> {
     prep.progress.finish();
     let quarantined = prep
@@ -195,12 +155,11 @@ fn finish<T: Serialize>(
         .as_ref()
         .map(|c| c.quarantined_count())
         .unwrap_or(0);
-    let digest = results_digest_of(&prep.results, &prep.records);
+    let digest = results_digest_of(&prep.results);
     let mut manifest = campaign.assemble_manifest(ManifestParts {
-        executor: exec_label,
+        executor: "pool".into(),
         workers: prep.workers,
         cache_hits: prep.cache_hits,
-        cells_skipped: prep.skipped,
         started: prep.started,
         records: prep.records,
         cells_failed: tallies.failed,
@@ -214,7 +173,7 @@ fn finish<T: Serialize>(
     if opts.progress {
         eprint!("{}", manifest.summary());
     }
-    if raise {
+    if opts.on_failure == FailurePolicy::Raise {
         raise_first_failure(&manifest);
     }
     CampaignReport {
@@ -238,64 +197,34 @@ fn raise_first_failure(m: &RunManifest) {
     }
 }
 
-/// FNV-1a digest over the results present, keyed by cell index. Failed
-/// cells (a `None` whose record is not `Skipped`) make the digest
-/// meaningless, so it comes back empty. The serde shim's f64 rendering
-/// round-trips exactly, so a digest over re-serialized cached values
-/// equals the digest over freshly computed ones.
-fn results_digest_of<T: Serialize>(results: &[Option<T>], records: &[CellRecord]) -> String {
-    // The canonical text is `<index>\0<value JSON>\n` per present result,
-    // hashed one line at a time through a reused buffer.
+/// FNV-1a digest over the results, keyed by cell index. A failed cell
+/// (a `None`) makes the digest meaningless, so it comes back empty. The
+/// serde shim's f64 rendering round-trips exactly, so a digest over
+/// re-serialized cached values equals the digest over freshly computed
+/// ones.
+fn results_digest_of<T: Serialize>(results: &[Option<T>]) -> String {
+    // The canonical text is `<index>\0<value JSON>\n` per result, hashed
+    // one line at a time through a reused buffer.
     let mut hash = crate::Fnv1a::new();
     let mut line = String::new();
     for (i, r) in results.iter().enumerate() {
-        match r {
-            Some(v) => {
-                line.clear();
-                let _ = write!(line, "{i}\0");
-                v.write_json(&mut line);
-                line.push('\n');
-                hash.write(line.as_bytes());
-            }
-            None if records[i].status == CellStatus::Skipped => {}
-            None => return String::new(),
-        }
+        let Some(v) = r else {
+            return String::new();
+        };
+        line.clear();
+        let _ = write!(line, "{i}\0");
+        v.write_json(&mut line);
+        line.push('\n');
+        hash.write(line.as_bytes());
     }
     format!("{:016x}", hash.finish())
 }
 
-// ---------------------------------------------------------------------------
-// Pool executor (and the shard worker's compute core)
-// ---------------------------------------------------------------------------
-
-/// The deterministic token-tracked thread pool (`pool`): detached
-/// workers under a wall-clock watchdog, per-cell panic isolation, one
-/// attempt per cell, flight-recorder dumps on failure. Results commit by
-/// cell index on the main thread.
-///
-/// Detached (non-scoped) threads are what make abandonment possible: a
-/// hung cell's thread is left behind (it dies with the process) while a
-/// replacement worker keeps the pool at full strength — hence the
-/// `'static` bounds on [`Campaign::run`].
-fn run_pool<T, F>(campaign: &Campaign, opts: &RunnerOpts, f: F) -> CampaignReport<T>
-where
-    T: Serialize + Deserialize + Send + 'static,
-    F: Fn(&Cell) -> T + Send + Sync + 'static,
-{
-    let mut prep = prepare::<T>(campaign, opts, None);
-    let tallies = run_pool_phase(campaign, opts, &mut prep, f);
-    let raise = opts.on_failure == FailurePolicy::Raise;
-    finish(campaign, opts, "pool".into(), prep, tallies, raise)
-}
-
-/// Phase 2 of the pool executor and shard worker: compute `prep.pending`
-/// on detached workers under the watchdog loop.
-fn run_pool_phase<T, F>(
-    campaign: &Campaign,
-    opts: &RunnerOpts,
-    prep: &mut Prepared<T>,
-    f: F,
-) -> Tallies
+/// Phase 2: compute `prep.pending` on detached workers under the
+/// watchdog loop. Workers claim cells through one shared cursor,
+/// `pending[next.fetch_add(1)]`, so every pending cell is dispatched
+/// exactly once; its token is its position in `pending`.
+fn run_misses<T, F>(campaign: &Campaign, opts: &RunnerOpts, prep: &mut Prepared<T>, f: F) -> Tallies
 where
     T: Serialize + Deserialize + Send + 'static,
     F: Fn(&Cell) -> T + Send + Sync + 'static,
@@ -310,18 +239,14 @@ where
     let keys = &prep.keys;
     let progress = &mut prep.progress;
 
-    struct Dispatch {
-        token: u64,
-        index: usize,
-    }
     enum Msg<T> {
         Started {
-            token: u64,
+            token: usize,
             /// The watchdog's view of the cell's flight recorder.
             recorder: Option<simtrace::WeakRecorder>,
         },
         Done {
-            token: u64,
+            token: usize,
             /// A panic's message, with the ring to dump.
             outcome: Result<(T, CellTelemetry), (String, Option<simtrace::FlightRecorder>)>,
         },
@@ -333,52 +258,52 @@ where
     }
 
     let cells = Arc::new(campaign.cells.clone());
+    let pending = Arc::new(prep.pending.clone());
+    let next = Arc::new(AtomicUsize::new(0));
     let f = Arc::new(f);
-    // Effectively unbounded: tokens are tiny, and the watchdog must never
-    // block on a full queue.
-    let work: Arc<BoundedQueue<Dispatch>> = Arc::new(BoundedQueue::new(usize::MAX));
     let (tx, rx) = mpsc::channel::<Msg<T>>();
+    // A replacement worker spawned after a watchdog timeout continues
+    // from the same cursor.
     let spawn_worker = {
-        let work = Arc::clone(&work);
-        let cells = Arc::clone(&cells);
-        let f = Arc::clone(&f);
         let tx = tx.clone();
         let profile = opts.profile;
         let flightrec = opts.flightrec_dir.is_some();
         move || {
-            let work = Arc::clone(&work);
             let cells = Arc::clone(&cells);
+            let pending = Arc::clone(&pending);
+            let next = Arc::clone(&next);
             let f = Arc::clone(&f);
             let tx = tx.clone();
             thread::spawn(move || {
-                while let Some(d) = work.pop() {
+                loop {
+                    // Relaxed: the cursor only hands out positions, and
+                    // `pending` and `cells` were shared, immutable, before
+                    // any worker started.
+                    let token = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&index) = pending.get(token) else {
+                        break;
+                    };
                     // A cell's ring exists only while it runs: this
                     // thread holds it, and the main thread gets a weak
                     // handle with `Started`, so a hung cell's ring stays
                     // readable from outside while a finished one is freed
                     // however far the main thread lags behind.
-                    let recorder = flightrec.then(|| dispatch_recorder(d.index));
+                    let recorder = flightrec.then(|| dispatch_recorder(index));
                     simtrace::flightrec::install(recorder.clone());
                     let started = Msg::Started {
-                        token: d.token,
+                        token,
                         recorder: recorder.as_ref().map(simtrace::FlightRecorder::downgrade),
                     };
                     if tx.send(started).is_err() {
                         break;
                     }
-                    let (out, tel) = run_bracketed(profile, || f(&cells[d.index]));
+                    let (out, tel) = run_bracketed(profile, || f(&cells[index]));
                     simtrace::flightrec::install(None);
                     let outcome = match out {
                         Ok(v) => Ok((v, tel)),
                         Err(p) => Err((panic_message(&*p), recorder)),
                     };
-                    if tx
-                        .send(Msg::Done {
-                            token: d.token,
-                            outcome,
-                        })
-                        .is_err()
-                    {
+                    if tx.send(Msg::Done { token, outcome }).is_err() {
                         break;
                     }
                 }
@@ -389,20 +314,19 @@ where
         spawn_worker();
     }
 
-    // Every pending cell is dispatched exactly once, up front; its token
-    // is its position in `pending`.
-    let mut inflight: HashMap<u64, InFlight> = HashMap::new();
-    for (token, &index) in (0u64..).zip(&prep.pending) {
-        inflight.insert(
-            token,
-            InFlight {
+    let mut inflight: HashMap<usize, InFlight> = prep
+        .pending
+        .iter()
+        .enumerate()
+        .map(|(token, &index)| {
+            let fl = InFlight {
                 index,
                 recorder: None,
                 started: None,
-            },
-        );
-        work.push(Dispatch { token, index });
-    }
+            };
+            (token, fl)
+        })
+        .collect();
     let mut outstanding = prep.pending.len();
 
     while outstanding > 0 {
@@ -461,7 +385,7 @@ where
             continue;
         };
         let now = Instant::now();
-        let expired: Vec<u64> = inflight
+        let expired: Vec<usize> = inflight
             .iter()
             .filter(|(_, fl)| fl.started.is_some_and(|t| now.duration_since(t) > limit))
             .map(|(&token, _)| token)
@@ -494,8 +418,6 @@ where
             spawn_worker();
         }
     }
-    work.close();
-    drop(tx);
 
     // Defensive: if the channel disconnected early (no live workers),
     // account for whatever never resolved.
@@ -521,58 +443,6 @@ fn dispatch_recorder(index: usize) -> simtrace::FlightRecorder {
         index as u64,
     ));
     r
-}
-
-// ---------------------------------------------------------------------------
-// Sharded execution
-// ---------------------------------------------------------------------------
-
-/// Executes one shard of a campaign (`shard k/N`) in its own process:
-/// [`shard_phase`], then exit — 0 when clean, [`SHARD_FAILED_EXIT`] when
-/// cells failed, 4 when the shard manifest cannot be written. A shard
-/// must not fall through into a bench binary's figure rendering on a
-/// partial result set.
-fn run_shard<T, F>(campaign: &Campaign, opts: &RunnerOpts, shard: Shard, f: F) -> !
-where
-    T: Serialize + Deserialize + Send + 'static,
-    F: Fn(&Cell) -> T + Send + Sync + 'static,
-{
-    match shard_phase::<T, F>(campaign, opts, shard, f) {
-        Ok(report) if report.manifest.cells_failed > 0 => std::process::exit(SHARD_FAILED_EXIT),
-        Ok(_) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("error: cannot write shard manifest {e}");
-            std::process::exit(4);
-        }
-    }
-}
-
-/// The cells shard `k/N` owns run on the pool core against the shared
-/// cache; every other cell is recorded as [`Skipped`](CellStatus::Skipped).
-/// The failure policy is always record-style: a shard delivers its
-/// manifest even when cells fail. The manifest is written to
-/// `<stem>.shard<k>of<N>.manifest.json` for the operator; nothing reads
-/// it back.
-fn shard_phase<T, F>(
-    campaign: &Campaign,
-    opts: &RunnerOpts,
-    shard: Shard,
-    f: F,
-) -> io::Result<CampaignReport<T>>
-where
-    T: Serialize + Deserialize + Send + 'static,
-    F: Fn(&Cell) -> T + Send + Sync + 'static,
-{
-    let mut prep = prepare::<T>(campaign, opts, Some(shard));
-    let tallies = run_pool_phase(campaign, opts, &mut prep, f);
-    let label = format!("shard {}/{}", shard.index, shard.total);
-    let report = finish(campaign, opts, label, prep, tallies, false);
-    let stem = opts.stem_for(&campaign.experiment);
-    let path = shard_manifest_path(&stem, shard.index, shard.total);
-    match report.manifest.write(&path) {
-        Ok(()) => Ok(report),
-        Err(e) => Err(io::Error::new(e.kind(), format!("{}: {e}", path.display()))),
-    }
 }
 
 #[cfg(test)]
@@ -913,24 +783,20 @@ mod tests {
 
     #[test]
     fn merge_recomputes_a_missing_cell_on_the_pool_and_records_its_panic() {
-        // The run that finishes a split campaign is a plain pool run on
-        // the shared cache: it recomputes what the shards left out with
-        // the pool's panic isolation and flight recorder.
+        // A rerun on a warm cache serves what an earlier run stored and
+        // recomputes whatever is missing, with the pool's panic isolation
+        // and flight recorder.
         let dir =
             std::env::temp_dir().join(format!("simrunner-mergepanic-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let c = demo_campaign(6);
         let opts = RunnerOpts::serial()
             .with_cache(dir.join("cache"))
-            .with_manifest_stem(dir.join("unit"))
             .with_flightrec_dir(dir.join("flightrec"))
             .record_failures();
-        for index in 0..2 {
-            let shard = Shard { index, total: 2 };
-            shard_phase(&c, &opts, shard, |cell: &Cell| cell.seed).unwrap();
-        }
-        // Cell 3 completed in its shard, but its entry is gone by the
-        // final run.
+        assert!(c.run(&opts.executor(), |cell| cell.seed).all_ok());
+        // Cell 3 completed in the first run, but its entry is gone by the
+        // rerun.
         let cache = crate::Cache::open(&dir.join("cache"), &c.experiment).unwrap();
         std::fs::remove_file(cache.entry_path(&c.identity(&c.cells[3]))).unwrap();
         let out = c.run(&opts.executor(), |cell| {
@@ -960,40 +826,6 @@ mod tests {
             assert_eq!(out.results[i], Some(i as u64), "cell {i}");
             assert_eq!(m.cells[i].status, CellStatus::Ok);
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // ---- shard worker ----
-
-    #[test]
-    fn shard_worker_computes_only_owned_cells() {
-        let dir =
-            std::env::temp_dir().join(format!("simrunner-shardworker-unit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let c = demo_campaign(7);
-        let opts = RunnerOpts::serial()
-            .with_cache(dir.join("cache"))
-            .with_manifest_stem(dir.join("unit"));
-        let shard = Shard { index: 1, total: 3 };
-        let out = shard_phase(&c, &opts, shard, |cell: &Cell| cell.seed * 2).unwrap();
-        assert_eq!(out.manifest.executor, "shard 1/3");
-        // Owns 1 and 4 (7 cells, stride 3).
-        assert_eq!(out.manifest.cells_skipped, 5);
-        assert_eq!(out.manifest.cache_misses, 2);
-        for i in 0..7 {
-            if i % 3 == 1 {
-                assert_eq!(out.results[i], Some(i as u64 * 2), "cell {i}");
-                assert_eq!(out.manifest.cells[i].status, CellStatus::Ok);
-            } else {
-                assert_eq!(out.results[i], None, "cell {i}");
-                assert_eq!(out.manifest.cells[i].status, CellStatus::Skipped);
-            }
-        }
-        let path = shard_manifest_path(&dir.join("unit"), 1, 3);
-        let text = std::fs::read_to_string(&path).expect("shard manifest written");
-        let written: RunManifest = serde::from_str(text.trim()).expect("shard manifest parses");
-        assert_eq!(written.cells_skipped, 5);
-        assert_eq!(written.fingerprint, written.compute_fingerprint());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

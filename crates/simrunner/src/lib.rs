@@ -8,28 +8,22 @@
 //! * [`Campaign`] expands an experiment into [`Cell`]s — one simulation
 //!   each, identified by a label, a canonical parameter string, and a
 //!   seed;
-//! * [`Campaign::run`] hands the campaign to the [`Executor`] its
-//!   [`RunnerOpts`] select ([`exec`]), which dispatches once on the
-//!   [`ExecSpec`]: the deterministic token-tracked thread pool (the
-//!   default — panic isolation, a wall-clock watchdog, flight-recorder
-//!   crash dumps; each cell runs once, since a deterministic cell that
-//!   failed would only fail again), or one shard of a campaign split
-//!   across processes sharing one cache. A split campaign is finished by
-//!   a plain pool run on that cache, which serves what the shards
-//!   computed and recomputes what they left out. Both engines commit
-//!   results by cell index, so the aggregated output is **byte-identical
-//!   regardless of engine, worker count, scheduling order, or shard
-//!   count** — the core invariant, enforced by regression tests;
+//! * [`Campaign::run`] serves the cells it finds in the cache and runs
+//!   the misses on the deterministic token-tracked thread pool ([`exec`]:
+//!   panic isolation, a wall-clock watchdog, flight-recorder crash dumps;
+//!   each cell runs once, since a deterministic cell that failed would
+//!   only fail again). Results commit by cell index, so the aggregated
+//!   output is **byte-identical regardless of worker count, scheduling
+//!   order, or cache state** — the core invariant, enforced by
+//!   regression tests;
 //! * failures follow [`FailurePolicy`]: raise on first terminal failure
 //!   (the default) or record — the campaign completes, failed cells
 //!   come back as `None`, and their [`CellStatus`] and terminal error
 //!   land in the manifest. Failures are never cached, so a re-run
 //!   against the warm cache re-executes exactly the failed cells;
 //! * results are memoized in a content-addressed cache ([`cache`]) keyed
-//!   by a stable hash of (experiment id, version tag, cell params, seed).
-//!   The key is shard-independent, which is what lets N shard processes
-//!   share one cache dir and a final pool run serve the full result set
-//!   from it afterwards;
+//!   by a stable hash of (experiment id, version tag, cell params, seed),
+//!   so a killed run resumes by running again on the same cache;
 //! * every run produces a serde-derived [`RunManifest`] (workers, wall
 //!   time, cache hits/misses, per-cell timings, a results digest and a
 //!   content fingerprint) that the figure binaries write next to their
@@ -52,28 +46,20 @@
 //! assert_eq!(out.expect_all()[3], 6.0);
 //! ```
 //!
-//! ## Distributed campaigns
+//! ## Resuming a killed run
 //!
 //! ```no_run
-//! use simrunner::{Campaign, ExecSpec, RunnerOpts};
+//! use simrunner::{Campaign, RunnerOpts};
 //!
 //! let mut c = Campaign::new("demo", "v1");
 //! for seed in 0..28 {
 //!     c.cell(format!("cell-{seed}"), format!("x={seed}"), seed);
 //! }
-//! let opts = RunnerOpts::default()
-//!     .with_cache("/tmp/suss-cache")
-//!     .with_manifest_stem("/tmp/demo");
-//! // Started as `demo <k>`, possibly on its own machine, with only the
-//! // cache dir shared: shard `k` computes the cells with `index % 2 == k`,
-//! // writes `/tmp/demo.shard<k>of2.manifest.json`, and exits the process.
-//! if let Some(k) = std::env::args().nth(1).and_then(|a| a.parse().ok()) {
-//!     let shard = opts.clone().with_executor(ExecSpec::Shard { index: k, total: 2 });
-//!     c.run(&shard.executor(), |cell| cell.seed as f64);
-//! }
-//! // Started as plain `demo` after the shards: serves every cell they
-//! // computed from the cache and recomputes any a dead shard left out —
-//! // same results and fingerprint as one pool run from scratch.
+//! let opts = RunnerOpts::default().with_cache("/tmp/suss-cache");
+//! // Every cell stores its result as it completes. If this process is
+//! // killed halfway, running it again serves the finished cells from the
+//! // cache and computes only the rest: same results and fingerprint as
+//! // one uninterrupted run.
 //! let out = c.run(&opts.executor(), |cell| cell.seed as f64);
 //! assert_eq!(out.expect_all().len(), 28);
 //! ```
@@ -85,15 +71,12 @@ pub mod cache;
 pub mod campaign;
 pub mod exec;
 pub mod manifest;
-pub mod pool;
 pub mod progress;
 
 pub use cache::{Cache, CellIdentity};
-pub use campaign::{
-    parse_shard, Campaign, CampaignReport, Cell, ExecSpec, FailurePolicy, RunnerOpts,
-};
-pub use exec::{Executor, SHARD_FAILED_EXIT};
-pub use manifest::{shard_manifest_path, CellRecord, CellStatus, FctAnnotation, RunManifest};
+pub use campaign::{Campaign, CampaignReport, Cell, ExecSpec, FailurePolicy, RunnerOpts};
+pub use exec::Executor;
+pub use manifest::{CellRecord, CellStatus, FctAnnotation, RunManifest};
 
 /// FNV-1a 64-bit hash over a byte string — the stable content hash behind
 /// cache keys. Stable across platforms, processes, and releases (never

@@ -4,18 +4,12 @@
 //! (e.g. `results/fig11.manifest.json`) and answers "how was this result
 //! produced, how long did it take, and how much came from cache" without
 //! re-running anything.
-//!
-//! A shard run of a split campaign writes a manifest covering the whole
-//! campaign, with the cells it does not own marked
-//! [`CellStatus::Skipped`], to [`shard_manifest_path`]. It is a record
-//! for the operator only: the run that finishes the campaign reads its
-//! results back from the shared cache, never from shard manifests.
 
 use serde::{Deserialize, Serialize};
 use simtrace::{ProfSnapshot, ScopeAnnotation};
 use std::fmt::Write as _;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// How a cell's execution ended.
 ///
@@ -33,10 +27,6 @@ pub enum CellStatus {
     Panicked,
     /// Abandoned by the per-cell wall-clock watchdog; no result.
     TimedOut,
-    /// Owned by a different shard of a sharded run; this execution never
-    /// attempted it. Skipped cells are not failures — the owning shard's
-    /// manifest carries their real status.
-    Skipped,
 }
 
 impl CellStatus {
@@ -44,17 +34,6 @@ impl CellStatus {
     pub fn succeeded(self) -> bool {
         self == CellStatus::Ok
     }
-}
-
-/// Canonical path of one shard's manifest for a campaign whose manifests
-/// live under `stem` (e.g. `results/fig17` →
-/// `results/fig17.shard0of2.manifest.json`).
-pub fn shard_manifest_path(stem: &Path, index: usize, total: usize) -> PathBuf {
-    let name = stem
-        .file_name()
-        .map(|s| s.to_string_lossy())
-        .unwrap_or_default();
-    stem.with_file_name(format!("{name}.shard{index}of{total}.manifest.json"))
 }
 
 /// Per-cell execution record.
@@ -112,7 +91,7 @@ pub struct RunManifest {
     pub experiment: String,
     /// Version tag in effect.
     pub version: String,
-    /// Which executor produced this manifest (`pool` or `shard 0/2`).
+    /// Which executor produced this manifest (always `pool`).
     pub executor: String,
     /// Worker threads used.
     pub workers: usize,
@@ -122,9 +101,6 @@ pub struct RunManifest {
     pub cache_hits: usize,
     /// Cells recomputed.
     pub cache_misses: usize,
-    /// Cells this execution never attempted because another shard owns
-    /// them (0 for unsharded runs).
-    pub cells_skipped: usize,
     /// Wall time of the whole run, seconds.
     pub wall_secs: f64,
     /// Throughput over the whole run (total cells / wall time).
@@ -151,14 +127,14 @@ pub struct RunManifest {
     pub cache_quarantined: u64,
     /// FNV-1a 64 digest over the campaign's results in cell order — the
     /// value-level identity of the run. Two runs that computed the same
-    /// science have the same digest regardless of workers, executor,
-    /// sharding, or cache temperature. Empty when some cells failed.
+    /// science have the same digest regardless of workers or cache
+    /// temperature. Empty when some cells failed.
     pub results_digest: String,
     /// Digest over the deterministic content of this manifest (cells,
     /// statuses, results digest, FCT annotations) — excludes wall-clock
     /// fields, `cached` flags, executor identity and scope annotations,
-    /// so a cold run, a warm rerun and the run that finishes a split
-    /// campaign fingerprint identically. Sealed by
+    /// so a cold run, a warm rerun and a rerun that resumes a killed run
+    /// fingerprint identically. Sealed by
     /// [`write`](Self::write); stale after in-place mutation until then.
     pub fingerprint: String,
     /// Experiment-attached result summaries (empty unless the experiment
@@ -203,8 +179,8 @@ impl RunManifest {
     /// identity, per-cell (index, label, seed, key, status), the results
     /// digest, and the FCT annotations. Wall-clock fields, `cached`
     /// flags, the executor label and the scope annotations are excluded,
-    /// so the fingerprint is stable across cache temperature, worker
-    /// count, executor choice and sharding.
+    /// so the fingerprint is stable across cache temperature and worker
+    /// count.
     pub fn compute_fingerprint(&self) -> String {
         // The canonical text, hashed piecewise through one reused buffer:
         // the identity fields and results digest, one
@@ -253,16 +229,10 @@ impl RunManifest {
     /// Human-readable end-of-campaign summary: one header line plus the
     /// slowest computed cells, ready to print on stderr.
     pub fn summary(&self) -> String {
-        let shard_tag = if self.cells_skipped > 0 {
-            format!(" [{}]", self.executor)
-        } else {
-            String::new()
-        };
         let mut s = format!(
-            "{}{}: {} cells in {:.2}s | {} hit / {} miss | {} events ({}/s) | \
+            "{}: {} cells in {:.2}s | {} hit / {} miss | {} events ({}/s) | \
              {} workers busy {:.2}s ({:.0}% util)\n",
             self.experiment,
-            shard_tag,
             self.total_cells,
             self.wall_secs,
             self.cache_hits,
@@ -278,11 +248,7 @@ impl RunManifest {
                 "  resilience: {} failed ({} timed out) | {} cache entries quarantined\n",
                 self.cells_failed, self.cell_timeouts, self.cache_quarantined,
             ));
-            for c in self
-                .cells
-                .iter()
-                .filter(|c| !c.status.succeeded() && c.status != CellStatus::Skipped)
-            {
+            for c in self.cells.iter().filter(|c| !c.status.succeeded()) {
                 s.push_str(&format!("  {:?} {}: {}\n", c.status, c.label, c.error));
             }
         }
@@ -343,7 +309,6 @@ mod tests {
             total_cells: 10,
             cache_hits: 9,
             cache_misses: 1,
-            cells_skipped: 0,
             wall_secs: 2.0,
             cells_per_sec: 5.0,
             events_total: 1_500_000,
@@ -477,7 +442,7 @@ mod tests {
         let mut noisy = m.clone();
         noisy.wall_secs = 99.0;
         noisy.workers = 1;
-        noisy.executor = "shard 1/2".into();
+        noisy.executor = "other".into();
         noisy.cells[1].wall_ms = 1.0;
         noisy.cells[1].cached = true;
         assert_eq!(
@@ -517,14 +482,6 @@ mod tests {
             "write() must seal a fingerprint consistent with the content"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_paths_are_stable() {
-        assert_eq!(
-            shard_manifest_path(Path::new("results/fig17"), 1, 4),
-            PathBuf::from("results/fig17.shard1of4.manifest.json")
-        );
     }
 
     #[test]
@@ -576,7 +533,9 @@ mod tests {
         assert_eq!(now.manifest.fingerprint, "ae283d3aeecaa302");
 
         // Manifests of that era carry a `cell_retries` counter and
-        // per-cell `attempts`; they still parse, to the same fingerprint.
+        // per-cell `attempts`, and those of the shard era a
+        // `cells_skipped` counter; they still parse, to the same
+        // fingerprint.
         let json = now
             .manifest
             .to_json_string()
@@ -585,12 +544,18 @@ mod tests {
                 "\"cells_failed\":1,\"cell_retries\":1,",
             )
             .replace(
+                "\"cache_misses\":4,",
+                "\"cache_misses\":4,\"cells_skipped\":0,",
+            )
+            .replace(
                 "\"status\":\"Panicked\",",
                 "\"status\":\"Panicked\",\"attempts\":2,",
             )
             .replace("\"status\":\"Ok\",", "\"status\":\"Ok\",\"attempts\":1,");
         assert!(
-            json.contains("\"cell_retries\":1,") && json.contains("\"attempts\":2,"),
+            json.contains("\"cell_retries\":1,")
+                && json.contains("\"attempts\":2,")
+                && json.contains("\"cells_skipped\":0,"),
             "splice failed: {json}"
         );
         let back: RunManifest =

@@ -11,7 +11,7 @@
 //!   [`CounterSnapshot`]s merge additively (gauges merge by max), so totals
 //!   are identical at any worker count.
 //! * [`TraceRecord`] + [`EventSink`] — a common timestamped event schema
-//!   with JSONL ([`JsonlSink`]) and CSV ([`CsvSink`]) exporters. Producers
+//!   with a JSONL exporter ([`JsonlSink`]). Producers
 //!   (`ConnTrace`) convert their native samples/events into records;
 //!   exporting is opt-in, so the hot path pays nothing when tracing is
 //!   disabled.
@@ -47,7 +47,7 @@ pub use metrics::{Counter, CounterSnapshot, Gauge, MetricValue, Registry};
 pub use prof::{ProfSnapshot, ProfSpan};
 pub use record::{kind, TraceRecord};
 pub use runtime::ScopeAnnotation;
-pub use sink::{export_counters, CsvSink, EventSink, JsonlSink, VecSink};
+pub use sink::{export_counters, EventSink, JsonlSink, VecSink};
 
 /// Canonical metric names. Producers register by these constants so the
 /// catalogue stays greppable and `suss-trace diff` output lines up across

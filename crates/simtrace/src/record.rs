@@ -74,12 +74,6 @@ pub struct TraceRecord {
     pub rtt_ns: Option<u64>,
     /// Smoothed RTT in nanoseconds.
     pub srtt_ns: Option<u64>,
-    /// Link id, for per-link records.
-    pub link: Option<u64>,
-    /// Packet size in bytes, for per-packet records.
-    pub size: Option<u64>,
-    /// Packet id, for per-packet records.
-    pub packet_id: Option<u64>,
     /// Metric name, for counter/gauge records.
     pub name: Option<String>,
     /// Generic numeric payload (growth factor, metric value, …).
@@ -163,74 +157,17 @@ impl TraceRecord {
     pub fn is_metric(&self) -> bool {
         self.kind == kind::COUNTER || self.kind == kind::GAUGE
     }
-
-    /// Header row matching [`TraceRecord::csv_row`].
-    pub const CSV_HEADER: &'static str = "t_ns,kind,flow,run,cwnd,inflight,delivered,rtt_ns,\
-         srtt_ns,link,size,packet_id,name,value,reason";
-
-    /// Quote one CSV field per RFC 4180: fields containing a comma, a
-    /// double quote, or a line break are wrapped in double quotes with
-    /// internal quotes doubled; everything else passes through verbatim.
-    ///
-    /// Every CSV emitter in the workspace (`csv_row`, and through it
-    /// `CsvSink` and `suss-trace dump --csv`) funnels through here, so
-    /// free-text fields like `reason` cannot corrupt row structure.
-    fn csv_quote(field: &str) -> String {
-        if field.contains([',', '"', '\n', '\r']) {
-            format!("\"{}\"", field.replace('"', "\"\""))
-        } else {
-            field.to_string()
-        }
-    }
-
-    /// Render as one CSV row (empty cells for absent fields).
-    pub fn csv_row(&self) -> String {
-        fn cell<T: ToString>(v: &Option<T>) -> String {
-            v.as_ref().map(T::to_string).unwrap_or_default()
-        }
-        fn text(v: &Option<String>) -> String {
-            v.as_deref().map(TraceRecord::csv_quote).unwrap_or_default()
-        }
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.t_ns,
-            Self::csv_quote(&self.kind),
-            cell(&self.flow),
-            text(&self.run),
-            cell(&self.cwnd),
-            cell(&self.inflight),
-            cell(&self.delivered),
-            cell(&self.rtt_ns),
-            cell(&self.srtt_ns),
-            cell(&self.link),
-            cell(&self.size),
-            cell(&self.packet_id),
-            text(&self.name),
-            cell(&self.value),
-            text(&self.reason),
-        )
-    }
 }
 
 /// JSON keys of [`TraceRecord::ints`], in rendering order.
-const INT_KEYS: [&str; 9] = [
-    "flow",
-    "cwnd",
-    "inflight",
-    "delivered",
-    "rtt_ns",
-    "srtt_ns",
-    "link",
-    "size",
-    "packet_id",
-];
+const INT_KEYS: [&str; 6] = ["flow", "cwnd", "inflight", "delivered", "rtt_ns", "srtt_ns"];
 
 /// JSON keys of the optional text fields `run`, `name` and `reason`.
 const TEXT_KEYS: [&str; 3] = ["run", "name", "reason"];
 
 impl TraceRecord {
     /// The optional integer fields, in [`INT_KEYS`] order.
-    fn ints(&self) -> [Option<u64>; 9] {
+    fn ints(&self) -> [Option<u64>; 6] {
         [
             self.flow,
             self.cwnd,
@@ -238,9 +175,6 @@ impl TraceRecord {
             self.delivered,
             self.rtt_ns,
             self.srtt_ns,
-            self.link,
-            self.size,
-            self.packet_id,
         ]
     }
 }
@@ -290,7 +224,7 @@ impl Deserialize for TraceRecord {
         // Each slot: outer `Option` = key seen, inner = well-typed value.
         let mut t_ns = None;
         let mut kind = None;
-        let mut ints: [Option<Option<u64>>; 9] = [None; 9];
+        let mut ints: [Option<Option<u64>>; 6] = [None; 6];
         let mut texts: [Option<Option<String>>; 3] = [None, None, None];
         let mut value = None;
         r.begin_obj()?;
@@ -317,8 +251,7 @@ impl Deserialize for TraceRecord {
                 }
             }
         }
-        let [flow, cwnd, inflight, delivered, rtt_ns, srtt_ns, link, size, packet_id] =
-            ints.map(Option::flatten);
+        let [flow, cwnd, inflight, delivered, rtt_ns, srtt_ns] = ints.map(Option::flatten);
         let [run, name, reason] = texts.map(Option::flatten);
         Some(TraceRecord {
             t_ns: t_ns??,
@@ -330,9 +263,6 @@ impl Deserialize for TraceRecord {
             delivered,
             rtt_ns,
             srtt_ns,
-            link,
-            size,
-            packet_id,
             name,
             value: value.flatten(),
             reason,
@@ -383,6 +313,18 @@ mod tests {
     fn unknown_fields_tolerated() {
         let r: TraceRecord = serde::from_str(r#"{"t_ns":5,"kind":"x","mystery":true}"#).unwrap();
         assert_eq!(r.kind, "x");
+        // Files written while packet capture existed carry `link`, `size`
+        // and `packet_id`; they still parse, with those keys skipped.
+        let old = r#"{"t_ns":7,"kind":"pkt_enqueue","flow":2,"link":1,"size":1500,"packet_id":42}"#;
+        let r: TraceRecord = serde::from_str(old).unwrap();
+        assert_eq!(
+            (r.t_ns, r.kind.as_str(), r.flow),
+            (7, "pkt_enqueue", Some(2))
+        );
+        assert_eq!(
+            serde::to_string(&r),
+            r#"{"t_ns":7,"kind":"pkt_enqueue","flow":2}"#
+        );
     }
 
     #[test]
@@ -393,7 +335,7 @@ mod tests {
             "value":3,"run":7,"name":"n","name":"m","t_ns":5,"t_ns":"late","link":[1,{"a":2}]}"#;
         let r: TraceRecord = serde::from_str(text).unwrap();
         assert_eq!((r.t_ns, r.kind.as_str()), (5, "x"));
-        assert_eq!((r.flow, r.cwnd, r.link, r.value), (None, None, None, None));
+        assert_eq!((r.flow, r.cwnd, r.value), (None, None, None));
         assert_eq!((r.run, r.name.as_deref()), (None, Some("n")));
         // Required fields must be present and well typed.
         assert!(serde::from_str::<TraceRecord>(r#"{"t_ns":"5","kind":"x"}"#).is_none());
@@ -410,36 +352,6 @@ mod tests {
         let back: TraceRecord = serde::from_str(&s).expect("parse");
         assert_eq!(back, r);
         assert_eq!(back.reason.as_deref(), Some("loss, fast retransmit"));
-    }
-
-    #[test]
-    fn csv_quotes_fields_with_commas_and_quotes() {
-        // Regression: a comma-bearing reason used to shift every column
-        // after it; quotes used to escape nothing.
-        let mut r = TraceRecord::decision(5, 1, kind::HYSTART, "exit:rtt_rise, n=8");
-        r.run = Some("a \"quoted\" run".to_string());
-        let row = r.csv_row();
-        assert_eq!(
-            row,
-            "5,hystart,1,\"a \"\"quoted\"\" run\",,,,,,,,,,,\"exit:rtt_rise, n=8\""
-        );
-        // Column count is stable: quoted commas don't split.
-        let mut cols = 0usize;
-        let mut in_quotes = false;
-        for c in row.chars() {
-            match c {
-                '"' => in_quotes = !in_quotes,
-                ',' if !in_quotes => cols += 1,
-                _ => {}
-            }
-        }
-        assert_eq!(cols + 1, TraceRecord::CSV_HEADER.split(',').count());
-    }
-
-    #[test]
-    fn plain_fields_pass_through_unquoted() {
-        let r = TraceRecord::metric(9, kind::COUNTER, "tcp.rtos", 4);
-        assert_eq!(r.csv_row(), "9,counter,,,,,,,,,,,tcp.rtos,4,");
     }
 
     #[test]

@@ -179,8 +179,6 @@ pub enum CcEvent {
         /// The measured growth factor G.
         g: u32,
     },
-    /// The controller left slow start on its own initiative (HyStart/SUSS).
-    SlowStartExited,
     /// The congestion window was reset by a decision (loss response,
     /// timeout collapse). Routine per-ACK growth is *not* reported.
     CwndChanged {

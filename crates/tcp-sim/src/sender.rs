@@ -457,6 +457,7 @@ impl SenderEndpoint {
     fn enter_recovery(&mut self, now: SimTime, kind: LossKind) {
         self.recovery_point = Some(self.snd_nxt);
         let lost_bytes = self.lost.total_bytes();
+        let was_slow_start = self.cc.in_slow_start();
         {
             let _prof = simtrace::prof::span("cc/on_loss");
             self.cc.on_congestion_event(&LossView {
@@ -482,6 +483,17 @@ impl SenderEndpoint {
                 }
                 self.trace.record(now, self.flow, TraceEvent::Rto);
             }
+        }
+        if was_slow_start && !self.cc.in_slow_start() {
+            // A loss-driven exit: not a HyStart/SUSS exit, so
+            // `hystart_exits` does not count it.
+            self.trace.record(
+                now,
+                self.flow,
+                TraceEvent::SlowStartExit {
+                    cwnd: self.cc.cwnd(),
+                },
+            );
         }
     }
 
@@ -625,7 +637,7 @@ impl SenderEndpoint {
         });
         drop(cc_prof);
         if was_slow_start && !self.cc.in_slow_start() {
-            // A loss-driven exit happens inside on_congestion_event, before
+            // A loss-driven exit happens in `enter_recovery`, before
             // `was_slow_start` is read — so a transition across `on_ack`
             // outside recovery is the controller's own (HyStart/SUSS) exit.
             if self.recovery_point.is_none() {
@@ -694,9 +706,7 @@ impl SenderEndpoint {
 
     fn drain_cc_events(&mut self, now: SimTime) {
         for ev in self.cc.take_events() {
-            if let Some(e) = TraceEvent::from_cc(ev) {
-                self.trace.record(now, self.flow, e);
-            }
+            self.trace.record(now, self.flow, TraceEvent::from_cc(ev));
         }
     }
 

@@ -31,10 +31,13 @@ pub struct TraceSample {
 pub enum TraceEvent {
     /// The flow's first byte was transmitted.
     FlowStart,
-    /// Slow-start ended (HyStart/SUSS exit or first loss), with the cwnd
-    /// at exit.
+    /// Slow-start ended (HyStart/SUSS exit or a loss), with the cwnd at
+    /// exit. Both transports record it on every path out of slow start,
+    /// once the ACK or loss that ended it has been processed.
     SlowStartExit {
-        /// cwnd at the moment exponential growth stopped.
+        /// The controller's cwnd after the event that ended slow start:
+        /// after its ACK processing for a HyStart/SUSS exit, after its
+        /// loss response for a loss-driven exit.
         cwnd: u64,
     },
     /// A fast-retransmit recovery episode began.
@@ -86,14 +89,13 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The trace event a controller decision exports as. `None` for
-    /// [`CcEvent::SlowStartExited`]: the transports record the exit
-    /// themselves, as [`TraceEvent::SlowStartExit`] with the exit cwnd,
-    /// when they see the controller leave slow start.
-    pub fn from_cc(ev: CcEvent) -> Option<TraceEvent> {
-        Some(match ev {
+    /// The trace event a controller decision exports as. (The slow-start
+    /// exit is not a controller event: the transports record
+    /// [`TraceEvent::SlowStartExit`] themselves when they see the
+    /// controller leave slow start.)
+    pub fn from_cc(ev: CcEvent) -> TraceEvent {
+        match ev {
             CcEvent::SussPacingStarted { g } => TraceEvent::SussPacing { growth_factor: g },
-            CcEvent::SlowStartExited => return None,
             CcEvent::CwndChanged { cwnd, reason } => TraceEvent::CcCwnd { cwnd, reason },
             CcEvent::SsthreshChanged { ssthresh, reason } => {
                 TraceEvent::CcSsthresh { ssthresh, reason }
@@ -103,7 +105,7 @@ impl TraceEvent {
             }
             CcEvent::SussRound { round, k } => TraceEvent::SussRound { round, k },
             CcEvent::HystartPhase { phase, reason } => TraceEvent::HystartPhase { phase, reason },
-        })
+        }
     }
 }
 
@@ -450,52 +452,51 @@ mod tests {
         let cases = [
             (
                 CcEvent::SussPacingStarted { g: 4 },
-                Some(TraceEvent::SussPacing { growth_factor: 4 }),
+                TraceEvent::SussPacing { growth_factor: 4 },
             ),
-            (CcEvent::SlowStartExited, None),
             (
                 CcEvent::CwndChanged {
                     cwnd: 14_480,
                     reason: "loss",
                 },
-                Some(TraceEvent::CcCwnd {
+                TraceEvent::CcCwnd {
                     cwnd: 14_480,
                     reason: "loss",
-                }),
+                },
             ),
             (
                 CcEvent::SsthreshChanged {
                     ssthresh: 28_960,
                     reason: "suss_exit",
                 },
-                Some(TraceEvent::CcSsthresh {
+                TraceEvent::CcSsthresh {
                     ssthresh: 28_960,
                     reason: "suss_exit",
-                }),
+                },
             ),
             (
                 CcEvent::PacingRateChanged {
                     rate_bps: 50_000_000,
                     reason: "suss_pacing",
                 },
-                Some(TraceEvent::CcPacingRate {
+                TraceEvent::CcPacingRate {
                     rate_bps: 50_000_000,
                     reason: "suss_pacing",
-                }),
+                },
             ),
             (
                 CcEvent::SussRound { round: 3, k: 1 },
-                Some(TraceEvent::SussRound { round: 3, k: 1 }),
+                TraceEvent::SussRound { round: 3, k: 1 },
             ),
             (
                 CcEvent::HystartPhase {
                     phase: "exit",
                     reason: "rtt_rise",
                 },
-                Some(TraceEvent::HystartPhase {
+                TraceEvent::HystartPhase {
                     phase: "exit",
                     reason: "rtt_rise",
-                }),
+                },
             ),
         ];
         for (cc, want) in cases {

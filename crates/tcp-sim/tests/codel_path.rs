@@ -46,7 +46,7 @@ fn run(qdisc: Qdisc) -> (f64, Duration, u64) {
 #[test]
 fn codel_bounds_bufferbloat() {
     let (fct_dt, rtt_dt, aqm_dt) = run(Qdisc::DropTail);
-    let (fct_cd, rtt_cd, aqm_cd) = run(Qdisc::codel_default());
+    let (fct_cd, rtt_cd, aqm_cd) = run(Qdisc::Codel);
     assert_eq!(aqm_dt, 0, "drop-tail reports no AQM drops");
     assert!(aqm_cd > 0, "CoDel must intervene on a deep buffer");
     // The headline AQM property: peak queueing delay is much lower.

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Multi-iteration runs (`--iters` > 1) execute as a simrunner campaign:
-//! the seeds shard across `--workers` threads (0 = all cores) with
+//! the seeds spread across `--workers` threads (0 = all cores) with
 //! identical results at any worker count.
 //!
 //! Examples:
