@@ -21,7 +21,9 @@ fn main() {
                 .enumerate()
                 .map(|(i, f)| (i as u64 + 1, f))
                 .collect();
-            BenchCli::export_run(&mut sink, Some(label), &flows);
+            if let Err(e) = experiments::export_trace(&mut sink, Some(label), &flows) {
+                eprintln!("trace write failed: {e}");
+            }
         }
     }
     o.emit(

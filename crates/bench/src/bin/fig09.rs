@@ -12,8 +12,11 @@ fn main() {
     };
     let r = run(&p);
     if let Some(mut sink) = o.open_trace() {
-        BenchCli::export_run(&mut sink, Some("suss-on"), &[(1, &r.suss_on)]);
-        BenchCli::export_run(&mut sink, Some("suss-off"), &[(1, &r.suss_off)]);
+        for (label, out) in [("suss-on", &r.suss_on), ("suss-off", &r.suss_off)] {
+            if let Err(e) = experiments::export_trace(&mut sink, Some(label), &[(1, out)]) {
+                eprintln!("trace write failed: {e}");
+            }
+        }
     }
     o.emit(
         &format!("Fig. 9 — cwnd/RTT dynamics on {}", r.scenario.id()),

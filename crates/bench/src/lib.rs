@@ -10,13 +10,18 @@
 //! accepts the parallel-execution flags (`--workers`, `--no-cache`,
 //! `--cold`, `--no-progress`); a campaign runs on the worker pool, caches
 //! results under `results/cache/`, and writes a run manifest to
-//! `results/<name>.manifest.json`.
+//! `results/<name>.manifest.json`. The binaries in [`TRACING_BINS`] also
+//! export a JSONL trace under `--trace [PATH]`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use simrunner::{RunManifest, RunnerOpts};
 use std::path::PathBuf;
+
+/// The binaries that export a JSONL trace: their runs keep per-flow
+/// traces. Every other binary refuses `--trace` and ignores `SUSS_TRACE`.
+pub const TRACING_BINS: [&str; 2] = ["fig02", "fig09"];
 
 /// The shared command line of every figure/table/ablation binary.
 ///
@@ -40,17 +45,19 @@ pub struct BenchCli {
     pub cold: bool,
     /// Suppress the stderr progress stream.
     pub no_progress: bool,
-    /// Structured JSONL trace output, from `--trace [path]` or
-    /// `SUSS_TRACE=path`. An empty path means "trace to the default
-    /// `results/<name>.trace.jsonl`"; [`BenchCli::open_trace`] resolves
-    /// it.
+    /// Structured JSONL trace output of a [`TRACING_BINS`] binary, from
+    /// `--trace [path]` or `SUSS_TRACE=path`. An empty path means "trace
+    /// to the default `results/<name>.trace.jsonl`";
+    /// [`BenchCli::open_trace`] resolves it.
     pub trace: Option<PathBuf>,
 }
 
 impl BenchCli {
     /// Parse `std::env::args` for the binary publishing artifacts under
-    /// `results/<name>.*`.
+    /// `results/<name>.*`. A binary outside [`TRACING_BINS`] exits with
+    /// status 2 on `--trace`, since it would write nothing.
     pub fn parse(name: &'static str) -> Self {
+        let traces = TRACING_BINS.contains(&name);
         let mut o = BenchCli {
             name,
             quick: false,
@@ -78,6 +85,13 @@ impl BenchCli {
                 "--no-cache" => o.no_cache = true,
                 "--cold" => o.cold = true,
                 "--no-progress" => o.no_progress = true,
+                "--trace" if !traces => {
+                    eprintln!(
+                        "{name} exports no trace; --trace works on {}",
+                        TRACING_BINS.join(" and ")
+                    );
+                    std::process::exit(2);
+                }
                 "--trace" => {
                     // Optional operand: `--trace out.jsonl` or bare
                     // `--trace` for the binary's default path.
@@ -90,7 +104,8 @@ impl BenchCli {
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: {name} [--quick] [--csv] [--workers N] [--no-cache] \
-                         [--cold] [--no-progress] [--trace [PATH]]"
+                         [--cold] [--no-progress]{}",
+                        if traces { " [--trace [PATH]]" } else { "" }
                     );
                     std::process::exit(0);
                 }
@@ -100,7 +115,7 @@ impl BenchCli {
                 }
             }
         }
-        if o.trace.is_none() {
+        if traces && o.trace.is_none() {
             if let Ok(p) = std::env::var("SUSS_TRACE") {
                 if !p.is_empty() {
                     o.trace = Some(PathBuf::from(p));
@@ -128,21 +143,14 @@ impl BenchCli {
 
     /// Open the JSONL trace sink for this run (creating parent
     /// directories), or `None` when tracing is off. The chosen path is
-    /// announced on stderr. Call [`simtrace::EventSink::flush`] — or let
-    /// the process exit via the sink's buffered writer being dropped at
-    /// end of `main` — after exporting.
+    /// announced on stderr; [`experiments::export_trace`] fills and
+    /// flushes the sink.
     pub fn open_trace(&self) -> Option<simtrace::JsonlSink<std::io::BufWriter<std::fs::File>>> {
         let path = self.trace_path()?;
-        if let Some(parent) = path.parent() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("cannot create {}: {e}", parent.display());
-                return None;
-            }
-        }
-        match std::fs::File::create(&path) {
-            Ok(f) => {
+        match simtrace::create_jsonl(&path) {
+            Ok(sink) => {
                 eprintln!("trace: {}", path.display());
-                Some(simtrace::JsonlSink::new(std::io::BufWriter::new(f)))
+                Some(sink)
             }
             Err(e) => {
                 eprintln!("cannot write {}: {e}", path.display());
@@ -176,33 +184,6 @@ impl BenchCli {
         match m.write(&path) {
             Ok(()) => eprintln!("manifest: {}", path.display()),
             Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-        }
-    }
-
-    /// Export one simulation run's flows and counters into the trace
-    /// sink under `run` label, then flush. `flows` pairs each flow id
-    /// with its outcome; all outcomes must come from the same simulation
-    /// (they share one counter snapshot — the first one's is exported).
-    pub fn export_run(
-        sink: &mut dyn simtrace::EventSink,
-        run: Option<&str>,
-        flows: &[(u64, &experiments::FlowOutcome)],
-    ) {
-        let mut t_end = 0u64;
-        for (id, out) in flows {
-            out.trace.export(*id, run, sink);
-            if let Some(s) = out.trace.samples.last() {
-                t_end = t_end.max(s.t.as_nanos());
-            }
-            if let Some((t, _)) = out.trace.events.last() {
-                t_end = t_end.max(t.as_nanos());
-            }
-        }
-        if let Some((_, first)) = flows.first() {
-            simtrace::export_counters(&first.counters, t_end, run, sink);
-        }
-        if let Err(e) = sink.flush() {
-            eprintln!("trace flush failed: {e}");
         }
     }
 

@@ -78,11 +78,6 @@ impl CubicSuss {
         }
     }
 
-    /// The paper's default configuration (k_max = 1, G ∈ {2,4}).
-    pub fn paper(iw: u64, mss: u64) -> Self {
-        Self::new(iw, mss, SussConfig::default())
-    }
-
     /// The SUSS state machine (diagnostics).
     pub fn suss(&self) -> &Suss {
         &self.suss

@@ -5,7 +5,6 @@ use cc_algos::{make_controller, CcKind};
 use netsim::{Bandwidth, FlowId, LinkSpec, Sim, SimTime};
 use std::time::Duration;
 use tcp_sim::flow::{install_flow, wire_flow};
-use tcp_sim::receiver::AckPolicy;
 use tcp_sim::sender::{SenderConfig, SenderEndpoint};
 use tcp_sim::trace::TraceEvent;
 
@@ -32,13 +31,7 @@ fn run_path(
 ) -> RunResult {
     let mut sim = Sim::new(seed);
     let cfg = SenderConfig::bulk(flow_bytes).with_tracing();
-    let ends = install_flow(
-        &mut sim,
-        FlowId(1),
-        cfg,
-        make_controller(kind, IW, MSS),
-        AckPolicy::default(),
-    );
+    let ends = install_flow(&mut sim, FlowId(1), cfg, make_controller(kind, IW, MSS));
     let rtt = Duration::from_millis(2 * owd_ms);
     let spec = LinkSpec::clean(Bandwidth::from_mbps(bw_mbps), Duration::from_millis(owd_ms))
         .with_queue_bdp(rtt, buffer_bdp);
@@ -221,7 +214,7 @@ fn suss_behaves_like_cubic_when_disabled() {
         MSS,
         suss_core::SussConfig::disabled(),
     ));
-    let ends = install_flow(&mut sim, FlowId(1), cfg, cc, AckPolicy::default());
+    let ends = install_flow(&mut sim, FlowId(1), cfg, cc);
     let rtt = Duration::from_millis(150);
     let spec = LinkSpec::clean(Bandwidth::from_mbps(100), Duration::from_millis(75))
         .with_queue_bdp(rtt, 1.0);

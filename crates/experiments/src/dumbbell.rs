@@ -5,12 +5,10 @@ use cc_algos::CcKind;
 use netsim::{build_dumbbell, FlowId, NodeId, Sim, SimTime};
 use simstats::StepSeries;
 use tcp_sim::flow::{install_flow, wire_flow, FlowEnds};
-use tcp_sim::receiver::AckPolicy;
 use tcp_sim::sender::SenderConfig;
 use workload::DumbbellConfig;
 
 use crate::runner::{collect_sim_telemetry, run_until_complete, Endpoints, FlowOutcome, IW, MSS};
-use crate::scope::{attach_link_scope, emit_scope_annotations};
 
 /// One flow in a dumbbell experiment.
 #[derive(Debug, Clone, Copy)]
@@ -86,21 +84,6 @@ pub fn run_dumbbell(
     seed: u64,
     horizon: SimTime,
 ) -> DumbbellOutcome {
-    run_dumbbell_scoped(cfg, flows, seed, horizon, 0)
-}
-
-/// [`run_dumbbell`] with bottleneck scope sampling: every
-/// `scope_every`-th packet on the congested server→client link feeds the
-/// queue-depth / utilization / sojourn histograms, summarized into
-/// `scope/dumbbell/*` manifest annotations (0 = off). Observation only —
-/// the outcome is byte-identical at any cadence.
-pub fn run_dumbbell_scoped(
-    cfg: &DumbbellConfig,
-    flows: &[DumbbellFlow],
-    seed: u64,
-    horizon: SimTime,
-    scope_every: u64,
-) -> DumbbellOutcome {
     let _cell_span = simtrace::prof::span("dumbbell/cell");
     assert_eq!(flows.len(), cfg.pairs(), "one flow per dumbbell pair");
     let mut sim = Sim::new(seed);
@@ -115,7 +98,6 @@ pub fn run_dumbbell_scoped(
             FlowId(i as u64 + 1),
             scfg,
             cc_algos::make_controller(f.kind, IW, MSS),
-            AckPolicy::default(),
         );
         ends.push(e);
     }
@@ -123,8 +105,6 @@ pub fn run_dumbbell_scoped(
     let clients: Vec<NodeId> = ends.iter().map(|e| e.receiver).collect();
     let servers: Vec<NodeId> = ends.iter().map(|e| e.sender).collect();
     let db = build_dumbbell(&mut sim, &clients, &servers, &cfg.to_spec());
-    let scope =
-        (scope_every > 0).then(|| attach_link_scope(&mut sim, db.bottleneck_r2l, scope_every));
     for (i, e) in ends.iter().enumerate() {
         wire_flow(&mut sim, *e, db.right_egress[i], db.left_egress[i]);
     }
@@ -144,9 +124,6 @@ pub fn run_dumbbell_scoped(
     let ended_at = sim.now();
 
     let drops = sim.link_queue_stats(db.bottleneck_r2l).dropped_pkts;
-    if let Some(hists) = &scope {
-        emit_scope_annotations("scope/dumbbell", hists);
-    }
     // One shared simulation: snapshot once, every flow reports the same
     // simulation-wide counters.
     let counters = collect_sim_telemetry(&sim);

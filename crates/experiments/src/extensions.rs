@@ -266,7 +266,7 @@ fn run_cross_traffic(
     load: f64,
     seed: u64,
 ) -> FlowOutcome {
-    use netsim::{ArrivalProcess, Bandwidth, Router, TrafficSink, TrafficSource};
+    use netsim::{Bandwidth, Router, TrafficSink, TrafficSource};
     use std::time::Duration;
 
     let mut sim = Sim::new(seed);
@@ -296,7 +296,6 @@ fn run_cross_traffic(
         sink,
         rate,
         1_250,
-        ArrivalProcess::Poisson,
         SimTime::ZERO,
         SimTime::from_secs(600),
         rng,

@@ -179,11 +179,6 @@ pub fn run_with(params: &FairnessParams, opts: &RunnerOpts) -> (Vec<FairnessCell
     (cells, out.manifest)
 }
 
-/// Run the full grid on the serial reference path.
-pub fn run(params: &FairnessParams) -> Vec<FairnessCell> {
-    run_with(params, &RunnerOpts::serial()).0
-}
-
 /// Render the grid summary (per-cell recovery times and final F).
 pub fn to_table(cells: &[FairnessCell]) -> TextTable {
     let mut t = TextTable::new(vec![
@@ -226,7 +221,7 @@ mod tests {
         let mut p = FairnessParams::quick();
         p.rtts = vec![Duration::from_millis(100)];
         p.buffers = vec![1.5];
-        let cells = run(&p);
+        let (cells, _) = run_with(&p, &RunnerOpts::serial());
         assert_eq!(cells.len(), 1);
         let c = &cells[0];
         assert!(!c.jain_on.is_empty() && !c.jain_off.is_empty());

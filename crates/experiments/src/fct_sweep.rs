@@ -127,15 +127,6 @@ pub fn sweep_matrix(scenarios: &[PathScenario], p: &SweepParams, opts: &RunnerOp
     }
 }
 
-/// Sweep one scenario across all sizes and the three schemes (the serial
-/// reference path).
-pub fn sweep_scenario(scenario: &PathScenario, p: &SweepParams) -> ScenarioSweep {
-    sweep_matrix(std::slice::from_ref(scenario), p, &RunnerOpts::serial())
-        .sweeps
-        .pop()
-        .expect("one scenario in, one sweep out")
-}
-
 /// Figure 11/12: the four Tokyo-server scenarios.
 pub fn fig11_scenarios() -> Vec<PathScenario> {
     LastHop::ALL
@@ -203,7 +194,8 @@ mod tests {
             iters: 3,
             seed_base: 1,
         };
-        let sweep = sweep_scenario(&scn, &p);
+        let m = sweep_matrix(&[scn], &p, &RunnerOpts::serial());
+        let sweep = &m.sweeps[0];
         assert_eq!(sweep.cells.len(), 2);
         for c in &sweep.cells {
             assert!(

@@ -7,7 +7,7 @@ use cc_algos::CcKind;
 use netsim::SimTime;
 use simstats::TextTable;
 use std::time::Duration;
-use workload::DumbbellConfig;
+use workload::{testbed::BOTTLENECK, DumbbellConfig};
 
 /// Parameters for the Fig. 2 experiment.
 #[derive(Debug, Clone)]
@@ -80,7 +80,7 @@ pub fn run(params: &Fig02Params) -> Fig02Result {
 impl Fig02Result {
     /// Fair share of the 50 Mbps bottleneck among 5 flows, bytes/sec.
     fn fair_share(&self) -> f64 {
-        50e6 / 8.0 / 5.0
+        BOTTLENECK.bytes_per_sec() / 5.0
     }
 
     /// Goodput (bytes/sec) of the joining flow at `dt` after its start.

@@ -33,7 +33,6 @@ use simtrace::names;
 use std::rc::Rc;
 use std::time::Duration;
 use tcp_sim::flow::{install_flow, respawn_flow, teardown_flow, wire_flow, FlowEnds};
-use tcp_sim::receiver::AckPolicy;
 use tcp_sim::sender::{SenderConfig, SenderEndpoint};
 use workload::{FleetWorkload, LastHop, PathScenario, ServerSite, KB, MB};
 
@@ -259,7 +258,7 @@ pub fn run_fleet_cell(cfg: &FleetConfig, seed: u64) -> FleetStats {
         let ends = if let Some(i) = slots.iter().position(|s| !s.busy) {
             // Recycle a retired slot: same nodes, links, and routes.
             let (prev, s_eg, r_eg) = (slots[i].ends, slots[i].s_egress, slots[i].r_egress);
-            let ends = respawn_flow(&mut sim, prev, flow, scfg, cc, AckPolicy::default());
+            let ends = respawn_flow(&mut sim, prev, flow, scfg, cc);
             wire_flow(&mut sim, ends, s_eg, r_eg);
             let slot = &mut slots[i];
             slot.ends = ends;
@@ -270,7 +269,7 @@ pub fn run_fleet_cell(cfg: &FleetConfig, seed: u64) -> FleetStats {
             ends
         } else {
             // Grow the pool: fresh endpoints, edge links, and routes.
-            let ends = install_flow(&mut sim, flow, scfg, cc, AckPolicy::default());
+            let ends = install_flow(&mut sim, flow, scfg, cc);
             let edge = || LinkSpec::clean(EDGE_RATE, EDGE_DELAY);
             let s_up = sim.add_half_link(ends.sender, r1, edge());
             let s_down = sim.add_half_link(r1, ends.sender, edge());

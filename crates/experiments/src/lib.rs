@@ -34,11 +34,11 @@ pub mod stability;
 
 pub use campaigns::{Batch, FlowGrid, FlowGridRun, FlowStats, CAMPAIGN_VERSION};
 pub use chaos::{chaos_table, run_flow_faulted, FaultFamily};
-pub use dumbbell::{run_dumbbell, run_dumbbell_scoped, DumbbellFlow, DumbbellOutcome};
+pub use dumbbell::{run_dumbbell, DumbbellFlow, DumbbellOutcome};
 pub use fleet::{fleet_table, run_fleet_cell, FleetConfig, FleetRun, FleetStats};
 pub use quic_pacing::{
     quic_pacing_campaign, quic_pacing_table, run_quic_pacing_cell, QuicPacingConfig, QuicPacingRun,
     QuicPacingStats,
 };
-pub use runner::{mean_fct, run_flow, FlowOutcome, IW, MSS};
+pub use runner::{export_trace, mean_fct, run_flow, FlowOutcome, IW, MSS};
 pub use scope::{attach_link_scope, emit_scope_annotations, ScopeHistograms, SCOPE_SERIES};

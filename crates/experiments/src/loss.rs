@@ -133,15 +133,6 @@ pub fn sweep_matrix(scenarios: &[PathScenario], p: &LossParams, opts: &RunnerOpt
     }
 }
 
-/// Sweep one scenario (Fig. 14 uses Oracle London → Sweden 5G); the
-/// serial reference path.
-pub fn sweep_scenario(scenario: &PathScenario, p: &LossParams) -> LossSweep {
-    sweep_matrix(std::slice::from_ref(scenario), p, &RunnerOpts::serial())
-        .sweeps
-        .pop()
-        .expect("one scenario in, one sweep out")
-}
-
 /// The Fig. 14 scenario: Oracle London server, Swedish 5G client.
 pub fn fig14_scenario() -> PathScenario {
     PathScenario::new(ServerSite::OracleLondon, LastHop::FiveG)
@@ -177,7 +168,8 @@ mod tests {
             seed_base: 1,
             buffer_bdp_override: Some(0.35),
         };
-        let sweep = sweep_scenario(&fig14_scenario(), &p);
+        let m = sweep_matrix(&[fig14_scenario()], &p, &RunnerOpts::serial());
+        let sweep = &m.sweeps[0];
         let c = &sweep.cells[0];
         assert!(
             c.cubic.mean > 0.0,
@@ -203,7 +195,8 @@ mod tests {
             seed_base: 7,
             buffer_bdp_override: Some(0.5),
         };
-        let sweep = sweep_scenario(&fig14_scenario(), &p);
+        let m = sweep_matrix(&[fig14_scenario()], &p, &RunnerOpts::serial());
+        let sweep = &m.sweeps[0];
         let small = &sweep.cells[0];
         let large = &sweep.cells[1];
         // Relative gap (off vs on) shrinks as steady-state dominates.

@@ -16,7 +16,7 @@ use std::rc::Rc;
 use std::time::Duration;
 use tcp_sim::cc::CongestionControl;
 use tcp_sim::flow::{install_flow, wire_flow, FlowEnds};
-use tcp_sim::receiver::{AckPolicy, ReceiverEndpoint};
+use tcp_sim::receiver::ReceiverEndpoint;
 use tcp_sim::sender::{SenderConfig, SenderEndpoint};
 use tcp_sim::trace::{ConnTrace, TraceEvent};
 use workload::PathScenario;
@@ -74,7 +74,7 @@ impl Endpoints {
             Transport::Tcp(cc) => {
                 let mut cfg = SenderConfig::bulk(flow_bytes);
                 cfg.trace_sampling = tracing;
-                Endpoints::Tcp(install_flow(sim, flow, cfg, cc, AckPolicy::default()))
+                Endpoints::Tcp(install_flow(sim, flow, cfg, cc))
             }
             Transport::Quic(cc, strategy) => {
                 let mut cfg = QuicConfig::bulk(flow_bytes).with_strategy(strategy);
@@ -244,6 +244,32 @@ impl FlowOutcome {
                 .collect(),
         )
     }
+}
+
+/// Export one simulation's flows into a JSONL trace under the `run`
+/// label, then flush: each `(flow id, outcome)` pair's samples and
+/// events, then the counters stamped at the last instant any flow
+/// recorded. The outcomes must come from the same simulation, since they
+/// share one counter snapshot (the first one's is exported).
+pub fn export_trace(
+    sink: &mut dyn simtrace::EventSink,
+    run: Option<&str>,
+    flows: &[(u64, &FlowOutcome)],
+) -> std::io::Result<()> {
+    let mut t_end = 0u64;
+    for (id, out) in flows {
+        out.trace.export(*id, run, sink);
+        if let Some(s) = out.trace.samples.last() {
+            t_end = t_end.max(s.t.as_nanos());
+        }
+        if let Some((t, _)) = out.trace.events.last() {
+            t_end = t_end.max(t.as_nanos());
+        }
+    }
+    if let Some((_, first)) = flows.first() {
+        simtrace::export_counters(&first.counters, t_end, run, sink);
+    }
+    sink.flush()
 }
 
 /// Snapshot a finished simulation's metric registry and report its

@@ -240,11 +240,6 @@ pub fn run_with(params: &StabilityParams, opts: &RunnerOpts) -> (Vec<StabilityCe
     (cells, out.manifest)
 }
 
-/// Run the full Table 1 grid on the serial reference path.
-pub fn run(params: &StabilityParams) -> Vec<StabilityCell> {
-    run_with(params, &RunnerOpts::serial()).0
-}
-
 /// Render Table 1.
 pub fn to_table(cells: &[StabilityCell]) -> TextTable {
     let mut t = TextTable::new(vec![
@@ -312,7 +307,7 @@ mod tests {
 
     #[test]
     fn suss_smalls_finish_faster_without_harming_elephant() {
-        let cells = run(&StabilityParams::quick());
+        let (cells, _) = run_with(&StabilityParams::quick(), &RunnerOpts::serial());
         assert_eq!(cells.len(), 1);
         let c = &cells[0];
         // Paper Table 1: small-flow improvement is solidly positive...

@@ -44,18 +44,11 @@ const GOLD_TOTALS: &[(&str, u64)] = &[
 /// 50 Mbps / 50 ms / 1-BDP dumbbell — loss, fast recovery, HyStart and
 /// SUSS pacing all exercised, so the goldens pin real protocol behavior.
 fn cell(seed: u64) -> experiments::FlowOutcome {
-    cell_scoped(seed, 0)
-}
-
-/// [`cell`] with bottleneck scope sampling every `scope_every` packets
-/// (0 = off) — the observability arm of the determinism contract.
-fn cell_scoped(seed: u64, scope_every: u64) -> experiments::FlowOutcome {
     let cfg = DumbbellConfig::fairness(Duration::from_millis(50), 1.0, PAIRS);
     let flows: Vec<DumbbellFlow> = (0..PAIRS)
         .map(|i| DumbbellFlow::download(CcKind::CubicSuss, MB, SimTime::from_millis(5 * i as u64)))
         .collect();
-    let out =
-        experiments::run_dumbbell_scoped(&cfg, &flows, seed, SimTime::from_secs(60), scope_every);
+    let out = run_dumbbell(&cfg, &flows, seed, SimTime::from_secs(60));
     let drops = out.bottleneck_drops;
     let mut f0 = out.flows.into_iter().next().expect("pairs > 0");
     f0.bottleneck_drops = drops;
@@ -218,34 +211,27 @@ fn faulted_cells_are_engine_and_worker_invariant() {
     }
 }
 
-/// Observability is free: running the golden cell with every telemetry
-/// layer on — span profiling, a live flight recorder, and bottleneck
-/// scope sampling — reproduces the bare run bit-for-bit.
+/// Observability is free: running the golden cell with span profiling
+/// and a live flight recorder on reproduces the bare run bit-for-bit.
 /// The instrumented arm must also actually *observe* something, so a
-/// regression that silently disables telemetry can't fake a pass.
+/// regression that silently disables telemetry can't fake a pass. Scope
+/// sampling's neutrality is pinned on the fleet cell campaigns sample:
+/// `experiments::fleet`'s `scope_sampling_is_free_and_lands_annotations`.
 #[test]
 fn observability_never_changes_results() {
     let bare = cell(SEEDS[0]);
-    let _ = simtrace::runtime::take_scope_annotations();
     let _ = simtrace::prof::take();
 
     simtrace::prof::set_enabled(true);
     let ring = simtrace::FlightRecorder::new(simtrace::flightrec::DEFAULT_CAPACITY);
     simtrace::flightrec::install(Some(ring.clone()));
-    let instrumented = cell_scoped(SEEDS[0], 4);
+    let instrumented = cell(SEEDS[0]);
     simtrace::flightrec::install(None);
     simtrace::prof::set_enabled(false);
     let prof = simtrace::prof::take();
-    let scopes = simtrace::runtime::take_scope_annotations();
 
     // Telemetry really happened...
     assert!(prof.spans.iter().any(|s| s.path == "dumbbell/cell"));
-    assert!(
-        scopes
-            .iter()
-            .any(|a| a.label == "scope/dumbbell/queue_depth" && a.n > 0),
-        "scope sampling produced nothing: {scopes:?}"
-    );
     assert!(!ring.to_jsonl().is_empty(), "flight recorder stayed empty");
 
     // ...and changed nothing.

@@ -71,4 +71,4 @@ pub use time::SimTime;
 pub use topology::{
     build_dumbbell, build_parking_lot, Dumbbell, DumbbellSpec, ParkingLot, ParkingLotSpec,
 };
-pub use traffic::{ArrivalProcess, TrafficSink, TrafficSource};
+pub use traffic::{TrafficSink, TrafficSource};

@@ -65,8 +65,8 @@ impl Xoshiro256PlusPlus {
 /// A seeded, forkable RNG for simulation use.
 ///
 /// Wraps an inline xoshiro256++ core and adds the distribution samplers
-/// the link and workload models need (normal, lognormal, exponential,
-/// bounded Pareto) without pulling in extra dependencies.
+/// the link and workload models need (normal, exponential, bounded
+/// Pareto) without pulling in extra dependencies.
 #[derive(Debug, Clone)]
 pub struct SimRng {
     inner: Xoshiro256PlusPlus,
@@ -153,11 +153,6 @@ impl SimRng {
     /// Normal draw with the given mean and standard deviation.
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.standard_normal()
-    }
-
-    /// Lognormal draw parameterized by the underlying normal's mu/sigma.
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
     }
 
     /// Exponential draw with the given mean (`mean = 1/lambda`).

@@ -2,9 +2,10 @@
 //!
 //! The paper's Internet-scale paths carry uncontrolled cross traffic; the
 //! local testbed controls it with competing TCP flows. This module adds a
-//! third option: open-loop packet sources (constant bit-rate or Poisson)
-//! that occupy a configurable share of a bottleneck without reacting to
-//! congestion — useful for studying SUSS against *unresponsive* load.
+//! third option: open-loop Poisson packet sources (exponential gaps, a
+//! stand-in for aggregated Internet load) that occupy a configurable
+//! share of a bottleneck without reacting to congestion — useful for
+//! studying SUSS against *unresponsive* load.
 
 use crate::bandwidth::Bandwidth;
 use crate::packet::{FlowId, LinkId, NodeId, Packet};
@@ -14,25 +15,15 @@ use crate::time::SimTime;
 use std::any::Any;
 use std::time::Duration;
 
-/// Packet arrival process.
-#[derive(Debug, Clone, Copy)]
-pub enum ArrivalProcess {
-    /// Constant bit rate: evenly spaced packets.
-    Cbr,
-    /// Poisson arrivals (exponential inter-packet gaps) at the same mean
-    /// rate — burstier, a better stand-in for aggregated Internet load.
-    Poisson,
-}
-
 /// An open-loop traffic source: emits `packet_bytes`-sized packets toward
-/// `sink` at `rate`, between `start` and `stop`.
+/// `sink` as a Poisson process of mean rate `rate`, between `start` and
+/// `stop`.
 pub struct TrafficSource {
     flow: FlowId,
     sink: NodeId,
     out: Option<LinkId>,
     rate: Bandwidth,
     packet_bytes: u32,
-    process: ArrivalProcess,
     start: SimTime,
     stop: SimTime,
     rng: SimRng,
@@ -42,13 +33,11 @@ pub struct TrafficSource {
 
 impl TrafficSource {
     /// Create a source; wire its egress with [`set_egress`](Self::set_egress).
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         flow: FlowId,
         sink: NodeId,
         rate: Bandwidth,
         packet_bytes: u32,
-        process: ArrivalProcess,
         start: SimTime,
         stop: SimTime,
         rng: SimRng,
@@ -60,7 +49,6 @@ impl TrafficSource {
             out: None,
             rate,
             packet_bytes,
-            process,
             start,
             stop,
             rng,
@@ -78,12 +66,7 @@ impl TrafficSource {
     }
 
     fn next_gap(&mut self) -> Duration {
-        match self.process {
-            ArrivalProcess::Cbr => self.mean_gap(),
-            ArrivalProcess::Poisson => {
-                Duration::from_secs_f64(self.rng.exponential(self.mean_gap().as_secs_f64()))
-            }
-        }
+        Duration::from_secs_f64(self.rng.exponential(self.mean_gap().as_secs_f64()))
     }
 }
 
@@ -158,7 +141,7 @@ mod tests {
     use crate::link::LinkSpec;
     use crate::sim::Sim;
 
-    fn build(process: ArrivalProcess, rate_mbps: u64, secs: u64) -> (Sim, NodeId, u64) {
+    fn build(rate_mbps: u64, secs: u64) -> (Sim, NodeId, u64) {
         let mut sim = Sim::new(9);
         let sink = sim.add_agent(Box::new(TrafficSink::new()));
         let rng = sim.fork_rng(0xBEEF);
@@ -167,7 +150,6 @@ mod tests {
             sink,
             Bandwidth::from_mbps(rate_mbps),
             1_250,
-            process,
             SimTime::ZERO,
             SimTime::from_secs(secs),
             rng,
@@ -184,19 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn cbr_hits_target_rate() {
-        // 10 Mbps for 2 s = 2.5 MB.
-        let (_, _, bytes) = build(ArrivalProcess::Cbr, 10, 2);
-        let expect = 2.5e6;
-        assert!(
-            (bytes as f64 - expect).abs() / expect < 0.01,
-            "bytes {bytes} vs expect {expect}"
-        );
-    }
-
-    #[test]
     fn poisson_hits_target_rate_on_average() {
-        let (_, _, bytes) = build(ArrivalProcess::Poisson, 10, 10);
+        let (_, _, bytes) = build(10, 10);
         let expect = 12.5e6;
         assert!(
             (bytes as f64 - expect).abs() / expect < 0.05,
@@ -205,45 +176,8 @@ mod tests {
     }
 
     #[test]
-    fn poisson_is_burstier_than_cbr() {
-        // Compare inter-arrival variance at the sink via a tiny custom run.
-        let gaps = |process: ArrivalProcess| -> f64 {
-            let mut sim = Sim::new(5);
-            let sink = sim.add_agent(Box::new(TrafficSink::new()));
-            let rng = sim.fork_rng(1);
-            let src = sim.add_agent(Box::new(TrafficSource::new(
-                FlowId(1),
-                sink,
-                Bandwidth::from_mbps(5),
-                1_250,
-                process,
-                SimTime::ZERO,
-                SimTime::from_secs(5),
-                rng,
-            )));
-            let link = sim.add_half_link(
-                src,
-                sink,
-                LinkSpec::clean(Bandwidth::from_gbps(10), Duration::ZERO),
-            );
-            sim.agent_mut::<TrafficSource>(src).set_egress(link);
-            // Sample timer cadence via the source's own send count over
-            // sub-intervals.
-            let mut counts = Vec::new();
-            for k in 1..=50u64 {
-                sim.run_until(SimTime::from_millis(k * 100));
-                counts.push(sim.agent::<TrafficSource>(src).sent);
-            }
-            let per: Vec<f64> = counts.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
-            let mean = per.iter().sum::<f64>() / per.len() as f64;
-            per.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / per.len() as f64
-        };
-        assert!(gaps(ArrivalProcess::Poisson) > gaps(ArrivalProcess::Cbr) * 2.0);
-    }
-
-    #[test]
     fn respects_stop_time() {
-        let (sim, _, _) = build(ArrivalProcess::Cbr, 10, 1);
+        let (sim, _, _) = build(10, 1);
         // No events should remain long after stop.
         assert!(sim.now() >= SimTime::from_secs(1));
     }

@@ -46,18 +46,18 @@ const TK_PACE: u64 = 2;
 const TK_CC: u64 = 3;
 const TK_LOSS: u64 = 4;
 
+/// Maximum stream bytes per packet: the TCP side's segment size, so
+/// cargo per packet matches across transports.
+pub(crate) const MSS: u64 = 1_448;
+
 /// Per-packet wire overhead beyond stream cargo.
 const WIRE_OVERHEAD: u32 = UDP_IP_HEADER_BYTES + SHORT_HEADER_BYTES + STREAM_FRAME_BYTES;
 
 /// Static configuration of a QUIC sending endpoint.
 #[derive(Debug, Clone)]
 pub struct QuicConfig {
-    /// Maximum stream bytes per packet.
-    pub mss: u32,
     /// Application bytes to deliver.
     pub flow_bytes: u64,
-    /// When the flow starts transmitting.
-    pub start_at: SimTime,
     /// How departures are spaced once a pacing rate is known.
     pub strategy: PacingStrategy,
     /// Record per-ACK trace samples (disable for large batches).
@@ -65,23 +65,14 @@ pub struct QuicConfig {
 }
 
 impl QuicConfig {
-    /// A bulk transfer of `flow_bytes` starting at t=0: MSS 1448 (the
-    /// TCP side's segment size, so cargo-per-packet matches across
-    /// transports) and per-packet pacing.
+    /// A bulk transfer of `flow_bytes` starting at t=0 with per-packet
+    /// pacing.
     pub fn bulk(flow_bytes: u64) -> Self {
         QuicConfig {
-            mss: 1448,
             flow_bytes,
-            start_at: SimTime::ZERO,
             strategy: PacingStrategy::PerPacket,
             trace_sampling: false,
         }
-    }
-
-    /// Set the flow start time.
-    pub fn starting_at(mut self, t: SimTime) -> Self {
-        self.start_at = t;
-        self
     }
 
     /// Set the pacing strategy.
@@ -225,7 +216,7 @@ impl QuicSender {
             ..Default::default()
         };
         QuicSender {
-            pacer: QuicPacer::new(cfg.strategy, u64::from(cfg.mss) + u64::from(WIRE_OVERHEAD)),
+            pacer: QuicPacer::new(cfg.strategy, MSS + u64::from(WIRE_OVERHEAD)),
             cfg,
             flow,
             peer: None,
@@ -426,19 +417,18 @@ impl QuicSender {
         if self.out.is_none() || self.done {
             return;
         }
-        let mss = u64::from(self.cfg.mss);
         let mut sent_any = false;
         loop {
             // Pick the next chunk (popping a NAK range; re-queued below if
             // a gate refuses it).
-            let (range, is_rtx) = match self.detector.pop_nak(mss) {
+            let (range, is_rtx) = match self.detector.pop_nak(MSS) {
                 Some(r) => (r, true),
                 None => {
                     if self.send_cursor >= self.cfg.flow_bytes {
                         self.app_limited = true;
                         break;
                     }
-                    let len = mss.min(self.cfg.flow_bytes - self.send_cursor);
+                    let len = MSS.min(self.cfg.flow_bytes - self.send_cursor);
                     (
                         ByteRange::new(self.send_cursor, self.send_cursor + len),
                         false,
@@ -672,7 +662,9 @@ impl QuicSender {
 
 impl Agent for QuicSender {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.cfg.start_at, Self::token(TK_START, 0));
+        // Every QUIC flow starts at t = 0, through a timer like the TCP
+        // sender's start.
+        ctx.set_timer(SimTime::ZERO, Self::token(TK_START, 0));
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {

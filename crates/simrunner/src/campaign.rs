@@ -388,7 +388,6 @@ impl Campaign {
         RunManifest {
             experiment: self.experiment.clone(),
             version: self.version.clone(),
-            executor: parts.executor,
             workers: parts.workers,
             total_cells: n,
             cache_hits: parts.cache_hits,
@@ -416,7 +415,6 @@ impl Campaign {
 
 /// Everything an executor hands to [`Campaign::assemble_manifest`].
 pub(crate) struct ManifestParts {
-    pub executor: String,
     pub workers: usize,
     pub cache_hits: usize,
     pub started: Instant,

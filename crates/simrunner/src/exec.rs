@@ -157,7 +157,6 @@ fn finish<T: Serialize>(
         .unwrap_or(0);
     let digest = results_digest_of(&prep.results);
     let mut manifest = campaign.assemble_manifest(ManifestParts {
-        executor: "pool".into(),
         workers: prep.workers,
         cache_hits: prep.cache_hits,
         started: prep.started,
@@ -474,7 +473,6 @@ mod tests {
         assert_eq!(out.manifest.total_cells, 32);
         assert_eq!(out.manifest.cache_hits, 0);
         assert_eq!(out.manifest.workers, 8);
-        assert_eq!(out.manifest.executor, "pool");
         assert!(!out.manifest.results_digest.is_empty());
         assert_eq!(out.expect_all(), expect);
     }
@@ -806,7 +804,6 @@ mod tests {
             cell.seed
         });
         let m = &out.manifest;
-        assert_eq!(m.executor, "pool");
         assert_eq!((m.cache_hits, m.cache_misses), (5, 1));
         assert_eq!(m.cells[3].status, CellStatus::Panicked);
         assert!(

@@ -91,8 +91,6 @@ pub struct RunManifest {
     pub experiment: String,
     /// Version tag in effect.
     pub version: String,
-    /// Which executor produced this manifest (always `pool`).
-    pub executor: String,
     /// Worker threads used.
     pub workers: usize,
     /// Total cells in the campaign.
@@ -132,7 +130,7 @@ pub struct RunManifest {
     pub results_digest: String,
     /// Digest over the deterministic content of this manifest (cells,
     /// statuses, results digest, FCT annotations) — excludes wall-clock
-    /// fields, `cached` flags, executor identity and scope annotations,
+    /// fields, `cached` flags and scope annotations,
     /// so a cold run, a warm rerun and a rerun that resumes a killed run
     /// fingerprint identically. Sealed by
     /// [`write`](Self::write); stale after in-place mutation until then.
@@ -178,7 +176,7 @@ impl RunManifest {
     /// Digest over the deterministic content of the manifest: experiment
     /// identity, per-cell (index, label, seed, key, status), the results
     /// digest, and the FCT annotations. Wall-clock fields, `cached`
-    /// flags, the executor label and the scope annotations are excluded,
+    /// flags and the scope annotations are excluded,
     /// so the fingerprint is stable across cache temperature and worker
     /// count.
     pub fn compute_fingerprint(&self) -> String {
@@ -304,7 +302,6 @@ mod tests {
         RunManifest {
             experiment: "exp".into(),
             version: "v1".into(),
-            executor: "pool".into(),
             workers: 4,
             total_cells: 10,
             cache_hits: 9,
@@ -385,7 +382,7 @@ mod tests {
         assert!(json.contains("\"worker_busy_secs\":1.5"));
         assert!(json.contains("\"wall_ms_p50\":"));
         assert!(json.contains("\"wall_ms_p99\":"));
-        assert!(json.contains("\"executor\":\"pool\""));
+        assert!(!json.contains("\"executor\""));
         assert!(json.contains("\"results_digest\":\"00aa00aa00aa00aa\""));
         assert!(json.contains("scope/demo/queue_depth"));
         assert!(json.contains("cell;sim/step"));
@@ -442,7 +439,6 @@ mod tests {
         let mut noisy = m.clone();
         noisy.wall_secs = 99.0;
         noisy.workers = 1;
-        noisy.executor = "other".into();
         noisy.cells[1].wall_ms = 1.0;
         noisy.cells[1].cached = true;
         assert_eq!(
@@ -487,22 +483,25 @@ mod tests {
     #[test]
     fn reads_manifests_with_retired_supervision_counters() {
         // Manifests written while a same-host shard supervisor existed
-        // carry a shard stamp and two more counters; they must still
-        // parse, with the fingerprint they were sealed with.
+        // carry a shard stamp and two more counters, and those of the
+        // executor-choice era an `executor` label (`results/fig11.manifest.json`
+        // still does); they must still parse, with the fingerprint they
+        // were sealed with.
         let mut m = sample();
         m.fingerprint = m.compute_fingerprint();
         let json = m
             .to_json_string()
             .replace(
-                "\"executor\":\"pool\",",
-                "\"executor\":\"pool\",\"shard\":null,",
+                "\"version\":\"v1\",",
+                "\"version\":\"v1\",\"executor\":\"pool\",\"shard\":null,",
             )
             .replace(
                 "\"cache_quarantined\":0,",
                 "\"cache_quarantined\":0,\"shard_restarts\":2,\"lease_expiries\":1,",
             );
         assert!(
-            json.contains("\"shard\":null,") && json.contains("\"lease_expiries\":1,"),
+            json.contains("\"executor\":\"pool\",\"shard\":null,")
+                && json.contains("\"lease_expiries\":1,"),
             "splice failed: {json}"
         );
         let back: RunManifest =

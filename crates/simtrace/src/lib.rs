@@ -47,7 +47,7 @@ pub use metrics::{Counter, CounterSnapshot, Gauge, MetricValue, Registry};
 pub use prof::{ProfSnapshot, ProfSpan};
 pub use record::{kind, TraceRecord};
 pub use runtime::ScopeAnnotation;
-pub use sink::{export_counters, EventSink, JsonlSink, VecSink};
+pub use sink::{create_jsonl, export_counters, EventSink, JsonlSink, VecSink};
 
 /// Canonical metric names. Producers register by these constants so the
 /// catalogue stays greppable and `suss-trace diff` output lines up across

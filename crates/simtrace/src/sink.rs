@@ -5,7 +5,9 @@
 //! dump --csv` renders a flow's samples from the JSONL). Sinks swallow I/O errors during `record` and surface the
 //! first one from [`EventSink::flush`], keeping producer code infallible.
 
-use std::io::{self, Write};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
 
 use crate::metrics::CounterSnapshot;
 use crate::record::{kind, TraceRecord};
@@ -56,6 +58,15 @@ impl<W: Write> EventSink for JsonlSink<W> {
         }
         self.w.flush()
     }
+}
+
+/// Create (or truncate) the JSONL trace file at `path`, creating its
+/// parent directories first.
+pub fn create_jsonl(path: &Path) -> io::Result<JsonlSink<BufWriter<File>>> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    Ok(JsonlSink::new(BufWriter::new(File::create(path)?)))
 }
 
 /// Collects records in memory — for tests and in-process queries.

@@ -24,10 +24,9 @@ pub fn install_flow(
     flow: FlowId,
     cfg: SenderConfig,
     cc: Box<dyn CongestionControl>,
-    policy: AckPolicy,
 ) -> FlowEnds {
     let sender = sim.add_agent(Box::new(SenderEndpoint::new(cfg, flow, cc)));
-    let receiver = sim.add_agent(Box::new(ReceiverEndpoint::new(flow, policy)));
+    let receiver = sim.add_agent(Box::new(ReceiverEndpoint::new(flow, AckPolicy)));
     let registry = sim.metrics().clone();
     sim.agent_mut::<SenderEndpoint>(sender)
         .bind_metrics(&registry);
@@ -61,7 +60,6 @@ pub fn respawn_flow(
     flow: FlowId,
     cfg: SenderConfig,
     cc: Box<dyn CongestionControl>,
-    policy: AckPolicy,
 ) -> FlowEnds {
     let ends = FlowEnds {
         flow,
@@ -69,7 +67,10 @@ pub fn respawn_flow(
         receiver: slots.receiver,
     };
     sim.install_agent_at(ends.sender, Box::new(SenderEndpoint::new(cfg, flow, cc)));
-    sim.install_agent_at(ends.receiver, Box::new(ReceiverEndpoint::new(flow, policy)));
+    sim.install_agent_at(
+        ends.receiver,
+        Box::new(ReceiverEndpoint::new(flow, AckPolicy)),
+    );
     let registry = sim.metrics().clone();
     sim.agent_mut::<SenderEndpoint>(ends.sender)
         .bind_metrics(&registry);

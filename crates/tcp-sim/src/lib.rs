@@ -17,7 +17,6 @@
 //! use netsim::{Sim, Bandwidth, LinkSpec, FlowId, SimTime};
 //! use tcp_sim::flow::{install_flow, wire_flow};
 //! use tcp_sim::sender::{SenderConfig, SenderEndpoint};
-//! use tcp_sim::receiver::AckPolicy;
 //! use tcp_sim::cc::BasicSlowStart;
 //! use std::time::Duration;
 //!
@@ -27,7 +26,6 @@
 //!     FlowId(1),
 //!     SenderConfig::bulk(100_000),
 //!     Box::new(BasicSlowStart::new(14_480, 1_448)),
-//!     AckPolicy::default(),
 //! );
 //! // Direct back-to-back links (no router) for a smoke test.
 //! let spec = LinkSpec::clean(Bandwidth::from_mbps(10), Duration::from_millis(10));
@@ -52,7 +50,7 @@ pub mod trace;
 pub use cc::{AckView, CongestionControl, LossKind, LossView};
 pub use flow::{flow_complete, install_flow, wire_flow, FlowEnds};
 pub use ranges::{ByteRange, RangeSet};
-pub use receiver::{AckPolicy, ReceiverEndpoint};
+pub use receiver::ReceiverEndpoint;
 pub use rtt::RttEstimator;
 pub use segment::{AckSeg, DataSeg};
 pub use sender::{SenderConfig, SenderEndpoint};

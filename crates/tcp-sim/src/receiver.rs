@@ -2,9 +2,10 @@
 //!
 //! The receiver reassembles the byte stream, generates cumulative ACKs
 //! with up to three SACK blocks, and echoes send timestamps for RTT
-//! sampling. Out-of-order arrivals trigger immediate duplicate ACKs (as
-//! all real stacks do); in-order arrivals follow the configured ACK
-//! policy (per-packet by default, or every-N with a delayed-ACK timer).
+//! sampling. Every data segment is acknowledged at once: in order or
+//! not, there is one ACK per segment, as Linux sends during slow start
+//! (quickack) and as the paper's per-round Δt measurements assume. The
+//! receiver therefore arms no timer.
 //!
 //! There is no flow control. The application consumes in-order data at
 //! once and the reassembly buffer is unbounded (modern autotuned buffers,
@@ -15,57 +16,25 @@ use crate::ranges::RangeSet;
 use crate::segment::{AckSeg, DataSeg, MAX_SACK_BLOCKS};
 use netsim::{Agent, Ctx, FlowId, LinkId, NodeId, Packet, SimTime};
 use std::any::Any;
-use std::time::Duration;
 
-/// ACK generation policy: how many in-order segments an ACK covers and
-/// how long a delayed ACK may wait.
-#[derive(Debug, Clone, Copy)]
-pub struct AckPolicy {
-    /// ACK every `every_n` in-order segments (1 = per-packet ACKing).
-    pub every_n: u32,
-    /// Flush a pending delayed ACK after this much time.
-    pub delay: Duration,
-}
-
-impl Default for AckPolicy {
-    fn default() -> Self {
-        // Per-packet ACKs: what Linux does during slow-start via quickack,
-        // and the regime the paper's Δt measurements assume.
-        AckPolicy {
-            every_n: 1,
-            delay: Duration::from_millis(40),
-        }
-    }
-}
-
-impl AckPolicy {
-    /// Classic delayed ACKs: every second segment, 40 ms flush.
-    pub fn delayed() -> Self {
-        AckPolicy {
-            every_n: 2,
-            delay: Duration::from_millis(40),
-        }
-    }
-}
+/// A fieldless placeholder kept in [`ReceiverEndpoint::new`]'s signature
+/// for the benchmark package under `perfbench/`, which passes
+/// `AckPolicy::default()`. The receiver has one policy, an ACK per data
+/// segment, so there is nothing to configure.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AckPolicy;
 
 /// A TCP-like receiving endpoint for one flow.
 pub struct ReceiverEndpoint {
     flow: FlowId,
     peer: Option<NodeId>,
     out: Option<LinkId>,
-    policy: AckPolicy,
     received: RangeSet,
     /// Learned from the FIN-marked segment: total flow length.
     flow_bytes: Option<u64>,
     /// Time the full flow was reassembled (the paper's download-complete
     /// instant; FCT at the receiver).
     complete_at: Option<SimTime>,
-    /// In-order segments since the last ACK was sent.
-    unacked_segs: u32,
-    /// Echo state from the most recent data segment.
-    pending_echo: Option<(u64, bool)>,
-    delack_gen: u64,
-    delack_armed: bool,
     /// Total data segments received (including duplicates).
     pub segs_received: u64,
     /// Total ACKs sent.
@@ -75,19 +44,14 @@ pub struct ReceiverEndpoint {
 impl ReceiverEndpoint {
     /// Create a receiver for `flow`. Call [`set_peer`](Self::set_peer) and
     /// [`set_egress`](Self::set_egress) once the topology is wired.
-    pub fn new(flow: FlowId, policy: AckPolicy) -> Self {
+    pub fn new(flow: FlowId, _policy: AckPolicy) -> Self {
         ReceiverEndpoint {
             flow,
             peer: None,
             out: None,
-            policy,
             received: RangeSet::new(),
             flow_bytes: None,
             complete_at: None,
-            unacked_segs: 0,
-            pending_echo: None,
-            delack_gen: 0,
-            delack_armed: false,
             segs_received: 0,
             acks_sent: 0,
         }
@@ -113,11 +77,10 @@ impl ReceiverEndpoint {
         self.complete_at
     }
 
-    fn send_ack(&mut self, ctx: &mut Ctx<'_>) {
+    /// Acknowledge everything received so far, echoing the send time and
+    /// retransmit flag of the segment that just arrived.
+    fn send_ack(&mut self, echo_ts: u64, echo_rtx: bool, ctx: &mut Ctx<'_>) {
         let Some(out) = self.out else { return };
-        let Some((echo_ts, echo_rtx)) = self.pending_echo else {
-            return;
-        };
         let cum = self.received.contiguous_end(0);
         let ack = AckSeg {
             flow: self.flow,
@@ -135,22 +98,15 @@ impl ReceiverEndpoint {
             Packet::with_boxed_payload(self.flow, me, peer, wire, boxed),
         );
         self.acks_sent += 1;
-        self.unacked_segs = 0;
-        self.delack_gen += 1; // cancel any pending delayed-ACK flush
-        self.delack_armed = false;
     }
 
     fn handle_data(&mut self, seg: DataSeg, ctx: &mut Ctx<'_>) {
         self.segs_received += 1;
         let now = ctx.now();
-        let cum_before = self.received.contiguous_end(0);
-        let in_order = seg.seq <= cum_before;
         self.received.insert(seg.range());
         if seg.fin {
             self.flow_bytes = Some(seg.range().end);
         }
-        self.pending_echo = Some((seg.sent_at, seg.retransmit));
-        self.unacked_segs += 1;
 
         if self.complete_at.is_none() {
             if let Some(total) = self.flow_bytes {
@@ -159,17 +115,7 @@ impl ReceiverEndpoint {
                 }
             }
         }
-
-        let gap_present = self.received.num_ranges() > 1;
-        if !in_order || gap_present || self.unacked_segs >= self.policy.every_n || seg.fin {
-            // Immediate ACK: out-of-order data, dupACK duty, quota reached,
-            // or the final segment.
-            self.send_ack(ctx);
-        } else if !self.delack_armed {
-            self.delack_gen += 1;
-            self.delack_armed = true;
-            ctx.set_timer(now + self.policy.delay, self.delack_gen);
-        }
+        self.send_ack(seg.sent_at, seg.retransmit, ctx);
     }
 }
 
@@ -183,14 +129,7 @@ impl Agent for ReceiverEndpoint {
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        if token == self.delack_gen && self.delack_armed {
-            self.delack_armed = false;
-            if self.unacked_segs > 0 {
-                self.send_ack(ctx);
-            }
-        }
-    }
+    fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
 
     fn as_any(&self) -> &dyn Any {
         self

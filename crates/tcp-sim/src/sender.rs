@@ -32,11 +32,13 @@ const TK_CC: u64 = 3;
 /// Linux (`tcp_reordering` = 3).
 const DUPACK_THRESHOLD: u32 = 3;
 
+/// Maximum segment payload in bytes: Linux's 1448 on a 1500-byte MTU
+/// with the timestamp option, for every flow.
+pub(crate) const MSS: u64 = 1_448;
+
 /// Static configuration of a sending endpoint.
 #[derive(Debug, Clone)]
 pub struct SenderConfig {
-    /// Maximum segment (payload) size in bytes.
-    pub mss: u32,
     /// Application bytes to deliver.
     pub flow_bytes: u64,
     /// When the flow starts transmitting.
@@ -46,11 +48,9 @@ pub struct SenderConfig {
 }
 
 impl SenderConfig {
-    /// A bulk transfer of `flow_bytes` starting at t=0 with Linux-like
-    /// defaults (MSS 1448).
+    /// A bulk transfer of `flow_bytes` starting at t=0.
     pub fn bulk(flow_bytes: u64) -> Self {
         SenderConfig {
-            mss: 1448,
             flow_bytes,
             start_at: SimTime::ZERO,
             trace_sampling: false,
@@ -172,7 +172,7 @@ impl SenderEndpoint {
             ..Default::default()
         };
         SenderEndpoint {
-            pacer: Pacer::unlimited(u64::from(cfg.mss) * 10),
+            pacer: Pacer::unlimited(MSS * 10),
             cfg,
             flow,
             peer: None,
@@ -316,7 +316,7 @@ impl SenderEndpoint {
         for lost in self.lost.iter_from(from) {
             let start = lost.start.max(from);
             if let Some(gap) = self.rtx_sent.first_gap(start, lost.end) {
-                let end = gap.end.min(gap.start + u64::from(self.cfg.mss));
+                let end = gap.end.min(gap.start + MSS);
                 hole = Some(ByteRange::new(gap.start, end));
                 break;
             }
@@ -376,7 +376,7 @@ impl SenderEndpoint {
                         self.app_limited = true;
                         break;
                     }
-                    let len = u64::from(self.cfg.mss).min(self.cfg.flow_bytes - self.snd_nxt);
+                    let len = MSS.min(self.cfg.flow_bytes - self.snd_nxt);
                     (ByteRange::new(self.snd_nxt, self.snd_nxt + len), false)
                 }
             };
@@ -563,7 +563,7 @@ impl SenderEndpoint {
         let in_recovery = self.recovery_point.is_some_and(|p| self.snd_una < p);
         if !in_recovery {
             self.recovery_point = None;
-            let sack_thresh = u64::from(DUPACK_THRESHOLD) * u64::from(self.cfg.mss);
+            let sack_thresh = u64::from(DUPACK_THRESHOLD) * MSS;
             let dupack_trip = self.dup_acks >= DUPACK_THRESHOLD;
             let sack_trip = self
                 .sacked
@@ -578,7 +578,7 @@ impl SenderEndpoint {
                     .iter()
                     .next()
                     .map(|r| r.start)
-                    .unwrap_or(self.snd_una + u64::from(self.cfg.mss))
+                    .unwrap_or(self.snd_una + MSS)
                     .min(self.snd_nxt);
                 self.mark_lost(ByteRange::new(self.snd_una, hole_end.max(self.snd_una)));
                 self.enter_recovery(now, LossKind::FastRetransmit);
@@ -591,7 +591,7 @@ impl SenderEndpoint {
                 // lost; marking on every partial ACK would spuriously
                 // retransmit data that is merely queued, snowballing under
                 // sustained congestion.
-                let hole_end = (self.snd_una + u64::from(self.cfg.mss)).min(self.snd_nxt);
+                let hole_end = (self.snd_una + MSS).min(self.snd_nxt);
                 if hole_end > self.snd_una {
                     self.mark_lost(ByteRange::new(self.snd_una, hole_end));
                 }
@@ -601,7 +601,7 @@ impl SenderEndpoint {
             // high-water mark instead of rescanning from snd_una.
             let sack_loss_edge = self
                 .highest_sacked
-                .saturating_sub(u64::from(DUPACK_THRESHOLD) * u64::from(self.cfg.mss));
+                .saturating_sub(u64::from(DUPACK_THRESHOLD) * MSS);
             let mut cursor = self.snd_una.max(self.mark_cursor);
             self.mark_cursor = self.mark_cursor.max(sack_loss_edge);
             while cursor < sack_loss_edge {
@@ -781,8 +781,6 @@ mod tests {
     use super::*;
     use crate::cc::FixedCwnd;
     use std::time::{Duration, Instant};
-
-    const MSS: u64 = 1448;
 
     /// A sender whose scoreboard holds `n` disjoint one-MSS lost ranges,
     /// every one already retransmitted.

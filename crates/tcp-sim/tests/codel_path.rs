@@ -5,7 +5,6 @@ use netsim::{Bandwidth, FlowId, LinkSpec, Qdisc, Sim, SimTime};
 use std::time::Duration;
 use tcp_sim::cc::BasicSlowStart;
 use tcp_sim::flow::{install_flow, wire_flow};
-use tcp_sim::receiver::AckPolicy;
 use tcp_sim::sender::{SenderConfig, SenderEndpoint};
 
 const MSS: u64 = 1448;
@@ -18,7 +17,6 @@ fn run(qdisc: Qdisc) -> (f64, Duration, u64) {
         FlowId(1),
         cfg,
         Box::new(BasicSlowStart::new(10 * MSS, MSS)),
-        AckPolicy::default(),
     );
     // Deep buffer (8 BDP): drop-tail will bufferbloat, CoDel should not.
     let rtt = Duration::from_millis(60);

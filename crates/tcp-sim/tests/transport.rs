@@ -4,7 +4,7 @@ use netsim::{Bandwidth, FlowId, LinkSpec, Sim, SimTime};
 use std::time::Duration;
 use tcp_sim::cc::{BasicSlowStart, FixedCwnd};
 use tcp_sim::flow::{install_flow, wire_flow, FlowEnds};
-use tcp_sim::receiver::{AckPolicy, ReceiverEndpoint};
+use tcp_sim::receiver::ReceiverEndpoint;
 use tcp_sim::sender::{SenderConfig, SenderEndpoint};
 use tcp_sim::trace::TraceEvent;
 
@@ -16,13 +16,12 @@ fn direct_link_flow(
     flow_bytes: u64,
     spec: LinkSpec,
     cc: Box<dyn tcp_sim::cc::CongestionControl>,
-    policy: AckPolicy,
     tracing: bool,
 ) -> (Sim, FlowEnds) {
     let mut sim = Sim::new(seed);
     let mut cfg = SenderConfig::bulk(flow_bytes);
     cfg.trace_sampling = tracing;
-    let ends = install_flow(&mut sim, FlowId(1), cfg, cc, policy);
+    let ends = install_flow(&mut sim, FlowId(1), cfg, cc);
     // ACK-path link: generous and clean, as in the paper's testbeds.
     let ack_spec = LinkSpec::clean(Bandwidth::from_mbps(1000), spec.delay);
     let s2r = sim.add_half_link(ends.sender, ends.receiver, spec);
@@ -40,7 +39,6 @@ fn bulk_transfer_completes_and_fct_is_sane() {
         1_000_000,
         spec,
         Box::new(BasicSlowStart::new(10 * MSS, MSS)),
-        AckPolicy::default(),
         false,
     );
     sim.run_until(SimTime::from_secs(30));
@@ -66,7 +64,6 @@ fn slow_start_doubles_cwnd_per_round() {
         4_000_000,
         spec,
         Box::new(BasicSlowStart::new(10 * MSS, MSS)),
-        AckPolicy::default(),
         true,
     );
     sim.run_until(SimTime::from_secs(10));
@@ -97,7 +94,6 @@ fn random_loss_is_recovered_via_fast_retransmit() {
         2_000_000,
         spec,
         Box::new(BasicSlowStart::new(10 * MSS, MSS)),
-        AckPolicy::default(),
         false,
     );
     sim.run_until(SimTime::from_secs(60));
@@ -124,7 +120,6 @@ fn heavy_loss_still_completes_with_rtos() {
         300_000,
         spec,
         Box::new(BasicSlowStart::new(10 * MSS, MSS)),
-        AckPolicy::default(),
         false,
     );
     sim.run_until(SimTime::from_secs(300));
@@ -146,7 +141,6 @@ fn buffer_overflow_losses_are_repaired() {
         1_000_000,
         spec,
         Box::new(FixedCwnd::new(40 * MSS)),
-        AckPolicy::default(),
         false,
     );
     sim.run_until(SimTime::from_secs(120));
@@ -177,37 +171,12 @@ fn total_blackout_triggers_rto_backoff_then_completes() {
         200_000,
         spec,
         Box::new(BasicSlowStart::new(10 * MSS, MSS)),
-        AckPolicy::default(),
         false,
     );
     sim.run_until(SimTime::from_secs(120));
     let snd = sim.agent::<SenderEndpoint>(ends.sender);
     assert!(snd.is_done());
     assert!(snd.stats.rtos >= 1, "initial stall must fire the RTO");
-}
-
-#[test]
-fn delayed_acks_still_complete_transfer() {
-    let spec = LinkSpec::clean(Bandwidth::from_mbps(10), Duration::from_millis(10));
-    let (mut sim, ends) = direct_link_flow(
-        7,
-        500_000,
-        spec,
-        Box::new(BasicSlowStart::new(10 * MSS, MSS)),
-        AckPolicy::delayed(),
-        false,
-    );
-    sim.run_until(SimTime::from_secs(30));
-    let snd = sim.agent::<SenderEndpoint>(ends.sender);
-    assert!(snd.is_done());
-    let rcv = sim.agent::<ReceiverEndpoint>(ends.receiver);
-    // Roughly half as many ACKs as segments.
-    assert!(
-        rcv.acks_sent < rcv.segs_received * 3 / 4,
-        "acks {} vs segs {}",
-        rcv.acks_sent,
-        rcv.segs_received
-    );
 }
 
 #[test]
@@ -218,7 +187,6 @@ fn trace_records_lifecycle_events() {
         100_000,
         spec,
         Box::new(BasicSlowStart::new(10 * MSS, MSS)),
-        AckPolicy::default(),
         true,
     );
     sim.run_until(SimTime::from_secs(10));
@@ -245,7 +213,6 @@ fn rtt_estimator_sees_path_rtt() {
         500_000,
         spec,
         Box::new(BasicSlowStart::new(10 * MSS, MSS)),
-        AckPolicy::default(),
         false,
     );
     sim.run_until(SimTime::from_secs(10));
@@ -267,7 +234,6 @@ fn determinism_across_identical_runs() {
             400_000,
             spec,
             Box::new(BasicSlowStart::new(10 * MSS, MSS)),
-            AckPolicy::default(),
             false,
         );
         sim.run_until(SimTime::from_secs(60));
@@ -290,7 +256,6 @@ fn tiny_flow_single_segment() {
         500, // sub-MSS flow
         spec,
         Box::new(BasicSlowStart::new(10 * MSS, MSS)),
-        AckPolicy::default(),
         false,
     );
     sim.run_until(SimTime::from_secs(5));
@@ -313,7 +278,6 @@ fn throughput_matches_bottleneck_for_long_flow() {
         5_000_000,
         spec,
         Box::new(BasicSlowStart::new(10 * MSS, MSS)),
-        AckPolicy::default(),
         false,
     );
     sim.run_until(SimTime::from_secs(30));

@@ -69,17 +69,9 @@ impl FleetWorkload {
     /// Canonical parameter string for cache identity: every field that
     /// influences the generated flow sequence.
     pub fn canonical_params(&self) -> String {
-        let sizes = match self.sizes {
-            SizeDistribution::Fixed(s) => format!("fixed:{s}"),
-            SizeDistribution::BoundedPareto { alpha, min, max } => {
-                format!("bpareto:a={alpha}:lo={min}:hi={max}")
-            }
-            SizeDistribution::LogNormal { median, sigma } => {
-                format!("lognorm:med={median}:sigma={sigma}")
-            }
-        };
+        let SizeDistribution { alpha, min, max } = self.sizes;
         format!(
-            "fleet sizes={sizes} load={} btlneck={}Mbps flows={}",
+            "fleet sizes=bpareto:a={alpha}:lo={min}:hi={max} load={} btlneck={}Mbps flows={}",
             self.load,
             self.bottleneck.as_mbps_f64(),
             self.n_flows

@@ -2,7 +2,6 @@
 //! web-traffic generator for extension experiments.
 
 use netsim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// One kibibyte-free constant: the paper reports sizes in MB (10^6).
 pub const MB: u64 = 1_000_000;
@@ -43,27 +42,16 @@ pub fn loss_sweep_sizes() -> Vec<u64> {
     ]
 }
 
-/// Flow-size distributions for synthetic web-like workloads.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub enum SizeDistribution {
-    /// Every flow the same size.
-    Fixed(u64),
-    /// Bounded-Pareto (heavy-tailed, "mice and elephants").
-    BoundedPareto {
-        /// Shape parameter (smaller = heavier tail).
-        alpha: f64,
-        /// Minimum flow size, bytes.
-        min: u64,
-        /// Maximum flow size, bytes.
-        max: u64,
-    },
-    /// Lognormal, parameterized by the median size in bytes and sigma.
-    LogNormal {
-        /// Median flow size, bytes.
-        median: u64,
-        /// Log-space standard deviation.
-        sigma: f64,
-    },
+/// The flow-size law of synthetic web-like workloads: a bounded Pareto
+/// (heavy-tailed, "mice and elephants").
+#[derive(Debug, Clone, Copy)]
+pub struct SizeDistribution {
+    /// Shape parameter (smaller = heavier tail).
+    pub alpha: f64,
+    /// Minimum flow size, bytes.
+    pub min: u64,
+    /// Maximum flow size, bytes.
+    pub max: u64,
 }
 
 impl SizeDistribution {
@@ -71,7 +59,7 @@ impl SizeDistribution {
     /// ones (motivated by the flow-size studies the paper cites, its
     /// reference 19).
     pub fn web() -> Self {
-        SizeDistribution::BoundedPareto {
+        SizeDistribution {
             alpha: 1.2,
             min: 10 * KB,
             max: 20 * MB,
@@ -83,38 +71,20 @@ impl SizeDistribution {
     /// form; sampling-based estimates would make the arrival rate depend
     /// on how many draws were averaged.
     pub fn mean_bytes(&self) -> f64 {
-        match *self {
-            SizeDistribution::Fixed(s) => s as f64,
-            SizeDistribution::BoundedPareto { alpha, min, max } => {
-                let (l, h) = (min as f64, max as f64);
-                if (alpha - 1.0).abs() < 1e-9 {
-                    // α = 1 limit: L·ln(H/L) / (1 − L/H).
-                    l * (h / l).ln() / (1.0 - l / h)
-                } else {
-                    let norm = 1.0 - (l / h).powf(alpha);
-                    (alpha * l.powf(alpha) / (alpha - 1.0))
-                        * (l.powf(1.0 - alpha) - h.powf(1.0 - alpha))
-                        / norm
-                }
-            }
-            SizeDistribution::LogNormal { median, sigma } => {
-                median as f64 * (sigma * sigma / 2.0).exp()
-            }
+        let (alpha, l, h) = (self.alpha, self.min as f64, self.max as f64);
+        if (alpha - 1.0).abs() < 1e-9 {
+            // α = 1 limit: L·ln(H/L) / (1 − L/H).
+            l * (h / l).ln() / (1.0 - l / h)
+        } else {
+            let norm = 1.0 - (l / h).powf(alpha);
+            (alpha * l.powf(alpha) / (alpha - 1.0)) * (l.powf(1.0 - alpha) - h.powf(1.0 - alpha))
+                / norm
         }
     }
 
     /// Draw one flow size.
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
-        match *self {
-            SizeDistribution::Fixed(s) => s,
-            SizeDistribution::BoundedPareto { alpha, min, max } => {
-                rng.bounded_pareto(alpha, min as f64, max as f64) as u64
-            }
-            SizeDistribution::LogNormal { median, sigma } => {
-                let mu = (median as f64).ln();
-                (rng.lognormal(mu, sigma) as u64).max(1)
-            }
-        }
+        rng.bounded_pareto(self.alpha, self.min as f64, self.max as f64) as u64
     }
 }
 
@@ -134,12 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_distribution() {
-        let mut rng = SimRng::new(1);
-        assert_eq!(SizeDistribution::Fixed(123).sample(&mut rng), 123);
-    }
-
-    #[test]
     fn web_distribution_is_heavy_tailed() {
         let mut rng = SimRng::new(2);
         let d = SizeDistribution::web();
@@ -154,35 +118,14 @@ mod tests {
     #[test]
     fn analytic_means_match_empirical() {
         let mut rng = SimRng::new(11);
-        for d in [
-            SizeDistribution::Fixed(5 * MB),
-            SizeDistribution::web(),
-            SizeDistribution::LogNormal {
-                median: 30 * KB,
-                sigma: 1.5,
-            },
-        ] {
-            let n = 200_000u64;
-            let sum: f64 = (0..n).map(|_| d.sample(&mut rng) as f64).sum();
-            let empirical = sum / n as f64;
-            let analytic = d.mean_bytes();
-            let rel = (empirical - analytic).abs() / analytic;
-            // Heavy tails converge slowly; 10% at 200k draws is plenty to
-            // catch a wrong formula (which would be off by 2× or more).
-            assert!(rel < 0.10, "{d:?}: empirical {empirical} vs {analytic}");
-        }
-    }
-
-    #[test]
-    fn lognormal_median_roughly_holds() {
-        let mut rng = SimRng::new(3);
-        let d = SizeDistribution::LogNormal {
-            median: MB,
-            sigma: 1.0,
-        };
-        let mut samples: Vec<u64> = (0..10_001).map(|_| d.sample(&mut rng)).collect();
-        samples.sort();
-        let median = samples[samples.len() / 2] as f64;
-        assert!((median / MB as f64 - 1.0).abs() < 0.15, "median {median}");
+        let d = SizeDistribution::web();
+        let n = 200_000u64;
+        let sum: f64 = (0..n).map(|_| d.sample(&mut rng) as f64).sum();
+        let empirical = sum / n as f64;
+        let analytic = d.mean_bytes();
+        let rel = (empirical - analytic).abs() / analytic;
+        // Heavy tails converge slowly; 10% at 200k draws is plenty to
+        // catch a wrong formula (which would be off by 2× or more).
+        assert!(rel < 0.10, "{d:?}: empirical {empirical} vs {analytic}");
     }
 }

@@ -5,18 +5,19 @@ use netsim::{Bandwidth, DumbbellSpec, LinkSpec};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// Parameters of a dumbbell experiment.
+/// Bottleneck bandwidth of every dumbbell (paper: 50 Mbps).
+pub const BOTTLENECK: Bandwidth = Bandwidth::from_mbps(50);
+/// One-way delay of the bottleneck link itself.
+pub const BOTTLENECK_DELAY: Duration = Duration::from_millis(2);
+
+/// Parameters of a dumbbell experiment over the [`BOTTLENECK`] link.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DumbbellConfig {
-    /// Bottleneck bandwidth (paper: 50 Mbps).
-    pub bottleneck: Bandwidth,
     /// Bottleneck buffer size, in multiples of the *reference flow's* BDP.
     pub buffer_bdp: f64,
     /// Per-pair one-way edge delay: each flow's minRTT is
-    /// `2 × (edge_delay[i] + bottleneck_delay)`.
+    /// `2 × (edge_delay[i] + BOTTLENECK_DELAY)`.
     pub edge_delay: Vec<Duration>,
-    /// One-way delay of the bottleneck link itself.
-    pub bottleneck_delay: Duration,
     /// RTT used to size the buffer (the "reference" flow's minRTT).
     pub reference_rtt: Duration,
 }
@@ -25,13 +26,10 @@ impl DumbbellConfig {
     /// The paper's fairness testbed (Fig. 15): five pairs, all flows with
     /// the same `min_rtt`, 50 Mbps bottleneck, buffer in BDP multiples.
     pub fn fairness(min_rtt: Duration, buffer_bdp: f64, pairs: usize) -> Self {
-        let bottleneck_delay = Duration::from_millis(2);
-        let edge = (min_rtt / 2).saturating_sub(bottleneck_delay);
+        let edge = (min_rtt / 2).saturating_sub(BOTTLENECK_DELAY);
         DumbbellConfig {
-            bottleneck: Bandwidth::from_mbps(50),
             buffer_bdp,
             edge_delay: vec![edge; pairs],
-            bottleneck_delay,
             reference_rtt: min_rtt,
         }
     }
@@ -41,18 +39,15 @@ impl DumbbellConfig {
     /// minRTTs (the paper initiates twelve 2 MB flows with different
     /// minRTTs).
     pub fn stability(large_rtt: Duration, buffer_bdp: f64, smalls: usize) -> Self {
-        let bottleneck_delay = Duration::from_millis(2);
-        let mut edge_delay = vec![(large_rtt / 2).saturating_sub(bottleneck_delay)];
+        let mut edge_delay = vec![(large_rtt / 2).saturating_sub(BOTTLENECK_DELAY)];
         for i in 0..smalls {
             // Small-flow minRTTs spread over 20..=130 ms.
             let rtt_ms = 20 + (i as u64 * 10) % 120;
-            edge_delay.push((Duration::from_millis(rtt_ms) / 2).saturating_sub(bottleneck_delay));
+            edge_delay.push((Duration::from_millis(rtt_ms) / 2).saturating_sub(BOTTLENECK_DELAY));
         }
         DumbbellConfig {
-            bottleneck: Bandwidth::from_mbps(50),
             buffer_bdp,
             edge_delay,
-            bottleneck_delay,
             reference_rtt: large_rtt,
         }
     }
@@ -64,12 +59,12 @@ impl DumbbellConfig {
 
     /// The minRTT of pair `i`.
     pub fn min_rtt(&self, i: usize) -> Duration {
-        2 * (self.edge_delay[i] + self.bottleneck_delay)
+        2 * (self.edge_delay[i] + BOTTLENECK_DELAY)
     }
 
     /// Buffer size in bytes (reference-BDP multiple).
     pub fn buffer_bytes(&self) -> u64 {
-        let bdp = self.bottleneck.bdp_bytes(self.reference_rtt);
+        let bdp = BOTTLENECK.bdp_bytes(self.reference_rtt);
         ((bdp as f64 * self.buffer_bdp) as u64).max(8 * 1500)
     }
 
@@ -78,10 +73,10 @@ impl DumbbellConfig {
     /// the download traffic and the buffer.
     pub fn to_spec(&self) -> DumbbellSpec {
         let edge_rate = Bandwidth::from_gbps(1);
-        let bottleneck_r2l = LinkSpec::clean(self.bottleneck, self.bottleneck_delay)
-            .with_queue_bytes(self.buffer_bytes());
+        let bottleneck_r2l =
+            LinkSpec::clean(BOTTLENECK, BOTTLENECK_DELAY).with_queue_bytes(self.buffer_bytes());
         // ACK direction: same rate, tiny queue pressure, unbounded buffer.
-        let bottleneck_l2r = LinkSpec::clean(self.bottleneck, self.bottleneck_delay);
+        let bottleneck_l2r = LinkSpec::clean(BOTTLENECK, BOTTLENECK_DELAY);
         DumbbellSpec {
             bottleneck_l2r,
             bottleneck_r2l,

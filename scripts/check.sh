@@ -25,6 +25,10 @@ if [ "$rows" -lt 2 ]; then
     echo "suss-trace dump produced no samples" >&2
     exit 1
 fi
+# A figure binary's --trace goes through the same exporter.
+cargo run --release -q -p suss-bench --bin fig09 -- --quick --trace "$SMOKE_DIR/fig09.jsonl" \
+    >/dev/null
+cargo run --release -q -p simtrace --bin suss-trace -- verify "$SMOKE_DIR/fig09.jsonl"
 
 echo "== engine determinism gate =="
 # The scheduler contract, release-compiled: the one engine must reproduce

@@ -77,32 +77,13 @@ fn usage() -> ! {
 
 /// Write the flow's samples, events, and counters as JSONL (flow id 1,
 /// run label = the controller's name), for `suss-trace` to query.
-fn export_trace(path: &str, out: &suss_repro::exp::FlowOutcome, run: &str) {
-    use simtrace::EventSink as _;
+fn write_trace(path: &str, out: &suss_repro::exp::FlowOutcome, run: &str) {
     let path = std::path::Path::new(path);
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let file = match std::fs::File::create(path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot write {}: {e}", path.display());
-            return;
-        }
-    };
-    let mut sink = simtrace::JsonlSink::new(std::io::BufWriter::new(file));
-    out.trace.export(1, Some(run), &mut sink);
-    let t_end = out
-        .trace
-        .samples
-        .last()
-        .map(|s| s.t.as_nanos())
-        .max(out.trace.events.last().map(|(t, _)| t.as_nanos()))
-        .unwrap_or(0);
-    simtrace::export_counters(&out.counters, t_end, Some(run), &mut sink);
-    match sink.flush() {
+    let written = simtrace::create_jsonl(path)
+        .and_then(|mut sink| suss_repro::exp::export_trace(&mut sink, Some(run), &[(1, out)]));
+    match written {
         Ok(()) => eprintln!("trace: {}", path.display()),
-        Err(e) => eprintln!("trace write failed: {e}"),
+        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
     }
 }
 
@@ -197,7 +178,7 @@ fn main() {
             println!("trace samples  : {}", out.trace.samples.len());
         }
         if let Some(path) = &trace_out {
-            export_trace(path, &out, &cc.label());
+            write_trace(path, &out, &cc.label());
         }
     } else {
         let mut grid = FlowGrid::new("suss-sim");

@@ -51,6 +51,6 @@ pub mod prelude {
     pub use netsim::{Bandwidth, LinkSpec, Sim, SimTime};
     pub use simrunner::RunnerOpts;
     pub use suss_core::{Suss, SussConfig};
-    pub use tcp_sim::{AckPolicy, SenderConfig};
+    pub use tcp_sim::SenderConfig;
     pub use workload::{DumbbellConfig, LastHop, PathScenario, ServerSite, KB, MB};
 }
