@@ -635,7 +635,19 @@ impl QuicSender {
         let lost = self
             .detector
             .detect_lost(now.as_nanos(), self.current_loss_delay());
+        let was_slow_start = self.cc.in_slow_start();
         self.process_losses(now, &lost);
+        if was_slow_start && !self.cc.in_slow_start() {
+            // A loss-driven exit: not a HyStart/SUSS exit, so
+            // `hystart_exits` does not count it.
+            self.trace.record(
+                now,
+                self.flow,
+                TraceEvent::SlowStartExit {
+                    cwnd: self.cc.window(),
+                },
+            );
+        }
         self.sync_pacing_rate(now);
         self.try_send(ctx);
         self.sync_cc_timer(ctx);

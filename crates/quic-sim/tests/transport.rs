@@ -4,7 +4,7 @@
 //! recovery, SUSS acceleration, and deterministic results.
 
 use cc_algos::{make_quic_controller, CcKind};
-use netsim::{Bandwidth, FlowId, LinkSpec, Sim, SimTime};
+use netsim::{Bandwidth, FaultPlan, FlapWindow, FlowId, LinkSpec, Sim, SimTime};
 use quic_sim::{
     install_quic_flow, wire_quic_flow, PacingStrategy, QuicConfig, QuicReceiver, QuicSender,
 };
@@ -238,4 +238,52 @@ fn chunked_pacing_defers_more_sends_than_per_packet() {
     assert!(chunked.counters.get("quic.pace_delays").unwrap_or(0) > 0);
     assert!(per_pkt.counters.get("quic.pace_delays").unwrap_or(0) > 0);
     assert!(chunked.fct.is_some() && per_pkt.fct.is_some());
+}
+
+#[test]
+fn loss_timer_records_a_loss_driven_slow_start_exit() {
+    // A two-packet flow whose first packet a link flap cuts on the wire.
+    // The ACK of the second leaves it short of the packet threshold, so
+    // only the loss timer can declare it lost, and that loss ends slow
+    // start.
+    let mut sim = Sim::new(1);
+    let ends = install_quic_flow(
+        &mut sim,
+        FlowId(1),
+        QuicConfig::bulk(2 * MSS),
+        make_quic_controller(CcKind::Cubic, IW, MSS),
+    );
+    let flap = FaultPlan::new().with_flaps(vec![FlapWindow {
+        down: SimTime::from_micros(100),
+        up: SimTime::from_micros(300),
+    }]);
+    let path = LinkSpec::clean(Bandwidth::from_mbps(50), Duration::from_millis(25));
+    let s2r = sim.add_half_link(ends.sender, ends.receiver, path.clone().with_faults(flap));
+    let r2s = sim.add_half_link(ends.receiver, ends.sender, path);
+    wire_quic_flow(&mut sim, ends, s2r, r2s);
+    sim.run_while(SimTime::from_secs(10), |sim| {
+        !sim.agent::<QuicSender>(ends.sender).is_done()
+    });
+
+    let snd = sim.agent::<QuicSender>(ends.sender);
+    assert!(snd.is_done());
+    assert_eq!(
+        (snd.stats.pkts_lost, snd.stats.ptos),
+        (1, 0),
+        "{:?}",
+        snd.stats
+    );
+    assert!(!snd.cc().in_slow_start());
+    let exits = snd
+        .trace
+        .events
+        .iter()
+        .filter(|(_, e)| matches!(e, tcp_sim::trace::TraceEvent::SlowStartExit { .. }))
+        .count();
+    assert_eq!(exits, 1, "{:?}", snd.trace.events);
+    let counters = sim.metrics().snapshot();
+    assert_eq!(
+        counters.get(simtrace::names::CC_HYSTART_EXITS).unwrap_or(0),
+        0
+    );
 }

@@ -274,7 +274,7 @@ fn cmd_verify(o: &Opts) -> ExitCode {
         "ok: {} records, {} metrics, {} flows",
         records.len(),
         snap.metrics.len(),
-        query::flows(&records).len()
+        query::run_flows(&records).len()
     );
     ExitCode::SUCCESS
 }

@@ -52,6 +52,18 @@ pub fn flows(records: &[TraceRecord]) -> Vec<u64> {
     out
 }
 
+/// Distinct (run label, flow id) pairs, sorted: one per traced flow,
+/// also when several runs in one file reuse a flow id.
+pub fn run_flows(records: &[TraceRecord]) -> Vec<(Option<&str>, u64)> {
+    let mut out: Vec<_> = records
+        .iter()
+        .filter_map(|r| Some((r.run.as_deref(), r.flow?)))
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
 fn run_matches(r: &TraceRecord, run: Option<&str>) -> bool {
     match run {
         None => true,
@@ -161,6 +173,34 @@ mod tests {
         assert_eq!(flows(&recs), vec![1, 2]);
         assert_eq!(samples(&recs, 1, None).len(), 2);
         assert_eq!(samples(&recs, 2, None).len(), 1);
+    }
+
+    #[test]
+    fn run_flows_counts_each_run_separately() {
+        // Two runs that both trace flow 1, as fig09's SUSS-on and SUSS-off
+        // arms do, plus a second flow in one of them.
+        let mut recs = Vec::new();
+        for (run, flow) in [
+            ("suss-on", 1),
+            ("suss-off", 1),
+            ("suss-off", 2),
+            ("suss-on", 1),
+        ] {
+            let mut r = TraceRecord::event(0, flow, kind::FLOW_START);
+            r.run = Some(run.to_string());
+            recs.push(r);
+        }
+        recs.push(TraceRecord::metric(1, kind::COUNTER, "tcp.rtos", 0));
+        assert_eq!(flows(&recs), vec![1, 2]);
+        assert_eq!(
+            run_flows(&recs),
+            vec![
+                (Some("suss-off"), 1),
+                (Some("suss-off"), 2),
+                (Some("suss-on"), 1)
+            ]
+        );
+        assert_eq!(run_flows(&demo_trace()), vec![(None, 1), (None, 2)]);
     }
 
     #[test]

@@ -45,7 +45,8 @@ pub mod kind {
     pub const SUSS_ROUND: &str = "suss_round";
     /// HyStart slow-start exit. `reason` carries `<phase>:<trigger>`, the
     /// trigger naming the detector that fired (`exit:ack_train` or
-    /// `exit:delay`, from CUBIC and CUBIC+SUSS alike).
+    /// `exit:delay`, from CUBIC and CUBIC+SUSS alike, or `exit:cap`, SUSS's
+    /// growth cap).
     pub const HYSTART: &str = "hystart";
 }
 

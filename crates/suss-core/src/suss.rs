@@ -67,19 +67,23 @@ pub struct SussOutput {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HystartExit {
     /// A contiguous ACK train longer than `minRTT / 2`: the pipe is full.
-    /// SUSS's growth cap, which that check arms in a paced round, exits
-    /// with this reason too.
     AckTrain,
     /// A round's RTT rose past the delay threshold: a queue is building.
     Delay,
+    /// SUSS's growth cap: in a paced round the scaled ACK-train check arms
+    /// it instead of exiting, and it fires once cwnd reaches the round's
+    /// committed doubling.
+    Cap,
 }
 
 impl HystartExit {
-    /// The reason code traced with the exit (`ack_train` or `delay`).
+    /// The reason code traced with the exit (`ack_train`, `delay` or
+    /// `cap`).
     pub fn reason(self) -> &'static str {
         match self {
             HystartExit::AckTrain => "ack_train",
             HystartExit::Delay => "delay",
+            HystartExit::Cap => "cap",
         }
     }
 }
@@ -290,7 +294,7 @@ impl Suss {
         // Cap check first: once armed, it alone decides when to stop.
         if let Some(cap) = self.cap {
             if ev.cwnd >= cap {
-                out.exit_slow_start = Some(HystartExit::AckTrain);
+                out.exit_slow_start = Some(HystartExit::Cap);
             }
             return;
         }
@@ -527,6 +531,32 @@ mod tests {
             Some(HystartExit::AckTrain),
             "long contiguous ACK train must stop growth"
         );
+    }
+
+    #[test]
+    fn growth_cap_exits_with_its_own_reason() {
+        // Round 2 accelerates and its plan is paced.
+        let mut h = Harness::new(SussConfig::default());
+        let (plan, _) = h.run_round(MIN_RTT_NS, 100_000, MIN_RTT_NS);
+        let plan = plan.expect("round 2 accelerates on a clean path");
+        h.suss.mark_pacing_started(h.snd_nxt);
+        h.snd_nxt += plan.extra_bytes;
+        h.cwnd = plan.cwnd_target;
+        let base = h.cwnd;
+        // Round 3's blue train, 1.9 ms per ACK, stays contiguous, and
+        // scaled by total/blue it exceeds minRTT/2: the cap is armed at the
+        // round's committed doubling instead of an exit.
+        let (_, exited) = h.run_round(2 * MIN_RTT_NS, 1_900_000, MIN_RTT_NS);
+        assert_eq!(exited, None, "the cap postpones the stop");
+        assert_eq!(h.suss.cap, Some(2 * base));
+        // Round 3 grew cwnd to the cap, so round 4's first ACK exits,
+        // labelled as the cap.
+        let acked = h.acked;
+        let (_, exited) = h.run_round(3 * MIN_RTT_NS, 1_900_000, MIN_RTT_NS);
+        assert_eq!(exited, Some(HystartExit::Cap));
+        assert_eq!(h.acked, acked + MSS, "exit on round 4's first ACK");
+        assert_eq!(HystartExit::Cap.reason(), "cap");
+        assert!(!h.suss.exp_growth());
     }
 
     #[test]

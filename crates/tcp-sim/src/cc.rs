@@ -212,7 +212,8 @@ pub enum CcEvent {
     HystartPhase {
         /// The phase entered (`exit`).
         phase: &'static str,
-        /// Trigger code: the detector that fired, `ack_train` or `delay`.
+        /// Trigger code: the detector that fired, `ack_train`, `delay` or
+        /// `cap`.
         reason: &'static str,
     },
 }

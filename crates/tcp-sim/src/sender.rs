@@ -104,13 +104,15 @@ pub struct SenderEndpoint {
     rtt: RttEstimator,
     pacer: Pacer,
 
-    // Reliability state. All offsets are absolute stream bytes.
+    // Reliability state. All offsets are absolute stream bytes. The
+    // scoreboard is three pairwise-disjoint sets above snd_una.
     snd_una: u64,
     snd_nxt: u64,
-    /// SACKed ranges above snd_una.
+    /// SACKed ranges.
     sacked: RangeSet,
-    /// Ranges deemed lost (scoreboard), above snd_una, disjoint from sacked.
-    lost: RangeSet,
+    /// Lost ranges not yet retransmitted: the repair queue, which RFC
+    /// 6675's NextSeg() reads from its first range.
+    unrepaired: RangeSet,
     /// Lost ranges already retransmitted (awaiting ACK).
     rtx_sent: RangeSet,
     /// Send times of outstanding retransmissions (ascending `sent_at`),
@@ -122,14 +124,6 @@ pub struct SenderEndpoint {
     /// In fast recovery until snd_una passes this point.
     recovery_point: Option<u64>,
     highest_sacked: u64,
-    /// Everything in `lost` below this offset has already been
-    /// retransmitted: the repair scan starts here (amortizes the per-send
-    /// hole search to O(1) under heavy loss).
-    rtx_scan_from: u64,
-    /// Debug builds: checks to skip before the next full `rtx_scan_from`
-    /// audit.
-    #[cfg(debug_assertions)]
-    rtx_audit_skip: usize,
     /// RFC 6675 loss marking has covered gaps below this offset.
     mark_cursor: u64,
 
@@ -182,15 +176,12 @@ impl SenderEndpoint {
             snd_una: 0,
             snd_nxt: 0,
             sacked: RangeSet::new(),
-            lost: RangeSet::new(),
+            unrepaired: RangeSet::new(),
             rtx_sent: RangeSet::new(),
             rtx_records: std::collections::VecDeque::new(),
             dup_acks: 0,
             recovery_point: None,
             highest_sacked: 0,
-            rtx_scan_from: 0,
-            #[cfg(debug_assertions)]
-            rtx_audit_skip: 0,
             mark_cursor: 0,
             rto_gen: 0,
             pace_gen: 0,
@@ -263,10 +254,14 @@ impl SenderEndpoint {
     /// outstanding minus SACKed minus lost-not-yet-retransmitted.
     pub fn pipe(&self) -> u64 {
         let outstanding = self.snd_nxt - self.snd_una;
-        let lost_unrepaired = self.lost.total_bytes() - self.rtx_sent.total_bytes();
+        let (sacked, unrepaired) = (self.sacked.total_bytes(), self.unrepaired.total_bytes());
+        debug_assert!(
+            sacked + unrepaired + self.rtx_sent.total_bytes() <= outstanding,
+            "scoreboard sets overlap or exceed the {outstanding} outstanding bytes"
+        );
         outstanding
-            .saturating_sub(self.sacked.total_bytes())
-            .saturating_sub(lost_unrepaired)
+            .saturating_sub(sacked)
+            .saturating_sub(unrepaired)
     }
 
     fn token(kind: u64, gen: u64) -> u64 {
@@ -305,58 +300,18 @@ impl SenderEndpoint {
     }
 
     /// The next lost range that has not been retransmitted yet, clipped to
-    /// one MSS. Scans from `rtx_scan_from` (everything below is repaired)
-    /// and moves it past every lost range the scan finds fully
-    /// retransmitted, so no later call walks those ranges again.
-    fn next_rtx_hole(&mut self) -> Option<ByteRange> {
-        self.debug_check_rtx_scan();
-        let from = self.rtx_scan_from.max(self.snd_una);
-        let mut repaired_to = from;
-        let mut hole = None;
-        for lost in self.lost.iter_from(from) {
-            let start = lost.start.max(from);
-            if let Some(gap) = self.rtx_sent.first_gap(start, lost.end) {
-                let end = gap.end.min(gap.start + MSS);
-                hole = Some(ByteRange::new(gap.start, end));
-                break;
-            }
-            repaired_to = lost.end;
-        }
-        self.rtx_scan_from = self.rtx_scan_from.max(repaired_to);
-        hole
+    /// one MSS.
+    fn next_rtx_hole(&self) -> Option<ByteRange> {
+        let hole = self.unrepaired.iter().next()?;
+        Some(ByteRange::new(hole.start, hole.end.min(hole.start + MSS)))
     }
 
-    /// Debug builds check `rtx_scan_from`'s invariant: every lost byte in
-    /// `[snd_una, rtx_scan_from)` has been retransmitted. A full audit
-    /// then skips as many checks as it walked lost ranges, so the checks
-    /// stay O(1) amortised; a broken invariant stays broken until a rewind
-    /// repairs it, so a later audit still catches it.
-    fn debug_check_rtx_scan(&mut self) {
-        #[cfg(debug_assertions)]
-        {
-            if self.rtx_audit_skip > 0 {
-                self.rtx_audit_skip -= 1;
-                return;
-            }
-            self.rtx_audit_skip = self.lost.num_ranges();
-            let below = ByteRange::new(self.snd_una, self.rtx_scan_from.max(self.snd_una));
-            for lost in self.lost.iter_from(below.start) {
-                let Some(r) = lost.intersect(&below) else {
-                    break;
-                };
-                assert_eq!(
-                    self.rtx_sent.first_gap(r.start, r.end),
-                    None,
-                    "lost bytes below rtx_scan_from {} not retransmitted",
-                    self.rtx_scan_from
-                );
-            }
-        }
-    }
-
-    /// A range below the repair cursor became eligible again: rewind.
-    fn rewind_rtx_scan(&mut self, to: u64) {
-        self.rtx_scan_from = self.rtx_scan_from.min(to);
+    /// Book the retransmission of `hole` (from `next_rtx_hole`) sent at
+    /// `now_ns`: it moves from the repair queue to `rtx_sent`.
+    fn retransmitted(&mut self, hole: ByteRange, now_ns: u64) {
+        self.unrepaired.remove(hole);
+        self.rtx_sent.insert(hole);
+        self.rtx_records.push_back((hole, now_ns));
     }
 
     /// Transmit as much as window + pacer allow.
@@ -423,9 +378,7 @@ impl SenderEndpoint {
             }
             if is_rtx {
                 self.stats.segs_retransmitted += 1;
-                self.rtx_sent.insert(range);
-                self.rtx_records.push_back((range, now_ns));
-                self.rtx_scan_from = self.rtx_scan_from.max(range.end);
+                self.retransmitted(range, now_ns);
             } else {
                 self.snd_nxt = range.end;
                 self.app_limited = false;
@@ -440,23 +393,22 @@ impl SenderEndpoint {
 
     /// Enter (or continue) loss recovery by marking `hole` lost.
     fn mark_lost(&mut self, hole: ByteRange) {
-        // Never mark SACKed bytes lost: clip against the scoreboard.
+        // Never mark SACKed bytes lost, and leave retransmitted ones
+        // awaiting their ACK: only the rest joins the repair queue.
         let mut cursor = hole.start;
-        while cursor < hole.end {
-            match self.sacked.first_gap(cursor, hole.end) {
-                Some(gap) => {
-                    self.lost.insert(gap);
-                    self.rewind_rtx_scan(gap.start);
-                    cursor = gap.end;
-                }
-                None => break,
+        while let Some(gap) = self.sacked.first_gap(cursor, hole.end) {
+            let mut at = gap.start;
+            while let Some(part) = self.rtx_sent.first_gap(at, gap.end) {
+                self.unrepaired.insert(part);
+                at = part.end;
             }
+            cursor = gap.end;
         }
     }
 
     fn enter_recovery(&mut self, now: SimTime, kind: LossKind) {
         self.recovery_point = Some(self.snd_nxt);
-        let lost_bytes = self.lost.total_bytes();
+        let lost_bytes = self.unrepaired.total_bytes() + self.rtx_sent.total_bytes();
         let was_slow_start = self.cc.in_slow_start();
         {
             let _prof = simtrace::prof::span("cc/on_loss");
@@ -497,6 +449,63 @@ impl SenderEndpoint {
         }
     }
 
+    /// Merge an ACK into the scoreboard: its SACK blocks, its cumulative
+    /// edge, and RACK's lost-retransmission rule. Returns the cumulative
+    /// advance and the newly SACKed bytes.
+    fn merge_ack(&mut self, ack: &AckSeg) -> (u64, u64) {
+        let cum_advance = ack.ack_seq.saturating_sub(self.snd_una);
+        let mut newly_sacked = 0;
+        for block in ack.sack.iter() {
+            if block.end > self.snd_una {
+                let clipped = ByteRange::new(block.start.max(self.snd_una), block.end);
+                newly_sacked += self.sacked.insert(clipped);
+                // SACKed data is not lost; clear stale scoreboard marks.
+                self.unrepaired.remove(clipped);
+                self.rtx_sent.remove(clipped);
+                self.highest_sacked = self.highest_sacked.max(block.end);
+            }
+        }
+
+        if cum_advance > 0 {
+            self.snd_una = ack.ack_seq;
+            self.sacked.remove_below(self.snd_una);
+            self.unrepaired.remove_below(self.snd_una);
+            self.rtx_sent.remove_below(self.snd_una);
+            self.dup_acks = 0;
+        } else if newly_sacked == 0 && self.snd_nxt > self.snd_una {
+            self.dup_acks += 1;
+        }
+
+        // RACK-style lost-retransmission detection: if a segment sent
+        // *after* one of our retransmissions has been delivered (its echo
+        // timestamp proves it), and the retransmitted range is still
+        // unacknowledged, the retransmission itself was lost — its bytes
+        // still awaiting an ACK rejoin the repair queue. The reordering
+        // window guards against mild reordering (RACK's reo_wnd, ~RTT/4).
+        // Records are in ascending send-time order, so only the overtaken
+        // prefix is ever examined: amortized O(1) per ACK.
+        let reo_wnd = self
+            .rtt
+            .srtt()
+            .map_or(10_000_000, |s| (s.as_nanos() / 4) as u64);
+        while let Some(&(range, sent_at)) = self.rtx_records.front() {
+            if sent_at.saturating_add(reo_wnd) >= ack.echo_ts {
+                break; // not overtaken yet; neither is anything behind it
+            }
+            self.rtx_records.pop_front();
+            if range.end > self.snd_una {
+                for sent in self.rtx_sent.iter_from(range.start) {
+                    let Some(part) = sent.intersect(&range) else {
+                        break;
+                    };
+                    self.unrepaired.insert(part);
+                }
+                self.rtx_sent.remove(range);
+            }
+        }
+        (cum_advance, newly_sacked)
+    }
+
     fn handle_ack(&mut self, ack: AckSeg, ctx: &mut Ctx<'_>) {
         if self.done {
             return;
@@ -511,53 +520,7 @@ impl SenderEndpoint {
         }
 
         let pipe_before = self.pipe();
-        let cum_advance = ack.ack_seq.saturating_sub(self.snd_una);
-
-        // Merge SACK information.
-        let mut newly_sacked = 0;
-        for block in ack.sack.iter() {
-            if block.end > self.snd_una {
-                let clipped = ByteRange::new(block.start.max(self.snd_una), block.end);
-                newly_sacked += self.sacked.insert(clipped);
-                // SACKed data is not lost; clear stale scoreboard marks.
-                self.lost.remove(clipped);
-                self.rtx_sent.remove(clipped);
-                self.highest_sacked = self.highest_sacked.max(block.end);
-            }
-        }
-
-        if cum_advance > 0 {
-            self.snd_una = ack.ack_seq;
-            self.sacked.remove_below(self.snd_una);
-            self.lost.remove_below(self.snd_una);
-            self.rtx_sent.remove_below(self.snd_una);
-            self.dup_acks = 0;
-        } else if newly_sacked == 0 && self.snd_nxt > self.snd_una {
-            self.dup_acks += 1;
-        }
-
-        // RACK-style lost-retransmission detection: if a segment sent
-        // *after* one of our retransmissions has been delivered (its echo
-        // timestamp proves it), and the retransmitted range is still
-        // unacknowledged, the retransmission itself was lost — make it
-        // eligible for repair again. The reordering window guards against
-        // mild reordering (RACK's reo_wnd, ~RTT/4). Records are in
-        // ascending send-time order, so only the overtaken prefix is ever
-        // examined: amortized O(1) per ACK.
-        let reo_wnd = self
-            .rtt
-            .srtt()
-            .map_or(10_000_000, |s| (s.as_nanos() / 4) as u64);
-        while let Some(&(range, sent_at)) = self.rtx_records.front() {
-            if sent_at.saturating_add(reo_wnd) >= ack.echo_ts {
-                break; // not overtaken yet; neither is anything behind it
-            }
-            self.rtx_records.pop_front();
-            if range.end > self.snd_una {
-                self.rtx_sent.remove(range);
-                self.rewind_rtx_scan(range.start);
-            }
-        }
+        let (cum_advance, newly_sacked) = self.merge_ack(&ack);
 
         // --- Loss detection -------------------------------------------------
         let in_recovery = self.recovery_point.is_some_and(|p| self.snd_una < p);
@@ -682,20 +645,23 @@ impl SenderEndpoint {
         self.trace_sample(now);
     }
 
+    /// On RTO, everything outstanding and unSACKed is presumed lost: the
+    /// scoreboard restarts with all of it in the repair queue.
+    fn restart_scoreboard(&mut self) {
+        self.rtx_sent = RangeSet::new();
+        self.rtx_records.clear();
+        self.unrepaired = RangeSet::new();
+        self.mark_cursor = self.snd_una;
+        self.mark_lost(ByteRange::new(self.snd_una, self.snd_nxt));
+    }
+
     fn handle_rto(&mut self, ctx: &mut Ctx<'_>) {
         if self.done || self.snd_nxt == self.snd_una {
             return;
         }
         let now = ctx.now();
         self.rtt.back_off();
-        // Everything outstanding and unSACKed is presumed lost; the
-        // scoreboard restarts.
-        self.rtx_sent = RangeSet::new();
-        self.rtx_records.clear();
-        self.lost = RangeSet::new();
-        self.rtx_scan_from = self.snd_una;
-        self.mark_cursor = self.snd_una;
-        self.mark_lost(ByteRange::new(self.snd_una, self.snd_nxt));
+        self.restart_scoreboard();
         self.dup_acks = 0;
         self.enter_recovery(now, LossKind::Timeout);
         self.sync_pacing_rate(now);
@@ -780,65 +746,260 @@ impl Agent for SenderEndpoint {
 mod tests {
     use super::*;
     use crate::cc::FixedCwnd;
+    use crate::segment::SackBlocks;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
     use std::time::{Duration, Instant};
 
-    /// A sender whose scoreboard holds `n` disjoint one-MSS lost ranges,
-    /// every one already retransmitted.
-    fn repaired_scoreboard(n: u64) -> SenderEndpoint {
-        let mut s = SenderEndpoint::new(
-            SenderConfig::bulk(4 * n * MSS),
+    /// RACK's reordering window before any RTT sample (`merge_ack`).
+    const REO_WND: u64 = 10_000_000;
+
+    fn sender() -> SenderEndpoint {
+        SenderEndpoint::new(
+            SenderConfig::bulk(u64::MAX / 2),
             FlowId(1),
             Box::new(FixedCwnd::new(10 * MSS)),
-        );
-        for i in 0..n {
-            let r = ByteRange::new(2 * i * MSS, (2 * i + 1) * MSS);
-            s.lost.insert(r);
-            s.rtx_sent.insert(r);
+        )
+    }
+
+    fn ack(ack_seq: u64, sack: &[ByteRange], echo_ts: u64) -> AckSeg {
+        AckSeg {
+            ack_seq,
+            sack: sack.iter().copied().collect::<SackBlocks>(),
+            echo_ts,
+            ..Default::default()
         }
-        s.snd_nxt = 2 * n * MSS;
-        s
+    }
+
+    /// The scoreboard before the repair queue: a `lost` set that keeps
+    /// retransmitted bytes, and the next hole found by a full scan of it
+    /// from `snd_una` for the first byte not in `rtx_sent`.
+    #[derive(Default)]
+    struct Oracle {
+        snd_una: u64,
+        snd_nxt: u64,
+        sacked: RangeSet,
+        lost: RangeSet,
+        rtx_sent: RangeSet,
+        rtx_records: VecDeque<(ByteRange, u64)>,
+    }
+
+    impl Oracle {
+        fn next_hole(&self) -> Option<ByteRange> {
+            self.lost.iter_from(self.snd_una).find_map(|lost| {
+                let gap = self
+                    .rtx_sent
+                    .first_gap(lost.start.max(self.snd_una), lost.end)?;
+                Some(ByteRange::new(gap.start, gap.end.min(gap.start + MSS)))
+            })
+        }
+
+        fn pipe(&self) -> u64 {
+            let unrepaired = self.lost.total_bytes() - self.rtx_sent.total_bytes();
+            (self.snd_nxt - self.snd_una)
+                .saturating_sub(self.sacked.total_bytes())
+                .saturating_sub(unrepaired)
+        }
+
+        fn mark_lost(&mut self, hole: ByteRange) {
+            let mut cursor = hole.start;
+            while let Some(gap) = self.sacked.first_gap(cursor, hole.end) {
+                self.lost.insert(gap);
+                cursor = gap.end;
+            }
+        }
+
+        fn retransmit(&mut self, hole: ByteRange, now: u64) {
+            self.rtx_sent.insert(hole);
+            self.rtx_records.push_back((hole, now));
+        }
+
+        fn ack(&mut self, ack_seq: u64, sack: &[ByteRange], echo_ts: u64) {
+            for block in sack {
+                if block.end > self.snd_una {
+                    let clipped = ByteRange::new(block.start.max(self.snd_una), block.end);
+                    self.sacked.insert(clipped);
+                    self.lost.remove(clipped);
+                    self.rtx_sent.remove(clipped);
+                }
+            }
+            if ack_seq > self.snd_una {
+                self.snd_una = ack_seq;
+                self.sacked.remove_below(ack_seq);
+                self.lost.remove_below(ack_seq);
+                self.rtx_sent.remove_below(ack_seq);
+            }
+            while let Some(&(range, sent_at)) = self.rtx_records.front() {
+                if sent_at + REO_WND >= echo_ts {
+                    break;
+                }
+                self.rtx_records.pop_front();
+                self.rtx_sent.remove(range);
+            }
+        }
+
+        fn rto(&mut self) {
+            self.lost = RangeSet::new();
+            self.rtx_sent = RangeSet::new();
+            self.rtx_records.clear();
+            self.mark_lost(ByteRange::new(self.snd_una, self.snd_nxt));
+        }
+    }
+
+    /// One scoreboard operation. Offsets and lengths are bytes, taken
+    /// modulo the outstanding window so that every range lies inside it
+    /// and need not be segment-aligned; `dt` advances the clock (ms).
+    #[derive(Debug, Clone)]
+    enum Op {
+        Send { segs: u64 },
+        Mark { at: u64, len: u64 },
+        Sack { blocks: Vec<(u64, u64)>, dt: u64 },
+        CumAck { by: u64, dt: u64 },
+        Retransmit,
+        Rack { dt: u64 },
+        Rto,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Mark and Retransmit are listed more than once so that holes pile
+        // up and get repaired between the RTOs that empty the scoreboard.
+        prop_oneof![
+            (1u64..12).prop_map(|segs| Op::Send { segs }),
+            (0u64..1 << 20, 1u64..8 * MSS).prop_map(|(at, len)| Op::Mark { at, len }),
+            (0u64..1 << 20, 1u64..8 * MSS).prop_map(|(at, len)| Op::Mark { at, len }),
+            (
+                prop::collection::vec((0u64..1 << 20, 1u64..4 * MSS), 1..4),
+                0u64..6
+            )
+                .prop_map(|(blocks, dt)| Op::Sack { blocks, dt }),
+            (0u64..1 << 20, 0u64..6).prop_map(|(by, dt)| Op::CumAck { by, dt }),
+            (0u64..1).prop_map(|_| Op::Retransmit),
+            (0u64..1).prop_map(|_| Op::Retransmit),
+            (0u64..1).prop_map(|_| Op::Retransmit),
+            (0u64..25).prop_map(|dt| Op::Rack { dt }),
+            (0u64..1).prop_map(|_| Op::Rto),
+        ]
+    }
+
+    const KINDS: [&str; 7] = [
+        "send",
+        "mark",
+        "sack",
+        "cum_ack",
+        "retransmit",
+        "rack",
+        "rto",
+    ];
+
+    #[test]
+    fn repair_queue_matches_the_full_scan_oracle() {
+        let mut rng = TestRng::from_name("repair_queue_matches_the_full_scan_oracle");
+        // How often each op kind changed the oracle's scoreboard.
+        let mut effective = [0u32; KINDS.len()];
+        for case in 0..proptest::CASES {
+            let ops = prop::collection::vec(op(), 1..300).generate(&mut rng);
+            let (mut s, mut o, mut now) = (sender(), Oracle::default(), 0u64);
+            for (step, op) in ops.iter().enumerate() {
+                let out = o.snd_nxt - o.snd_una;
+                let within = |at: u64, len: u64| {
+                    let start = o.snd_una + at % (out + 1);
+                    ByteRange::new(start, (start + len).min(o.snd_nxt))
+                };
+                let (lost_before, rtx_before) = (o.lost.clone(), o.rtx_sent.total_bytes());
+                let kind = match *op {
+                    Op::Send { segs } => {
+                        s.snd_nxt += segs * MSS;
+                        o.snd_nxt += segs * MSS;
+                        0
+                    }
+                    Op::Mark { at, len } => {
+                        let hole = within(at, len);
+                        s.mark_lost(hole);
+                        o.mark_lost(hole);
+                        1
+                    }
+                    Op::Sack { ref blocks, dt } => {
+                        now += dt * 1_000_000;
+                        let sack: Vec<_> =
+                            blocks.iter().map(|&(at, len)| within(at, len)).collect();
+                        s.merge_ack(&ack(o.snd_una, &sack, now));
+                        o.ack(o.snd_una, &sack, now);
+                        2
+                    }
+                    Op::CumAck { by, dt } => {
+                        now += dt * 1_000_000;
+                        let to = o.snd_una + by % (out + 1);
+                        s.merge_ack(&ack(to, &[], now));
+                        o.ack(to, &[], now);
+                        3
+                    }
+                    Op::Retransmit => {
+                        if let Some(hole) = s.next_rtx_hole() {
+                            s.retransmitted(hole, now);
+                            o.retransmit(hole, now);
+                        }
+                        4
+                    }
+                    Op::Rack { dt } => {
+                        now += dt * 1_000_000;
+                        s.merge_ack(&ack(o.snd_una, &[], now));
+                        o.ack(o.snd_una, &[], now);
+                        5
+                    }
+                    Op::Rto => {
+                        s.restart_scoreboard();
+                        o.rto();
+                        6
+                    }
+                };
+                let changed = match kind {
+                    0 => true,
+                    4 => o.rtx_sent.total_bytes() > rtx_before,
+                    // RACK: retransmitted bytes went back to the queue.
+                    5 => o.rtx_sent.total_bytes() < rtx_before && o.lost == lost_before,
+                    _ => o.lost != lost_before || o.rtx_sent.total_bytes() != rtx_before,
+                };
+                effective[kind] += u32::from(changed);
+                let at = format!("case {case}, step {step}: {op:?}");
+                assert_eq!(s.next_rtx_hole(), o.next_hole(), "next hole, {at}");
+                assert_eq!(s.pipe(), o.pipe(), "pipe, {at}");
+                assert_eq!(
+                    s.unrepaired.total_bytes() + s.rtx_sent.total_bytes(),
+                    o.lost.total_bytes(),
+                    "lost bytes, {at}"
+                );
+            }
+        }
+        for (kind, n) in KINDS.iter().zip(effective) {
+            assert!(n > 0, "no {kind} op changed the scoreboard");
+        }
     }
 
     #[test]
-    fn repaired_ranges_are_scanned_once() {
-        // Every send attempt asks for the next hole. With all lost ranges
-        // already retransmitted, a scan that restarts from the same cursor
-        // each time walks all of them (with a `first_gap` search each):
-        // 20k calls × 20k ranges. Advancing the cursor makes it linear.
+    fn next_hole_does_not_walk_repaired_ranges() {
+        // 20k lost ranges, every one already retransmitted. Every send
+        // attempt asks for the next hole: a scan of the lost ranges from
+        // snd_una would walk all 20k on each of 20k calls.
         let n = 20_000;
-        let mut s = repaired_scoreboard(n);
+        let mut s = sender();
+        s.snd_nxt = 2 * n * MSS;
+        for i in 0..n {
+            s.mark_lost(ByteRange::new(2 * i * MSS, (2 * i + 1) * MSS));
+            let hole = s.next_rtx_hole().expect("a hole was just marked");
+            s.retransmitted(hole, i);
+        }
+        assert_eq!(s.rtx_sent.num_ranges(), n as usize);
         let t0 = Instant::now();
         for _ in 0..n {
             assert_eq!(s.next_rtx_hole(), None);
         }
         let took = t0.elapsed();
-        assert_eq!(s.rtx_scan_from, (2 * n - 1) * MSS);
-        assert!(took < Duration::from_secs(2), "{n} scans took {took:?}");
-    }
-
-    #[test]
-    fn scan_stops_at_the_first_unrepaired_range() {
-        let mut s = repaired_scoreboard(4);
-        // A third range loses its retransmission: the scan must stop there
-        // and move the cursor only past the two repaired ranges below it.
-        s.rtx_sent.remove(ByteRange::new(4 * MSS, 5 * MSS));
-        s.rewind_rtx_scan(4 * MSS);
-        let hole = ByteRange::new(4 * MSS, 5 * MSS);
-        assert_eq!(s.next_rtx_hole(), Some(hole));
-        assert_eq!(s.rtx_scan_from, 3 * MSS);
-        assert_eq!(s.next_rtx_hole(), Some(hole));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "not retransmitted")]
-    fn unrewound_cursor_fails_the_debug_audit() {
-        let mut s = repaired_scoreboard(4);
-        assert_eq!(s.next_rtx_hole(), None);
-        // A retransmission is found lost without rewinding the cursor:
-        // its bytes would never be repaired.
-        s.rtx_sent.remove(ByteRange::new(2 * MSS, 3 * MSS));
-        s.rtx_audit_skip = 0;
-        s.next_rtx_hole();
+        assert!(
+            took < Duration::from_secs(2),
+            "{n} hole queries took {took:?}"
+        );
+        // RACK finds the first retransmission lost: it is the next hole.
+        s.merge_ack(&ack(0, &[], REO_WND + 1));
+        assert_eq!(s.next_rtx_hole(), Some(ByteRange::new(0, MSS)));
     }
 }

@@ -200,6 +200,20 @@ cmp -s "$SMOKE_DIR/fig18-cold.txt" "$SMOKE_DIR/fig18-rot.txt" \
 [ "$(fp "$SMOKE_DIR/fig18-cold.manifest.json")" = "$(fp results/fig18.manifest.json)" ] \
     || { echo "fig18 fingerprint changed after recomputing the bit-rotted cell" >&2; exit 1; }
 
+echo "== regeneration gate (every committed figure output is what HEAD produces) =="
+# All 23 bench binaries at paper scale on a cold cache, each output ending
+# with its manifest fingerprint: any difference from results/ fails. A
+# warm cache could serve results computed by older code (a cache key
+# names CAMPAIGN_VERSION and the params, not the code), so there is none.
+# About 35 s on a 2-vCPU VM, 20 s of it table1.
+scripts/regen.sh "$SMOKE_DIR/regen"
+n_regen=$(find "$SMOKE_DIR/regen" -name '*.txt' | wc -l)
+[ "$n_regen" -eq 23 ] || { echo "regen wrote $n_regen outputs, want 23" >&2; exit 1; }
+for f in "$SMOKE_DIR/regen"/*.txt; do
+    diff -u "results/$(basename "$f")" "$f" \
+        || { echo "results/$(basename "$f") is stale: rerun scripts/regen.sh" >&2; exit 1; }
+done
+
 echo "== perfbench tests (the benchmark package builds against the workspace API) =="
 # perfbench/ is a package of its own outside the workspace, so nothing
 # else compiles it; its tests include a traced-vs-untraced fingerprint
